@@ -12,6 +12,8 @@ package repro
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -28,6 +30,7 @@ import (
 	"repro/internal/langmodel"
 	"repro/internal/lint"
 	"repro/internal/metrics"
+	"repro/internal/netsearch"
 	"repro/internal/randx"
 	"repro/internal/selection"
 	"repro/internal/service"
@@ -903,5 +906,109 @@ func BenchmarkSearchScored(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// warmRankService returns a service over n synthetic models loaded warm
+// from a store (no sampling inside a benchmark), its snapshot compiled,
+// and the vocabulary the models draw from.
+func warmRankService(b *testing.B, n int) (*service.Service, []string) {
+	b.Helper()
+	models, words := rankBenchModels(n)
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := service.New(analysis.Database(), st)
+	b.Cleanup(func() { svc.Close() })
+	for i, m := range models {
+		name := fmt.Sprintf("db-%03d", i)
+		if err := st.Put(name, m); err != nil {
+			b.Fatal(err)
+		}
+		if err := svc.Register(name, "bench.invalid:0"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := svc.Rank(words[0], "cori", 10); err != nil {
+		b.Fatal(err)
+	}
+	return svc, words
+}
+
+// uniqueQuery is the i-th of a sequence of three-term queries that does
+// not repeat before len(words)² of them.
+func uniqueQuery(words []string, i int, sep string) string {
+	n := len(words)
+	return words[i%n] + sep + words[(i/n)%n] + sep + words[(i+n/2)%n]
+}
+
+// sinkWriter is the in-memory http.ResponseWriter of BenchmarkHTTPRank:
+// it keeps the status and the byte count and allocates nothing per
+// request, so allocs/op is the handler's own.
+type sinkWriter struct {
+	header http.Header
+	status int
+	bytes  int
+}
+
+func (w *sinkWriter) Header() http.Header  { return w.header }
+func (w *sinkWriter) WriteHeader(code int) { w.status = code }
+func (w *sinkWriter) Write(p []byte) (int, error) {
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// BenchmarkHTTPRank prices one GET /rank through the service's HTTP
+// handler — middleware, admission (off), query parsing, analysis, a rank
+// cache miss, scoring, JSON encoding — with no socket: the in-process
+// twin of the benchmark's rank_uniq workload, and the fast local check
+// on its allocs-per-query budget. Queries never repeat, so every request
+// misses the cache.
+func BenchmarkHTTPRank(b *testing.B) {
+	svc, words := warmRankService(b, 100)
+	h := svc.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/rank", nil)
+	w := &sinkWriter{header: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.URL.RawQuery = "q=" + uniqueQuery(words, i, "+") + "&alg=cori&k=10"
+		clear(w.header)
+		w.status, w.bytes = http.StatusOK, 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.bytes == 0 {
+			b.Fatalf("GET /rank?%s: status %d, %d bytes", req.URL.RawQuery, w.status, w.bytes)
+		}
+	}
+}
+
+// BenchmarkWireRoundTrip prices one single-query rank exchange on the
+// netsearch fabric: a client's RankDBs against a loopback ServeShard over
+// a 100-database service with its result cache off, so every call
+// encodes, crosses the socket, ranks and decodes.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	svc, words := warmRankService(b, 100)
+	svc.SetRankCacheSize(0)
+	srv, err := cluster.ServeShard(svc, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := netsearch.DialWith(srv.Addr(), netsearch.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ranked, err := client.RankDBs(uniqueQuery(words, i, " "), "cori", 10, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ranked) != 10 {
+			b.Fatal("short ranking")
+		}
 	}
 }

@@ -28,7 +28,7 @@
 //
 //	selectd -max-inflight 64 -degrade-at 48 -degrade-k 10 -max-p99 250ms
 //
-// Result caching and coalescing (DESIGN.md §15): identical in-flight rank
+// Result caching and coalescing (DESIGN.md §10): identical in-flight rank
 // work is always computed once and shared across callers; -rank-cache
 // additionally sizes the completed-result LRU in single/shard mode (0
 // disables it), and -front-cache enables the topology-epoch-keyed result

@@ -1,60 +1,20 @@
 package cluster
 
 // Tests for the batched scatter-gather path: bit-identical fusion against
-// the single-query path, the wire fallback for shards that only rank one
-// query at a time, per-item error propagation, cold-federation handling,
-// and admission control on the front's serving surface.
+// the single-query path, per-item error propagation and cold-federation
+// handling. The front's HTTP rank surface is the serving core's, pinned
+// for every tier by internal/serving's contract test.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
-	"repro/internal/admission"
 	"repro/internal/analysis"
 	"repro/internal/experiments"
-	"repro/internal/netsearch"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
-
-func postJSON(t *testing.T, url string, body any, out any) *http.Response {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
-	}
-	return resp
-}
-
-func getJSON(t *testing.T, url string, out any) *http.Response {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
-	}
-	return resp
-}
 
 // sampledCluster builds a front over nShards real shards, registers a
 // small federation by ring placement, and samples every database — the
@@ -132,35 +92,6 @@ func TestFrontBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFrontBatchLegacyShardFallback: stub shards implement only the
-// per-query DBRanker, so the netsearch server answers "rankbatch" by
-// looping — an old shard keeps working behind a new front, and the fused
-// result still matches the single-query path.
-func TestFrontBatchLegacyShardFallback(t *testing.T) {
-	s0 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}, {Name: "db-c", Score: 0.2}}}
-	s1 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-b", Score: 0.5}}}
-	f := newTestFront(t, [][]string{{serveStub(t, s0)}, {serveStub(t, s1)}}, telemetry.NewRegistry())
-
-	batch, err := f.RankBatch([]string{"apple pie", "plum"}, "cori", 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		want, err := f.Rank("q", "cori", 2, "") // stubs ignore the query text
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i].Error != "" || len(batch[i].Ranked) != len(want) {
-			t.Fatalf("item %d = %+v, want %d rows", i, batch[i], len(want))
-		}
-		for j := range want {
-			if batch[i].Ranked[j] != want[j] {
-				t.Errorf("item %d row %d = %+v, want %+v", i, j, batch[i].Ranked[j], want[j])
-			}
-		}
-	}
-}
-
 func TestFrontBatchPerItemErrors(t *testing.T) {
 	f, dbs := sampledCluster(t, 2)
 	terms := experiments.TopicalTerms(dbs[0], dbs, 2)
@@ -191,139 +122,5 @@ func TestFrontBatchColdFederationAndBadAlg(t *testing.T) {
 	}
 	if h := fr.Health(); h[0].ConsecutiveFailures != 0 {
 		t.Errorf("client mistake booked as replica failure: %+v", h[0])
-	}
-}
-
-func TestFrontHTTPRankBatch(t *testing.T) {
-	f, dbs := sampledCluster(t, 2)
-	ts := httptest.NewServer(f.Handler())
-	t.Cleanup(ts.Close)
-	terms := experiments.TopicalTerms(dbs[0], dbs, 2)
-
-	var out batchRankResponse
-	resp := postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{terms[0] + " " + terms[1], "the and of"}, Alg: "cori", K: 3}, &out)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d", resp.StatusCode)
-	}
-	if len(out.Results) != 2 || len(out.Results[0].Ranked) == 0 || out.Results[1].Error == "" {
-		t.Fatalf("batch response: %+v", out)
-	}
-
-	if resp := postJSON(t, ts.URL+"/rank/batch", batchRankRequest{Alg: "cori"}, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty batch: status %d, want 400", resp.StatusCode)
-	}
-	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: make([]string, service.MaxBatchQueries+1), Alg: "cori"}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversize batch: status %d, want 400", resp.StatusCode)
-	}
-	get, err := http.Get(ts.URL + "/rank/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	get.Body.Close()
-	if get.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /rank/batch: status %d, want 405", get.StatusCode)
-	}
-}
-
-// TestFrontAdmissionOverload: the front sheds deterministically at its
-// in-flight cap with 429 + Retry-After, and serves normally under it.
-func TestFrontAdmissionOverload(t *testing.T) {
-	s := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}}}
-	reg := telemetry.NewRegistry()
-	f, err := NewFront([][]string{{serveStub(t, s)}}, Options{
-		Metrics:   reg,
-		Admission: admission.Config{MaxInFlight: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	ts := httptest.NewServer(f.Handler())
-	t.Cleanup(ts.Close)
-	shedCap := reg.Counter(`cluster_shed_total{reason="inflight"}`)
-
-	ticket, ok := f.gate.Admit()
-	if !ok {
-		t.Fatal("idle gate refused the first admit")
-	}
-	resp, err := http.Get(ts.URL + "/rank?q=apple&alg=cori")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("saturated rank: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"apple"}, Alg: "cori"}, nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated batch: status %d, want 429", resp.StatusCode)
-	}
-	// Retry-After parity: the batch shed speaks the same overload contract
-	// as the single path.
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("batch 429 without a Retry-After header")
-	}
-	// A streamed batch sheds identically — the refusal happens before any
-	// frame, so the client still gets a plain 429.
-	resp = postJSON(t, ts.URL+"/rank/batch?stream=1",
-		batchRankRequest{Queries: []string{"apple"}, Alg: "cori"}, nil)
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("saturated streamed batch: status %d, Retry-After %q",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	if shedCap.Value() != 3 {
-		t.Fatalf("shed counter = %d, want 3", shedCap.Value())
-	}
-
-	ticket.Release()
-	resp, err = http.Get(ts.URL + "/rank?q=apple&alg=cori")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-release rank: status %d", resp.StatusCode)
-	}
-	if shedCap.Value() != 3 {
-		t.Errorf("request under the limit shed: counter = %d, want 3", shedCap.Value())
-	}
-}
-
-func TestFrontAdmissionDegradesK(t *testing.T) {
-	s := &stubShard{partial: []netsearch.RankedDB{
-		{Name: "db-a", Score: 0.9}, {Name: "db-b", Score: 0.5}, {Name: "db-c", Score: 0.2},
-	}}
-	f, err := NewFront([][]string{{serveStub(t, s)}}, Options{
-		Metrics:   telemetry.NewRegistry(),
-		Admission: admission.Config{MaxInFlight: 8, DegradeAt: 1, DegradeK: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	ts := httptest.NewServer(f.Handler())
-	t.Cleanup(ts.Close)
-
-	var ranked []netsearch.RankedDB
-	resp := getJSON(t, ts.URL+"/rank?q=apple&alg=cori&k=3", &ranked)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded rank: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("X-Degraded-K") != "1" || len(ranked) != 1 {
-		t.Errorf("degraded rank: X-Degraded-K=%q rows=%d, want 1 and 1",
-			resp.Header.Get("X-Degraded-K"), len(ranked))
-	}
-	var batch batchRankResponse
-	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"apple"}, Alg: "cori", K: 3}, &batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded batch: status %d", resp.StatusCode)
-	}
-	if !batch.Degraded || len(batch.Results[0].Ranked) != 1 {
-		t.Errorf("degraded batch: %+v", batch)
 	}
 }

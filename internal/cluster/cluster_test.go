@@ -27,7 +27,7 @@ type stubShard struct {
 	mu         sync.Mutex
 	partial    []netsearch.RankedDB
 	rankErr    error // returned while failFirst > 0, or always if failFirst == 0
-	failFirst  int   // fail this many RankDBs calls, then serve partial
+	failFirst  int   // fail this many rank calls, then serve partial
 	rankCalls  int
 	registered map[string]string
 }
@@ -40,18 +40,26 @@ func (s *stubShard) Fetch(id int) (corpus.Document, error) {
 	return corpus.Document{}, errors.New("stub shard is not a document database")
 }
 
-func (s *stubShard) RankDBs(query, alg string, k int) ([]netsearch.RankedDB, error) {
+// RankDBsStream answers every query of the batch with the scripted
+// partial (stubs ignore the query text), or refuses the whole call.
+func (s *stubShard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item netsearch.RankedBatch) error) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.rankCalls++
-	if s.rankErr != nil && (s.failFirst == 0 || s.rankCalls <= s.failFirst) {
-		return nil, s.rankErr
-	}
+	fail := s.rankErr != nil && (s.failFirst == 0 || s.rankCalls <= s.failFirst)
 	out := s.partial
+	s.mu.Unlock()
+	if fail {
+		return s.rankErr
+	}
 	if k > 0 && k < len(out) {
 		out = out[:k]
 	}
-	return out, nil
+	for i := range queries {
+		if err := emit(i, netsearch.RankedBatch{Ranked: out}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *stubShard) calls() int {
@@ -91,7 +99,7 @@ func (s *stubShard) has(name string) bool {
 }
 
 var _ core.Database = (*stubShard)(nil)
-var _ netsearch.DBRanker = (*stubShard)(nil)
+var _ netsearch.StreamBatchRanker = (*stubShard)(nil)
 var _ netsearch.Registrar = (*stubShard)(nil)
 
 // serveStub exposes a stub shard on a loopback port and returns its addr.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -10,9 +11,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/netsearch"
-	"repro/internal/parallel"
-	"repro/internal/selection"
-	"repro/internal/service"
+	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -49,10 +48,10 @@ type Options struct {
 	Admission admission.Config
 	// CacheSize enables the front-tier result cache for single-query
 	// rankings: a hit saves a whole scatter (one RPC per slot). 0 — the
-	// default — disables it, so existing fronts behave exactly as before;
-	// entries are keyed by (query, alg, k, topology epoch) and a
-	// register/unregister through this front invalidates them all (see
-	// cache.go).
+	// default — disables it (concurrent identical scatters still share
+	// one flight); entries are keyed by (query, alg, k, topology epoch) and
+	// a register/unregister through this front invalidates them all (see
+	// Rank).
 	CacheSize int
 }
 
@@ -97,9 +96,8 @@ type Front struct {
 	netOpts   netsearch.Options
 	reg       *telemetry.Registry
 	logger    *slog.Logger
-	traces    *telemetry.TraceIDs
 	gate      *admission.Gate // nil unless Options.Admission enables it
-	cache     *frontCache     // nil unless Options.CacheSize enables it
+	cache     *serving.Cache  // flights only unless Options.CacheSize enables the LRU
 	epoch     atomic.Uint64   // topology epoch: bumped per register/unregister
 }
 
@@ -129,12 +127,9 @@ func NewFront(slots [][]string, opts Options) (*Front, error) {
 		netOpts:   opts.Net,
 		reg:       opts.Metrics,
 		logger:    logger,
-		traces:    telemetry.NewTraceIDs("req"),
 		gate:      admission.New(opts.Admission, opts.Metrics, "cluster"),
 	}
-	if opts.CacheSize > 0 {
-		f.cache = newFrontCache(opts.CacheSize)
-	}
+	f.cache = serving.NewCache(opts.CacheSize, "cluster", tier{f}.Metrics)
 	if f.netOpts.Metrics == nil {
 		f.netOpts.Metrics = opts.Metrics
 	}
@@ -213,236 +208,61 @@ func (f *Front) Close() error {
 }
 
 // Rank scatters the query to every slot, gathers the partial rankings,
-// and fuses them into a single top-k with selection.MergeWeighted (every
-// slot weighted equally — slots partition the database set, so partial
-// scores are already on the algorithm's own scale and pass through
-// unscaled). Ties break by (slot, partial rank) — deterministic for a
-// fixed topology, and invariant under failover because replicas of a
-// slot serve identical database sets and deterministic models. trace
-// correlates the scattered frames with the originating request.
+// and fuses them into a single top-k (see scatter: a single rank is a
+// batch of one). trace correlates the scattered frames with the
+// originating request. A query no shard can use fails with ErrInvalid, a
+// federation without models with ErrNoModels.
 //
-// With Options.CacheSize set, completed rankings are served from the
-// front's epoch-keyed LRU and concurrent identical scatters single-flight
-// through it (cluster_select_cache_hits_total / _misses_total,
-// cluster_rank_coalesced_total{scope="flight"}). Errors are never cached
-// and reach only the callers already waiting on the failed scatter.
+// Concurrent identical scatters single-flight through the front's cache
+// (cluster_rank_coalesced_total{scope="flight"}), and with
+// Options.CacheSize set completed rankings are served from its LRU
+// (cluster_select_cache_hits_total / _misses_total) — a hit saves an
+// entire scatter, one RPC per slot, which is why the front caches even
+// though every shard does too. The key carries the front-local topology
+// epoch, bumped on every register/unregister routed through this front,
+// so a placement change invalidates the whole cache at the cost of one
+// atomic increment. The epoch is best-effort by design: a registration
+// routed through a *different* front is invisible here, exactly as stale
+// as the shards' own epoch-keyed caches already allow, and bounded by the
+// LRU's size. The front has no analyzer, so spelling variants of a query
+// miss here and coalesce shard-side on the term key instead.
 func (f *Front) Rank(query, alg string, k int, trace string) ([]netsearch.RankedDB, error) {
-	if f.cache == nil {
-		return f.rankScatter(query, alg, k, trace)
-	}
-	key := frontCacheKey{query: query, alg: alg, k: k, epoch: f.epoch.Load()}
-	if val, ok := f.cache.probe(key); ok {
-		f.reg.Counter("cluster_select_cache_hits_total").Inc()
-		return append([]netsearch.RankedDB(nil), val...), nil
-	}
-	fl, leader := f.cache.join(key)
-	if !leader {
-		f.reg.Counter(`cluster_rank_coalesced_total{scope="flight"}`).Inc()
-		<-fl.ready
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		f.reg.Counter("cluster_select_cache_hits_total").Inc()
-		return append([]netsearch.RankedDB(nil), fl.val...), nil
-	}
-	f.reg.Counter("cluster_select_cache_misses_total").Inc()
-	fulfilled := false
-	defer func() {
-		// A panicking leader must still fulfill, or its followers would
-		// block forever on a flight nobody owns.
-		if r := recover(); r != nil {
-			if !fulfilled {
-				f.cache.fulfill(key, fl, nil, fmt.Errorf("cluster: rank panicked: %v", r))
-			}
-			panic(r)
-		}
-	}()
-	val, err := f.rankScatter(query, alg, k, trace)
-	f.cache.fulfill(key, fl, val, err)
-	fulfilled = true
-	if err != nil {
-		return nil, err
-	}
-	return append([]netsearch.RankedDB(nil), val...), nil
+	ranked, _, err := f.rank(query, alg, k, trace)
+	return ranked, err
 }
 
-// rankScatter is the uncached scatter-gather core behind Rank.
-func (f *Front) rankScatter(query, alg string, k int, trace string) ([]netsearch.RankedDB, error) {
-	defer f.reg.Timer("cluster_scatter_seconds")()
-	partials, err := parallel.Map(len(f.reps), f.reps, func(slot int, _ []*replica) ([]netsearch.RankedDB, error) {
-		return f.rankSlot(slot, query, alg, k, trace)
+// rank is Rank plus the cache disposition of serving.Ranker.
+func (f *Front) rank(query, alg string, k int, trace string) ([]netsearch.RankedDB, string, error) {
+	key := serving.Key{Query: query, Alg: alg, K: k, Epoch: f.epoch.Load()}
+	val, status, err := f.cache.Do(key, true, func() (ranked []netsearch.RankedDB, err error) {
+		defer f.reg.Timer("cluster_scatter_seconds")()
+		err = f.scatter([]string{query}, alg, k, trace, func(_ int, it serving.Item) error {
+			switch {
+			case it.Cold:
+				return fmt.Errorf("cluster: %w", serving.ErrNoModels)
+			case it.Error != "":
+				// Per-query refusals are deterministic across shards (every
+				// one analyzes the same way): the client's mistake.
+				return fmt.Errorf("cluster: %s: %w", it.Error, serving.ErrInvalid)
+			}
+			ranked = it.Ranked
+			return nil
+		})
+		return ranked, err
 	})
 	if err != nil {
-		f.reg.Counter("cluster_scatter_errors_total").Inc()
-		return nil, err
+		return nil, status, err
 	}
-	lists := make([][]selection.DocScore, len(partials))
-	weights := make([]float64, len(partials))
-	total := 0
-	for slot, partial := range partials {
-		list := make([]selection.DocScore, len(partial))
-		for i, r := range partial {
-			list[i] = selection.DocScore{Doc: i, Score: r.Score}
-		}
-		lists[slot] = list
-		weights[slot] = 1
-		total += len(partial)
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("cluster: %w", service.ErrNoModels)
-	}
-	merged, err := selection.MergeWeighted(lists, weights, k)
-	if err != nil {
-		// Unreachable by construction (lists and weights are built
-		// together above); surfaced rather than swallowed all the same.
-		return nil, fmt.Errorf("cluster: fuse: %w", err)
-	}
-	out := make([]netsearch.RankedDB, len(merged))
-	for i, h := range merged {
-		out[i] = netsearch.RankedDB{Name: partials[h.DB][h.Doc].Name, Score: h.Score}
-	}
-	return out, nil
+	return append([]netsearch.RankedDB(nil), val...), status, nil
 }
 
-// RankBatch scatters a whole batch of queries to every slot in one wire
-// frame per slot, then fuses each query's partial rankings exactly as
-// Rank does — same uniform weights, same tie-break, so a batched query's
-// ranking is bit-identical to ranking it alone. The fan-out cost (slot
-// RPCs, failover bookkeeping, merge scratch) is paid once per batch
-// instead of once per query; duplicate queries within the batch scatter
-// and fuse once, with every original position receiving a copy
-// (cluster_rank_coalesced_total{scope="batch"}). Per-query problems (no
-// index terms) ride in the matching item's Error; a cold federation is a
-// whole-batch ErrNoModels, mirroring the single-query path.
+// RankBatch is the buffered form of RankBatchStream: every query's fused
+// ranking, in input order. Per-query problems (no index terms) ride in the
+// matching item's Error; a cold federation is a whole-batch ErrNoModels,
+// mirroring the single-query path.
 func (f *Front) RankBatch(queries []string, alg string, k int, trace string) ([]netsearch.RankedBatch, error) {
-	uniq, pos := dedupQueries(queries)
-	if dups := len(queries) - len(uniq); dups > 0 {
-		f.reg.Counter(`cluster_rank_coalesced_total{scope="batch"}`).Add(int64(dups))
-	}
-	items, err := f.rankBatchUnique(uniq, alg, k, trace)
-	if err != nil {
-		return nil, err
-	}
-	if len(uniq) == len(queries) {
-		return items, nil
-	}
-	out := make([]netsearch.RankedBatch, len(queries))
-	for i, u := range pos {
-		out[i].Error = items[u].Error
-		if items[u].Ranked != nil {
-			out[i].Ranked = append([]netsearch.RankedDB(nil), items[u].Ranked...)
-		}
-	}
-	return out, nil
-}
-
-// rankBatchUnique is the scatter-fuse core behind RankBatch, operating on
-// an already-deduplicated query list.
-func (f *Front) rankBatchUnique(queries []string, alg string, k int, trace string) ([]netsearch.RankedBatch, error) {
 	defer f.reg.Timer("cluster_scatter_batch_seconds")()
-	partials, err := parallel.Map(len(f.reps), f.reps, func(slot int, _ []*replica) ([]netsearch.RankedBatch, error) {
-		return f.rankSlotBatch(slot, queries, alg, k, trace)
-	})
-	if err != nil {
-		f.reg.Counter("cluster_scatter_errors_total").Inc()
-		return nil, err
-	}
-	out := make([]netsearch.RankedBatch, len(queries))
-	// Merge scratch recycled across the batch: per-slot DocScore lists, the
-	// uniform weights, and the fused-hit buffer (MergeWeightedInto).
-	lists := make([][]selection.DocScore, len(partials))
-	weights := make([]float64, len(partials))
-	for slot := range partials {
-		weights[slot] = 1
-	}
-	var fused []selection.MergedHit
-	grandTotal := 0
-	for q := range queries {
-		itemErr := ""
-		total := 0
-		for slot, batch := range partials {
-			it := batch[q]
-			if it.Error != "" {
-				// Deterministic per-query refusal (every slot tokenizes the
-				// same way); any slot's report stands for all of them.
-				itemErr = it.Error
-			}
-			list := lists[slot][:0]
-			for i, r := range it.Ranked {
-				list = append(list, selection.DocScore{Doc: i, Score: r.Score})
-			}
-			lists[slot] = list
-			total += len(it.Ranked)
-		}
-		grandTotal += total
-		if itemErr != "" {
-			out[q].Error = itemErr
-			continue
-		}
-		if total == 0 {
-			out[q].Error = fmt.Sprintf("cluster: %v", service.ErrNoModels)
-			continue
-		}
-		fused, err = selection.MergeWeightedInto(fused[:0], lists, weights, k)
-		if err != nil {
-			// Unreachable by construction (lists and weights are parallel);
-			// surfaced rather than swallowed all the same.
-			return nil, fmt.Errorf("cluster: fuse: %w", err)
-		}
-		ranked := make([]netsearch.RankedDB, len(fused))
-		for i, h := range fused {
-			ranked[i] = netsearch.RankedDB{Name: partials[h.DB][q].Ranked[h.Doc].Name, Score: h.Score}
-		}
-		out[q].Ranked = ranked
-	}
-	if grandTotal == 0 {
-		// Every query found nothing anywhere and none carried its own
-		// error: the federation has no models — the whole batch fails the
-		// way a single cold-federation Rank does (503, not 200-with-errors).
-		allItemErrs := true
-		for _, it := range out {
-			if it.Error == "" || !strings.Contains(it.Error, service.ErrNoModels.Error()) {
-				allItemErrs = false
-				break
-			}
-		}
-		if allItemErrs && len(out) > 0 {
-			return nil, fmt.Errorf("cluster: %w", service.ErrNoModels)
-		}
-	}
-	return out, nil
-}
-
-// rankSlot answers one slot's share of a scattered query.
-func (f *Front) rankSlot(slot int, query, alg string, k int, trace string) ([]netsearch.RankedDB, error) {
-	var ranked []netsearch.RankedDB
-	err := f.callSlot(slot, func(c *netsearch.Client) error {
-		var err error
-		ranked, err = c.RankDBs(query, alg, k, trace)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ranked, nil
-}
-
-// rankSlotBatch answers one slot's share of a scattered batch: the whole
-// batch travels in one wire frame and the shard ranks it against one
-// snapshot with one scratch, so failover (when it happens) retries the
-// batch as a unit and never splits it across replicas with divergent
-// model states.
-func (f *Front) rankSlotBatch(slot int, queries []string, alg string, k int, trace string) ([]netsearch.RankedBatch, error) {
-	var batch []netsearch.RankedBatch
-	err := f.callSlot(slot, func(c *netsearch.Client) error {
-		var err error
-		batch, err = c.RankDBsBatch(queries, alg, k, trace)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return batch, nil
+	return serving.RankBatch(serving.WithTrace(context.TODO(), trace), tier{f}, queries, alg, k)
 }
 
 // callSlot runs one RPC against a slot, failing over across the slot's

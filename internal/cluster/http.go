@@ -1,35 +1,30 @@
 package cluster
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
+	"repro/internal/admission"
 	"repro/internal/netsearch"
-	"repro/internal/service"
+	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
-// Front HTTP API — the cluster's client-facing surface, mirroring the
-// single-process selectd endpoints it stands in for:
+// Front HTTP API. The rank surface — /rank, /rank/batch (buffered and
+// streamed), /healthz, /metrics, /debug/vars — is the serving core's, the
+// very handlers a single-process selectd serves (internal/serving), here
+// answered by scatter-gather. What the front adds is registration routing
+// and its own view of the cluster:
 //
-//	GET    /rank?q=apple+pie&alg=cori&k=5  -> []RankedDB (scatter-gathered)
-//	POST   /rank/batch                     {"queries":[...],"alg":"cori","k":5}
-//	                                       -> {"results":[{"ranked":[...]}...]}
-//	POST   /rank/batch?stream=1            same body -> NDJSON frames, one
-//	                                       fused item per query as every
-//	                                       slot delivers it (SSE with
-//	                                       Accept: text/event-stream)
-//	POST   /databases                      {"name":"x","addr":"host:port"}
-//	                                       (routed to the owning slot's replicas)
-//	DELETE /databases/{name}               (routed likewise)
-//	GET    /cluster                        -> topology + per-replica health
-//	GET    /healthz
-//	GET    /metrics, /debug/vars           (when Options.Metrics was set)
+//	POST   /databases        {"name":"x","addr":"host:port"}
+//	                         (routed to the owning slot's replicas)
+//	DELETE /databases/{name} (routed likewise)
+//	GET    /cluster          -> topology + per-replica health
 //
 // Sampling stays shard-side: replicas sample their registered databases
 // through their own HTTP APIs with identical seeds, which (sampling
@@ -37,285 +32,69 @@ import (
 
 // Handler returns the front tier's HTTP handler.
 func (f *Front) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "front", "slots": f.ring.Slots()})
-	})
-	mux.HandleFunc("/rank", f.handleRank)
-	mux.HandleFunc("/rank/batch", f.handleRankBatch)
-	mux.HandleFunc("/databases", f.handleDatabases)
-	mux.HandleFunc("/databases/", f.handleDatabase)
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"slots":    f.ring.Slots(),
-			"replicas": f.Health(),
+	health := map[string]any{"status": "ok", "role": "front", "slots": f.ring.Slots()}
+	return serving.NewHandler(tier{f}, "cluster", health, func(mux *http.ServeMux) {
+		mux.HandleFunc("/databases", f.handleDatabases)
+		mux.HandleFunc("/databases/", f.handleDatabase)
+		mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
+			serving.WriteJSON(w, http.StatusOK, map[string]any{
+				"slots":    f.ring.Slots(),
+				"replicas": f.Health(),
+			})
 		})
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if f.reg != nil {
-			telemetry.Handler(f.reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if f.reg != nil {
-			telemetry.VarsHandler(f.reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	return f.instrument(mux)
 }
 
-// instrument is the front's observability middleware: trace IDs (honored
-// from X-Trace-Id, echoed back, and propagated onto every scattered wire
-// frame), status-class counters, request latency, one log line per
-// request — the same contract the single-process service keeps.
-func (f *Front) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		trace := r.Header.Get("X-Trace-Id")
-		if trace == "" {
-			trace = f.traces.Next()
-		}
-		w.Header().Set("X-Trace-Id", trace)
-		r.Header.Set("X-Trace-Id", trace) // downstream handlers read it back
+// tier adapts the front's pinned method signatures to the serving seam:
+// the trace ID the seam carries in ctx is the trace argument here.
+type tier struct{ *Front }
 
-		sp := f.reg.StartSpan("http_request_seconds")
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		d := sp.End()
-
-		f.reg.Counter("http_requests_total").Inc()
-		f.reg.Counter(fmt.Sprintf(`http_responses_total{class="%dxx"}`, sw.status/100)).Inc()
-		switch {
-		case sw.status >= 500:
-			f.reg.Counter("http_5xx_total").Inc()
-		case sw.status >= 400:
-			f.reg.Counter("http_4xx_total").Inc()
-		}
-		f.logger.Info("front request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"elapsed", d, telemetry.TraceKey, trace)
-	})
+func (t tier) Rank(ctx context.Context, query, alg string, k int) ([]netsearch.RankedDB, string, error) {
+	return t.rank(query, alg, k, serving.TraceFromContext(ctx))
 }
 
-type statusWriter struct {
-	http.ResponseWriter
-	status int
+func (t tier) RankStream(ctx context.Context, queries []string, alg string, k int, emit func(int, serving.Item) error) error {
+	return t.RankBatchStream(queries, alg, k, serving.TraceFromContext(ctx), emit)
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so streamed responses (POST
-// /rank/batch?stream=1) push each frame through the middleware instead of
-// buffering until the handler returns.
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// statusFor maps a scatter-path error the same way the single-process
-// service does: the client's mistakes are 400, an unready federation is
-// 503, everything else — including a slot whose replicas all failed — is
-// a 502 the caller can alert on.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, service.ErrUnknownDatabase):
-		return http.StatusNotFound
-	case errors.Is(err, service.ErrInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, service.ErrNoModels):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadGateway
-	}
-}
-
-// shed answers a load-shed request: 429 with the gate's Retry-After hint,
-// the same overload contract the single-process service's surface keeps.
-func shed(w http.ResponseWriter, retryAfterSeconds int) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	writeJSON(w, http.StatusTooManyRequests,
-		map[string]string{"error": "service overloaded, retry later"})
-}
-
-func (f *Front) handleRank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	ticket, ok := f.gate.Admit()
-	if !ok {
-		shed(w, f.gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	q := r.URL.Query()
-	k, _ := strconv.Atoi(q.Get("k"))
-	if clamped := ticket.ClampK(k); clamped != k {
-		k = clamped
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	ranked, err := f.Rank(q.Get("q"), q.Get("alg"), k, r.Header.Get("X-Trace-Id"))
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ranked)
-}
-
-// batchRankRequest and batchRankResponse mirror the single-process
-// service's POST /rank/batch wire shapes, so one client speaks to both
-// surfaces interchangeably.
-type batchRankRequest struct {
-	Queries []string `json:"queries"`
-	Alg     string   `json:"alg,omitempty"`
-	K       int      `json:"k,omitempty"`
-}
-
-type batchRankResponse struct {
-	Results  []netsearch.RankedBatch `json:"results"`
-	Degraded bool                    `json:"degraded,omitempty"`
-}
-
-func (f *Front) handleRankBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var req batchRankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Queries) > service.MaxBatchQueries {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the %d-query limit: %w",
-				len(req.Queries), service.MaxBatchQueries, service.ErrInvalid))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("cluster: empty batch: %w", service.ErrInvalid))
-		return
-	}
-	// One batch holds one admission slot, as on the shards: the in-flight
-	// unit is the request — what bounds the scatter fan-out — not the query.
-	ticket, ok := f.gate.Admit()
-	if !ok {
-		shed(w, f.gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	k := ticket.ClampK(req.K)
-	if k != req.K {
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	if service.WantStream(r) {
-		f.streamRankBatch(w, r, req, k, k != req.K)
-		return
-	}
-	items, err := f.RankBatch(req.Queries, req.Alg, k, r.Header.Get("X-Trace-Id"))
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchRankResponse{Results: items, Degraded: k != req.K})
-}
-
-// streamRankBatch serves one POST /rank/batch?stream=1 request on the
-// front, reusing the service tier's StreamWriter so both surfaces speak
-// one frame format. The admission ticket's deferred Release fires after
-// the last flush.
-func (f *Front) streamRankBatch(w http.ResponseWriter, r *http.Request, req batchRankRequest, k int, degraded bool) {
-	sw := service.NewStreamWriter(w, r)
-	ctx := r.Context()
-	results := 0
-	err := f.RankBatchStream(req.Queries, req.Alg, k, r.Header.Get("X-Trace-Id"), func(i int, item netsearch.RankedBatch) error {
-		if cerr := ctx.Err(); cerr != nil {
-			// Wrap the sentinel so the slot teardown skips failover and
-			// health penalties all the way down.
-			return fmt.Errorf("%w: %v", netsearch.ErrStreamCanceled, cerr)
-		}
-		results++
-		return sw.Item(i, item.Ranked, item.Error)
-	})
-	if err != nil {
-		if !sw.Started() {
-			writeErr(w, statusFor(err), err)
-			return
-		}
-		f.reg.Counter("cluster_stream_aborts_total").Inc()
-		return
-	}
-	if err := sw.Done(results, degraded); err != nil {
-		f.reg.Counter("cluster_stream_aborts_total").Inc()
-		return
-	}
-	f.reg.Counter("cluster_stream_ranks_total").Inc()
-}
+func (t tier) Metrics() *telemetry.Registry { return t.reg }
+func (t tier) Logger() *slog.Logger         { return t.logger }
+func (t tier) Gate() *admission.Gate        { return t.gate }
 
 func (f *Front) handleDatabases(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only (listing is served by the shards)"))
+		serving.WriteErr(w, http.StatusMethodNotAllowed, errors.New("POST only (listing is served by the shards)"))
 		return
 	}
-	var req struct {
-		Name string `json:"name"`
-		Addr string `json:"addr"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	name, addr, ok := serving.DecodeRegistration(w, r)
+	if !ok {
 		return
 	}
-	if req.Addr == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("addr is required"))
+	slot := f.ring.Owner(name)
+	if err := f.registerOnSlot(slot, name, addr); err != nil {
+		serving.WriteFailure(w, err)
 		return
 	}
-	if err := service.ValidateName(req.Name); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	slot := f.ring.Owner(req.Name)
-	if err := f.registerOnSlot(slot, req.Name, req.Addr); err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"registered": req.Name, "slot": slot})
+	serving.WriteJSON(w, http.StatusCreated, map[string]any{"registered": name, "slot": slot})
 }
 
 func (f *Front) handleDatabase(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/databases/")
 	name, err := url.PathUnescape(rest)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", rest, err))
+		serving.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", rest, err))
 		return
 	}
 	if name == "" || r.Method != http.MethodDelete {
-		writeErr(w, http.StatusNotFound, errors.New("unknown endpoint (shard-local operations are served by the shards)"))
+		serving.WriteErr(w, http.StatusNotFound, errors.New("unknown endpoint (shard-local operations are served by the shards)"))
 		return
 	}
 	slot := f.ring.Owner(name)
 	if err := f.unregisterOnSlot(slot, name); err != nil {
-		writeErr(w, statusFor(err), err)
+		serving.WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": name, "slot": slot})
+	serving.WriteJSON(w, http.StatusOK, map[string]any{"deleted": name, "slot": slot})
 }
 
 // registerOnSlot places a database on every replica of its owning slot.
@@ -323,30 +102,10 @@ func (f *Front) handleDatabase(w http.ResponseWriter, r *http.Request) {
 // idempotent and a retry heals a previous partial failure instead of
 // conflicting with it.
 func (f *Front) registerOnSlot(slot int, name, addr string) error {
-	// Any registration attempt — even a failed one, which may have changed
-	// some replicas — moves the topology epoch, invalidating the front's
-	// result cache wholesale. Invalidation is cheap; serving a fused
-	// ranking that predates a placement change is not.
-	defer f.epoch.Add(1)
-	for _, r := range f.reps[slot] {
-		c, err := f.connect(r)
-		if err != nil {
-			f.recordFailure(r, err)
-			return fmt.Errorf("cluster: register %q on slot %d replica %s: %w", name, slot, r.addr, err)
-		}
-		err = classify(c.RegisterDB(name, addr))
-		switch {
-		case err == nil, errors.Is(err, service.ErrExists):
-			// Registered, or already there: idempotent success.
-		case errors.Is(err, service.ErrInvalid):
-			// The client's mistake, not the replica's health.
-			return fmt.Errorf("cluster: register %q on slot %d replica %s: %w", name, slot, r.addr, err)
-		default:
-			f.recordFailure(r, err)
-			return fmt.Errorf("cluster: register %q on slot %d replica %s: %w", name, slot, r.addr, err)
-		}
-	}
-	return nil
+	_, err := f.onSlot(slot, "register", name, serving.ErrExists, func(c *netsearch.Client) error {
+		return c.RegisterDB(name, addr)
+	})
+	return err
 }
 
 // unregisterOnSlot removes a database from every replica of its owning
@@ -354,26 +113,41 @@ func (f *Front) registerOnSlot(slot int, name, addr string) error {
 // answer 404; one replica knowing it means a previous partial state is
 // being healed.
 func (f *Front) unregisterOnSlot(slot int, name string) error {
-	defer f.epoch.Add(1) // see registerOnSlot
-	unknown := 0
+	unknown, err := f.onSlot(slot, "unregister", name, serving.ErrUnknownDatabase, func(c *netsearch.Client) error {
+		return c.UnregisterDB(name)
+	})
+	if err == nil && unknown == len(f.reps[slot]) {
+		return fmt.Errorf("cluster: %q on slot %d: %w", name, slot, serving.ErrUnknownDatabase)
+	}
+	return err
+}
+
+// onSlot runs one registry operation against every replica of a slot, in
+// order, stopping at the first failure. A replica answering with the
+// benign sentinel (the state the operation wanted was already there) is
+// not a failure; such answers are counted. The client's own mistake
+// (ErrInvalid) stops the operation without costing the replica health.
+func (f *Front) onSlot(slot int, verb, name string, benign error, op func(*netsearch.Client) error) (nBenign int, err error) {
+	// Any attempt — even a failed one, which may have changed some
+	// replicas — moves the topology epoch, invalidating the front's result
+	// cache wholesale. Invalidation is cheap; serving a fused ranking that
+	// predates a placement change is not.
+	defer f.epoch.Add(1)
 	for _, r := range f.reps[slot] {
 		c, err := f.connect(r)
-		if err != nil {
-			f.recordFailure(r, err)
-			return fmt.Errorf("cluster: unregister %q on slot %d replica %s: %w", name, slot, r.addr, err)
+		if err == nil {
+			err = classify(op(c))
 		}
-		err = classify(c.UnregisterDB(name))
 		switch {
 		case err == nil:
-		case errors.Is(err, service.ErrUnknownDatabase):
-			unknown++
+		case errors.Is(err, benign):
+			nBenign++
 		default:
-			f.recordFailure(r, err)
-			return fmt.Errorf("cluster: unregister %q on slot %d replica %s: %w", name, slot, r.addr, err)
+			if !errors.Is(err, serving.ErrInvalid) {
+				f.recordFailure(r, err)
+			}
+			return nBenign, fmt.Errorf("cluster: %s %q on slot %d replica %s: %w", verb, name, slot, r.addr, err)
 		}
 	}
-	if unknown == len(f.reps[slot]) {
-		return fmt.Errorf("cluster: %q on slot %d: %w", name, slot, service.ErrUnknownDatabase)
-	}
-	return nil
+	return nBenign, nil
 }

@@ -26,7 +26,7 @@ const (
 
 // Shard adapts a selection service to the netsearch fabric so a front
 // tier can scatter to it: it implements core.Database (vacuously — a
-// shard is not a document database), netsearch.DBRanker, and
+// shard is not a document database), netsearch.StreamBatchRanker, and
 // netsearch.Registrar. Serve it with ServeShard.
 type Shard struct {
 	svc *service.Service
@@ -58,96 +58,45 @@ func (sh *Shard) Fetch(id int) (corpus.Document, error) {
 	return corpus.Document{}, errors.New("cluster: shard is not a document database")
 }
 
-// RankDBs implements netsearch.DBRanker: the shard-local half of a
-// scattered rank query. A shard with no learned models yet contributes an
-// empty partial ranking rather than an error — one cold shard must not
-// fail the whole federation's query. Invalid-argument errors are marked
-// so the front tier knows failover cannot help.
-func (sh *Shard) RankDBs(query, alg string, k int) ([]netsearch.RankedDB, error) {
-	ranked, err := sh.svc.Rank(query, alg, k)
-	if err != nil {
-		if errors.Is(err, service.ErrNoModels) {
-			return nil, nil
-		}
-		if errors.Is(err, service.ErrInvalid) {
-			return nil, errors.New(markInvalid + err.Error())
-		}
-		return nil, err
-	}
-	out := make([]netsearch.RankedDB, len(ranked))
-	for i, r := range ranked {
-		out[i] = netsearch.RankedDB{Name: r.Name, Score: r.Score}
-	}
-	return out, nil
-}
-
-// RankDBsBatch implements netsearch.BatchDBRanker: the shard-local half
-// of a scattered batch. The cold-shard convention carries over from
-// RankDBs — a shard with no models answers every query with an empty
-// partial rather than failing the batch. Per-query problems ride in each
-// item's Error (already plain text, no marker needed: the front passes
-// them through to the matching item, never fails over on them).
-func (sh *Shard) RankDBsBatch(queries []string, alg string, k int) ([]netsearch.RankedBatch, error) {
-	items, err := sh.svc.RankBatch(queries, alg, k)
-	if err != nil {
-		if errors.Is(err, service.ErrNoModels) {
-			return make([]netsearch.RankedBatch, len(queries)), nil
-		}
-		if errors.Is(err, service.ErrInvalid) {
-			return nil, errors.New(markInvalid + err.Error())
-		}
-		return nil, err
-	}
-	out := make([]netsearch.RankedBatch, len(items))
-	for i, it := range items {
-		out[i].Error = it.Error
-		if it.Ranked == nil {
-			continue
-		}
-		out[i].Ranked = make([]netsearch.RankedDB, len(it.Ranked))
-		for j, r := range it.Ranked {
-			out[i].Ranked[j] = netsearch.RankedDB{Name: r.Name, Score: r.Score}
-		}
-	}
-	return out, nil
-}
-
 // RankDBsStream implements netsearch.StreamBatchRanker: the shard-local
-// half of a scattered streaming batch. Each item is emitted the moment the
-// service ranks it, so the front's fused stream never waits on the whole
-// shard batch. The conventions carry over from RankDBsBatch: a cold shard
-// answers every query with an empty partial (emitted only after the
-// whole-batch check, which the service runs before its first emit), and
-// invalid arguments come back marked so the front fails fast without
-// failover.
+// half of a scattered rank. Each item is emitted the moment the service
+// ranks it, so the front's fused stream never waits on the whole shard
+// batch. A shard with no learned models yet answers every query with an
+// empty partial ranking rather than an error — one cold shard must not
+// fail the whole federation's query (the service raises ErrNoModels before
+// its first emit, so no item has gone out yet). Invalid-argument errors
+// come back marked so the front knows failover cannot help. Per-query
+// problems ride in each item's Error, already plain text: the front passes
+// them through to the matching item and never fails over on them.
+//
+// A stream of one is the front's single-query rank — interactive traffic,
+// which the service admits to its result cache where a bulk batch bypasses
+// it — so it is answered by Rank, as GET /rank on the shard itself would
+// be. A refusal other than "no models" is re-asked of the batch path,
+// which knows a whole-request error from a per-item one.
 func (sh *Shard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item netsearch.RankedBatch) error) error {
-	err := sh.svc.RankBatchStream(queries, alg, k, func(i int, it service.BatchItem) error {
-		out := netsearch.RankedBatch{Error: it.Error}
-		if it.Ranked != nil {
-			out.Ranked = make([]netsearch.RankedDB, len(it.Ranked))
-			for j, r := range it.Ranked {
-				out.Ranked[j] = netsearch.RankedDB{Name: r.Name, Score: r.Score}
-			}
+	var err error
+	if len(queries) == 1 {
+		var ranked []netsearch.RankedDB
+		if ranked, err = sh.svc.Rank(queries[0], alg, k); err == nil {
+			return emit(0, netsearch.RankedBatch{Ranked: ranked})
 		}
-		return emit(i, out)
-	})
-	if err != nil {
-		if errors.Is(err, service.ErrNoModels) {
-			// Cold shard: contribute empty partials. ErrNoModels is raised
-			// before the service's first emit, so no item has gone out yet.
-			for i := range queries {
-				if eerr := emit(i, netsearch.RankedBatch{}); eerr != nil {
-					return eerr
-				}
-			}
-			return nil
-		}
-		if errors.Is(err, service.ErrInvalid) {
-			return errors.New(markInvalid + err.Error())
-		}
-		return err
 	}
-	return nil
+	if !errors.Is(err, service.ErrNoModels) {
+		err = sh.svc.RankBatchStream(queries, alg, k, emit)
+	}
+	switch {
+	case errors.Is(err, service.ErrNoModels):
+		for i := range queries {
+			if err := emit(i, netsearch.RankedBatch{}); err != nil {
+				return err
+			}
+		}
+		return nil
+	case errors.Is(err, service.ErrInvalid):
+		return errors.New(markInvalid + err.Error())
+	}
+	return err
 }
 
 // RegisterDB implements netsearch.Registrar.
@@ -177,8 +126,6 @@ func (sh *Shard) UnregisterDB(name string) error {
 }
 
 var _ core.Database = (*Shard)(nil)
-var _ netsearch.DBRanker = (*Shard)(nil)
-var _ netsearch.BatchDBRanker = (*Shard)(nil)
 var _ netsearch.StreamBatchRanker = (*Shard)(nil)
 var _ netsearch.Registrar = (*Shard)(nil)
 

@@ -1,35 +1,36 @@
 package cluster
 
-// Streaming scatter-gather (DESIGN.md §15). The buffered RankBatch waits
-// for every slot's whole batch before fusing anything, so the client's
-// first byte arrives after the slowest slot finishes its slowest query.
-// RankBatchStream instead opens one "rankstream" exchange per slot, lets a
-// reader goroutine buffer each slot's items as frames arrive, and fuses
-// inline in input order: query i's fused ranking is emitted as soon as
-// every slot has delivered *its* item i — queries i+1… may still be
-// computing anywhere. Shards emit in input order too, so the gather never
-// waits on an item it will not need next, and time-to-first-result is one
-// query's scatter latency instead of the batch's.
+// The scatter-fuse core (DESIGN.md §10). Every rank the front answers —
+// one query, a buffered batch, a streamed batch — is one pass through
+// scatter: open one "rankstream" exchange per slot, let a reader goroutine
+// buffer each slot's items as frames arrive, and fuse inline in input
+// order. Query i's fused ranking is emitted as soon as every slot has
+// delivered *its* item i — queries i+1… may still be computing anywhere.
+// Shards emit in input order too, so the gather never waits on an item it
+// will not need next, and time-to-first-result is one query's scatter
+// latency instead of the batch's.
 //
 // Duplicate queries within the batch collapse before the scatter: each
 // unique query travels (and fuses) once, and every original position gets
 // a copy (cluster_rank_coalesced_total{scope="batch"}).
 //
-// Divergence from the buffered path, by necessity: a federation with no
-// models reports per-item errors here (each wrapping ErrNoModels' text)
-// rather than a whole-batch 503 — streaming cannot wait to see every item
-// before answering the first. Invalid-argument refusals still fail the
-// whole batch before the first emit, because every slot refuses the same
-// way and slot errors surface on the first wait.
+// The cold-federation rule. A query for which no slot holds a model fuses
+// to nothing; scatter marks that item Cold. What a cold item means to the
+// client depends on the form, because only the buffered forms see every
+// item before answering: a single rank and a buffered batch whose items
+// are all cold fail whole with ErrNoModels (503), while a stream — which
+// cannot wait to see every item before sending the first — reports it per
+// item. Invalid-argument refusals fail every form whole before the first
+// emit, because every slot refuses the same way and slot errors surface on
+// the first wait.
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/netsearch"
 	"repro/internal/parallel"
 	"repro/internal/selection"
-	"repro/internal/service"
+	"repro/internal/serving"
 )
 
 // dedupQueries returns the unique queries in first-appearance order and,
@@ -49,137 +50,101 @@ func dedupQueries(queries []string) (uniq []string, pos []int) {
 	return uniq, pos
 }
 
-// slotStream buffers one slot's arriving rank stream for the inline fuser.
-// There is no backpressure by design: a batch is bounded by
-// service.MaxBatchQueries, so buffering all items costs less than stalling
-// the shard's stream behind the slowest sibling slot.
+// slotItem is one frame of a slot's rank stream on its way to the fuser.
+type slotItem struct {
+	index int
+	item  netsearch.RankedBatch
+}
+
+// slotStream carries one slot's arriving rank stream to the inline fuser.
+// items is buffered for the whole batch: a batch is bounded by
+// serving.MaxBatchQueries, so buffering it costs less than stalling the
+// shard's stream behind the slowest sibling slot. The reader closes items
+// when its RPC is over, having first set err to the scatter failure (if
+// any) that waiters for undelivered items will see.
 type slotStream struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    []netsearch.RankedBatch
-	have     []bool
-	done     bool
-	err      error // terminal scatter failure, set by finish
-	canceled bool
+	items chan slotItem
+	err   error
 }
 
-func newSlotStream(n int) *slotStream {
-	ss := &slotStream{
-		items: make([]netsearch.RankedBatch, n),
-		have:  make([]bool, n),
-	}
-	ss.cond = sync.NewCond(&ss.mu)
-	return ss
-}
-
-// put records one arriving item. A duplicate index (a transport retry
-// replaying the stream) keeps the first delivery — replicas serve
-// identical models, so the replay is bit-identical anyway. Once the
-// consumer has canceled, put refuses with ErrStreamCanceled, which aborts
-// the client's stream at its next frame.
-func (ss *slotStream) put(i int, item netsearch.RankedBatch) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.canceled {
-		return netsearch.ErrStreamCanceled
-	}
-	if i < 0 || i >= len(ss.items) {
-		return fmt.Errorf("cluster: stream item index %d out of range [0,%d)", i, len(ss.items))
-	}
-	if !ss.have[i] {
-		ss.items[i] = item
-		ss.have[i] = true
-		ss.cond.Broadcast()
-	}
-	return nil
-}
-
-// finish marks the slot's stream over; a non-nil err is the scatter
-// failure waiters for undelivered items will see.
-func (ss *slotStream) finish(err error) {
-	ss.mu.Lock()
-	ss.done = true
-	ss.err = err
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
-}
-
-// cancel poisons the stream: waiters unblock and the reader's next put
-// aborts its RPC.
-func (ss *slotStream) cancel() {
-	ss.mu.Lock()
-	ss.canceled = true
-	ss.cond.Broadcast()
-	ss.mu.Unlock()
-}
-
-// wait blocks until item i arrives. An item that was delivered before the
-// stream ended is still served after done — failure only poisons what it
-// actually prevented.
-func (ss *slotStream) wait(i int) (netsearch.RankedBatch, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for {
-		if ss.have[i] {
-			return ss.items[i], nil
+// wait blocks until the slot's item for query u arrives. Shards emit in
+// input order, so the only indexes that can precede u are ones already
+// fused: a transport retry replaying the stream, whose first delivery
+// stands (replicas serve identical models, so the replay is bit-identical
+// anyway). Items delivered before a stream failed are still served —
+// failure only poisons what it actually prevented.
+func (ss *slotStream) wait(u int) (netsearch.RankedBatch, error) {
+	for si := range ss.items {
+		switch {
+		case si.index == u:
+			return si.item, nil
+		case si.index > u:
+			return netsearch.RankedBatch{}, fmt.Errorf("cluster: stream item %d arrived before item %d", si.index, u)
 		}
-		if ss.done {
-			if ss.err != nil {
-				return netsearch.RankedBatch{}, ss.err
-			}
-			return netsearch.RankedBatch{}, fmt.Errorf("cluster: slot stream ended before item %d", i)
-		}
-		if ss.canceled {
-			return netsearch.RankedBatch{}, netsearch.ErrStreamCanceled
-		}
-		//lint:ignore lockheld sync.Cond.Wait atomically releases ss.mu while blocked and reacquires it before returning — the canonical condvar wait, not I/O under a lock
-		ss.cond.Wait()
 	}
+	if ss.err != nil {
+		return netsearch.RankedBatch{}, ss.err
+	}
+	return netsearch.RankedBatch{}, fmt.Errorf("cluster: slot stream ended before item %d", u)
 }
 
-// RankBatchStream is RankBatch's streaming twin: emit receives each
-// query's fused ranking, in input order, as soon as every slot has
-// delivered its partial for that query. A non-nil error from emit cancels
-// the scatter (every slot's stream is torn down without failover or
-// health penalty) and is returned as-is. Whole-batch refusals surface
-// before the first emit. See the package comment above for the documented
-// divergences from the buffered path.
+// RankBatchStream ranks a batch through the scatter-fuse core: emit
+// receives each query's fused ranking, in input order, as soon as every
+// slot has delivered its partial for that query. A non-nil error from emit
+// cancels the scatter (every slot's stream is torn down without failover
+// or health penalty) and is returned as-is. Whole-batch refusals surface
+// before the first emit; a cold item's Error carries ErrNoModels' text.
 func (f *Front) RankBatchStream(queries []string, alg string, k int, trace string, emit func(i int, item netsearch.RankedBatch) error) error {
 	defer f.reg.Timer("cluster_scatter_stream_seconds")()
+	return f.scatter(queries, alg, k, trace, emit)
+}
+
+// scatter is the one scatter-fuse loop. Every slot is weighted equally —
+// slots partition the database set, so partial scores are already on the
+// algorithm's own scale and pass through selection.MergeWeightedInto
+// unscaled. Ties break by (slot, partial rank): deterministic for a fixed
+// topology, and invariant under failover because replicas of a slot serve
+// identical database sets and deterministic models. A batch travels to a
+// slot as one exchange, so failover retries it as a unit and never splits
+// it across replicas with divergent model states.
+func (f *Front) scatter(queries []string, alg string, k int, trace string, emit func(i int, item serving.Item) error) error {
 	uniq, pos := dedupQueries(queries)
 	if dups := len(queries) - len(uniq); dups > 0 {
 		f.reg.Counter(`cluster_rank_coalesced_total{scope="batch"}`).Add(int64(dups))
 	}
+	// quit, closed however this returns, aborts every still-running RPC as
+	// its next frames arrive; the readers are then joined — no goroutine may
+	// outlive the request that spawned it.
+	quit := make(chan struct{})
 	streams := make([]*slotStream, len(f.reps))
-	for i := range streams {
-		streams[i] = newSlotStream(len(uniq))
-	}
 	readers := parallel.NewGroup(len(f.reps))
 	for slot := range f.reps {
-		slot, ss := slot, streams[slot]
+		ss := &slotStream{items: make(chan slotItem, len(uniq))}
+		streams[slot] = ss
 		readers.Go(func() error {
-			err := f.callSlot(slot, func(c *netsearch.Client) error {
-				return c.RankDBsStream(uniq, alg, k, trace, ss.put)
-			})
 			// The scatter outcome travels to the fuser through the stream,
 			// not the group: wait() hands it to exactly the items it hurt.
-			ss.finish(err)
+			ss.err = f.callSlot(slot, func(c *netsearch.Client) error {
+				return c.RankDBsStream(uniq, alg, k, trace, func(i int, item netsearch.RankedBatch) error {
+					select {
+					case ss.items <- slotItem{i, item}:
+						return nil
+					case <-quit:
+						return netsearch.ErrStreamCanceled
+					}
+				})
+			})
+			close(ss.items)
 			return nil
 		})
 	}
-	// However this returns, poison every slot stream (so still-running RPCs
-	// abort at their next frame) and join the readers — no goroutine may
-	// outlive the request that spawned it.
 	defer func() {
-		for _, ss := range streams {
-			ss.cancel()
-		}
-		//lint:ignore errsink reader errors were already routed through slotStream.finish; Wait only joins
+		close(quit)
+		//lint:ignore errsink reader errors were already routed through slotStream.err; Wait only joins
 		readers.Wait()
 	}()
 
-	// Fusion scratch, recycled across unique queries (same shapes as the
-	// buffered RankBatch).
+	// Fusion scratch, recycled across unique queries.
 	lists := make([][]selection.DocScore, len(streams))
 	weights := make([]float64, len(streams))
 	for i := range weights {
@@ -187,24 +152,23 @@ func (f *Front) RankBatchStream(queries []string, alg string, k int, trace strin
 	}
 	var fused []selection.MergedHit
 	partials := make([]netsearch.RankedBatch, len(streams))
-	fusedByUniq := make([][]netsearch.RankedDB, len(uniq))
-	errByUniq := make([]string, len(uniq))
-	fusedDone := make([]bool, len(uniq))
+	items := make([]serving.Item, len(uniq))
+	done := make([]bool, len(uniq))
 	for i := range queries {
 		u := pos[i]
-		if !fusedDone[u] {
-			itemErr := ""
+		if !done[u] {
 			total := 0
 			for slot, ss := range streams {
 				it, err := ss.wait(u)
 				if err != nil {
+					f.reg.Counter("cluster_scatter_errors_total").Inc()
 					return err
 				}
 				partials[slot] = it
 				if it.Error != "" {
 					// Deterministic per-query refusal: every slot tokenizes
 					// the same way, so any slot's report stands for all.
-					itemErr = it.Error
+					items[u].Error = it.Error
 				}
 				list := lists[slot][:0]
 				for j, r := range it.Ranked {
@@ -214,10 +178,9 @@ func (f *Front) RankBatchStream(queries []string, alg string, k int, trace strin
 				total += len(it.Ranked)
 			}
 			switch {
-			case itemErr != "":
-				errByUniq[u] = itemErr
+			case items[u].Error != "":
 			case total == 0:
-				errByUniq[u] = fmt.Sprintf("cluster: %v", service.ErrNoModels)
+				items[u] = serving.Item{Cold: true, Error: fmt.Sprintf("cluster: %v", serving.ErrNoModels)}
 			default:
 				var err error
 				fused, err = selection.MergeWeightedInto(fused[:0], lists, weights, k)
@@ -230,14 +193,13 @@ func (f *Front) RankBatchStream(queries []string, alg string, k int, trace strin
 				for j, h := range fused {
 					ranked[j] = netsearch.RankedDB{Name: partials[h.DB].Ranked[h.Doc].Name, Score: h.Score}
 				}
-				fusedByUniq[u] = ranked
+				items[u].Ranked = ranked
 			}
-			fusedDone[u] = true
+			done[u] = true
 		}
-		item := netsearch.RankedBatch{Error: errByUniq[u]}
-		if item.Error == "" {
-			item.Ranked = append([]netsearch.RankedDB(nil), fusedByUniq[u]...)
-		}
+		// Each position owns its slice: duplicates must not alias.
+		item := items[u]
+		item.Ranked = append([]netsearch.RankedDB(nil), item.Ranked...)
 		if err := emit(i, item); err != nil {
 			return err
 		}

@@ -1,27 +1,22 @@
 package cluster
 
-// Tests for the streaming scatter-gather path (DESIGN.md §15): the fused
+// Tests for the streaming scatter-gather path (DESIGN.md §10): the fused
 // stream must be bit-identical to the buffered batch (which is itself
-// pinned to the single-query path), legacy shards must keep working via
-// the netsearch server's fallback chain, client aborts must tear the
-// scatter down without failover or health penalties, and the front cache
-// must hit, coalesce, and invalidate on topology epochs.
+// pinned to the single-query path), client aborts must tear the scatter
+// down without failover or health penalties, and the front cache must
+// hit, coalesce, and invalidate on topology epochs.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/netsearch"
 	"repro/internal/service"
+	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -89,31 +84,6 @@ func TestFrontStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestFrontStreamLegacyShardFallback: stub shards implement only the
-// per-query DBRanker, so the netsearch server answers "rankstream" by
-// looping — an old shard keeps working behind a streaming front.
-func TestFrontStreamLegacyShardFallback(t *testing.T) {
-	s0 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}, {Name: "db-c", Score: 0.2}}}
-	s1 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-b", Score: 0.5}}}
-	f := newTestFront(t, [][]string{{serveStub(t, s0)}, {serveStub(t, s1)}}, telemetry.NewRegistry())
-
-	got := collectStream(t, f, []string{"apple pie", "plum"}, "cori", 2)
-	want, err := f.RankBatch([]string{"apple pie", "plum"}, "cori", 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Error != want[i].Error || len(got[i].Ranked) != len(want[i].Ranked) {
-			t.Fatalf("item %d: streamed %+v, buffered %+v", i, got[i], want[i])
-		}
-		for j := range want[i].Ranked {
-			if got[i].Ranked[j] != want[i].Ranked[j] {
-				t.Errorf("item %d row %d: %+v != %+v", i, j, got[i].Ranked[j], want[i].Ranked[j])
-			}
-		}
-	}
-}
-
 // TestFrontStreamColdFederation: the documented divergence — a federation
 // with no models streams per-item errors (each wrapping ErrNoModels' text)
 // instead of the buffered path's whole-batch refusal.
@@ -176,69 +146,6 @@ func TestFrontStreamEmitAbortNoFailover(t *testing.T) {
 	// connection or marked a replica down.
 	if _, err := f.Rank(queries[0], "cori", 2, ""); err != nil {
 		t.Fatalf("rank after aborted stream: %v", err)
-	}
-}
-
-// TestFrontHTTPRankBatchStream: NDJSON over the front's HTTP surface, done
-// frame included.
-func TestFrontHTTPRankBatchStream(t *testing.T) {
-	f, dbs := sampledCluster(t, 2)
-	ts := httptest.NewServer(f.Handler())
-	t.Cleanup(ts.Close)
-	terms := experiments.TopicalTerms(dbs[0], dbs, 2)
-
-	queries := []string{terms[0] + " " + terms[1], "the and of"}
-	body, err := json.Marshal(batchRankRequest{Queries: queries, Alg: "cori", K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/rank/batch?stream=1", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
-	}
-	type frame struct {
-		Index   int                  `json:"index"`
-		Ranked  []netsearch.RankedDB `json:"ranked"`
-		Error   string               `json:"error"`
-		Done    bool                 `json:"done"`
-		Results int                  `json:"results"`
-	}
-	var frames []frame
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var fr frame
-		if err := json.Unmarshal(sc.Bytes(), &fr); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Text(), err)
-		}
-		frames = append(frames, fr)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 3 {
-		t.Fatalf("got %d frames, want 2 items + done", len(frames))
-	}
-	if frames[0].Index != 0 || len(frames[0].Ranked) == 0 {
-		t.Errorf("frame 0: %+v", frames[0])
-	}
-	if frames[1].Index != 1 || frames[1].Error == "" {
-		t.Errorf("frame 1 should carry the stopword error: %+v", frames[1])
-	}
-	if !frames[2].Done || frames[2].Results != 2 {
-		t.Errorf("done frame: %+v", frames[2])
-	}
-
-	// Whole-batch errors stay plain JSON with the buffered status.
-	resp2 := postJSON(t, ts.URL+"/rank/batch?stream=1", batchRankRequest{Alg: "cori"}, nil)
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty streamed batch: status %d, want 400", resp2.StatusCode)
 	}
 }
 
@@ -308,20 +215,20 @@ func TestFrontCacheHitsAndEpochInvalidation(t *testing.T) {
 // TestFrontCacheFlightErrors: a failed scatter reaches only the followers
 // already waiting on it — never the LRU, never a later caller.
 func TestFrontCacheFlightErrors(t *testing.T) {
-	c := newFrontCache(4)
-	key := frontCacheKey{query: "q", alg: "cori", k: 2}
-	fl, leader := c.join(key)
+	c := serving.NewCache(4, "cluster", func() *telemetry.Registry { return nil })
+	key := serving.Key{Query: "q", Alg: "cori", K: 2}
+	fl, leader := c.Join(key)
 	if !leader {
 		t.Fatal("first join not leader")
 	}
-	c.fulfill(key, fl, nil, errors.New("scatter failed"))
-	if _, ok := c.probe(key); ok {
+	c.Fulfill(key, fl, nil, errors.New("scatter failed"), true)
+	if _, ok := c.Probe(key); ok {
 		t.Fatal("errored scatter was cached")
 	}
 	if c.Len() != 0 {
 		t.Fatalf("cache holds %d entries after an error, want 0", c.Len())
 	}
-	if _, leader := c.join(key); !leader {
+	if _, leader := c.Join(key); !leader {
 		t.Fatal("failed flight stayed joinable")
 	}
 }

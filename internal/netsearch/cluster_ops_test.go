@@ -11,11 +11,12 @@ import (
 )
 
 // fakeShard is a servable that implements the cluster capability
-// interfaces (DBRanker, Registrar) on top of a trivial registry.
+// interfaces (StreamBatchRanker, Registrar) on top of a trivial registry.
 type fakeShard struct {
 	registered map[string]string
 	ranked     []RankedDB
-	rankErr    error
+	rankErr    error          // whole-stream refusal, before any item
+	perItemErr map[int]string // index -> streamed item error
 }
 
 func (f *fakeShard) Search(query string, n int) ([]int, error) {
@@ -26,15 +27,24 @@ func (f *fakeShard) Fetch(id int) (corpus.Document, error) {
 	return corpus.Document{}, errors.New("not a document database")
 }
 
-func (f *fakeShard) RankDBs(query, alg string, k int) ([]RankedDB, error) {
+func (f *fakeShard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item RankedBatch) error) error {
 	if f.rankErr != nil {
-		return nil, f.rankErr
+		return f.rankErr
 	}
-	out := f.ranked
-	if k > 0 && k < len(out) {
-		out = out[:k]
+	ranked := f.ranked
+	if k > 0 && k < len(ranked) {
+		ranked = ranked[:k]
 	}
-	return out, nil
+	for i := range queries {
+		item := RankedBatch{Ranked: ranked}
+		if msg, ok := f.perItemErr[i]; ok {
+			item = RankedBatch{Error: msg}
+		}
+		if err := emit(i, item); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (f *fakeShard) RegisterDB(name, addr string) error {
@@ -96,10 +106,10 @@ func TestRankOpServerError(t *testing.T) {
 }
 
 func TestRankOpUnsupported(t *testing.T) {
-	// A plain document database does not implement DBRanker; the server
-	// must answer with a clean error, not a dropped connection.
+	// A plain document database does not implement StreamBatchRanker; the
+	// server must answer with a clean error, not a dropped connection.
 	_, c := startServer(t, "apple pie")
-	if _, err := c.RankDBs("apple", "cori", 5, ""); err == nil || !strings.Contains(err.Error(), "rank unsupported") {
+	if _, err := c.RankDBs("apple", "cori", 5, ""); err == nil || !strings.Contains(err.Error(), "rankstream unsupported") {
 		t.Errorf("rank on non-ranker = %v", err)
 	}
 }

@@ -59,19 +59,17 @@ type request struct {
 }
 
 // response is one wire response. Most ops answer with exactly one; the
-// "rankstream" op answers with a frame sequence — one Item frame per query
-// as its ranking completes, terminated by an EOS frame (or an Error frame
-// for a whole-batch refusal). A stream with no terminal frame means the
-// connection died mid-flight.
+// "rankstream" op — the one rank op — answers with a frame sequence: one
+// Item frame per query as its ranking completes, terminated by an EOS
+// frame (or an Error frame for a whole-batch refusal). A stream with no
+// terminal frame means the connection died mid-flight.
 type response struct {
-	IDs    []int            `json:"ids,omitempty"`
-	Doc    *corpus.Document `json:"doc,omitempty"`
-	Count  *int             `json:"count,omitempty"`
-	Ranked []RankedDB       `json:"ranked,omitempty"`
-	Batch  []RankedBatch    `json:"batch,omitempty"`
-	Item   *streamItemFrame `json:"item,omitempty"`
-	EOS    bool             `json:"eos,omitempty"`
-	Error  string           `json:"error,omitempty"`
+	IDs   []int            `json:"ids,omitempty"`
+	Doc   *corpus.Document `json:"doc,omitempty"`
+	Count *int             `json:"count,omitempty"`
+	Item  *streamItemFrame `json:"item,omitempty"`
+	EOS   bool             `json:"eos,omitempty"`
+	Error string           `json:"error,omitempty"`
 }
 
 // streamItemFrame is one query's result inside a rankstream response
@@ -83,43 +81,34 @@ type streamItemFrame struct {
 	Error  string     `json:"error,omitempty"`
 }
 
-// RankedDB is one database in a selection ranking carried over the wire —
-// the unit a cluster front tier scatters for and gathers.
+// RankedDB is one row of a selection ranking: the unit a shard scores, the
+// wire carries, the front tier fuses and the HTTP surface serves. It is
+// declared here, on the lowest layer that moves it, and aliased by the
+// serving and service packages.
 type RankedDB struct {
 	Name  string  `json:"name"`
 	Score float64 `json:"score"`
 }
 
-// RankedBatch is one query's outcome inside a batched ranking — the wire
-// twin of service.BatchItem. Items fail independently: Error carries a
-// per-query problem (no index terms, say) while the neighbors still rank.
+// RankedBatch is one query's outcome inside a batch ranking (serving.Item
+// and service.BatchItem are aliases). Items fail independently: Error
+// carries a per-query problem (no index terms, say) while the neighbors
+// still rank.
 type RankedBatch struct {
 	Ranked []RankedDB `json:"ranked,omitempty"`
 	Error  string     `json:"error,omitempty"`
+	// Cold marks an item for which no tier found a learned model — the
+	// typed form of the cold-federation condition. It never crosses a wire:
+	// a streamed response reports it in Error, a buffered one turns "every
+	// item cold" into a whole-request refusal (serving.RankBatch).
+	Cold bool `json:"-"`
 }
 
-// DBRanker matches servables that can rank their registered databases for
-// a query — a selection service shard (see internal/cluster). The server
-// forwards "rank" requests to it when available.
-type DBRanker interface {
-	RankDBs(query, alg string, k int) ([]RankedDB, error)
-}
-
-// BatchDBRanker matches servables that rank a whole batch of queries in
-// one call, amortizing snapshot acquisition and scratch reuse (the
-// high-QPS path, DESIGN.md §14). The server prefers it for "rankbatch"
-// requests and falls back to per-query DBRanker when only that is
-// implemented, so old shards keep working behind a new front.
-type BatchDBRanker interface {
-	RankDBsBatch(queries []string, alg string, k int) ([]RankedBatch, error)
-}
-
-// StreamBatchRanker matches servables that can rank a batch query by
-// query, emitting each item the moment it completes — the wire's streaming
-// tier (DESIGN.md §15). The server prefers it for "rankstream" requests
-// and degrades to BatchDBRanker (buffer, then emit) and DBRanker (rank one
-// by one) when only those are implemented, so any shard vintage can sit
-// behind a streaming front.
+// StreamBatchRanker matches servables that rank their registered
+// databases for a batch of queries, emitting each item the moment it
+// completes — a selection service shard (see internal/cluster). The server
+// forwards "rankstream" requests to it; a single-query rank is a stream of
+// one.
 type StreamBatchRanker interface {
 	RankDBsStream(queries []string, alg string, k int, emit func(i int, item RankedBatch) error) error
 }
@@ -252,42 +241,56 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	bw := bufio.NewWriter(conn)
+	out := frameWriter{bw, json.NewEncoder(bw)}
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
 			return // disconnect or garbage; drop the connection
 		}
+		// Most ops answer with one frame. "rankstream" answers with a frame
+		// sequence and owns the writer until its terminal frame, preserving
+		// the one-request/one-exchange shape the connection's framing
+		// depends on; either way a write failure means the frame stream is
+		// desynced and the connection must go.
+		var errMsg string
+		var werr error
 		if req.Op == "rankstream" {
-			// Multi-frame response: streamRank owns the encoder until its
-			// terminal frame, preserving the one-request/one-exchange shape
-			// the connection's framing depends on.
-			lg, reg := s.observers()
-			reg.Counter(`netsearch_server_requests_total{op="rankstream"}`).Inc()
-			if lg != nil {
-				lg.Debug("netsearch request",
-					"op", req.Op, telemetry.TraceKey, req.Trace)
-			}
-			if err := s.streamRank(req, enc, reg); err != nil {
-				return // encode failed; the frame stream is desynced
-			}
-			continue
+			errMsg, werr = s.streamRank(req, out)
+		} else {
+			resp := s.dispatch(req)
+			errMsg, werr = resp.Error, out.send(resp, false)
 		}
-		resp := s.dispatch(req)
 		if lg, reg := s.observers(); lg != nil || reg != nil {
 			reg.Counter(`netsearch_server_requests_total{op="` + promSafe(req.Op) + `"}`).Inc()
-			if resp.Error != "" {
+			if errMsg != "" {
 				reg.Counter("netsearch_server_errors_total").Inc()
 			}
 			if lg != nil {
 				lg.Debug("netsearch request",
-					"op", req.Op, telemetry.TraceKey, req.Trace, "err", resp.Error)
+					"op", req.Op, telemetry.TraceKey, req.Trace, "err", errMsg)
 			}
 		}
-		if err := enc.Encode(resp); err != nil {
+		if werr != nil {
 			return
 		}
 	}
+}
+
+// frameWriter writes response frames to a connection through a buffer, so
+// that a frame can be held back to share a write with the one after it.
+type frameWriter struct {
+	bw  *bufio.Writer
+	enc *json.Encoder // onto bw
+}
+
+// send encodes a frame and writes everything buffered; with hold set it
+// only encodes, and the next send carries the frame.
+func (fw frameWriter) send(resp response, hold bool) error {
+	if err := fw.enc.Encode(resp); err != nil || hold {
+		return err
+	}
+	return fw.bw.Flush()
 }
 
 // promSafe clamps an op string from the wire to the small closed set of
@@ -295,56 +298,36 @@ func (s *Server) handle(conn net.Conn) {
 // cardinality.
 func promSafe(op string) string {
 	switch op {
-	case "search", "fetch", "count", "rank", "rankbatch", "rankstream", "register", "unregister":
+	case "search", "fetch", "count", "rankstream", "register", "unregister":
 		return op
 	}
 	return "other"
 }
 
-// streamRank serves one "rankstream" request as a frame sequence on enc.
-// It prefers a StreamBatchRanker servable (true per-item streaming) and
-// degrades to BatchDBRanker or DBRanker so legacy shards still answer. A
-// returned error is always an encode failure: the caller must drop the
-// connection, because a half-written frame sequence cannot be resumed.
-// Whole-batch ranker errors become a terminal Error frame instead.
-func (s *Server) streamRank(req request, enc *json.Encoder, reg *telemetry.Registry) error {
-	emit := func(i int, item RankedBatch) error {
-		return enc.Encode(response{Item: &streamItemFrame{
-			Index: i, Ranked: item.Ranked, Error: item.Error,
-		}})
+// streamRank serves one "rankstream" request as a frame sequence on out,
+// returning the ranker's whole-batch error text (sent as a terminal Error
+// frame) and any write failure. Every item is sent the moment it is
+// ranked, except the last, which rides in one write with the terminal
+// frame that follows it at once — so a stream of one (a single-query rank)
+// costs one write and one read, like any single-frame op.
+func (s *Server) streamRank(req request, out frameWriter) (errMsg string, werr error) {
+	db, ok := s.db.(StreamBatchRanker)
+	if !ok {
+		errMsg = "rankstream unsupported by this database"
+		return errMsg, out.send(response{Error: errMsg}, false)
 	}
-	var err error
-	switch db := s.db.(type) {
-	case StreamBatchRanker:
-		err = db.RankDBsStream(req.Queries, req.Alg, req.N, emit)
-	case BatchDBRanker:
-		var batch []RankedBatch
-		batch, err = db.RankDBsBatch(req.Queries, req.Alg, req.N)
-		for i := 0; err == nil && i < len(batch); i++ {
-			err = emit(i, batch[i])
-		}
-	case DBRanker:
-		for i, q := range req.Queries {
-			item := RankedBatch{}
-			if ranked, rerr := db.RankDBs(q, req.Alg, req.N); rerr != nil {
-				item.Error = rerr.Error()
-			} else {
-				item.Ranked = ranked
-			}
-			if err = emit(i, item); err != nil {
-				return err
-			}
-		}
-	default:
-		err = errors.New("rankstream unsupported by this database")
-	}
+	sent := 0
+	err := db.RankDBsStream(req.Queries, req.Alg, req.N, func(i int, item RankedBatch) error {
+		sent++
+		frame := response{Item: &streamItemFrame{Index: i, Ranked: item.Ranked, Error: item.Error}}
+		return out.send(frame, sent == len(req.Queries))
+	})
 	if err != nil {
-		reg.Counter("netsearch_server_errors_total").Inc()
-		// If err was itself an encode failure this Encode fails too and the
+		// If err was itself a write failure this send fails too and the
 		// caller drops the connection — exactly right either way.
-		return enc.Encode(response{Error: err.Error()})
+		return err.Error(), out.send(response{Error: err.Error()}, false)
 	}
-	return enc.Encode(response{EOS: true})
+	return "", out.send(response{EOS: true}, false)
 }
 
 func (s *Server) dispatch(req request) response {
@@ -371,38 +354,6 @@ func (s *Server) dispatch(req request) response {
 			return response{Error: err.Error()}
 		}
 		return response{Count: &n}
-	case "rank":
-		dr, ok := s.db.(DBRanker)
-		if !ok {
-			return response{Error: "rank unsupported by this database"}
-		}
-		ranked, err := dr.RankDBs(req.Query, req.Alg, req.N)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{Ranked: ranked}
-	case "rankbatch":
-		if br, ok := s.db.(BatchDBRanker); ok {
-			batch, err := br.RankDBsBatch(req.Queries, req.Alg, req.N)
-			if err != nil {
-				return response{Error: err.Error()}
-			}
-			return response{Batch: batch}
-		}
-		dr, ok := s.db.(DBRanker)
-		if !ok {
-			return response{Error: "rankbatch unsupported by this database"}
-		}
-		batch := make([]RankedBatch, len(req.Queries))
-		for i, q := range req.Queries {
-			ranked, err := dr.RankDBs(q, req.Alg, req.N)
-			if err != nil {
-				batch[i].Error = err.Error()
-				continue
-			}
-			batch[i].Ranked = ranked
-		}
-		return response{Batch: batch}
 	case "register":
 		rg, ok := s.db.(Registrar)
 		if !ok {
@@ -547,7 +498,7 @@ func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	//lint:ignore lockheld c.mu owns the connection: Close is terminal, nothing can be waiting on the lock for progress, and closing outside it would race a concurrent roundTrip's reads
+	//lint:ignore lockheld c.mu owns the connection: Close is terminal, nothing can be waiting on the lock for progress, and closing outside it would race a concurrent exchange's reads
 	return c.conn.Close()
 }
 
@@ -600,7 +551,10 @@ type emitError struct{ err error }
 func (e emitError) Error() string { return e.err.Error() }
 func (e emitError) Unwrap() error { return e.err }
 
-func (c *Client) roundTrip(req request) (response, error) {
+// run is the one entry every operation takes to the wire, single exchange
+// or stream alike: it times the operation, takes the client lock, refuses
+// a closed client, stamps the trace and hands exchange to the retry loop.
+func (c *Client) run(req request, exchange func(request) (response, error)) (response, error) {
 	// Per-op latency covers the whole operation as the caller sees it:
 	// lock wait, retries, backoff sleeps and redials included.
 	sp := c.opts.Metrics.StartSpan(`netsearch_op_seconds{op="` + req.Op + `"}`)
@@ -615,15 +569,15 @@ func (c *Client) roundTrip(req request) (response, error) {
 	if req.Trace == "" {
 		req.Trace = c.trace
 	}
-	//lint:ignore lockheld c.mu is the wire-serialization mechanism (one frame exchange at a time per client); the whole retry loop — backoff sleeps, redials, exchanges — runs under it by design so frames never interleave (DESIGN.md §8)
-	return c.retryLoop(req, func() (response, error) { return c.do(req) })
+	//lint:ignore lockheld c.mu is the wire-serialization mechanism (one exchange at a time per client, a stream being one exchange); the whole retry loop — backoff sleeps, redials, exchanges — runs under it by design so frames never interleave (DESIGN.md §8)
+	return c.retryLoop(req, exchange)
 }
 
 // retryLoop drives one operation through the redial-with-backoff policy.
 // Caller holds c.mu, has checked closed, and has stamped the trace;
 // exchange performs one full frame exchange (or stream) on the current
 // connection.
-func (c *Client) retryLoop(req request, exchange func() (response, error)) (response, error) {
+func (c *Client) retryLoop(req request, exchange func(request) (response, error)) (response, error) {
 	policy := c.opts.Retry.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt < policy.Attempts; attempt++ {
@@ -650,7 +604,13 @@ func (c *Client) retryLoop(req request, exchange func() (response, error)) (resp
 			c.stats.Redials++
 			c.opts.Metrics.Counter("netsearch_redials_total").Inc()
 		}
-		resp, err := exchange()
+		if c.opts.Timeout > 0 {
+			// One deadline bounds the whole exchange, a stream included. It
+			// is never cleared: the connection is touched only from here, and
+			// every exchange arms its own first.
+			c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
+		}
+		resp, err := exchange(req)
 		if err == nil {
 			return resp, nil
 		}
@@ -685,11 +645,6 @@ func (c *Client) retryLoop(req request, exchange func() (response, error)) (resp
 // do performs one request/response exchange on the current connection.
 // Caller holds mu.
 func (c *Client) do(req request) (response, error) {
-	if c.opts.Timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
-		//lint:ignore errsink clearing the deadline is best effort — if the conn is broken the next exchange fails loudly anyway
-		defer c.conn.SetDeadline(time.Time{})
-	}
 	if err := c.enc.Encode(req); err != nil {
 		return response{}, fmt.Errorf("netsearch: send: %w", err)
 	}
@@ -710,12 +665,6 @@ func (c *Client) do(req request) (response, error) {
 // connection. An emit failure comes back wrapped in emitError so the retry
 // loop knows the caller (not the wire) gave up.
 func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error) error {
-	if c.opts.Timeout > 0 {
-		// One deadline bounds the whole stream, like any other op.
-		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
-		//lint:ignore errsink clearing the deadline is best effort — if the conn is broken the next exchange fails loudly anyway
-		defer c.conn.SetDeadline(time.Time{})
-	}
 	if err := c.enc.Encode(req); err != nil {
 		return fmt.Errorf("netsearch: send: %w", err)
 	}
@@ -744,11 +693,14 @@ func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error)
 	}
 }
 
-// RankDBsStream scatters a batch to the shard and emits each query's item
-// the moment its frame arrives, instead of waiting for the whole batch —
-// the streaming twin of RankDBsBatch. Items arrive tagged with their query
-// index. Like the other ops it is a pure read and retries transport faults
-// by replaying the whole stream on a fresh connection: emit can therefore
+// RankDBsStream asks a selection-service shard (a servable implementing
+// StreamBatchRanker) to rank a batch and emits each query's item the
+// moment its frame arrives — the cluster scatter operation. Items arrive
+// tagged with their query index. trace stamps this one request's wire
+// frame (one client serves many concurrent scatters, so the client-wide
+// SetTrace is the wrong scope); "" falls back to the client trace. Like
+// the other ops it is a pure read and retries transport faults by
+// replaying the whole stream on a fresh connection: emit can therefore
 // see an index more than once, with bit-identical contents (ranking is
 // deterministic), and consumers keep the first delivery. An error returned
 // by emit cancels the stream: the connection is discarded (frames for a
@@ -756,18 +708,7 @@ func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error)
 // returned wrapped — cancellation conventionally wraps ErrStreamCanceled.
 func (c *Client) RankDBsStream(queries []string, alg string, k int, trace string, emit func(i int, item RankedBatch) error) error {
 	req := request{Op: "rankstream", Queries: queries, Alg: alg, N: k, Trace: trace}
-	sp := c.opts.Metrics.StartSpan(`netsearch_op_seconds{op="rankstream"}`)
-	defer sp.End()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("netsearch: rankstream %s: client is closed", c.addr)
-	}
-	if req.Trace == "" {
-		req.Trace = c.trace
-	}
-	//lint:ignore lockheld c.mu serializes whole exchanges; the stream (and any transport retry of it) holds the lock end to end or another op's frames would interleave into the item sequence
-	_, err := c.retryLoop(req, func() (response, error) {
+	_, err := c.run(req, func(req request) (response, error) {
 		return response{}, c.doStream(req, emit)
 	})
 	return err
@@ -775,7 +716,7 @@ func (c *Client) RankDBsStream(queries []string, alg string, k int, trace string
 
 // Search implements core.Database.
 func (c *Client) Search(query string, n int) ([]int, error) {
-	resp, err := c.roundTrip(request{Op: "search", Query: query, N: n})
+	resp, err := c.run(request{Op: "search", Query: query, N: n}, c.do)
 	if err != nil {
 		return nil, err
 	}
@@ -784,7 +725,7 @@ func (c *Client) Search(query string, n int) ([]int, error) {
 
 // Fetch implements core.Database.
 func (c *Client) Fetch(id int) (corpus.Document, error) {
-	resp, err := c.roundTrip(request{Op: "fetch", ID: id})
+	resp, err := c.run(request{Op: "fetch", ID: id}, c.do)
 	if err != nil {
 		return corpus.Document{}, err
 	}
@@ -794,36 +735,24 @@ func (c *Client) Fetch(id int) (corpus.Document, error) {
 	return *resp.Doc, nil
 }
 
-// RankDBs asks a selection-service shard (a servable implementing
-// DBRanker) for its partial database ranking — the cluster scatter
-// operation. It is a pure read: retrying after a transport fault is as
-// safe as search/fetch/count. trace stamps this one request's wire frame
-// (one client serves many concurrent scatter queries, so the client-wide
-// SetTrace is the wrong scope); "" falls back to the client trace.
-// Server-side errors come back verbatim.
+// RankDBs ranks one query on a shard: a rankstream of one, its item's
+// error surfaced as the call's. The cluster front scatters through
+// RankDBsStream itself; the benchmark harness (benchmark/bench), which
+// prices one single-query exchange, is this method's only caller outside
+// tests, and its signature is kept for it.
 func (c *Client) RankDBs(query, alg string, k int, trace string) ([]RankedDB, error) {
-	resp, err := c.roundTrip(request{Op: "rank", Query: query, Alg: alg, N: k, Trace: trace})
+	var item RankedBatch
+	err := c.RankDBsStream([]string{query}, alg, k, trace, func(_ int, it RankedBatch) error {
+		item = it
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Ranked, nil
-}
-
-// RankDBsBatch scatters a whole batch of queries to the shard in one wire
-// frame, returning one RankedBatch per query in input order. Like RankDBs
-// it is a pure read (safe to retry) and takes a per-request trace. A
-// whole-batch failure (unknown algorithm, cold shard) comes back as an
-// error; per-query problems ride in each item's Error.
-func (c *Client) RankDBsBatch(queries []string, alg string, k int, trace string) ([]RankedBatch, error) {
-	resp, err := c.roundTrip(request{Op: "rankbatch", Queries: queries, Alg: alg, N: k, Trace: trace})
-	if err != nil {
-		return nil, err
+	if item.Error != "" {
+		return nil, errors.New(item.Error)
 	}
-	if len(resp.Batch) != len(queries) {
-		return nil, fmt.Errorf("netsearch: rankbatch returned %d items for %d queries",
-			len(resp.Batch), len(queries))
-	}
-	return resp.Batch, nil
+	return item.Ranked, nil
 }
 
 // RegisterDB registers a database on a remote shard (a servable
@@ -831,7 +760,7 @@ func (c *Client) RankDBsBatch(queries []string, alg string, k int, trace string)
 // server-reported "already registered" error and leaves the registry in
 // the same state, so transport-level retries cannot corrupt placement.
 func (c *Client) RegisterDB(name, addr string) error {
-	_, err := c.roundTrip(request{Op: "register", Name: name, Addr: addr})
+	_, err := c.run(request{Op: "register", Name: name, Addr: addr}, c.do)
 	return err
 }
 
@@ -839,7 +768,7 @@ func (c *Client) RegisterDB(name, addr string) error {
 // RegisterDB it converges under replay (a second delivery reports an
 // unknown database and changes nothing).
 func (c *Client) UnregisterDB(name string) error {
-	_, err := c.roundTrip(request{Op: "unregister", Name: name})
+	_, err := c.run(request{Op: "unregister", Name: name}, c.do)
 	return err
 }
 
@@ -848,7 +777,7 @@ func (c *Client) UnregisterDB(name string) error {
 // error. Together with Search and Fetch this makes the Client usable by
 // the sizeest estimators.
 func (c *Client) TotalHits(query string) (int, error) {
-	resp, err := c.roundTrip(request{Op: "count", Query: query})
+	resp, err := c.run(request{Op: "count", Query: query}, c.do)
 	if err != nil {
 		return 0, err
 	}

@@ -1,10 +1,9 @@
 package netsearch
 
-// Tests for the "rankstream" wire op (DESIGN.md §15): streamed items over
-// real TCP for all three server vintages (StreamBatchRanker, BatchDBRanker,
-// DBRanker), in-order delivery with per-item errors, caller aborts that
-// discard the connection without fault accounting or retries, and the
-// connection surviving for the next operation.
+// Tests for the "rankstream" wire op (DESIGN.md §10): streamed items over
+// real TCP, in-order delivery with per-item errors, whole-stream refusals,
+// caller aborts that discard the connection without fault accounting or
+// retries, and the connection surviving for the next operation.
 
 import (
 	"errors"
@@ -13,49 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
-
-// streamShard implements StreamBatchRanker natively on top of fakeShard.
-type streamShard struct {
-	fakeShard
-	perItemErr map[int]string // index -> streamed item error
-}
-
-func (s *streamShard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item RankedBatch) error) error {
-	for i := range queries {
-		if msg, ok := s.perItemErr[i]; ok {
-			if err := emit(i, RankedBatch{Error: msg}); err != nil {
-				return err
-			}
-			continue
-		}
-		ranked, err := s.RankDBs(queries[i], alg, k)
-		if err != nil {
-			return err
-		}
-		if err := emit(i, RankedBatch{Ranked: ranked}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// batchShard implements only the buffered BatchDBRanker.
-type batchShard struct{ fakeShard }
-
-func (s *batchShard) RankDBsBatch(queries []string, alg string, k int) ([]RankedBatch, error) {
-	out := make([]RankedBatch, len(queries))
-	for i, q := range queries {
-		ranked, err := s.RankDBs(q, alg, k)
-		if err != nil {
-			return nil, err
-		}
-		out[i].Ranked = ranked
-	}
-	return out, nil
-}
 
 func collectRankStream(t *testing.T, c *Client, queries []string, k int) []RankedBatch {
 	t.Helper()
@@ -73,85 +31,43 @@ func collectRankStream(t *testing.T, c *Client, queries []string, k int) []Ranke
 	return items
 }
 
-// TestRankStreamOverTCP exercises every server vintage: a native streamer
-// (with a per-item error), a buffered batch ranker, and a one-query-at-a-
-// time legacy ranker — all must deliver the same items, in order.
+// TestRankStreamOverTCP: a streaming shard (with a per-item error) must
+// deliver every item, in order, and leave the connection usable.
 func TestRankStreamOverTCP(t *testing.T) {
 	ranked := []RankedDB{{Name: "db-a", Score: 0.9}, {Name: "db-b", Score: 0.4}}
-	servables := map[string]core.Database{
-		"stream": &streamShard{
-			fakeShard:  fakeShard{ranked: ranked},
-			perItemErr: map[int]string{1: "no index terms"},
-		},
-		"batch":  &batchShard{fakeShard{ranked: ranked}},
-		"legacy": &fakeShard{ranked: ranked},
-	}
-	for vintage, sh := range servables {
-		t.Run(vintage, func(t *testing.T) {
-			srv, err := Serve(sh, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-
-			queries := []string{"apple", "the and of", "plum"}
-			items := collectRankStream(t, c, queries, 2)
-			if len(items) != len(queries) {
-				t.Fatalf("got %d items for %d queries", len(items), len(queries))
-			}
-			for i, it := range items {
-				if vintage == "stream" && i == 1 {
-					if it.Error != "no index terms" || it.Ranked != nil {
-						t.Errorf("item 1 = %+v, want the shard's streamed error", it)
-					}
-					continue
+	t.Run("stream", func(t *testing.T) {
+		c := startShardServer(t, &fakeShard{ranked: ranked, perItemErr: map[int]string{1: "no index terms"}})
+		queries := []string{"apple", "the and of", "plum"}
+		items := collectRankStream(t, c, queries, 2)
+		if len(items) != len(queries) {
+			t.Fatalf("got %d items for %d queries", len(items), len(queries))
+		}
+		for i, it := range items {
+			if i == 1 {
+				if it.Error != "no index terms" || it.Ranked != nil {
+					t.Errorf("item 1 = %+v, want the shard's streamed error", it)
 				}
-				if it.Error != "" || !reflect.DeepEqual(it.Ranked, ranked) {
-					t.Errorf("item %d = %+v, want %+v", i, it, ranked)
-				}
+				continue
 			}
-			// The connection survives the stream: the next op reuses it.
-			if _, err := c.RankDBs("apple", "cori", 2, ""); err != nil {
-				t.Fatalf("rank after stream: %v", err)
+			if it.Error != "" || !reflect.DeepEqual(it.Ranked, ranked) {
+				t.Errorf("item %d = %+v, want %+v", i, it, ranked)
 			}
-		})
-	}
+		}
+		// The connection survives the stream: the next op reuses it.
+		if _, err := c.RankDBs("apple", "cori", 2, ""); err != nil {
+			t.Fatalf("rank after stream: %v", err)
+		}
+	})
 }
 
-// TestRankStreamServerError: a whole-batch refusal (the shard's batch
-// ranker errors before any item) surfaces as a remote error, not a dropped
-// connection. A legacy per-query shard instead degrades the same failure
-// to per-item errors — both contracts are pinned here.
+// TestRankStreamServerError: a whole-batch refusal (the shard's ranker
+// errors before any item) surfaces as a remote error, not a dropped
+// connection.
 func TestRankStreamServerError(t *testing.T) {
-	sh := &batchShard{fakeShard{rankErr: errors.New("invalid argument: bogus alg")}}
-	srv, err := Serve(sh, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	err = c.RankDBsStream([]string{"q"}, "bogus", 5, "", func(int, RankedBatch) error { return nil })
+	c := startShardServer(t, &fakeShard{rankErr: errors.New("invalid argument: bogus alg")})
+	err := c.RankDBsStream([]string{"q"}, "bogus", 5, "", func(int, RankedBatch) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "invalid argument") {
 		t.Errorf("stream error = %v, want the server-reported message", err)
-	}
-
-	// Legacy vintage: the per-query fallback reports the same failure in
-	// each item's Error, and the stream itself completes.
-	legacy := startShardServer(t, &fakeShard{rankErr: errors.New("invalid argument: bogus alg")})
-	items := collectRankStream(t, legacy, []string{"a", "b"}, 5)
-	for i, it := range items {
-		if !strings.Contains(it.Error, "invalid argument") {
-			t.Errorf("legacy item %d = %+v, want the per-item error", i, it)
-		}
 	}
 }
 
@@ -159,7 +75,7 @@ func TestRankStreamServerError(t *testing.T) {
 // costs no fault or retry (the caller chose to leave), discards the
 // now-desynchronized connection, and the client redials for the next op.
 func TestRankStreamCallerAbort(t *testing.T) {
-	sh := &streamShard{fakeShard: fakeShard{ranked: []RankedDB{{Name: "db-a", Score: 0.9}}}}
+	sh := &fakeShard{ranked: []RankedDB{{Name: "db-a", Score: 0.9}}}
 	srv, err := Serve(sh, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,13 @@
 package service
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/selection"
+	"repro/internal/serving"
 )
 
-// Batch rank: the high-QPS serving entry point (DESIGN.md §14–15). A batch
+// Batch rank: the high-QPS serving entry point (DESIGN.md §10, §14). A batch
 // request carries many queries that share one algorithm and one k; the
 // service parses the algorithm once, acquires the compiled snapshot once,
 // and reuses a single pooled rankScratch across every query — so the
@@ -14,21 +15,13 @@ import (
 // overhead (pool round-trips, snapshot load, timer, HTTP envelope when
 // called over the wire) amortized across the batch.
 //
-// Two layers of coalescing ride on top (DESIGN.md §15): identical queries
+// Two layers of coalescing ride on top (DESIGN.md §10): identical queries
 // *within* one batch rank once and copy into each position
 // (rank_coalesced_total{scope=batch}), and a batch item identical to any
 // rank in flight elsewhere — another batch, a single /rank — joins that
 // flight instead of recomputing (scope=flight). Both are bit-identical to
 // independent ranks because every path funnels into rankSnapshot against
 // the same epoch's snapshot.
-
-// BatchItem is one query's outcome inside a batch ranking. Items fail
-// independently: a query that tokenizes to nothing reports its error here
-// while its neighbors still rank.
-type BatchItem struct {
-	Ranked []RankedDB `json:"ranked,omitempty"`
-	Error  string     `json:"error,omitempty"`
-}
 
 // RankBatch ranks every query in the batch against the same compiled
 // snapshot, returning one BatchItem per query in input order. Whole-batch
@@ -42,15 +35,7 @@ type BatchItem struct {
 // LRU with its queries would evict the interactive working set. It still
 // coalesces through the in-flight map, which caches nothing.
 func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchItem, error) {
-	items := make([]BatchItem, len(queries))
-	err := s.RankBatchStream(queries, algName, k, func(i int, item BatchItem) error {
-		items[i] = item
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return items, nil
+	return serving.RankBatch(context.TODO(), tier{s}, queries, algName, k)
 }
 
 // RankBatchStream is RankBatch's streaming core: emit is called once per
@@ -93,52 +78,37 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 	if len(queries) > 1 {
 		seen = make(map[string][]RankedDB, len(queries))
 	}
+	cache := s.cache.Load()
 	for i, q := range queries {
-		scr.terms = s.analyzer.AppendTokens(scr.terms[:0], q)
-		if len(scr.terms) == 0 {
+		if !scr.analyze(s.analyzer, q) {
 			err := emit(i, BatchItem{Error: fmt.Sprintf("service: query has no index terms: %v", ErrInvalid)})
 			if err != nil {
 				return err
 			}
 			continue
 		}
-		scr.key = scr.key[:0]
-		for j, t := range scr.terms {
-			if j > 0 {
-				scr.key = append(scr.key, 0x1f)
-			}
-			scr.key = append(scr.key, t...)
-		}
 		termKey := string(scr.key)
-		if val, ok := seen[termKey]; ok {
+		val, ok := seen[termKey]
+		if ok {
 			reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Inc()
-			if err := emit(i, BatchItem{Ranked: append([]RankedDB(nil), val...)}); err != nil {
-				return err
-			}
-			continue
-		}
-		key := rankCacheKey{query: termKey, alg: algName, k: k, epoch: snap.epoch}
-		f, leader := s.joinFlight(key)
-		var val []RankedDB
-		if leader {
-			val = s.rankBatchLeader(key, f, snap, alg, scr, k)
 		} else {
-			reg.Counter(`service_rank_coalesced_total{scope="flight"}`).Inc()
-			<-f.ready
-			if f.err != nil {
-				// The flight failed (its leader panicked). Deliver the error
-				// to this position — it asked for exactly that computation —
-				// but keep it out of `seen`, so a later duplicate retries
-				// fresh instead of inheriting the failure.
-				if err := emit(i, BatchItem{Error: f.err.Error()}); err != nil {
+			key := serving.Key{Query: termKey, Alg: algName, K: k, Epoch: snap.epoch}
+			val, _, err = cache.Do(key, false, func() ([]RankedDB, error) {
+				return s.rankSnapshot(snap, alg, scr, k), nil
+			})
+			if err != nil {
+				// The flight this item joined failed (its leader panicked).
+				// Deliver the error to this position — it asked for exactly
+				// that computation — but keep it out of `seen`, so a later
+				// duplicate retries fresh instead of inheriting the failure.
+				if err := emit(i, BatchItem{Error: err.Error()}); err != nil {
 					return err
 				}
 				continue
 			}
-			val = f.val
-		}
-		if seen != nil {
-			seen[termKey] = val
+			if seen != nil {
+				seen[termKey] = val
+			}
 		}
 		if err := emit(i, BatchItem{Ranked: append([]RankedDB(nil), val...)}); err != nil {
 			return err
@@ -147,23 +117,4 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 	reg.Counter("service_batch_ranks_total").Inc()
 	reg.Counter("service_batch_queries_total").Add(int64(len(queries)))
 	return nil
-}
-
-// rankBatchLeader computes one batch item as its flight's leader,
-// fulfilling exactly once even if scoring panics — the same discipline as
-// the single-query path, so a follower can never block forever.
-func (s *Service) rankBatchLeader(key rankCacheKey, f *flight, snap *snapshotSet, alg selection.Algorithm, scr *rankScratch, k int) []RankedDB {
-	fulfilled := false
-	defer func() {
-		if r := recover(); r != nil {
-			if !fulfilled {
-				s.fulfillFlight(key, f, nil, fmt.Errorf("service: rank panicked: %v", r))
-			}
-			panic(r)
-		}
-	}()
-	out := s.rankSnapshot(snap, alg, scr, k)
-	s.fulfillFlight(key, f, out, nil)
-	fulfilled = true
-	return out
 }

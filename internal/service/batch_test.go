@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/analysis"
+	"repro/internal/serving"
 )
 
 // TestRankBatchMatchesSequential is the batch-vs-sequential property test:
@@ -97,6 +98,19 @@ func TestRankBatchPerItemErrors(t *testing.T) {
 	}
 }
 
+// batchRankRequest and batchRankResponse are the POST /rank/batch wire
+// shapes (the serving core's), as a client declares them.
+type batchRankRequest struct {
+	Queries []string `json:"queries"`
+	Alg     string   `json:"alg,omitempty"`
+	K       int      `json:"k,omitempty"`
+}
+
+type batchRankResponse struct {
+	Results  []BatchItem `json:"results"`
+	Degraded bool        `json:"degraded,omitempty"`
+}
+
 func TestHTTPRankBatch(t *testing.T) {
 	svc, _ := sampledFixture(t)
 	ts := httptest.NewServer(svc.Handler())
@@ -119,7 +133,7 @@ func TestHTTPRankBatch(t *testing.T) {
 		t.Errorf("GET /rank/batch: status %d, want 405", resp.StatusCode)
 	}
 	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: make([]string, MaxBatchQueries+1), Alg: "cori"}, nil)
+		batchRankRequest{Queries: make([]string, serving.MaxBatchQueries+1), Alg: "cori"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversize batch: status %d, want 400", resp.StatusCode)
 	}

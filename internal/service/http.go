@@ -2,288 +2,71 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
-	"repro/internal/telemetry"
+	"repro/internal/admission"
+	"repro/internal/serving"
 )
 
-// HTTP API. The handler exposes the service's operations as JSON
-// endpoints, so a selection service can run as a standalone daemon
-// (cmd/selectd):
+// HTTP API. The rank surface — /rank, /rank/batch (buffered and streamed),
+// /healthz, /metrics, /debug/vars — is the serving core's, shared with the
+// cluster front (internal/serving); on top of it the service exposes its
+// registry and sampler, so a selection service can run as a standalone
+// daemon (cmd/selectd):
 //
 //	GET    /databases                      -> []DBStatus
 //	POST   /databases                      {"name":"x","addr":"host:port"}
 //	DELETE /databases/{name}
 //	POST   /databases/{name}/sample        SampleOptions (all optional)
 //	GET    /databases/{name}/summary?metric=avg-tf&k=20
-//	GET    /rank?q=apple+pie&alg=cori&k=5  -> []RankedDB
-//	POST   /rank/batch                     {"queries":[...],"alg":"cori","k":5}
-//	                                       -> {"results":[{"ranked":[...]}...]}
-//	POST   /rank/batch?stream=1            same body -> NDJSON frames, one per
-//	                                       query as it completes (SSE with
-//	                                       Accept: text/event-stream)
-//	GET    /healthz
-//	GET    /metrics                        (when SetMetrics was called;
-//	                                        JSON or Prometheus text per Accept)
-//	GET    /debug/vars                     (when SetMetrics was called; JSON)
 //
-// Every request is assigned a trace ID (honoring an incoming X-Trace-Id
-// header), echoed back in the response's X-Trace-Id header, logged, and —
-// for sampling requests — propagated down through the netsearch wire
-// protocol so remote-side logs correlate with the originating request.
-
-// traceKey is the context key the middleware stores the request's trace
-// ID under.
-type traceKey struct{}
-
-// TraceFromContext returns the trace ID the HTTP middleware assigned to
-// this request ("" outside a traced request).
-func TraceFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(traceKey{}).(string)
-	return id
-}
+// A sampling request's trace ID is propagated down through the netsearch
+// wire protocol so remote-side logs correlate with the originating request.
 
 // Handler returns the HTTP handler for the service.
 func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/rank", s.handleRank)
-	mux.HandleFunc("/rank/batch", s.handleRankBatch)
-	mux.HandleFunc("/databases", s.handleDatabases)
-	mux.HandleFunc("/databases/", s.handleDatabase)
-	// The registry is resolved per request, so SetMetrics works whether
-	// it is called before or after Handler; without one, the endpoints
-	// answer 404.
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if reg := s.Metrics(); reg != nil {
-			telemetry.Handler(reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if reg := s.Metrics(); reg != nil {
-			telemetry.VarsHandler(reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	return s.instrument(mux)
-}
-
-// statusWriter records the status code a handler wrote.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so streamed responses (POST
-// /rank/batch?stream=1) push each frame through the middleware instead of
-// buffering until the handler returns.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps the API mux with the observability middleware: trace
-// ID assignment, per-status-class counters (http_responses_total and the
-// 4xx/5xx satellites), request latency, and one structured log line per
-// request.
-func (s *Service) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reg, lg := s.Metrics(), s.log()
-		trace := r.Header.Get("X-Trace-Id")
-		if trace == "" {
-			trace = s.traces.Next()
-		}
-		w.Header().Set("X-Trace-Id", trace)
-		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, trace))
-
-		sp := reg.StartSpan("http_request_seconds")
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		d := sp.End()
-
-		class := fmt.Sprintf("%dxx", sw.status/100)
-		reg.Counter("http_requests_total").Inc()
-		reg.Counter(`http_responses_total{class="` + class + `"}`).Inc()
-		switch {
-		case sw.status >= 500:
-			reg.Counter("http_5xx_total").Inc()
-		case sw.status >= 400:
-			reg.Counter("http_4xx_total").Inc()
-		}
-		lg.Info("http request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"elapsed", d, telemetry.TraceKey, trace)
+	return serving.NewHandler(tier{s}, "service", map[string]string{"status": "ok"}, func(mux *http.ServeMux) {
+		mux.HandleFunc("/databases", s.handleDatabases)
+		mux.HandleFunc("/databases/", s.handleDatabase)
 	})
 }
 
-type httpError struct {
-	Error string `json:"error"`
+// tier adapts the service's pinned method signatures to the serving seam.
+// Metrics is promoted from *Service as is.
+type tier struct{ *Service }
+
+func (t tier) Rank(_ context.Context, query, alg string, k int) ([]RankedDB, string, error) {
+	return t.rankCached(query, alg, k)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+func (t tier) RankStream(_ context.Context, queries []string, alg string, k int, emit func(int, BatchItem) error) error {
+	return t.RankBatchStream(queries, alg, k, emit)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, httpError{Error: err.Error()})
-}
-
-// shed answers a load-shed request: 429 with the gate's Retry-After hint.
-// Shared verbatim by the single-process service and the cluster front so
-// clients see one overload contract everywhere.
-func shed(w http.ResponseWriter, retryAfterSeconds int) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	writeJSON(w, http.StatusTooManyRequests,
-		httpError{Error: "service overloaded, retry later"})
-}
-
-func (s *Service) handleRank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	gate := s.gate.Load()
-	ticket, ok := gate.Admit()
-	if !ok {
-		shed(w, gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	q := r.URL.Query()
-	k, _ := strconv.Atoi(q.Get("k"))
-	if clamped := ticket.ClampK(k); clamped != k {
-		k = clamped
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	ranked, cacheStatus, err := s.rankCached(q.Get("q"), q.Get("alg"), k)
-	// X-Cache reports how the result was served: "hit" (cached, including
-	// single-flight waits on an identical in-flight query), "miss"
-	// (computed and cached), or "bypass" (cache disabled or bad request).
-	w.Header().Set("X-Cache", cacheStatus)
-	if err != nil {
-		// statusFor keeps blame where it belongs: only ErrInvalid (bad
-		// algorithm, unusable query) is the client's 400. A snapshot
-		// compile failure or an unready federation is the service's
-		// problem and must surface as 5xx — the cluster front tier's
-		// failover logic keys off that distinction.
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ranked)
-}
-
-// batchRankRequest is the POST /rank/batch body, shared with the cluster
-// front so one client speaks to both surfaces.
-type batchRankRequest struct {
-	Queries []string `json:"queries"`
-	Alg     string   `json:"alg,omitempty"`
-	K       int      `json:"k,omitempty"`
-}
-
-// batchRankResponse is the POST /rank/batch reply: one item per query, in
-// request order. Degraded reports that admission control clamped k.
-type batchRankResponse struct {
-	Results  []BatchItem `json:"results"`
-	Degraded bool        `json:"degraded,omitempty"`
-}
-
-// MaxBatchQueries bounds one batch request; a larger batch is the
-// client's mistake (400), not an invitation to unbounded work per
-// admission slot.
-const MaxBatchQueries = 1024
-
-func (s *Service) handleRankBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var req batchRankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Queries) > MaxBatchQueries {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the %d-query limit: %w",
-				len(req.Queries), MaxBatchQueries, ErrInvalid))
-		return
-	}
-	// One batch holds one admission slot: the in-flight unit is the
-	// request (what bounds memory and scatter fan-out), not the query.
-	gate := s.gate.Load()
-	ticket, ok := gate.Admit()
-	if !ok {
-		shed(w, gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	k := ticket.ClampK(req.K)
-	if k != req.K {
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	if WantStream(r) {
-		s.streamRankBatch(w, r, req, k, k != req.K)
-		return
-	}
-	items, err := s.RankBatch(req.Queries, req.Alg, k)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchRankResponse{Results: items, Degraded: k != req.K})
-}
+func (t tier) Logger() *slog.Logger  { return t.log() }
+func (t tier) Gate() *admission.Gate { return t.gate.Load() }
 
 func (s *Service) handleDatabases(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.Databases())
+		serving.WriteJSON(w, http.StatusOK, s.Databases())
 	case http.MethodPost:
-		var req struct {
-			Name string `json:"name"`
-			Addr string `json:"addr"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		name, addr, ok := serving.DecodeRegistration(w, r)
+		if !ok {
 			return
 		}
-		if req.Addr == "" {
-			writeErr(w, http.StatusBadRequest, errors.New("addr is required"))
+		if err := s.Register(name, addr); err != nil {
+			serving.WriteErr(w, http.StatusConflict, err)
 			return
 		}
-		// An empty (or "/"-only) name would register a database that
-		// /databases/{name} can never route to — it could never be
-		// sampled or unregistered over HTTP. Reject it up front.
-		if err := ValidateName(req.Name); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.Register(req.Name, req.Addr); err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"registered": req.Name})
+		serving.WriteJSON(w, http.StatusCreated, map[string]string{"registered": name})
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET or POST"))
+		serving.WriteErr(w, http.StatusMethodNotAllowed, errors.New("GET or POST"))
 	}
 }
 
@@ -295,11 +78,11 @@ func (s *Service) handleDatabase(w http.ResponseWriter, r *http.Request) {
 	parts := strings.SplitN(rest, "/", 2)
 	name, err := url.PathUnescape(parts[0])
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", parts[0], err))
+		serving.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", parts[0], err))
 		return
 	}
 	if name == "" {
-		writeErr(w, http.StatusNotFound, errors.New("missing database name"))
+		serving.WriteErr(w, http.StatusNotFound, errors.New("missing database name"))
 		return
 	}
 	action := ""
@@ -309,54 +92,38 @@ func (s *Service) handleDatabase(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case action == "" && r.Method == http.MethodDelete:
 		if err := s.Unregister(name); err != nil {
-			writeErr(w, statusFor(err), err)
+			serving.WriteFailure(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
+		serving.WriteJSON(w, http.StatusOK, map[string]string{"deleted": name})
 	case action == "sample" && r.Method == http.MethodPost:
-		var opts SampleOptions
-		// An empty body means default options.
-		if err := json.NewDecoder(r.Body).Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+		var opts SampleOptions // an empty body means default options
+		if !serving.DecodeBody(w, r, &opts) {
 			return
 		}
 		// The run inherits the request's trace ID; the service pushes it
 		// down to the netsearch frames the run sends.
-		opts.TraceID = TraceFromContext(r.Context())
+		opts.TraceID = serving.TraceFromContext(r.Context())
 		st, err := s.Sample(name, opts)
 		if err != nil {
-			writeErr(w, statusFor(err), err)
+			serving.WriteFailure(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		serving.WriteJSON(w, http.StatusOK, st)
 	case action == "summary" && r.Method == http.MethodGet:
 		q := r.URL.Query()
-		k, _ := strconv.Atoi(q.Get("k"))
-		rows, err := s.Summary(name, q.Get("metric"), k)
+		k, err := serving.ParseK(q.Get("k"))
 		if err != nil {
-			writeErr(w, statusFor(err), err)
+			serving.WriteFailure(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, rows)
+		rows, err := s.Summary(name, q.Get("metric"), k)
+		if err != nil {
+			serving.WriteFailure(w, err)
+			return
+		}
+		serving.WriteJSON(w, http.StatusOK, rows)
 	default:
-		writeErr(w, http.StatusNotFound, errors.New("unknown endpoint"))
-	}
-}
-
-// statusFor distinguishes the caller's mistakes (400), unknown names
-// (404), a federation that has not learned any models yet (503), and
-// genuine upstream failures (502). Before ErrInvalid existed, every
-// non-404 error — including an unknown metric name — was blamed on the
-// remote database with a 502.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrUnknownDatabase):
-		return http.StatusNotFound
-	case errors.Is(err, ErrInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrNoModels):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadGateway
+		serving.WriteErr(w, http.StatusNotFound, errors.New("unknown endpoint"))
 	}
 }

@@ -27,46 +27,35 @@ import (
 	"repro/internal/netsearch"
 	"repro/internal/parallel"
 	"repro/internal/selection"
+	"repro/internal/serving"
 	"repro/internal/store"
 	"repro/internal/summarize"
 	"repro/internal/telemetry"
 )
 
-// ErrUnknownDatabase is returned for operations on unregistered names.
-var ErrUnknownDatabase = errors.New("service: unknown database")
-
-// ErrInvalid marks arguments the caller got wrong (unknown metric or
-// algorithm, unusable query). The HTTP layer maps it to 400 rather than
-// blaming the upstream database with a 502.
-var ErrInvalid = errors.New("invalid argument")
+// The serving sentinels are declared once, in internal/serving, beside the
+// HTTP status mapping that reads them; these are the same values under the
+// names this package has always exported, so errors.Is works across tiers.
+var (
+	// ErrUnknownDatabase is returned for operations on unregistered names.
+	ErrUnknownDatabase = serving.ErrUnknownDatabase
+	// ErrInvalid marks arguments the caller got wrong (400 over HTTP).
+	ErrInvalid = serving.ErrInvalid
+	// ErrNoModels is returned by Rank when no registered database has a
+	// learned model yet (503 over HTTP).
+	ErrNoModels = serving.ErrNoModels
+	// ErrExists marks a registration of a name that is already registered.
+	ErrExists = serving.ErrExists
+)
 
 // ErrCircuitOpen is reported by SampleAll for databases whose circuit
 // breaker has tripped. A direct Sample call is the half-open probe: it
 // always attempts the database and closes the circuit on success.
 var ErrCircuitOpen = errors.New("service: circuit open")
 
-// ErrNoModels is returned by Rank when no registered database has a
-// learned model yet. It is a service-state condition, not a client
-// mistake: the HTTP layer maps it to 503, and a cluster shard reports an
-// empty partial ranking instead of failing the whole scatter.
-var ErrNoModels = errors.New("service: no databases have learned models yet")
-
-// ErrExists marks a registration of a name that is already registered.
-// The cluster front tier treats it as success so that replica-fan-out
-// registration is idempotent and a retry can heal a partial failure.
-var ErrExists = errors.New("already registered")
-
-// ValidateName rejects database names that the HTTP API could never
-// route back to: an empty name, or one made only of "/" (its path
-// segment escapes to an empty string, so /databases/{name} can never
-// address it for sampling or unregistration). The error wraps ErrInvalid
-// so the HTTP layer answers 400.
-func ValidateName(name string) error {
-	if name == "" || strings.Trim(name, "/") == "" {
-		return fmt.Errorf("service: unroutable database name %q: %w", name, ErrInvalid)
-	}
-	return nil
-}
+// DefaultRankCacheSize is the default capacity of the selection result
+// cache (entries, across all epochs).
+const DefaultRankCacheSize = 1024
 
 // DefaultTripThreshold is the number of consecutive sampling failures
 // after which a database's circuit breaker opens.
@@ -159,27 +148,24 @@ type Service struct {
 	// every observation and logger defaults to a discarding slog.
 	metrics *telemetry.Registry
 	logger  *slog.Logger
-	traces  *telemetry.TraceIDs
 
 	mu        sync.RWMutex
 	entries   map[string]*entry
 	dialOpts  netsearch.Options
 	tripAfter int
 
-	// Query-serving state (snapshot.go, cache.go): gen counts model-set
-	// generations (bumped under mu whenever served models change), snap is
-	// the RCU-published compiled snapshot, compileMu single-flights
-	// rebuilds, and cache holds recent selection results (nil = disabled).
+	// Query-serving state (snapshot.go): gen counts model-set generations
+	// (bumped under mu whenever served models change), snap is the
+	// RCU-published compiled snapshot, compileMu single-flights rebuilds,
+	// and cache remembers recent single-query results and single-flights
+	// identical in-flight rank work across every serving path — GET /rank,
+	// POST /rank/batch (buffered or streamed) and the cluster shard RPCs.
+	// It is never nil: SetRankCacheSize(0) turns the LRU off, not the
+	// coalescing.
 	gen       atomic.Uint64
 	snap      atomic.Pointer[snapshotSet]
 	compileMu sync.Mutex
-	cache     atomic.Pointer[rankCache]
-
-	// coal single-flights identical in-flight rank work across every
-	// serving path (coalesce.go). Unlike cache it is never nil: coalescing
-	// is a correctness-neutral dedup of concurrent identical computation,
-	// not a tunable store.
-	coal *coalescer
+	cache     atomic.Pointer[serving.Cache]
 
 	// gate is the admission controller for the rank endpoints (nil, the
 	// default, admits everything; see SetAdmission and DESIGN.md §14).
@@ -215,24 +201,19 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 		analyzer:  an,
 		st:        st,
 		logger:    telemetry.NopLogger(),
-		traces:    telemetry.NewTraceIDs("req"),
 		entries:   make(map[string]*entry),
 		tripAfter: DefaultTripThreshold,
-		coal:      newCoalescer(),
 	}
-	s.cache.Store(newRankCache(DefaultRankCacheSize))
+	s.SetRankCacheSize(DefaultRankCacheSize)
 	return s
 }
 
 // SetRankCacheSize resizes the selection result cache (default
 // DefaultRankCacheSize entries); n <= 0 disables result caching. Resizing
-// installs a fresh, empty cache.
+// installs a fresh, empty cache; ranks already in flight finish on the one
+// they started with.
 func (s *Service) SetRankCacheSize(n int) {
-	if n <= 0 {
-		s.cache.Store(nil)
-		return
-	}
-	s.cache.Store(newRankCache(n))
+	s.cache.Store(serving.NewCache(n, "service", s.Metrics))
 }
 
 // SetAdmission installs admission control on the rank endpoints (GET
@@ -310,7 +291,7 @@ func (s *Service) SetTripThreshold(n int) {
 // connection is established lazily on first sampling. If a persisted model
 // exists for the name it is loaded immediately.
 func (s *Service) Register(name, addr string) error {
-	if err := ValidateName(name); err != nil {
+	if err := serving.ValidateName(name); err != nil {
 		return err
 	}
 	// Load any persisted model before taking the registry lock: the store
@@ -343,7 +324,7 @@ func newEntry(name, addr string) *entry {
 // RegisterLocal adds an in-process database (used by tests, examples, and
 // embedded deployments).
 func (s *Service) RegisterLocal(name string, db core.Database) error {
-	if err := ValidateName(name); err != nil {
+	if err := serving.ValidateName(name); err != nil {
 		return err
 	}
 	if db == nil {
@@ -678,11 +659,15 @@ func (s *Service) SampleAll(opts SampleOptions, parallelism int) (map[string]DBS
 	return statuses, errs
 }
 
-// RankedDB is one row of a selection ranking.
-type RankedDB struct {
-	Name  string  `json:"name"`
-	Score float64 `json:"score"`
-}
+// RankedDB is one row of a selection ranking and BatchItem one query's
+// outcome inside a batch ranking: the serving core's types, under the
+// names this package has always exported. Batch items fail independently:
+// a query that tokenizes to nothing reports its error in its item while
+// its neighbors still rank.
+type (
+	RankedDB  = serving.RankedDB
+	BatchItem = serving.Item
+)
 
 // dbLabel renders a registered database name as a Prometheus label set
 // fragment, escaping the three characters the text format reserves.
@@ -776,90 +761,38 @@ func (s *Service) rank(query string, algName string, k int) ([]RankedDB, string,
 	scr := rankScratchPool.Get().(*rankScratch)
 	defer rankScratchPool.Put(scr)
 
-	scr.terms = s.analyzer.AppendTokens(scr.terms[:0], query)
-	if len(scr.terms) == 0 {
+	if !scr.analyze(s.analyzer, query) {
 		return nil, "bypass", fmt.Errorf("service: query has no index terms: %w", ErrInvalid)
 	}
 	snap := s.snapshot()
 	if snap.compiled.NumDBs() == 0 {
 		return nil, "bypass", ErrNoModels
 	}
-
-	cache := s.cache.Load()
-	scr.key = scr.key[:0]
-	for i, t := range scr.terms {
-		if i > 0 {
-			scr.key = append(scr.key, 0x1f) // never produced by the tokenizer
-		}
-		scr.key = append(scr.key, t...)
+	key := serving.Key{Query: string(scr.key), Alg: alg.Name(), K: k, Epoch: snap.epoch}
+	out, status, err := s.cache.Load().Do(key, true, func() ([]RankedDB, error) {
+		return s.rankSnapshot(snap, alg, scr, k), nil
+	})
+	if err != nil {
+		return nil, status, err
 	}
-	key := rankCacheKey{query: string(scr.key), alg: alg.Name(), k: k, epoch: snap.epoch}
-	status := "bypass" // cache disabled; coalescing still applies
-	if cache != nil {
-		if val, ok := cache.probe(key); ok {
-			s.Metrics().Counter("service_select_cache_hits_total").Inc()
-			return append([]RankedDB(nil), val...), "hit", nil
-		}
-		status = "miss"
-	}
-	f, leader := s.joinFlight(key)
-	if !leader {
-		reg := s.Metrics()
-		reg.Counter(`service_rank_coalesced_total{scope="flight"}`).Inc()
-		<-f.ready
-		if f.err != nil {
-			return nil, status, f.err
-		}
-		if cache != nil {
-			// The flight's leader may have been a batch (which never admits
-			// into the LRU); the single-query path wants this result cached.
-			cache.add(key, f.val)
-			reg.Counter("service_select_cache_hits_total").Inc()
-			status = "hit"
-		}
-		return append([]RankedDB(nil), f.val...), status, nil
-	}
-	if cache != nil {
-		s.Metrics().Counter("service_select_cache_misses_total").Inc()
-	}
-	// The leader owes fulfill exactly once. If scoring panics (e.g.
-	// rankSnapshot's defensive "not compiled" panic, recovered by
-	// net/http), publish an error — unblocking every waiter and retiring
-	// the flight — before letting the panic propagate.
-	fulfilled := false
-	defer func() {
-		if r := recover(); r != nil {
-			if !fulfilled {
-				s.fulfillFlight(key, f, nil, fmt.Errorf("service: rank panicked: %v", r))
-			}
-			panic(r)
-		}
-	}()
-	out := s.rankSnapshot(snap, alg, scr, k)
-	s.fulfillFlight(key, f, out, nil)
-	fulfilled = true
-	if cache != nil {
-		cache.add(key, out)
-	}
-	// Hand back a copy: the cached slice is shared with followers and hits.
+	// Hand back a copy: the slice is shared with the cache and followers.
 	return append([]RankedDB(nil), out...), status, nil
 }
 
-// joinFlight enters the coalescer for key, maintaining the
-// service_rank_flights_inflight gauge (tests assert it returns to zero —
-// a leaked flight would wedge every future identical query).
-func (s *Service) joinFlight(key rankCacheKey) (*flight, bool) {
-	f, leader := s.coal.join(key)
-	if leader {
-		s.Metrics().Gauge("service_rank_flights_inflight").Set(int64(s.coal.inflight()))
+// analyze tokenizes query into scr.terms and builds its cache key in
+// scr.key: the analyzed terms joined with 0x1f (a byte the tokenizer never
+// emits), so equal term sequences collide and raw query spelling does not.
+// It reports whether the query has any index terms.
+func (scr *rankScratch) analyze(an analysis.Analyzer, query string) bool {
+	scr.terms = an.AppendTokens(scr.terms[:0], query)
+	scr.key = scr.key[:0]
+	for i, t := range scr.terms {
+		if i > 0 {
+			scr.key = append(scr.key, 0x1f)
+		}
+		scr.key = append(scr.key, t...)
 	}
-	return f, leader
-}
-
-// fulfillFlight publishes a leader's result and drops the in-flight gauge.
-func (s *Service) fulfillFlight(key rankCacheKey, f *flight, val []RankedDB, err error) {
-	s.coal.fulfill(key, f, val, err)
-	s.Metrics().Gauge("service_rank_flights_inflight").Set(int64(s.coal.inflight()))
+	return len(scr.terms) > 0
 }
 
 // rankSnapshot scores and ranks against a compiled snapshot using the

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/langmodel"
 	"repro/internal/selection"
+	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -138,40 +139,49 @@ func TestRankCacheDisabled(t *testing.T) {
 }
 
 func TestRankCacheLRUBound(t *testing.T) {
-	c := newRankCache(3)
+	c := serving.NewCache(3, "service", func() *telemetry.Registry { return nil })
+	// add admits a completed result the way a leading single rank does.
+	add := func(q string, val []RankedDB) {
+		key := serving.Key{Query: q}
+		f, leader := c.Join(key)
+		if !leader {
+			t.Fatalf("flight %q already in progress", q)
+		}
+		c.Fulfill(key, f, val, nil, true)
+	}
 	for _, q := range []string{"a", "b", "c", "d", "e"} {
-		c.add(rankCacheKey{query: q}, []RankedDB{{Name: q}})
+		add(q, []RankedDB{{Name: q}})
 	}
 	if c.Len() != 3 {
 		t.Fatalf("cache holds %d entries, cap 3", c.Len())
 	}
 	// "c","d","e" should remain; touching "c" then inserting evicts "d".
-	if _, ok := c.probe(rankCacheKey{query: "c"}); !ok {
+	if _, ok := c.Probe(serving.Key{Query: "c"}); !ok {
 		t.Fatal("entry c was evicted prematurely")
 	}
-	c.add(rankCacheKey{query: "f"}, []RankedDB{{Name: "f"}})
-	if _, ok := c.probe(rankCacheKey{query: "d"}); ok {
+	add("f", []RankedDB{{Name: "f"}})
+	if _, ok := c.Probe(serving.Key{Query: "d"}); ok {
 		t.Fatal("LRU entry d survived eviction")
 	}
 	// Duplicate adds are idempotent: same key refreshes in place.
-	c.add(rankCacheKey{query: "c"}, []RankedDB{{Name: "c", Score: 2}})
+	add("c", []RankedDB{{Name: "c", Score: 2}})
 	if c.Len() != 3 {
 		t.Fatalf("idempotent add grew the cache to %d entries", c.Len())
 	}
-	if val, ok := c.probe(rankCacheKey{query: "c"}); !ok || val[0].Score != 2 {
+	if val, ok := c.Probe(serving.Key{Query: "c"}); !ok || val[0].Score != 2 {
 		t.Fatalf("refreshed entry c = %+v ok=%v", val, ok)
 	}
 }
 
 func TestCoalescerSingleFlight(t *testing.T) {
-	co := newCoalescer()
-	key := rankCacheKey{query: "q"}
-	f, leader := co.join(key)
+	co := serving.NewCache(0, "service", func() *telemetry.Registry { return nil })
+	key := serving.Key{Query: "q"}
+	f, leader := co.Join(key)
 	if !leader {
 		t.Fatal("first join not leader")
 	}
-	if co.inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", co.inflight())
+	if co.Inflight() != 1 {
+		t.Fatalf("inflight = %d, want 1", co.Inflight())
 	}
 	const waiters = 8
 	var wg, joined sync.WaitGroup
@@ -181,41 +191,43 @@ func TestCoalescerSingleFlight(t *testing.T) {
 		joined.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			wf, wl := co.join(key)
+			wf, wl := co.Join(key)
 			joined.Done()
 			if wl {
 				t.Errorf("waiter %d became leader", i)
-				co.fulfill(key, wf, nil, nil)
+				co.Fulfill(key, wf, nil, nil, false)
 				return
 			}
-			<-wf.ready
-			results[i] = wf.val
+			results[i], _ = wf.Wait()
 		}(i)
 	}
 	// Followers must join before the leader fulfills: fulfill retires the
 	// flight, so a straggler would (correctly) lead a fresh one.
 	joined.Wait()
 	want := []RankedDB{{Name: "db1", Score: 1}}
-	co.fulfill(key, f, want, nil)
+	co.Fulfill(key, f, want, nil, true)
 	wg.Wait()
 	for i, r := range results {
 		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("waiter %d got %+v", i, r)
 		}
 	}
-	if co.inflight() != 0 {
-		t.Fatalf("inflight = %d after fulfill, want 0", co.inflight())
+	if co.Inflight() != 0 {
+		t.Fatalf("inflight = %d after fulfill, want 0", co.Inflight())
+	}
+	if co.Len() != 0 {
+		t.Fatalf("a capacity-0 cache admitted %d entries", co.Len())
 	}
 
 	// Errors reach current followers only: the flight is gone from the map
 	// at fulfill, so the next identical request starts fresh.
-	key2 := rankCacheKey{query: "err"}
-	f2, leader := co.join(key2)
+	key2 := serving.Key{Query: "err"}
+	f2, leader := co.Join(key2)
 	if !leader {
 		t.Fatal("error-case join not leader")
 	}
-	co.fulfill(key2, f2, nil, errors.New("boom"))
-	if _, leader := co.join(key2); !leader {
+	co.Fulfill(key2, f2, nil, errors.New("boom"), false)
+	if _, leader := co.Join(key2); !leader {
 		t.Fatal("failed flight stayed joinable")
 	}
 }

@@ -1,6 +1,6 @@
 package service
 
-// Tests for the streaming batch surface (DESIGN.md §15): NDJSON and SSE
+// Tests for the streaming batch surface (DESIGN.md §10): NDJSON and SSE
 // framing over POST /rank/batch?stream=1, bit-identical equivalence of
 // streamed vs buffered vs sequential rankings, whole-batch errors staying
 // plain JSON, client-disconnect cleanup, deterministic cross-caller flight
@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -190,7 +191,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// rest pending — while the client disconnects.
 	queries := []string{"system data", "market stock", "language model"}
 	key := flightKey(svc, "market stock", "cori", 2)
-	f, leader := svc.joinFlight(key)
+	f, leader := svc.cache.Load().Join(key)
 	if !leader {
 		t.Fatal("test could not lead the blocking flight")
 	}
@@ -217,7 +218,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// Give the disconnect a moment to propagate to the server's context,
 	// then unblock the stream: its next emit must see the dead client.
 	time.Sleep(50 * time.Millisecond)
-	svc.fulfillFlight(key, f, []RankedDB{{Name: "x"}}, nil)
+	svc.cache.Load().Fulfill(key, f, []RankedDB{{Name: "x"}}, nil, false)
 
 	aborts := reg.Counter("service_stream_aborts_total")
 	deadline := time.Now().Add(5 * time.Second)
@@ -227,7 +228,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := svc.coal.inflight(); got != 0 {
+	if got := svc.cache.Load().Inflight(); got != 0 {
 		t.Errorf("coalescer holds %d flights after disconnect, want 0", got)
 	}
 	if got := reg.Gauge("service_rank_flights_inflight").Value(); got != 0 {
@@ -245,7 +246,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 func TestBatchJoinsForeignFlight(t *testing.T) {
 	svc, reg := sampledFixture(t)
 	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.joinFlight(key)
+	f, leader := svc.cache.Load().Join(key)
 	if !leader {
 		t.Fatal("test could not lead the flight")
 	}
@@ -270,7 +271,7 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	want := []RankedDB{{Name: "sentinel", Score: 42}}
-	svc.fulfillFlight(key, f, want, nil)
+	svc.cache.Load().Fulfill(key, f, want, nil, false)
 
 	r := <-done
 	if r.err != nil {
@@ -293,7 +294,7 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 	svc, reg := sampledFixture(t)
 	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.joinFlight(key)
+	f, leader := svc.cache.Load().Join(key)
 	if !leader {
 		t.Fatal("test could not lead the flight")
 	}
@@ -313,7 +314,7 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	svc.fulfillFlight(key, f, nil, errors.New("leader exploded"))
+	svc.cache.Load().Fulfill(key, f, nil, errors.New("leader exploded"), false)
 	items := <-done
 	if items == nil || items[0].Error != "leader exploded" {
 		t.Fatalf("concurrent follower item = %+v, want the flight's error", items)
@@ -332,42 +333,45 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 // with an error before re-panicking, so followers never block forever.
 func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 	svc, _ := sampledFixture(t)
+	cache := svc.cache.Load()
 	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.joinFlight(key)
-	if !leader {
-		t.Fatal("test could not lead the flight")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("leader panic did not propagate")
-			}
-		}()
-		// nil snapshot makes rankSnapshot panic inside the leader.
-		svc.rankBatchLeader(key, f, nil, nil, nil, 2)
+	computing, release := make(chan struct{}), make(chan struct{})
+	propagated := make(chan bool, 1)
+	go func() {
+		defer func() { propagated <- recover() != nil }()
+		cache.Do(key, false, func() ([]RankedDB, error) {
+			close(computing)
+			<-release
+			// nil snapshot makes rankSnapshot panic inside the leader.
+			return svc.rankSnapshot(nil, nil, nil, 2), nil
+		})
 	}()
-	select {
-	case <-f.ready:
-	default:
-		t.Fatal("panicked leader left its flight unfulfilled")
+	<-computing
+	f, leader := cache.Join(key)
+	if leader {
+		t.Fatal("test led a flight that already has a leader")
 	}
-	if f.err == nil || !strings.Contains(f.err.Error(), "panicked") {
-		t.Fatalf("flight error = %v, want a rank-panicked error", f.err)
+	close(release)
+	if !<-propagated {
+		t.Error("leader panic did not propagate")
 	}
-	if svc.coal.inflight() != 0 {
-		t.Fatalf("inflight = %d after panic, want 0", svc.coal.inflight())
+	if _, err := f.Wait(); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("flight error = %v, want a rank-panicked error", err)
+	}
+	if cache.Inflight() != 0 {
+		t.Fatalf("inflight = %d after panic, want 0", cache.Inflight())
 	}
 }
 
 // flightKey builds the coalescer key the serving path would use for this
 // query right now (current epoch, canonical algorithm spelling).
-func flightKey(svc *Service, query, alg string, k int) rankCacheKey {
+func flightKey(svc *Service, query, alg string, k int) serving.Key {
 	terms := svc.analyzer.Tokens(query)
-	return rankCacheKey{
-		query: strings.Join(terms, "\x1f"),
-		alg:   alg,
-		k:     k,
-		epoch: svc.snapshot().epoch,
+	return serving.Key{
+		Query: strings.Join(terms, "\x1f"),
+		Alg:   alg,
+		K:     k,
+		Epoch: svc.snapshot().epoch,
 	}
 }
 
@@ -436,7 +440,7 @@ func TestChaosStreamCoalesceEpochSwap(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := svc.coal.inflight(); got != 0 {
+	if got := svc.cache.Load().Inflight(); got != 0 {
 		t.Fatalf("coalescer holds %d flights after the dust settled, want 0", got)
 	}
 	if dups := reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Value(); dups != 3*rounds*2 {
