@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -654,10 +655,15 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 }
 
 // BenchmarkIncrementalRecompile prices rebuilding the compiled snapshot
-// after one database of a 100-database federation is resampled: the
-// incremental path (Patch splices the changed rows and bulk-copies the
-// rest) against the full recompile it replaces. The patch arm's cost
-// tracks the changed model's vocabulary, not the federation.
+// after one database of a federation is resampled: the incremental path
+// (Patch rewrites the changed rows) against the full recompile it replaces.
+// The two patch arms sit on either side of Patch's fold rule. path=patch is
+// the dense shape — 100 databases over one shared vocabulary, where one
+// model's rows are more than 1/8 of all postings, so every patch folds into
+// a fresh base. path=patch-sparse is the shape a refreshing service runs —
+// one text-like database among 16 resampled beside 512 dense ones, chained
+// so each patch rides on a warm delta — and its cost tracks the changed
+// model and the delta, not the federation.
 func BenchmarkIncrementalRecompile(b *testing.B) {
 	models, _ := rankBenchModels(100)
 	base := selection.Compile(models)
@@ -671,6 +677,14 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 			}
 		}
 	})
+	b.Run("path=patch-sparse", func(b *testing.B) {
+		chain := newSparsePatchChain(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			chain.step(b)
+		}
+	})
 	b.Run("path=full", func(b *testing.B) {
 		next := append([]*langmodel.Model(nil), models...)
 		next[42] = replacement[0]
@@ -681,6 +695,84 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 			}
 		}
 	})
+}
+
+// sparsePatchChain is a chain of single-database patches over the sparse
+// shape: 512 dense models plus sparseTextDBs text-like ones, each over a
+// vocabulary of its own of which a sample always holds the frequent head
+// and a different part of the long tail (rank j with probability 300/j,
+// about 1100 terms in all). Every step resamples the next text database
+// round robin — cycling through pre-built draws, so a step times Patch and
+// nothing else — and patches the previous step's snapshot.
+type sparsePatchChain struct {
+	models []*langmodel.Model
+	snap   *selection.Compiled
+	draws  [][]*langmodel.Model // draws[i] are text database i's successive samples
+	steps  int
+}
+
+const (
+	sparseDenseDBs = 512
+	sparseTextDBs  = 16
+)
+
+func newSparsePatchChain(tb testing.TB) *sparsePatchChain {
+	models, _ := rankBenchModels(sparseDenseDBs)
+	src := randx.New(0x7e87)
+	c := &sparsePatchChain{draws: make([][]*langmodel.Model, sparseTextDBs)}
+	for i := range c.draws {
+		for len(c.draws[i]) < 8 {
+			m := langmodel.New()
+			m.SetDocs(100)
+			for j := 0; j < 4000; j++ {
+				if src.Intn(j+1) >= 300 {
+					continue
+				}
+				df := 1 + src.Intn(40)
+				m.AddTerm(fmt.Sprintf("x%02d-%04d", i, j), langmodel.TermStats{DF: df, CTF: int64(df * (1 + src.Intn(4)))})
+			}
+			c.draws[i] = append(c.draws[i], m)
+		}
+		models = append(models, c.draws[i][0])
+	}
+	c.models, c.snap = models, selection.Compile(models)
+	for c.steps < sparseTextDBs { // warm the delta: one resample of each
+		c.step(tb)
+	}
+	return c
+}
+
+func (c *sparsePatchChain) step(tb testing.TB) {
+	i := c.steps % sparseTextDBs
+	db := sparseDenseDBs + i
+	next := c.draws[i][(c.steps/sparseTextDBs+1)%len(c.draws[i])]
+	snap, err := c.snap.Patch([]selection.ModelPatch{{DB: db, Old: c.models[db], New: next}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.models[db], c.snap = next, snap
+	c.steps++
+}
+
+// TestSparsePatchAllocatesLittle guards the point of the delta: a sparse
+// 1-of-N patch must not copy the snapshot. Its allocation is held under
+// 15% of the bytes the snapshot's postings occupy (12 per posting), so a
+// whole-table copy cannot creep back unnoticed.
+func TestSparsePatchAllocatesLittle(t *testing.T) {
+	chain := newSparsePatchChain(t)
+	const runs = 2 * sparseTextDBs
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		chain.step(t)
+	}
+	runtime.ReadMemStats(&after)
+	perPatch := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	postingBytes := 12 * float64(chain.snap.Postings())
+	t.Logf("%.0f B per patch beside %.0f B of postings (%.1f%%)", perPatch, postingBytes, 100*perPatch/postingBytes)
+	if perPatch > 0.15*postingBytes {
+		t.Fatalf("a sparse patch allocates %.0f B, over 15%% of the snapshot's %.0f posting bytes", perPatch, postingBytes)
+	}
 }
 
 // BenchmarkRepolintFullRepo prices the lint gate itself: loading,

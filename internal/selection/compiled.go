@@ -32,29 +32,67 @@ import (
 	"repro/internal/langmodel"
 )
 
+// csr is a posting table in compressed-sparse-row form: row r's (database,
+// df) pairs sit in db/df[start[r]:start[r+1]], databases ascending, and
+// idf[r] is the row's CORI I component (the precomputed icf log factor).
+type csr struct {
+	start []int32
+	db    []int32
+	df    []float64
+	idf   []float64
+}
+
+func (p *csr) rows() int { return len(p.idf) }
+
+// newCSR returns an empty table with room for rows rows and postings
+// postings; a row is written by appending its postings to db/df and then
+// calling endRow.
+func newCSR(rows, postings int) *csr {
+	return &csr{
+		start: make([]int32, 1, rows+1),
+		db:    make([]int32, 0, postings),
+		df:    make([]float64, 0, postings),
+		idf:   make([]float64, 0, rows),
+	}
+}
+
+// endRow closes the row whose postings were just appended to p.db/p.df.
+func (p *csr) endRow(idf float64) {
+	p.idf = append(p.idf, idf)
+	p.start = append(p.start, int32(len(p.db)))
+}
+
 // Compiled is an immutable, flat compilation of one model set. It is safe
 // for unsynchronized concurrent use; compile a new one (and swap pointers)
 // when the underlying models change.
+//
+// The postings are one base table, shared by pointer between a snapshot and
+// everything patched from it, plus a small delta table holding the rows a
+// chain of patches has overridden since the base was written (patch.go).
+// Term id t's row is delta row ovr[t] when that is >= 0, else base row t.
 type Compiled struct {
 	n   int
 	ids map[string]int32
-	// overlay holds terms interned after the base compile (by Patch); it is
-	// checked after ids and kept small relative to it. terms is the full
-	// dictionary in id order (base then overlay) — the iteration order the
-	// snapshot codec and the patcher need, since map order is randomized.
+	// overlay holds terms interned after the base dictionary was built (by
+	// Patch); it is checked after ids and kept small relative to it. terms
+	// and extra are the same split in id order — extra[i] has id
+	// len(terms)+i — the iteration order the snapshot codec and the patcher
+	// need, since map order is randomized.
 	overlay map[string]int32
 	terms   []string
+	extra   []string
 	docs    []float64 // per-database document counts
 	cw      []float64 // per-database collection sizes (total ctf)
 
-	avgCW float64   // mean collection size, the CORI cw normalizer
-	idf   []float64 // per-term CORI I component (precomputed icf log factor)
+	avgCW float64 // mean collection size, the CORI cw normalizer
 
-	// CSR postings: term id t's (database, df) pairs sit in
-	// postDB/postDF[postStart[t]:postStart[t+1]], databases ascending.
-	postStart []int32
-	postDB    []int32
-	postDF    []float64
+	base      *csr    // rows by term id
+	ovr       []int32 // term id -> delta row, -1 if not overridden; nil without a delta
+	delta     *csr    // row 0 is empty (every ghost's row), then overridden rows by ascending term id
+	deltaTerm []int32 // delta row -> term id (-1 for row 0)
+
+	postings int // live (term, database) pairs across base and delta
+	empty    int // interned terms whose row has lost its last posting
 }
 
 // Compile flattens models into a Compiled set. Model order is preserved:
@@ -94,66 +132,94 @@ func Compile(models []*langmodel.Model) *Compiled {
 		})
 	}
 
-	// avg_cw, mirroring CORI.Scores: sum in model order, divide, floor at 1.
-	var avgCW float64
-	for _, m := range models {
-		avgCW += float64(m.TotalCTF())
-	}
-	if n > 0 {
-		avgCW /= float64(n)
-	}
-	if avgCW == 0 {
-		avgCW = 1
-	}
-	c.avgCW = avgCW
+	c.avgCW = meanCW(c.cw)
 
 	// Per-term CORI I component. cf is the number of databases whose model
 	// contains the term — the posting count, never zero for interned terms.
 	// Query terms outside the dictionary score with idf 0, exactly as the
 	// map-based path treats a term no model contains.
-	terms := len(perTermDB)
-	c.idf = make([]float64, terms)
-	for id := 0; id < terms; id++ {
-		cf := len(perTermDB[id])
-		c.idf[id] = math.Log((float64(n)+0.5)/float64(cf)) / math.Log(float64(n)+1.0)
+	base := newCSR(len(perTermDB), postings)
+	for id, dbs := range perTermDB {
+		base.db = append(base.db, dbs...)
+		base.df = append(base.df, perTermDF[id]...)
+		base.endRow(rowIDF(n, len(dbs)))
 	}
-
-	// Flatten to CSR.
-	c.postStart = make([]int32, terms+1)
-	c.postDB = make([]int32, 0, postings)
-	c.postDF = make([]float64, 0, postings)
-	for id := 0; id < terms; id++ {
-		c.postStart[id] = int32(len(c.postDB))
-		c.postDB = append(c.postDB, perTermDB[id]...)
-		c.postDF = append(c.postDF, perTermDF[id]...)
-	}
-	c.postStart[terms] = int32(len(c.postDB))
+	c.base, c.postings = base, postings
 	return c
+}
+
+// meanCW is avg_cw, mirroring CORI.Scores: sum in database order, divide,
+// floor at 1. Patch re-sums through here rather than adjusting the old mean
+// arithmetically (IEEE addition is not associative).
+func meanCW(cw []float64) float64 {
+	var avg float64
+	for _, w := range cw {
+		avg += w
+	}
+	if len(cw) > 0 {
+		avg /= float64(len(cw))
+	}
+	if avg == 0 {
+		avg = 1
+	}
+	return avg
+}
+
+// rowIDF is the CORI I component of a term held by cf of n databases. A
+// term with no postings left gets 0, which scores identically to a term
+// outside the dictionary.
+func rowIDF(n, cf int) float64 {
+	if cf == 0 {
+		return 0
+	}
+	return math.Log((float64(n)+0.5)/float64(cf)) / math.Log(float64(n)+1.0)
 }
 
 // NumDBs returns the number of compiled databases.
 func (c *Compiled) NumDBs() int { return c.n }
 
-// VocabSize returns the number of interned terms across all models. After
-// a Patch this may include terms whose last posting was removed; they keep
-// an empty posting row, which every scorer treats exactly like a term
-// outside the dictionary.
-func (c *Compiled) VocabSize() int { return len(c.terms) }
+// VocabSize returns the number of interned terms. Between two folds of a
+// patch chain (patch.go) this may include terms whose last posting was
+// removed; they keep an empty posting row, which every scorer treats
+// exactly like a term outside the dictionary, and the next fold drops them.
+func (c *Compiled) VocabSize() int { return len(c.terms) + len(c.extra) }
 
 // Postings returns the total number of (term, database) statistics pairs.
-func (c *Compiled) Postings() int { return len(c.postDB) }
+func (c *Compiled) Postings() int { return c.postings }
 
 // TermAt returns the interned term with id i, 0 <= i < VocabSize().
-func (c *Compiled) TermAt(i int) string { return c.terms[i] }
+func (c *Compiled) TermAt(i int) string {
+	if i < len(c.terms) {
+		return c.terms[i]
+	}
+	return c.extra[i-len(c.terms)]
+}
 
 // ID resolves a term to its interned id; ok is false for terms no model
-// contains.
+// contains. Ids are private to a snapshot: a Patch that folds renumbers
+// them, so resolve a query against the snapshot it will be scored on.
 func (c *Compiled) ID(term string) (int32, bool) {
 	if id, ok := c.ids[term]; ok {
 		return id, true
 	}
 	id, ok := c.overlay[term]
 	return id, ok
+}
+
+// row returns term id's posting row and idf: the delta's copy if a patch
+// overrode the row, else the base's. Scorers and the encoder call it once
+// per query term, never per posting.
+//
+//lint:hotpath
+func (c *Compiled) row(id int32) (dbs []int32, dfs []float64, idf float64) {
+	p, r := c.base, id
+	if c.ovr != nil {
+		if d := c.ovr[id]; d >= 0 {
+			p, r = c.delta, d
+		}
+	}
+	lo, hi := p.start[r], p.start[r+1]
+	return p.db[lo:hi], p.df[lo:hi], p.idf[r]
 }
 
 // AppendIDs resolves terms to interned ids, appending one id per term to
@@ -224,25 +290,19 @@ func (c *Compiled) scoreCORI(co CORI, ids []int32, scores []float64) {
 			}
 			continue
 		}
-		idf := c.idf[id]
-		pos, end := int(c.postStart[id]), int(c.postStart[id+1])
-		next := int32(-1)
-		if pos < end {
-			next = c.postDB[pos]
-		}
-		for i := 0; i < n; i++ {
-			if int32(i) != next {
+		dbs, dfs, idf := c.row(id)
+		i := 0
+		for pos, db := range dbs {
+			for ; i < int(db); i++ {
 				scores[i] += b
-				continue
 			}
-			df := c.postDF[pos]
-			tcomp := df / (df + k0 + k1*c.cw[i]/c.avgCW)
-			scores[i] += b + (1-b)*tcomp*idf
-			pos++
-			next = -1
-			if pos < end {
-				next = c.postDB[pos]
-			}
+			df := dfs[pos]
+			tcomp := df / (df + k0 + k1*c.cw[db]/c.avgCW)
+			scores[db] += b + (1-b)*tcomp*idf
+			i = int(db) + 1
+		}
+		for ; i < n; i++ {
+			scores[i] += b
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -266,22 +326,26 @@ func (c *Compiled) scoreGloss(g Gloss, ids []int32, scores []float64) {
 			}
 		}
 		for _, id := range ids {
-			var pos, end int
+			var (
+				dbs []int32
+				dfs []float64
+			)
 			if id >= 0 {
-				pos, end = int(c.postStart[id]), int(c.postStart[id+1])
+				dbs, dfs, _ = c.row(id)
 			}
+			pos := 0
 			next := int32(-1)
-			if pos < end {
-				next = c.postDB[pos]
+			if pos < len(dbs) {
+				next = dbs[pos]
 			}
 			for i := 0; i < n; i++ {
 				df := 0.0
 				if int32(i) == next {
-					df = c.postDF[pos]
+					df = dfs[pos]
 					pos++
 					next = -1
-					if pos < end {
-						next = c.postDB[pos]
+					if pos < len(dbs) {
+						next = dbs[pos]
 					}
 				}
 				docs := c.docs[i]
@@ -304,13 +368,13 @@ func (c *Compiled) scoreGloss(g Gloss, ids []int32, scores []float64) {
 		if id < 0 {
 			continue
 		}
-		for pos, end := int(c.postStart[id]), int(c.postStart[id+1]); pos < end; pos++ {
-			i := c.postDB[pos]
+		dbs, dfs, _ := c.row(id)
+		for pos, i := range dbs {
 			docs := c.docs[i]
 			if docs == 0 {
 				continue
 			}
-			frac := c.postDF[pos] / docs
+			frac := dfs[pos] / docs
 			if frac < g.Threshold {
 				frac = 0
 			}

@@ -112,10 +112,11 @@ func TestCompiledGoldenCACMStats(t *testing.T) {
 			t.Fatalf("term %q missing from dictionary", term)
 		}
 		found := false
-		for pos := c.postStart[id]; pos < c.postStart[id+1]; pos++ {
-			if c.postDB[pos] == 3 {
-				if c.postDF[pos] != float64(st.DF) {
-					t.Fatalf("term %q db 3: df %v, want %d", term, c.postDF[pos], st.DF)
+		dbs, dfs, _ := c.row(id)
+		for pos, db := range dbs {
+			if db == 3 {
+				if dfs[pos] != float64(st.DF) {
+					t.Fatalf("term %q db 3: df %v, want %d", term, dfs[pos], st.DF)
 				}
 				found = true
 			}

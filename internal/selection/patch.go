@@ -4,12 +4,25 @@ package selection
 //
 // A resample changes one database's model while the other N-1 stay put,
 // yet Compile re-interns every term of every model — O(federation) map
-// hashing for an O(1/N) change. Patch instead edits only the structures
-// the changed databases touch: their posting-row entries, the CORI idf of
-// exactly the terms whose cf changed, and the per-database columns. The
-// untouched majority of the CSR arrays moves by bulk copy (no hashing, no
-// string work), so a single-database patch of a large federation costs a
-// few memcpys plus work proportional to the changed models' vocabularies.
+// hashing for an O(1/N) change. Patch instead writes only the posting rows
+// the changed databases touch, into a small delta table laid over the base
+// table it shares by pointer with the snapshot it patches: each touched
+// row (read from the base, or from the previous delta if an earlier patch
+// already overrode it) is merged with its edits and its CORI idf
+// recomputed; the previous delta's other rows are carried forward in
+// bulk-copied runs; and the term id -> delta row index is the only array
+// of vocabulary size that is written. A single-database patch of a large
+// federation therefore costs what the changed models and the accumulated
+// delta cost, not what the federation costs.
+//
+// The delta cannot grow for ever, and Patch decides by itself, from sizes
+// it can see, when to fold base and delta into a fresh base: when the
+// delta's postings would pass 1/foldDeltaRatio of the base's, or when
+// interned terms whose row has gone empty would outnumber the live ones.
+// Since every row length is known before anything is written, a patch that
+// is going to fold writes the new base directly, through the same row
+// merge, instead of building a delta first. The fold is the only path that
+// copies the whole table.
 //
 // Equivalence contract (the same one Compile carries against the map
 // scorers): a patched snapshot produces bit-for-bit the float64 scores of
@@ -26,17 +39,21 @@ package selection
 //     these operands' purposes — more to the point, it is deterministic)
 //     for precisely the terms whose posting count changed.
 //
-// Two benign representational differences remain, neither observable
-// through scoring: terms first introduced by a patch get ids at the end of
-// the dictionary instead of first-encounter positions, and terms whose
-// last posting disappeared stay interned with an empty row (which every
-// scorer already treats exactly like an out-of-dictionary term — CORI adds
-// the default belief everywhere, GlOSS-Sum adds nothing, GlOSS-Ind zeroes
-// through df=0).
+// What differs from a fresh compile is representation only, and none of it
+// is observable through scoring. Term ids differ: terms first introduced
+// by a patch get ids at the end of the dictionary instead of
+// first-encounter positions, and ids are stable only between folds — a
+// fold that drops terms renumbers the rest, which is safe because ids are
+// private to a snapshot (a query is resolved against the snapshot it is
+// scored on, and Patch finds rows through ID(term)). And a term whose last
+// posting disappeared stays interned with an empty row until the next fold
+// drops it; every scorer already treats such a ghost exactly like an
+// out-of-dictionary term (CORI adds the default belief everywhere,
+// GlOSS-Sum adds nothing, GlOSS-Ind zeroes through df=0), and the ghost
+// rule above bounds them to at most the number of live terms.
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/langmodel"
@@ -45,34 +62,42 @@ import (
 // ModelPatch replaces the model compiled at index DB. Old must be the
 // model the receiver snapshot was compiled (or previously patched) from at
 // that index — it tells the patcher which posting rows to visit without
-// scanning the whole CSR — and New is its replacement.
+// scanning the whole table — and New is its replacement.
 type ModelPatch struct {
 	DB  int
 	Old *langmodel.Model
 	New *langmodel.Model
 }
 
-// rowChange is one (term, database) posting edit.
-type rowChange struct {
+// rowEdit is one (term, database) posting edit.
+type rowEdit struct {
+	id int32
 	db int32
 	df float64 // meaningful unless remove
 	// remove deletes the db's posting; otherwise the posting is set
 	// (replacing an existing entry or inserting a new one — add tells
-	// which, so row size deltas are known without searching the row).
+	// which, so row lengths are known without searching the row).
 	add    bool
 	remove bool
 }
 
-// overlayFlattenRatio: when the overlay dictionary outgrows this fraction
-// of the base, lookups pay two map probes too often and the next patch
-// flattens both into one map.
-const overlayFlattenRatio = 8
+const (
+	// overlayFlattenRatio: when the overlay dictionary outgrows this
+	// fraction of the base, lookups pay two map probes too often and the
+	// next patch flattens both into one map.
+	overlayFlattenRatio = 8
+	// foldDeltaRatio: when the delta's postings outgrow this fraction of the
+	// base's, every patch is carrying too much of the table forward and the
+	// next one folds base and delta into a fresh base.
+	foldDeltaRatio = 8
+)
 
 // Patch returns a new Compiled reflecting the model replacements in
 // patches, leaving the receiver untouched (snapshots are immutable and may
-// still be serving queries). The database count and order must be
-// unchanged — registrations and unregistrations renumber databases and
-// need a full Compile. Patches must target distinct indices.
+// still be serving queries; the two share the base table and dictionary).
+// The database count and order must be unchanged — registrations and
+// unregistrations renumber databases and need a full Compile. Patches must
+// target distinct indices.
 func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 	seen := make(map[int]bool, len(patches))
 	for _, p := range patches {
@@ -88,61 +113,37 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 		seen[p.DB] = true
 	}
 
-	next := &Compiled{
-		n:    c.n,
-		ids:  c.ids,
-		docs: slices.Clone(c.docs),
-		cw:   slices.Clone(c.cw),
-	}
-
-	// Per-database columns, then avg_cw re-summed in index order — the
-	// same float64 addition sequence Compile performs over the new models.
-	for _, p := range patches {
-		next.docs[p.DB] = float64(p.New.Docs())
-		next.cw[p.DB] = float64(p.New.TotalCTF())
-	}
-	var avgCW float64
-	for _, w := range next.cw {
-		avgCW += w
-	}
-	if next.n > 0 {
-		avgCW /= float64(next.n)
-	}
-	if avgCW == 0 {
-		avgCW = 1
-	}
-	next.avgCW = avgCW
-
-	// Collect posting edits per term id, plus brand-new terms in
-	// deterministic first-encounter order (patch order, then each New
-	// model's insertion order — mirroring Compile's interning discipline).
-	edits := make(map[int32][]rowChange)
+	// Collect posting edits by term id. Terms new to the snapshot take
+	// provisional ids past the dictionary in deterministic first-encounter
+	// order (patch order, then each New model's insertion order — mirroring
+	// Compile's interning discipline).
 	var (
-		newTerms   []string
-		newRows    [][]rowChange
-		newTermIDs map[string]int32
+		newTerms []string
+		newIDs   map[string]int32
+		patchErr error
 	)
-	oldVocab := len(c.terms)
-	var patchErr error
+	room := 0
+	for _, p := range patches {
+		room += p.Old.VocabSize() + p.New.VocabSize()
+	}
+	edits := make([]rowEdit, 0, room)
+	oldVocab := c.VocabSize()
 	for _, p := range patches {
 		db := int32(p.DB)
 		p.New.Range(func(t string, st langmodel.TermStats) bool {
-			if id, ok := c.ID(t); ok {
-				_, inOld := p.Old.Stats(t)
-				edits[id] = append(edits[id], rowChange{db: db, df: float64(st.DF), add: !inOld})
-				return true
-			}
-			if newTermIDs == nil {
-				newTermIDs = make(map[string]int32)
-			}
-			id, ok := newTermIDs[t]
-			if !ok {
-				id = int32(len(newTerms))
-				newTermIDs[t] = id
+			id, known := c.ID(t)
+			inOld := false
+			if known {
+				_, inOld = p.Old.Stats(t)
+			} else if id, known = newIDs[t]; !known {
+				if newIDs == nil {
+					newIDs = make(map[string]int32)
+				}
+				id = int32(oldVocab + len(newTerms))
+				newIDs[t] = id
 				newTerms = append(newTerms, t)
-				newRows = append(newRows, nil)
 			}
-			newRows[id] = append(newRows[id], rowChange{db: db, df: float64(st.DF), add: true})
+			edits = append(edits, rowEdit{id: id, db: db, df: float64(st.DF), add: !inOld})
 			return true
 		})
 		p.Old.Range(func(t string, _ langmodel.TermStats) bool {
@@ -151,28 +152,194 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 			}
 			id, ok := c.ID(t)
 			if !ok {
-				// Old was not the compiled model; the CSR has no posting to
+				// Old was not the compiled model; the table has no posting to
 				// remove and the patch would silently diverge.
 				patchErr = fmt.Errorf("selection: patch old model for db %d has term %q unknown to the snapshot", p.DB, t)
 				return false
 			}
-			edits[id] = append(edits[id], rowChange{db: db, remove: true})
+			edits = append(edits, rowEdit{id: id, db: db, remove: true})
 			return true
 		})
 		if patchErr != nil {
 			return nil, patchErr
 		}
 	}
+	slices.SortFunc(edits, func(a, b rowEdit) int {
+		if a.id != b.id {
+			return int(a.id) - int(b.id)
+		}
+		return int(a.db) - int(b.db)
+	})
 
-	// Dictionary: the base map is shared; new terms go to a copied overlay
-	// so sibling snapshots never observe the mutation. An overgrown overlay
-	// is flattened into a single map.
-	next.terms = c.terms
-	next.overlay = c.overlay
+	next := c.rewrite(edits, newTerms, false)
+
+	// Per-database columns, then avg_cw re-summed in index order — the
+	// same float64 addition sequence Compile performs over the new models.
+	next.docs, next.cw = slices.Clone(c.docs), slices.Clone(c.cw)
+	for _, p := range patches {
+		next.docs[p.DB] = float64(p.New.Docs())
+		next.cw[p.DB] = float64(p.New.TotalCTF())
+	}
+	next.avgCW = meanCW(next.cw)
+	return next, nil
+}
+
+// folded returns the base-only form of c — no delta, no empty rows — which
+// is what the snapshot encoder writes. It is c itself when c is already in
+// that form.
+func (c *Compiled) folded() *Compiled {
+	if c.ovr == nil && c.empty == 0 {
+		return c
+	}
+	return c.rewrite(nil, nil, true)
+}
+
+// rewrite returns c with edits (sorted by term id, then database) applied
+// to its posting rows and newTerms (ids VocabSize()...) interned, sharing
+// c's per-database columns. It writes either a new delta over c's base or,
+// when fold is set or the fold rule says so, a new base.
+func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compiled {
+	oldVocab := c.VocabSize()
+	vocab := oldVocab + len(newTerms)
+
+	// Size the result: every row length after the patch follows from the
+	// old length and the edit kinds.
+	postings, empty := c.postings, c.empty
+	deltaRows, deltaPostings := 1, 0 // row 0 is the empty row ghosts share
+	if c.delta != nil {
+		deltaRows, deltaPostings = c.delta.rows(), len(c.delta.db)
+	}
+	oldRow := func(id int32) ([]int32, []float64, float64) {
+		if int(id) < oldVocab {
+			return c.row(id)
+		}
+		return nil, nil, 0 // a term this patch interns
+	}
+	for lo, hi := 0, 0; lo < len(edits); lo = hi {
+		id := edits[lo].id
+		hi = rowEnd(edits, lo)
+		dbs, _, _ := oldRow(id)
+		oldLen, newLen := len(dbs), len(dbs)
+		for _, e := range edits[lo:hi] {
+			switch {
+			case e.remove:
+				newLen--
+			case e.add:
+				newLen++
+			}
+		}
+		postings += newLen - oldLen
+		if int(id) < oldVocab && c.ovr != nil && c.ovr[id] > 0 {
+			deltaRows--
+			deltaPostings -= oldLen
+		}
+		if newLen > 0 {
+			deltaRows++
+			deltaPostings += newLen
+		}
+		switch {
+		case oldLen > 0 && newLen == 0:
+			empty++
+		case oldLen == 0 && newLen > 0 && int(id) < oldVocab:
+			empty--
+		}
+	}
+	fold = fold || deltaPostings*foldDeltaRatio > len(c.base.db) || empty > vocab-empty
+
+	next := &Compiled{
+		n: c.n, docs: c.docs, cw: c.cw, avgCW: c.avgCW,
+		ids: c.ids, overlay: c.overlay, terms: c.terms, extra: c.extra,
+		postings: postings, empty: empty,
+	}
+	if !fold {
+		// New delta: the old delta's rows and the edited rows, merged by term
+		// id. Old rows between two edited ones move as one run. Row 0 is
+		// empty and stands in for every ghost, so a term with no postings
+		// costs its ovr entry and nothing else.
+		d := newCSR(deltaRows, deltaPostings)
+		d.endRow(0)
+		dterm := append(make([]int32, 0, deltaRows), -1)
+		next.ovr = make([]int32, vocab)
+		for i := copy(next.ovr, c.ovr); i < vocab; i++ {
+			next.ovr[i] = -1
+		}
+		old := c.deltaTerm
+		r := min(1, len(old))
+		for lo, hi := 0, 0; lo < len(edits); lo = hi {
+			id := edits[lo].id
+			hi = rowEnd(edits, lo)
+			from := r
+			for r < len(old) && old[r] < id {
+				r++
+			}
+			d.appendRun(c.delta, from, r)
+			dterm = append(dterm, old[from:r]...)
+			if r < len(old) && old[r] == id {
+				r++ // superseded by the merged row
+			}
+			dbs, dfs, _ := oldRow(id)
+			if cf := d.merge(dbs, dfs, edits[lo:hi]); cf > 0 {
+				d.endRow(rowIDF(c.n, cf))
+				dterm = append(dterm, id)
+			} else {
+				next.ovr[id] = 0
+			}
+		}
+		d.appendRun(c.delta, r, len(old))
+		dterm = append(dterm, old[r:]...)
+		for r := 1; r < len(dterm); r++ {
+			next.ovr[dterm[r]] = int32(r)
+		}
+		next.base, next.delta, next.deltaTerm = c.base, d, dterm
+	} else {
+		// Fold: every row, in id order, into a fresh base. Rows that end up
+		// empty are dropped with their terms, which renumbers the ids after
+		// them; with none to drop, ids and dictionary stay as they are.
+		renumber := empty > 0
+		b := newCSR(vocab-empty, postings)
+		var kept []string
+		if renumber {
+			kept = make([]string, 0, vocab-empty)
+			next.empty = 0
+		}
+		lo := 0
+		for id := 0; id < vocab; id++ {
+			dbs, dfs, idf := oldRow(int32(id))
+			cf := len(dbs)
+			if lo < len(edits) && int(edits[lo].id) == id {
+				hi := rowEnd(edits, lo)
+				cf = b.merge(dbs, dfs, edits[lo:hi])
+				idf = rowIDF(c.n, cf)
+				lo = hi
+			} else {
+				b.db = append(b.db, dbs...)
+				b.df = append(b.df, dfs...)
+			}
+			if renumber {
+				if cf == 0 {
+					continue
+				}
+				if id < oldVocab {
+					kept = append(kept, c.TermAt(id))
+				} else {
+					kept = append(kept, newTerms[id-oldVocab])
+				}
+			}
+			b.endRow(idf)
+		}
+		next.base = b
+		if renumber {
+			next.ids, next.overlay, next.terms, next.extra = indexTerms(kept), nil, kept, nil
+			return next
+		}
+	}
+
+	// Dictionary: the base map and term list are shared; new terms go to a
+	// copied overlay (and the extra list beside it) so sibling snapshots
+	// never observe the mutation. An overgrown overlay is flattened into a
+	// single map.
 	if len(newTerms) > 0 {
-		next.terms = make([]string, oldVocab, oldVocab+len(newTerms))
-		copy(next.terms, c.terms)
-		next.terms = append(next.terms, newTerms...)
+		next.extra = slices.Concat(c.extra, newTerms)
 		next.overlay = make(map[string]int32, len(c.overlay)+len(newTerms))
 		for t, id := range c.overlay {
 			next.overlay[t] = id
@@ -181,123 +348,72 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 			next.overlay[t] = int32(oldVocab + i)
 		}
 		if len(next.overlay)*overlayFlattenRatio > len(next.ids) {
-			flat := make(map[string]int32, len(next.terms))
-			for i, t := range next.terms {
-				flat[t] = int32(i)
-			}
-			next.ids, next.overlay = flat, nil
+			next.terms, next.extra = slices.Concat(c.terms, next.extra), nil
+			next.ids, next.overlay = indexTerms(next.terms), nil
 		}
 	}
-	vocab := len(next.terms)
-
-	// Sized CSR rebuild: row size deltas are known from the edit kinds, so
-	// the new arrays are allocated exactly and filled in one pass — bulk
-	// copies across unaffected runs, a sorted merge at each edited row.
-	affected := make([]int32, 0, len(edits))
-	delta := 0
-	for id, chs := range edits {
-		affected = append(affected, id)
-		for _, ch := range chs {
-			switch {
-			case ch.remove:
-				delta--
-			case ch.add:
-				delta++
-			}
-		}
-	}
-	slices.Sort(affected)
-	newPost := len(c.postDB) + delta
-	for _, row := range newRows {
-		newPost += len(row)
-	}
-	next.postStart = make([]int32, vocab+1)
-	next.postDB = make([]int32, 0, newPost)
-	next.postDF = make([]float64, 0, newPost)
-	next.idf = make([]float64, vocab)
-	copy(next.idf, c.idf)
-
-	prev := int32(0)
-	for _, id := range affected {
-		// Unaffected run [prev, id): rows shift wholesale.
-		next.copyRows(c, prev, id)
-		chs := edits[id]
-		slices.SortFunc(chs, func(a, b rowChange) int { return int(a.db) - int(b.db) })
-		next.postStart[id] = int32(len(next.postDB))
-		next.mergeRow(c, id, chs)
-		next.idf[id] = next.termIDF(id)
-		prev = id + 1
-	}
-	next.copyRows(c, prev, int32(oldVocab))
-	for i, row := range newRows {
-		id := int32(oldVocab + i)
-		slices.SortFunc(row, func(a, b rowChange) int { return int(a.db) - int(b.db) })
-		next.postStart[id] = int32(len(next.postDB))
-		for _, ch := range row {
-			next.postDB = append(next.postDB, ch.db)
-			next.postDF = append(next.postDF, ch.df)
-		}
-		next.idf[id] = next.termIDF(id)
-	}
-	next.postStart[vocab] = int32(len(next.postDB))
-	return next, nil
+	return next
 }
 
-// copyRows bulk-copies term rows [from, to) of src (with their postStart
-// offsets shifted to the current write position) onto the end of c's CSR.
-func (c *Compiled) copyRows(src *Compiled, from, to int32) {
+// rowEnd returns the end of the run of edits, starting at lo, that target
+// the same term as edits[lo].
+func rowEnd(edits []rowEdit, lo int) int {
+	hi := lo + 1
+	for hi < len(edits) && edits[hi].id == edits[lo].id {
+		hi++
+	}
+	return hi
+}
+
+// indexTerms builds the term -> id map of a dictionary in id order.
+func indexTerms(terms []string) map[string]int32 {
+	ids := make(map[string]int32, len(terms))
+	for i, t := range terms {
+		ids[t] = int32(i)
+	}
+	return ids
+}
+
+// appendRun bulk-copies rows [from, to) of src onto the end of p.
+func (p *csr) appendRun(src *csr, from, to int) {
 	if from >= to {
 		return
 	}
-	shift := int32(len(c.postDB)) - src.postStart[from]
-	for id := from; id < to; id++ {
-		c.postStart[id] = src.postStart[id] + shift
+	lo, hi := src.start[from], src.start[to]
+	shift := int32(len(p.db)) - lo
+	p.db = append(p.db, src.db[lo:hi]...)
+	p.df = append(p.df, src.df[lo:hi]...)
+	p.idf = append(p.idf, src.idf[from:to]...)
+	for _, s := range src.start[from+1 : to+1] {
+		p.start = append(p.start, s+shift)
 	}
-	lo, hi := src.postStart[from], src.postStart[to]
-	c.postDB = append(c.postDB, src.postDB[lo:hi]...)
-	c.postDF = append(c.postDF, src.postDF[lo:hi]...)
 }
 
-// mergeRow writes term id's patched posting row: the old sorted row merged
-// with the (sorted, distinct-db) changes, ascending by database.
-func (c *Compiled) mergeRow(src *Compiled, id int32, chs []rowChange) {
-	pos, end := src.postStart[id], src.postStart[id+1]
-	j := 0
-	for pos < end || j < len(chs) {
-		switch {
-		case j == len(chs) || (pos < end && src.postDB[pos] < chs[j].db):
-			c.postDB = append(c.postDB, src.postDB[pos])
-			c.postDF = append(c.postDF, src.postDF[pos])
+// merge appends the sorted row (dbs, dfs) merged with its (sorted,
+// distinct-db) edits to p's postings, ascending by database, and returns
+// the number of postings the merged row has.
+func (p *csr) merge(dbs []int32, dfs []float64, chs []rowEdit) int {
+	from := len(p.db)
+	pos, j := 0, 0
+	for pos < len(dbs) || j < len(chs) {
+		if j == len(chs) || (pos < len(dbs) && dbs[pos] < chs[j].db) {
+			p.db = append(p.db, dbs[pos])
+			p.df = append(p.df, dfs[pos])
 			pos++
-		case pos == end || chs[j].db < src.postDB[pos]:
-			// A db the old row does not contain: insert a set, and let a
-			// remove fall through as a no-op (only reachable if Old was not
-			// the compiled model; the merge stays structurally sound).
-			if !chs[j].remove {
-				c.postDB = append(c.postDB, chs[j].db)
-				c.postDF = append(c.postDF, chs[j].df)
-			}
-			j++
-		default: // same db: replace or remove
-			if !chs[j].remove {
-				c.postDB = append(c.postDB, chs[j].db)
-				c.postDF = append(c.postDF, chs[j].df)
-			}
-			pos++
-			j++
+			continue
 		}
+		// An edit: set (replacing the row's entry for that db if it has
+		// one) or remove. A remove of a db the row does not contain is a
+		// no-op — only reachable if Old was not the compiled model; the
+		// merge stays structurally sound.
+		if !chs[j].remove {
+			p.db = append(p.db, chs[j].db)
+			p.df = append(p.df, chs[j].df)
+		}
+		if pos < len(dbs) && dbs[pos] == chs[j].db {
+			pos++
+		}
+		j++
 	}
-}
-
-// termIDF computes the CORI I component for term id's posting count,
-// exactly as Compile does. It is called right after the row is written, so
-// the row occupies the CSR tail (postStart[id+1] is not yet set) and cf is
-// the distance from the row's start to the tail. A term with no postings
-// left gets 0, which scores identically to a term outside the dictionary.
-func (c *Compiled) termIDF(id int32) float64 {
-	cf := len(c.postDB) - int(c.postStart[id])
-	if cf == 0 {
-		return 0
-	}
-	return math.Log((float64(c.n)+0.5)/float64(cf)) / math.Log(float64(c.n)+1.0)
+	return len(p.db) - from
 }

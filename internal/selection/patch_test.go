@@ -3,6 +3,9 @@ package selection
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/langmodel"
@@ -11,13 +14,14 @@ import (
 
 // assertPatchEquivalent checks the Patch contract against a from-scratch
 // compile of the same model list: identical database columns, identical
-// per-term idf and posting rows (matched by term string — ids may differ,
-// since patch-introduced terms take appended ids), and nothing extra in
-// the patched snapshot beyond score-inert ghost terms (empty row, idf 0).
+// per-term idf and posting rows (matched by term string — ids differ, since
+// patch-introduced terms take appended ids and a fold renumbers), and
+// nothing extra in the patched snapshot beyond score-inert ghost terms
+// (empty row, idf 0), of which there are never more than live terms.
 func assertPatchEquivalent(t *testing.T, trial int, got, want *Compiled) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("trial %d: %d dbs, want %d", trial, got.n, want.n)
+	if got.NumDBs() != want.NumDBs() {
+		t.Fatalf("trial %d: %d dbs, want %d", trial, got.NumDBs(), want.NumDBs())
 	}
 	if math.Float64bits(got.avgCW) != math.Float64bits(want.avgCW) {
 		t.Fatalf("trial %d: avgCW %v != %v", trial, got.avgCW, want.avgCW)
@@ -29,20 +33,23 @@ func assertPatchEquivalent(t *testing.T, trial int, got, want *Compiled) {
 				trial, i, got.docs[i], got.cw[i], want.docs[i], want.cw[i])
 		}
 	}
-	row := func(c *Compiled, id int32) ([]int32, []float64) {
-		return c.postDB[c.postStart[id]:c.postStart[id+1]], c.postDF[c.postStart[id]:c.postStart[id+1]]
+	if got.Postings() != want.Postings() {
+		t.Fatalf("trial %d: %d postings, want %d", trial, got.Postings(), want.Postings())
 	}
-	for wid := int32(0); wid < int32(len(want.terms)); wid++ {
-		term := want.terms[wid]
+	for wid := 0; wid < want.VocabSize(); wid++ {
+		term := want.TermAt(wid)
 		gid, ok := got.ID(term)
 		if !ok {
 			t.Fatalf("trial %d: patched snapshot lost term %q", trial, term)
 		}
-		if math.Float64bits(got.idf[gid]) != math.Float64bits(want.idf[wid]) {
-			t.Fatalf("trial %d: term %q idf %v != %v", trial, term, got.idf[gid], want.idf[wid])
+		if got.TermAt(int(gid)) != term {
+			t.Fatalf("trial %d: ID(%q) = %d but TermAt(%d) = %q", trial, term, gid, gid, got.TermAt(int(gid)))
 		}
-		gdb, gdf := row(got, gid)
-		wdb, wdf := row(want, wid)
+		gdb, gdf, gidf := got.row(gid)
+		wdb, wdf, widf := want.row(int32(wid))
+		if math.Float64bits(gidf) != math.Float64bits(widf) {
+			t.Fatalf("trial %d: term %q idf %v != %v", trial, term, gidf, widf)
+		}
 		if len(gdb) != len(wdb) {
 			t.Fatalf("trial %d: term %q row has %d postings, want %d", trial, term, len(gdb), len(wdb))
 		}
@@ -53,16 +60,61 @@ func assertPatchEquivalent(t *testing.T, trial int, got, want *Compiled) {
 			}
 		}
 	}
-	for gid := int32(0); gid < int32(len(got.terms)); gid++ {
-		if _, ok := want.ID(got.terms[gid]); ok {
+	ghosts := 0
+	for gid := 0; gid < got.VocabSize(); gid++ {
+		if _, ok := want.ID(got.TermAt(gid)); ok {
 			continue
 		}
-		// A term every model dropped: it may linger interned, but only as a
-		// ghost that scores exactly like an out-of-dictionary term.
-		if got.postStart[gid] != got.postStart[gid+1] || got.idf[gid] != 0 {
-			t.Fatalf("trial %d: vanished term %q kept postings or idf", trial, got.terms[gid])
+		// A term every model dropped: it may linger interned until the next
+		// fold, but only as a ghost that scores exactly like an
+		// out-of-dictionary term.
+		ghosts++
+		if dbs, _, idf := got.row(int32(gid)); len(dbs) != 0 || idf != 0 {
+			t.Fatalf("trial %d: vanished term %q kept postings or idf", trial, got.TermAt(gid))
 		}
 	}
+	if ghosts > want.VocabSize() {
+		t.Fatalf("trial %d: %d ghost terms beside %d live ones", trial, ghosts, want.VocabSize())
+	}
+}
+
+// assertScoresMatchMaps requires every compiled scorer over snap to
+// reproduce the map-based gold standard over models, bit for bit.
+func assertScoresMatchMaps(t *testing.T, trial int, snap *Compiled, models []*langmodel.Model, query []string) {
+	t.Helper()
+	ids := snap.AppendIDs(nil, query)
+	scores := make([]float64, len(models))
+	for _, alg := range compiledAlgorithms() {
+		want := alg.Scores(query, models)
+		if !snap.ScoreInto(alg, ids, scores) {
+			t.Fatalf("ScoreInto rejected %s", alg.Name())
+		}
+		for i := range want {
+			if math.Float64bits(scores[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d %s: db %d patched score %v != map score %v (query %v)",
+					trial, alg.Name(), i, scores[i], want[i], query)
+			}
+		}
+	}
+}
+
+// sparseModel builds a model for database db of a sparse federation: own
+// terms from the database's private pool of 90, plus 3 of 20 terms every
+// database shares (so some rows hold several databases).
+func sparseModel(src *randx.Source, db, own int) *langmodel.Model {
+	m := langmodel.New()
+	m.SetDocs(1 + src.Intn(500))
+	add := func(term string) {
+		df := 1 + src.Intn(200)
+		m.AddTerm(term, langmodel.TermStats{DF: df, CTF: int64(df + src.Intn(400))})
+	}
+	for _, j := range src.Perm(90)[:own] {
+		add(fmt.Sprintf("d%02d-%02d", db, j))
+	}
+	for _, j := range src.Perm(20)[:3] {
+		add(fmt.Sprintf("s%02d", j))
+	}
+	return m
 }
 
 // TestPatchMatchesFullCompile is the incremental-recompilation property
@@ -72,6 +124,7 @@ func assertPatchEquivalent(t *testing.T, trial int, got, want *Compiled) {
 // structurally (rows, columns, idf, Float64bits for Float64bits) and
 // through every compiled scorer against the map-based gold standard.
 func TestPatchMatchesFullCompile(t *testing.T) {
+	t.Run("long-chain", testPatchLongChain)
 	src := randx.New(0xbadc0de)
 	for trial := 0; trial < 40; trial++ {
 		nDBs := 1 + src.Intn(20)
@@ -110,21 +163,73 @@ func TestPatchMatchesFullCompile(t *testing.T) {
 					query[i] = fmt.Sprintf("t%03d", src.Intn(60))
 				}
 			}
-			ids := snap.AppendIDs(nil, query)
-			scores := make([]float64, nDBs)
-			for _, alg := range compiledAlgorithms() {
-				want := alg.Scores(query, models)
-				if !snap.ScoreInto(alg, ids, scores) {
-					t.Fatalf("ScoreInto rejected %s", alg.Name())
-				}
-				for i := range want {
-					if math.Float64bits(scores[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("trial %d %s: db %d patched score %v != map score %v (query %v)",
-							trial, alg.Name(), i, scores[i], want[i], query)
-					}
-				}
-			}
+			assertScoresMatchMaps(t, trial, snap, models, query)
 		}
+	}
+}
+
+// testPatchLongChain is the long-chain arm: 2000 single-model patches, each
+// applied to the previous one's output, over a sparse federation (48
+// databases, mostly disjoint vocabularies) whose models alternately shrink
+// to a few terms and grow back to dozens of fresh ones. Shrinking strands
+// terms as ghosts until the ghost rule folds; growing fills the delta until
+// the postings rule folds; in between, patches ride on a warm delta. After
+// every step the snapshot must equal Compile of the current models — which
+// also bounds the ghosts, so the dictionary cannot grow with the chain.
+func testPatchLongChain(t *testing.T) {
+	const nDBs = 48
+	src := randx.New(0x5ba25e)
+	models := make([]*langmodel.Model, nDBs)
+	for i := range models {
+		models[i] = sparseModel(src, i, 30+src.Intn(30))
+	}
+	snap := Compile(models)
+	order := src.Perm(nDBs)
+	var ghostFolds, postingFolds, onDelta int
+	for step := 0; step < 2000; step++ {
+		db := order[step%nDBs]
+		own := 1 + src.Intn(3)
+		if (step/nDBs)%2 == 1 {
+			own = 30 + src.Intn(30)
+		}
+		repl := sparseModel(src, db, own)
+		interned := snap.VocabSize()
+		repl.Range(func(term string, _ langmodel.TermStats) bool {
+			if _, ok := snap.ID(term); !ok {
+				interned++
+			}
+			return true
+		})
+		next, err := snap.Patch([]ModelPatch{{DB: db, Old: models[db], New: repl}})
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		models[db], snap = repl, next
+
+		full := Compile(models)
+		assertPatchEquivalent(t, step, snap, full)
+		query := []string{
+			fmt.Sprintf("s%02d", src.Intn(20)),
+			fmt.Sprintf("d%02d-%02d", db, src.Intn(90)),
+			fmt.Sprintf("d%02d-%02d", src.Intn(nDBs), src.Intn(90)),
+			"unknown-term",
+		}
+		assertScoresMatchMaps(t, step, snap, models, query)
+
+		// Which path did the patch take? Without a fold the dictionary would
+		// hold `interned` terms, full.VocabSize() of them live.
+		switch ghosts := interned - full.VocabSize(); {
+		case snap.ovr != nil:
+			onDelta++
+		case ghosts > full.VocabSize():
+			ghostFolds++
+		default:
+			postingFolds++
+		}
+	}
+	if ghostFolds < 3 || postingFolds < 3 || onDelta < 300 {
+		t.Fatalf("chain took %d ghost folds, %d posting folds, %d delta patches; want several of each",
+			ghostFolds, postingFolds, onDelta)
 	}
 }
 
@@ -153,6 +258,46 @@ func TestPatchLeavesReceiverUntouched(t *testing.T) {
 	if _, ok := base.ID("zebra"); ok {
 		t.Fatal("patch leaked a new term into its receiver's dictionary")
 	}
+
+	// Two siblings patched from one parent share its base table and
+	// dictionary; all three must serve at once (the race detector watches)
+	// and each must score as a fresh compile of its own model list.
+	src := randx.New(0x51b1)
+	parentModels := make([]*langmodel.Model, 24)
+	for i := range parentModels {
+		parentModels[i] = sparseModel(src, i, 40)
+	}
+	family := [][]*langmodel.Model{parentModels}
+	snaps := []*Compiled{Compile(parentModels)}
+	for _, db := range []int{3, 17} {
+		repl := sparseModel(src, db, 40)
+		sib, err := snaps[0].Patch([]ModelPatch{{DB: db, Old: parentModels[db], New: repl}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sib.base != snaps[0].base {
+			t.Fatal("a sparse sibling patch did not share its parent's base table")
+		}
+		sibModels := slices.Clone(parentModels)
+		sibModels[db] = repl
+		family, snaps = append(family, sibModels), append(snaps, sib)
+	}
+	var wg sync.WaitGroup
+	for i := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				query := []string{"s03", "d03-07", "d17-11", fmt.Sprintf("d%02d-%02d", round%24, round)}
+				want := Rank(CORI{}, query, family[i])
+				if got := snaps[i].Rank(CORI{}, query); !reflect.DeepEqual(got, want) {
+					t.Errorf("snapshot %d round %d: ranking diverges from the map scorer", i, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPatchRejectsBadArguments covers the caller-mistake surface: out of

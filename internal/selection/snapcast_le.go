@@ -12,8 +12,9 @@ import "unsafe"
 // both checked; a nil return sends the caller to the portable decoder.
 //
 // Aliasing contract: the returned slices share memory with the input and
-// are never written — Compiled is immutable and Patch copies before
-// editing — so backing a snapshot with a read-only mmap is safe.
+// are never written — Compiled is immutable and Patch writes its changed
+// rows to tables of its own — so backing a snapshot with a read-only mmap
+// is safe.
 
 // castFloat64 reinterprets b as a []float64, or nil if unaligned.
 func castFloat64(b []byte) []float64 {

@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // SnapshotVersion is the current format version.
@@ -117,9 +118,14 @@ type Snapshot struct {
 // AppendSnapshot encodes s in the versioned binary format, appending to
 // dst (which is usually nil) and returning the extended slice.
 func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
-	c := s.Compiled
-	if c == nil {
+	if s.Compiled == nil {
 		return nil, fmt.Errorf("selection: snapshot has no compiled set")
+	}
+	// The format has no delta: a patched snapshot is written as its fold.
+	c := s.Compiled.folded()
+	terms := c.terms
+	if len(c.extra) > 0 {
+		terms = slices.Concat(c.terms, c.extra)
 	}
 	if len(s.Names) != c.n {
 		return nil, fmt.Errorf("selection: snapshot has %d names for %d databases", len(s.Names), c.n)
@@ -139,13 +145,13 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 		sections = append(sections, section{secFprints, encodeUint64s(s.Fingerprints)})
 	}
 	sections = append(sections,
-		section{secDict, encodeStringTable(c.terms)},
+		section{secDict, encodeStringTable(terms)},
 		section{secDocs, encodeFloat64s(c.docs)},
 		section{secCW, encodeFloat64s(c.cw)},
-		section{secIDF, encodeFloat64s(c.idf)},
-		section{secPostStart, encodeInt32s(c.postStart)},
-		section{secPostDB, encodeInt32s(c.postDB)},
-		section{secPostDF, encodeFloat64s(c.postDF)},
+		section{secIDF, encodeFloat64s(c.base.idf)},
+		section{secPostStart, encodeInt32s(c.base.start)},
+		section{secPostDB, encodeInt32s(c.base.db)},
+		section{secPostDF, encodeFloat64s(c.base.df)},
 	)
 
 	base := len(dst)
@@ -155,8 +161,8 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	dst = appendU32(dst, uint32(len(sections)))
 	dst = appendU64(dst, s.Epoch)
 	dst = appendU32(dst, uint32(c.n))
-	dst = appendU32(dst, uint32(len(c.terms)))
-	dst = appendU64(dst, uint64(len(c.postDB)))
+	dst = appendU32(dst, uint32(len(terms)))
+	dst = appendU64(dst, uint64(len(c.base.db)))
 	dst = appendU64(dst, math.Float64bits(c.avgCW))
 	dst = appendU64(dst, 0) // reserved
 	dst = appendU32(dst, crc32.Checksum(dst[base:base+56], castagnoli))
@@ -192,8 +198,9 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 // DecodeSnapshot parses data (a full segment as written by AppendSnapshot)
 // after verifying every checksum. On little-endian machines the numeric
 // arrays of the returned Compiled alias data — the caller must keep data
-// immutable and alive for the snapshot's lifetime (an mmap qualifies);
-// Patch copies before editing, so patched descendants do not alias.
+// immutable and alive for the snapshot's lifetime (an mmap qualifies) — and
+// for the lifetime of every snapshot patched from it, which keep sharing
+// the decoded base table until a fold replaces it.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	hdr, secs, err := parseSnapshot(data, true)
 	if err != nil {
@@ -242,44 +249,46 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if c.terms, err = decodeStringTable(dictPayload, nTerms, "dict"); err != nil {
 		return nil, err
 	}
-	c.ids = make(map[string]int32, nTerms)
-	for i, t := range c.terms {
-		c.ids[t] = int32(i)
-	}
+	c.ids = indexTerms(c.terms)
 	if c.docs, err = sectionFloat64s(need, secDocs, nDBs); err != nil {
 		return nil, err
 	}
 	if c.cw, err = sectionFloat64s(need, secCW, nDBs); err != nil {
 		return nil, err
 	}
-	if c.idf, err = sectionFloat64s(need, secIDF, nTerms); err != nil {
+	base := &csr{}
+	c.base, c.postings = base, nPost
+	if base.idf, err = sectionFloat64s(need, secIDF, nTerms); err != nil {
 		return nil, err
 	}
-	if c.postStart, err = sectionInt32s(need, secPostStart, nTerms+1); err != nil {
+	if base.start, err = sectionInt32s(need, secPostStart, nTerms+1); err != nil {
 		return nil, err
 	}
-	if c.postDB, err = sectionInt32s(need, secPostDB, nPost); err != nil {
+	if base.db, err = sectionInt32s(need, secPostDB, nPost); err != nil {
 		return nil, err
 	}
-	if c.postDF, err = sectionFloat64s(need, secPostDF, nPost); err != nil {
+	if base.df, err = sectionFloat64s(need, secPostDF, nPost); err != nil {
 		return nil, err
 	}
 
 	// Structural validation: everything a scorer indexes with must be in
 	// range, so a snapshot that passes decode can never panic at query
 	// time. (Checksums catch accidents; this catches crafted input.)
-	if len(c.postStart) == 0 || c.postStart[0] != 0 {
+	if len(base.start) == 0 || base.start[0] != 0 {
 		return nil, fmt.Errorf("selection: poststart does not begin at 0")
 	}
-	for i := 1; i < len(c.postStart); i++ {
-		if c.postStart[i] < c.postStart[i-1] {
+	for i := 1; i < len(base.start); i++ {
+		if base.start[i] < base.start[i-1] {
 			return nil, fmt.Errorf("selection: poststart not monotonic at term %d", i)
 		}
+		if base.start[i] == base.start[i-1] {
+			c.empty++ // the encoder writes none; the next fold drops it
+		}
 	}
-	if int(c.postStart[len(c.postStart)-1]) != nPost {
-		return nil, fmt.Errorf("selection: poststart ends at %d, want %d postings", c.postStart[len(c.postStart)-1], nPost)
+	if int(base.start[len(base.start)-1]) != nPost {
+		return nil, fmt.Errorf("selection: poststart ends at %d, want %d postings", base.start[len(base.start)-1], nPost)
 	}
-	for i, db := range c.postDB {
+	for i, db := range base.db {
 		if db < 0 || int(db) >= nDBs {
 			return nil, fmt.Errorf("selection: posting %d references database %d of %d", i, db, nDBs)
 		}

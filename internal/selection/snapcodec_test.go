@@ -35,57 +35,29 @@ func goldenSnapshot() *Snapshot {
 	}
 }
 
-// assertCompiledEqual demands field-for-field, bit-for-bit equality —
-// decoding must reproduce the exact arrays that were encoded, including
-// term-id assignment (the dictionary section preserves id order).
+// assertCompiledEqual demands bit-for-bit equality id for id — decoding
+// must reproduce exactly what was encoded, including term-id assignment
+// (the dictionary section preserves id order).
 func assertCompiledEqual(t *testing.T, got, want *Compiled) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("n = %d, want %d", got.n, want.n)
+	if got.VocabSize() != want.VocabSize() {
+		t.Fatalf("%d terms, want %d", got.VocabSize(), want.VocabSize())
 	}
-	if math.Float64bits(got.avgCW) != math.Float64bits(want.avgCW) {
-		t.Fatalf("avgCW = %v, want %v", got.avgCW, want.avgCW)
-	}
-	f64 := func(name string, g, w []float64) {
-		if len(g) != len(w) {
-			t.Fatalf("%s: %d values, want %d", name, len(g), len(w))
-		}
-		for i := range w {
-			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-				t.Fatalf("%s[%d] = %v, want %v", name, i, g[i], w[i])
-			}
-		}
-	}
-	i32 := func(name string, g, w []int32) {
-		if len(g) != len(w) {
-			t.Fatalf("%s: %d values, want %d", name, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("%s[%d] = %d, want %d", name, i, g[i], w[i])
-			}
-		}
-	}
-	f64("docs", got.docs, want.docs)
-	f64("cw", got.cw, want.cw)
-	f64("idf", got.idf, want.idf)
-	f64("postDF", got.postDF, want.postDF)
-	i32("postStart", got.postStart, want.postStart)
-	i32("postDB", got.postDB, want.postDB)
-	if len(got.terms) != len(want.terms) {
-		t.Fatalf("%d terms, want %d", len(got.terms), len(want.terms))
-	}
-	for i, term := range want.terms {
-		if got.terms[i] != term {
-			t.Fatalf("term %d = %q, want %q", i, got.terms[i], term)
+	for i := 0; i < want.VocabSize(); i++ {
+		term := want.TermAt(i)
+		if got.TermAt(i) != term {
+			t.Fatalf("term %d = %q, want %q", i, got.TermAt(i), term)
 		}
 		if id, ok := got.ID(term); !ok || id != int32(i) {
 			t.Fatalf("ID(%q) = %d,%v, want %d", term, id, ok, i)
 		}
 	}
+	// Ids agree, so the term-keyed comparison is an id-keyed one.
+	assertPatchEquivalent(t, 0, got, want)
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
+	t.Run("patched", testSnapshotRoundTripPatched)
 	src := randx.New(0x5eed)
 	for trial := 0; trial < 20; trial++ {
 		models := randomModels(src, 1+src.Intn(25), 50)
@@ -149,6 +121,50 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testSnapshotRoundTripPatched: a patched snapshot carries a delta and ghost
+// terms the format has no room for, so the encoder writes its fold. Decoded,
+// it must be a base-only snapshot that matches — row by row, keyed by term —
+// the decoded encoding of a fresh Compile of the same models, ghosts gone.
+func testSnapshotRoundTripPatched(t *testing.T) {
+	src := randx.New(0xde17a)
+	models := make([]*langmodel.Model, 24)
+	names := make([]string, len(models))
+	for i := range models {
+		models[i] = sparseModel(src, i, 40)
+		names[i] = fmt.Sprintf("db%02d", i)
+	}
+	patched := Compile(models)
+	for _, db := range []int{5, 19, 5} {
+		repl := sparseModel(src, db, 10+src.Intn(30))
+		next, err := patched.Patch([]ModelPatch{{DB: db, Old: models[db], New: repl}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[db], patched = repl, next
+	}
+	fresh := Compile(models)
+	if patched.ovr == nil || patched.VocabSize() <= fresh.VocabSize() {
+		t.Fatal("fixture must carry a delta and ghost terms into the encoder")
+	}
+	roundTrip := func(c *Compiled) *Compiled {
+		data, err := EncodeSnapshot(&Snapshot{Epoch: 9, Names: names, Compiled: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Compiled
+	}
+	got, want := roundTrip(patched), roundTrip(fresh)
+	if got.ovr != nil || got.VocabSize() != want.VocabSize() {
+		t.Fatalf("decoded a delta or %d terms, want a base-only snapshot of %d", got.VocabSize(), want.VocabSize())
+	}
+	assertPatchEquivalent(t, 0, got, want)
+	assertScoresMatchMaps(t, 0, got, models, []string{"s01", "d05-03", "d19-40", "unknown-term"})
 }
 
 // TestSnapshotGoldenBytes pins the on-disk format: any codec change that

@@ -435,13 +435,18 @@ func (s *Service) connect(e *entry) (core.Database, error) {
 
 // initialModel builds the model the first query term is drawn from: the
 // union of everything the service has already learned, or a tiny built-in
-// model of very common words when nothing is known yet.
+// model of very common words when nothing is known yet. The sampler draws
+// that term by position, so the union is merged in name order — map order
+// would learn a different model run to run — and outside the registry
+// lock: installed models are immutable (e.model is replaced, never
+// mutated), so only collecting the pointers needs it.
 func (s *Service) initialModel() *langmodel.Model {
+	s.mu.RLock()
+	_, models := s.servedModels()
+	s.mu.RUnlock()
 	union := langmodel.New()
-	for _, e := range s.entries {
-		if e.model != nil {
-			union.Merge(e.model)
-		}
+	for _, m := range models {
+		union.Merge(m)
 	}
 	if union.VocabSize() > 0 {
 		return union
@@ -520,10 +525,9 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		c.SetTrace(opts.TraceID)
 		defer c.SetTrace("")
 	}
-	s.mu.Lock()
-	initial := s.initialModel()
+	s.mu.RLock()
 	prev := e.lastRun
-	s.mu.Unlock()
+	s.mu.RUnlock()
 
 	cfg := core.Config{
 		DocsPerQuery: opts.PerQuery,
@@ -535,7 +539,7 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 	if opts.InitialTerm != "" {
 		cfg.InitialTerm = opts.InitialTerm
 	} else {
-		cfg.InitialModel = initial
+		cfg.InitialModel = s.initialModel()
 	}
 	var res *core.Result
 	if opts.Extend && prev != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -312,5 +313,30 @@ func TestInitialModelGrowsWithKnowledge(t *testing.T) {
 	if after.VocabSize() <= before.VocabSize() {
 		t.Errorf("union initial model did not grow: %d -> %d",
 			before.VocabSize(), after.VocabSize())
+	}
+}
+
+// TestSampleWithoutInitialTermIsDeterministic: with no InitialTerm the
+// sampler draws its first query by position from the union of the learned
+// models, so the union must be merged in a fixed order — same databases,
+// same seed, same learned models, every time.
+func TestSampleWithoutInitialTermIsDeterministic(t *testing.T) {
+	var first []uint64
+	for trial := 0; trial < 12; trial++ {
+		svc, dbs := fixture(t, nil)
+		// The third and fourth runs start from a union of two and three
+		// models: the runs whose first query depends on the merge order.
+		var got []uint64
+		for _, db := range append(dbs, dbs[0]) {
+			if _, err := svc.Sample(db.Name, SampleOptions{Docs: 40, Seed: 11}); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, svc.entries[db.Name].model.Fingerprint())
+		}
+		if first == nil {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("trial %d learned models %x, trial 0 learned %x", trial, got, first)
+		}
 	}
 }

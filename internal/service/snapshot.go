@@ -55,6 +55,25 @@ type snapshotSet struct {
 	compiled *selection.Compiled
 }
 
+// servedModels returns the databases that have a learned model, sorted by
+// name (the order rank has always used), and their models. Callers must
+// hold s.mu; the models themselves are immutable once installed and may be
+// read after it is released.
+func (s *Service) servedModels() ([]string, []*langmodel.Model) {
+	names := make([]string, 0, len(s.entries))
+	for name, e := range s.entries {
+		if e.model != nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	models := make([]*langmodel.Model, len(names))
+	for i, name := range names {
+		models[i] = s.entries[name].model
+	}
+	return names, models
+}
+
 // invalidateAll marks the published snapshot stale for a membership
 // change (register/unregister): database indices shift, so the next
 // rebuild must compile from scratch. Callers must hold s.mu (write) — the
@@ -126,17 +145,7 @@ func (s *Service) rebuild() (*snapshotSet, bool) {
 	// again.
 	s.mu.Lock()
 	gen := s.gen.Load()
-	names := make([]string, 0, len(s.entries))
-	for name, e := range s.entries {
-		if e.model != nil {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	models := make([]*langmodel.Model, len(names))
-	for i, name := range names {
-		models[i] = s.entries[name].model
-	}
+	names, models := s.servedModels()
 	dirty, dirtyAll := s.dirty, s.dirtyAll
 	s.dirty, s.dirtyAll = nil, false
 	s.mu.Unlock()
@@ -268,21 +277,11 @@ func (s *Service) LoadSnapshot() error {
 	defer s.compileMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.entries))
-	for name, e := range s.entries {
-		if e.model != nil {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
+	names, models := s.servedModels()
 	if !slices.Equal(names, snap.Names) {
 		reg.Counter("service_snapshot_load_errors_total").Inc()
 		return fmt.Errorf("service: snapshot describes databases %v, registry serves %v (stale snapshot)",
 			snap.Names, names)
-	}
-	models := make([]*langmodel.Model, len(names))
-	for i, name := range names {
-		models[i] = s.entries[name].model
 	}
 	if len(snap.Fingerprints) != len(models) {
 		reg.Counter("service_snapshot_load_errors_total").Inc()

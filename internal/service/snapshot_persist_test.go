@@ -95,6 +95,25 @@ func TestSnapshotWarmStart(t *testing.T) {
 	if regB.Gauge("service_snapshot_bytes").Value() <= 0 {
 		t.Fatal("snapshot_bytes gauge not set by LoadSnapshot")
 	}
+
+	// A resample now patches over the loaded (mmapped) base, which the
+	// patched snapshot keeps sharing; it must still score as the map scorers
+	// do over the models it serves.
+	if _, err := svcB.Sample(dbs[0].Name, SampleOptions{Docs: 50, Seed: 8}); err != nil {
+		t.Fatal(err)
+	}
+	snap := svcB.snapshot()
+	if full, incr := compileCounters(regB); full != 0 || incr != 1 {
+		t.Fatalf("resample after warm start: full=%d incremental=%d, want one patch", full, incr)
+	}
+	query := []string{"stock", "market", "data"}
+	scores := make([]float64, snap.compiled.NumDBs())
+	snap.compiled.ScoreInto(selection.CORI{}, snap.compiled.AppendIDs(nil, query), scores)
+	for i, want := range (selection.CORI{}).Scores(query, snap.models) {
+		if math.Float64bits(scores[i]) != math.Float64bits(want) {
+			t.Fatalf("db %d: score %v patched over the loaded snapshot != map score %v", i, scores[i], want)
+		}
+	}
 }
 
 // TestSnapshotIncrementalResample: replacing one model of a three-database
@@ -267,6 +286,15 @@ func TestSnapshotChurnEquivalence(t *testing.T) {
 		snap := svc.snapshot()
 		if len(snap.models) != len(snap.names) {
 			t.Fatalf("step %d: %d models for %d names", step, len(snap.models), len(snap.names))
+		}
+		// The dictionary tracks the served models, not the history of
+		// resamples: ghost terms are bounded, and the gauge says so.
+		terms := snap.compiled.VocabSize()
+		if live := selection.Compile(snap.models).VocabSize(); terms > 2*live {
+			t.Fatalf("step %d: snapshot interns %d terms for %d live ones", step, terms, live)
+		}
+		if g := reg.Gauge("service_snapshot_terms").Value(); g != int64(terms) {
+			t.Fatalf("step %d: service_snapshot_terms = %d, snapshot has %d", step, g, terms)
 		}
 		scores := make([]float64, snap.compiled.NumDBs())
 		for qi, query := range queries {
