@@ -15,43 +15,24 @@ BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|TokenizeASCII|Searc
 # Benchmarks that must be present in every recording; benchdiff record
 # fails otherwise, so a renamed/filtered-out rank benchmark cannot
 # silently drop out of the regression gate.
-BENCH_REQUIRE := Rank100DBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank
+BENCH_REQUIRE := Rank100DBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip
 # Repeated runs per benchmark; benchdiff keeps the median, which is what
 # makes a 25% threshold usable on noisy shared CI machines.
 BENCH_COUNT ?= 5
 BENCH_OUT ?= BENCH_current.json
 
 # Ratcheted statement-coverage floor over ./internal/... — raise it as
-# coverage grows; never lower it to admit a regression. Current: 86.5%.
+# coverage grows; never lower it to admit a regression. Current: 86.8%.
 COVER_FLOOR ?= 86.2
 
 # Ratcheted ceiling on honoured //lint:ignore suppressions, the mirror
 # image of COVER_FLOOR: lower it as suppressions are retired; never raise
-# it to admit a new one. Current: 46.
-LINT_IGNORE_CEIL ?= 46
-
-# Load-smoke workload size. CI keeps it short; quadruple locally when
-# refreshing the committed baseline on a quiet machine.
-LOAD_REQUESTS ?= 200
-# The four load reports the gate diffs: sequential /rank against a
-# single-process service, POST /rank/batch against a 2-shard front, the
-# same front streamed (?stream=1, TTFR percentiles), and a duplicate-heavy
-# workload that exercises both coalescing tiers. Distinct -label values
-# keep their metric keys apart in one summary.
-LOAD_REPORTS := LOADGEN_single.json LOADGEN_batch.json LOADGEN_stream.json LOADGEN_dup.json
-LOAD_REQUIRE := loadgen/single/qps,loadgen/single/p99_us,loadgen/batch/qps,loadgen/batch/p99_us,loadgen/stream/qps,loadgen/stream/p99_us,loadgen/stream/ttfr_us,loadgen/dup/qps,loadgen/dup/p99_us
-# The load gate's regression threshold. Wider than the benchmark gate's
-# 25%: ns/op numbers are 5-run medians, while each load metric is one
-# draw of a client-side quantile on a shared runner — its run-to-run
-# spread is real serving jitter, not measurement error benchdiff can
-# median away. The committed baseline values are 5-run medians (see
-# bench-baseline), which centers the comparison but cannot narrow the
-# current run's draw.
-LOAD_THRESHOLD ?= 0.5
+# it to admit a new one. Current: 41.
+LINT_IGNORE_CEIL ?= 41
 
 .PHONY: all build test race bench bench-all bench-check bench-baseline \
-	cover vet lint lint-sarif lint-ratchet chaos fuzz-smoke snapshot-fuzz \
-	load-smoke stream-smoke load-gate ci clean
+	bench-pairs experiments-check cover vet lint lint-sarif lint-ratchet \
+	chaos fuzz-smoke snapshot-fuzz ci clean
 
 all: build test
 
@@ -86,49 +67,28 @@ bench-check:
 
 # Refresh the committed baseline. Run on a quiet machine and commit the
 # resulting BENCH_baseline.json together with the change that shifted it.
-# The baseline carries both benchmark medians and the loadgen serving
-# metrics (QPS, p99), so one file anchors both gates.
-bench-baseline: load-smoke stream-smoke
+bench-baseline:
 	$(GO) test . -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) | tee bench.txt
-	$(GO) run ./cmd/benchdiff record -o BENCH_baseline.json -require $(BENCH_REQUIRE) \
-		$(foreach r,$(LOAD_REPORTS),-load $(r)) bench.txt
+	$(GO) run ./cmd/benchdiff record -o BENCH_baseline.json -require $(BENCH_REQUIRE) bench.txt
 
-# Reproducible load smoke: replay the seeded Zipf workload against two
-# spawned loopback deployments (no external service, models synthetic
-# and warm) and write client-side QPS + exact latency quantiles. Any
-# request-level failure exits nonzero, so the smoke is a gate by itself.
-# The single-query run uses fewer workers and 8x requests: each request
-# is so cheap that at high concurrency its gated p99 measured worker
-# queueing jitter, not the serving path.
-load-smoke:
-	$(GO) run ./cmd/loadgen -spawn -requests $$((8 * $(LOAD_REQUESTS))) -workers 4 \
-		-label single -report LOADGEN_single.json
-	$(GO) run ./cmd/loadgen -spawn -spawn-shards 2 -batch 8 -workers 8 \
-		-requests $(LOAD_REQUESTS) -label batch -report LOADGEN_batch.json
+# The serving system's one measuring stick: BENCHMARK.json's workloads run
+# as alternating parent/change pairs, PARENT being a checkout of the
+# commit to compare against, with one verdict per workload and end-to-end
+# metric (regressed / unresolved / improved / unchanged; cmd/benchdiff
+# pairs.go has the rule). The command, workloads, directions and bounds
+# all come from BENCHMARK.json; PAIRS and SECONDS default to the rule's
+# ten pairs and the benchmark's own window, and CI shortens both.
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<checkout of the parent commit> [PAIRS=n] [SECONDS=n]"; exit 2; }
+	$(GO) run ./cmd/benchdiff pairs $(if $(PAIRS),-pairs $(PAIRS)) $(if $(SECONDS),-seconds $(SECONDS)) $(PARENT)
 
-# Streaming + coalescing smoke (DESIGN.md §15): the same 2-shard front
-# consumed as NDJSON frames (every frame validated, TTFR p50/p95/p99
-# recorded) and a duplicate-heavy batched workload whose hot pool
-# exercises both coalescing tiers — batched so within-batch dedup runs
-# hot, and at 8x requests because coalescing makes each request cheap
-# enough that the gated p99 needs the larger sample to measure the
-# serving path rather than one-scheduler-hiccup noise. Both reports
-# feed the load gate; load-gate and bench-baseline expect load-smoke
-# AND stream-smoke to have run first.
-stream-smoke:
-	$(GO) run ./cmd/loadgen -spawn -spawn-shards 2 -batch 16 -stream -workers 8 \
-		-requests $(LOAD_REQUESTS) -label stream -report LOADGEN_stream.json
-	$(GO) run ./cmd/loadgen -spawn -dup-rate 0.6 -batch 8 -workers 8 \
-		-requests $$((8 * $(LOAD_REQUESTS))) -label dup -report LOADGEN_dup.json
-
-# Serving-regression gate: fold the load reports into a benchdiff
-# summary and diff its metrics against the committed baseline — QPS
-# dropping or p99/TTFR growing by more than LOAD_THRESHOLD fails,
-# direction-aware, exactly like ns/op for benchmarks.
-load-gate:
-	$(GO) run ./cmd/benchdiff record -o LOADGEN_summary.json \
-		-require $(LOAD_REQUIRE) $(foreach r,$(LOAD_REPORTS),-load $(r))
-	$(GO) run ./cmd/benchdiff compare -threshold $(LOAD_THRESHOLD) BENCH_baseline.json LOADGEN_summary.json
+# The reproduction record cannot go stale: re-run the paper-size suite
+# (deterministic in -scale and -seed, ~20 s) and diff it, without its
+# timing line, against the committed experiments_scale1.txt that
+# EXPERIMENTS.md quotes. After an intended change, regenerate the file
+# with the same pipeline and re-read EXPERIMENTS.md against it.
+experiments-check:
+	$(GO) run ./cmd/experiments -scale 1 -seed 1 | grep -v '^done in ' | diff experiments_scale1.txt -
 
 # Statement coverage over internal/... with a ratcheted floor: the per-
 # package table comes from go test itself, the total is gated against
@@ -175,7 +135,7 @@ lint-ratchet:
 # circuit breakers, a shard killed mid-query — always under the race
 # detector. Every fault pattern is seeded, so failures replay.
 chaos:
-	$(GO) test -race -run 'Chaos' ./internal/netsearch ./internal/service ./internal/faulty ./internal/cluster ./internal/loadgen
+	$(GO) test -race -run 'Chaos' ./internal/netsearch ./internal/service ./internal/faulty ./internal/cluster
 
 # Short-budget fuzz pass over the parser-shaped attack surfaces:
 # tokenization, stemming, and the two model readers. Each target gets
@@ -193,7 +153,7 @@ snapshot-fuzz:
 	$(GO) test ./internal/selection -run xxx -fuzz '^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME)
 
 # The full local gate: everything CI runs, in the same order.
-ci: build vet lint test race chaos fuzz-smoke snapshot-fuzz cover bench-check load-smoke stream-smoke load-gate
+ci: build vet lint test race chaos fuzz-smoke snapshot-fuzz cover experiments-check bench-check
 
 clean:
 	$(GO) clean ./...

@@ -1,9 +1,12 @@
 // Command benchdiff records `go test -bench` output as a JSON summary and
-// compares two summaries, failing on performance regressions. It is the
-// engine of the CI bench job (see .github/workflows/ci.yml):
+// compares two summaries, failing on performance regressions, and runs
+// the repository's benchmark (BENCHMARK.json) as alternating parent/change
+// pairs. It is the engine of the CI bench and serving jobs (see
+// .github/workflows/ci.yml):
 //
 //	go test . -run xxx -bench '...' -benchmem -count=5 | benchdiff record -o BENCH_$(git rev-parse HEAD).json
 //	benchdiff compare -threshold 0.25 BENCH_baseline.json BENCH_<sha>.json
+//	benchdiff pairs ../parent-checkout
 //
 // record parses the standard benchmark output format and keeps, per
 // benchmark name, the median over the repeated -count runs — the median is
@@ -15,13 +18,8 @@
 // baseline recorded on one machine keys correctly against runs on hosts
 // with different CPU counts.
 //
-// Besides benchmark output, record ingests named scalar metrics from
-// loadgen JSON reports (-load, repeatable) and merges previously recorded
-// summaries (-merge), so one BENCH_baseline.json carries both ns/op
-// numbers and serving metrics like loadgen/batch/qps. Metrics are
-// direction-aware: compare fails a lower-is-better metric (p99_us) that
-// grew and a higher-is-better metric (qps) that shrank by more than the
-// threshold.
+// pairs (pairs.go) is the measuring stick for the serving system as a
+// whole: record and compare gate single functions.
 package main
 
 import (
@@ -44,19 +42,9 @@ type Result struct {
 	Runs        int     `json:"runs"`
 }
 
-// Metric is one named scalar from a load report (the shape
-// internal/loadgen emits): direction-aware, so QPS drops and latency
-// rises both read as regressions.
-type Metric struct {
-	Value          float64 `json:"value"`
-	Unit           string  `json:"unit,omitempty"`
-	HigherIsBetter bool    `json:"higher_is_better,omitempty"`
-}
-
 // Summary is the on-disk JSON format (BENCH_*.json).
 type Summary struct {
 	Benchmarks map[string]Result `json:"benchmarks"`
-	Metrics    map[string]Metric `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -68,6 +56,8 @@ func main() {
 		cmdRecord(os.Args[2:])
 	case "compare":
 		cmdCompare(os.Args[2:])
+	case "pairs":
+		cmdPairs(os.Args[2:])
 	default:
 		usage()
 	}
@@ -75,8 +65,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  benchdiff record [-o out.json] [-require name[,name...]] [-load report.json]... [-merge summary.json] [bench-output.txt]
-  benchdiff compare [-threshold 0.25] baseline.json current.json`)
+  benchdiff record [-o out.json] [-require name[,name...]] [bench-output.txt]
+  benchdiff compare [-threshold 0.25] baseline.json current.json
+  benchdiff pairs [-pairs 10] [-seconds N] parent-checkout`)
 	os.Exit(2)
 }
 
@@ -88,62 +79,31 @@ func fail(format string, args ...any) {
 func cmdRecord(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default stdout)")
-	require := fs.String("require", "", "comma-separated name substrings (benchmarks or metrics) that must appear in the recording")
-	merge := fs.String("merge", "", "previously recorded summary to merge benchmarks and metrics from")
-	var loads []string
-	fs.Func("load", "loadgen JSON report to ingest metrics from (repeatable)", func(v string) error {
-		loads = append(loads, v)
-		return nil
-	})
+	require := fs.String("require", "", "comma-separated benchmark name substrings that must appear in the recording")
 	fs.Parse(args)
 
-	sum := &Summary{Benchmarks: map[string]Result{}}
-	// Bench text comes from the positional file when given, from stdin
-	// when no -load/-merge flag asks for a metrics-only recording — so
-	// existing `go test -bench | benchdiff record` pipelines are untouched.
-	readBench := fs.NArg() > 0 || (len(loads) == 0 && *merge == "")
-	if readBench {
-		in := io.Reader(os.Stdin)
-		if fs.NArg() > 0 {
-			f, err := os.Open(fs.Arg(0))
-			if err != nil {
-				fail("%v", err)
-			}
-			//lint:ignore errsink file opened for reading; close cannot lose data
-			defer f.Close()
-			in = f
-		}
-		var err error
-		sum, err = parseBench(in)
+	in := io.Reader(os.Stdin)
+	if fs.NArg() > 0 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
 			fail("%v", err)
 		}
-		if len(sum.Benchmarks) == 0 {
-			fail("no benchmark lines found in input")
-		}
+		//lint:ignore errsink file opened for reading; close cannot lose data
+		defer f.Close()
+		in = f
 	}
-	if *merge != "" {
-		prev, err := readSummary(*merge)
-		if err != nil {
-			fail("%v", err)
-		}
-		for name, r := range prev.Benchmarks {
-			if _, dup := sum.Benchmarks[name]; dup {
-				fail("benchmark %q recorded twice (input and -merge %s)", name, *merge)
-			}
-			sum.Benchmarks[name] = r
-		}
-		addMetrics(sum, prev.Metrics, *merge)
+	sum, err := parseBench(in)
+	if err != nil {
+		fail("%v", err)
 	}
-	for _, path := range loads {
-		addMetrics(sum, loadMetrics(path), path)
+	if len(sum.Benchmarks) == 0 {
+		fail("no benchmark lines found in input")
 	}
 	if missing := missingRequired(sum, *require); len(missing) > 0 {
-		// A required benchmark or metric silently vanishing (renamed,
-		// filtered out by a narrowed -bench pattern, a loadgen label typo)
-		// would otherwise produce a baseline that can never flag its
-		// regressions.
-		fail("required benchmark(s)/metric(s) missing from recording: %s", strings.Join(missing, ", "))
+		// A required benchmark silently vanishing (renamed, filtered out
+		// by a narrowed -bench pattern) would otherwise produce a baseline
+		// that can never flag its regressions.
+		fail("required benchmark(s) missing from recording: %s", strings.Join(missing, ", "))
 	}
 	data, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
@@ -157,50 +117,12 @@ func cmdRecord(args []string) {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fail("%v", err)
 	}
-	fmt.Fprintf(os.Stderr, "recorded %d benchmarks, %d metrics to %s\n",
-		len(sum.Benchmarks), len(sum.Metrics), *out)
-}
-
-// loadMetrics pulls the named metrics out of a loadgen JSON report.
-func loadMetrics(path string) map[string]Metric {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	var rep struct {
-		Metrics map[string]Metric `json:"metrics"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		fail("%s: %v", path, err)
-	}
-	if len(rep.Metrics) == 0 {
-		fail("%s: no metrics in load report", path)
-	}
-	return rep.Metrics
-}
-
-// addMetrics merges metrics into the summary, refusing duplicate keys —
-// two loadgen runs recorded under the same label is a harness bug that
-// would silently keep only one of them.
-func addMetrics(sum *Summary, metrics map[string]Metric, src string) {
-	if len(metrics) == 0 {
-		return
-	}
-	if sum.Metrics == nil {
-		sum.Metrics = map[string]Metric{}
-	}
-	for name, m := range metrics {
-		if _, dup := sum.Metrics[name]; dup {
-			fail("metric %q recorded twice (second source: %s); use distinct -label values", name, src)
-		}
-		sum.Metrics[name] = m
-	}
+	fmt.Fprintf(os.Stderr, "recorded %d benchmarks to %s\n", len(sum.Benchmarks), *out)
 }
 
 // missingRequired returns, in input order, the -require tokens that match
-// no recorded benchmark or metric name (substring match, so "Rank100DBs"
-// covers all its sub-benchmarks and "loadgen/" covers every load metric).
-// An empty spec requires nothing.
+// no recorded benchmark name (substring match, so "Rank100DBs" covers all
+// its sub-benchmarks). An empty spec requires nothing.
 func missingRequired(sum *Summary, spec string) []string {
 	var missing []string
 	for _, tok := range strings.Split(spec, ",") {
@@ -213,14 +135,6 @@ func missingRequired(sum *Summary, spec string) []string {
 			if strings.Contains(name, tok) {
 				found = true
 				break
-			}
-		}
-		for name := range sum.Metrics {
-			if found {
-				break
-			}
-			if strings.Contains(name, tok) {
-				found = true
 			}
 		}
 		if !found {
@@ -248,7 +162,7 @@ func cmdCompare(args []string) {
 	report, regressions := compare(base, cur, *threshold)
 	fmt.Print(report)
 	if regressions > 0 {
-		fail("%d benchmark(s)/metric(s) regressed more than %.0f%%", regressions, *threshold*100)
+		fail("%d benchmark(s) regressed more than %.0f%%", regressions, *threshold*100)
 	}
 }
 
@@ -390,58 +304,5 @@ func compare(base, cur *Summary, threshold float64) (string, int) {
 	for _, name := range extra {
 		fmt.Fprintf(&b, "%-52s %14s %14.0f %8s\n", name, "-", cur.Benchmarks[name].NsPerOp, "new")
 	}
-	regressions += compareMetrics(&b, base, cur, threshold)
 	return b.String(), regressions
-}
-
-// compareMetrics renders the named-metric rows and counts regressions
-// direction-aware: a lower-is-better metric (p99_us) regresses when it
-// grows past the threshold, a higher-is-better one (qps) when it shrinks
-// past it. The direction comes from the baseline entry, so a current run
-// cannot flip a metric's polarity to dodge the gate. Missing and new
-// metrics are reported but non-fatal, like benchmarks.
-func compareMetrics(b *strings.Builder, base, cur *Summary, threshold float64) int {
-	if len(base.Metrics) == 0 && len(cur.Metrics) == 0 {
-		return 0
-	}
-	names := make([]string, 0, len(base.Metrics))
-	for name := range base.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	regressions := 0
-	fmt.Fprintf(b, "%-52s %14s %14s %8s\n", "metric", "base", "cur", "delta")
-	for _, name := range names {
-		bm := base.Metrics[name]
-		cm, ok := cur.Metrics[name]
-		if !ok {
-			fmt.Fprintf(b, "%-52s %14.1f %14s %8s\n", name, bm.Value, "-", "missing")
-			continue
-		}
-		delta := 0.0
-		if bm.Value != 0 {
-			delta = (cm.Value - bm.Value) / bm.Value
-		}
-		worse := delta
-		if bm.HigherIsBetter {
-			worse = -delta
-		}
-		mark := ""
-		if worse > threshold {
-			regressions++
-			mark = "  << REGRESSION"
-		}
-		fmt.Fprintf(b, "%-52s %14.1f %14.1f %+7.1f%%%s\n", name, bm.Value, cm.Value, delta*100, mark)
-	}
-	extra := make([]string, 0, len(cur.Metrics))
-	for name := range cur.Metrics {
-		if _, ok := base.Metrics[name]; !ok {
-			extra = append(extra, name)
-		}
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		fmt.Fprintf(b, "%-52s %14s %14.1f %8s\n", name, "-", cur.Metrics[name].Value, "new")
-	}
-	return regressions
 }

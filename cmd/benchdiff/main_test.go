@@ -130,60 +130,3 @@ func TestCompareExactThresholdPasses(t *testing.T) {
 		t.Fatalf("exactly +25%% should pass, got %d regressions", n)
 	}
 }
-
-func TestCompareMetricsDirectionAware(t *testing.T) {
-	base := &Summary{
-		Benchmarks: map[string]Result{"B": {NsPerOp: 100}},
-		Metrics: map[string]Metric{
-			"loadgen/run/qps":    {Value: 1000, Unit: "qps", HigherIsBetter: true},
-			"loadgen/run/p99_us": {Value: 500, Unit: "us"},
-			"loadgen/gone/qps":   {Value: 10, HigherIsBetter: true},
-			"loadgen/steady/qps": {Value: 100, HigherIsBetter: true},
-		},
-	}
-	cur := &Summary{
-		Benchmarks: map[string]Result{"B": {NsPerOp: 100}},
-		Metrics: map[string]Metric{
-			"loadgen/run/qps":    {Value: 600, HigherIsBetter: true}, // -40% throughput: regression
-			"loadgen/run/p99_us": {Value: 800},                       // +60% latency: regression
-			"loadgen/steady/qps": {Value: 120, HigherIsBetter: true}, // +20% throughput: improvement
-			"loadgen/new/qps":    {Value: 5, HigherIsBetter: true},
-		},
-	}
-	report, regressions := compare(base, cur, 0.25)
-	if regressions != 2 {
-		t.Fatalf("regressions = %d, want 2 (qps drop + p99 rise)\n%s", regressions, report)
-	}
-	for _, want := range []string{"metric", "missing", "new"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-}
-
-func TestCompareMetricsHigherIsBetterRiseIsNotRegression(t *testing.T) {
-	base := &Summary{
-		Benchmarks: map[string]Result{},
-		Metrics:    map[string]Metric{"qps": {Value: 100, HigherIsBetter: true}},
-	}
-	cur := &Summary{
-		Benchmarks: map[string]Result{},
-		Metrics:    map[string]Metric{"qps": {Value: 400, HigherIsBetter: true}},
-	}
-	if report, n := compare(base, cur, 0.25); n != 0 {
-		t.Fatalf("a 4x throughput gain flagged as regression (%d)\n%s", n, report)
-	}
-}
-
-func TestMissingRequiredSearchesMetrics(t *testing.T) {
-	sum := &Summary{
-		Benchmarks: map[string]Result{"Rank100DBs": {NsPerOp: 1}},
-		Metrics:    map[string]Metric{"loadgen/batch/qps": {Value: 1}},
-	}
-	if got := missingRequired(sum, "loadgen/batch,Rank100DBs"); got != nil {
-		t.Errorf("metrics not searched: missing = %v", got)
-	}
-	if got := missingRequired(sum, "loadgen/single"); len(got) != 1 {
-		t.Errorf("absent metric not reported: missing = %v", got)
-	}
-}

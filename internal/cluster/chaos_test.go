@@ -10,16 +10,26 @@ package cluster
 // (always under -race in CI).
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/faulty"
+	"repro/internal/loadgen"
 	"repro/internal/netsearch"
 	"repro/internal/service"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -138,4 +148,149 @@ func TestChaosShardKillFailover(t *testing.T) {
 	if !open {
 		t.Errorf("dead replica %s not marked open in %+v", victimAddr, f.Health())
 	}
+}
+
+// TestChaosShardKillUnderLoad drives the same fabric through real HTTP
+// under load: four closed-loop workers post rank batches to the front
+// while a shard replica is killed a third of the way through. The front
+// must absorb the kill (failover to the surviving replica, no failed
+// request surfacing to a client) and the tail must stay bounded: failover
+// costs a redial, not a hang.
+func TestChaosShardKillUnderLoad(t *testing.T) {
+	const (
+		nSlots, nReplicas = 2, 2
+		nDBs              = 24
+		requests, workers = 30, 4
+		batch             = 4
+		killAt            = requests / 3
+	)
+	models, words := loadgen.SyntheticModels(nDBs, 0xbe7c)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, nDBs)
+	for i, m := range models {
+		names[i] = fmt.Sprintf("db-%03d", i)
+		if err := st.Put(names[i], m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Replicas of a slot register the same databases warm from the shared
+	// store, so their partial rankings are byte-identical and failover is
+	// invisible to the fused result.
+	ring := NewRing(nSlots, 0, 0)
+	servers := make([][]*netsearch.Server, nSlots)
+	addrs := make([][]string, nSlots)
+	for s := 0; s < nSlots; s++ {
+		for r := 0; r < nReplicas; r++ {
+			svc := service.New(analysis.Database(), st)
+			t.Cleanup(func() { svc.Close() })
+			srv, err := ServeShard(svc, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			servers[s] = append(servers[s], srv)
+			addrs[s] = append(addrs[s], srv.Addr())
+			for _, name := range names {
+				if ring.Owner(name) != s {
+					continue
+				}
+				if err := svc.Register(name, "chaos.invalid:0"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	reg := telemetry.NewRegistry()
+	front, err := NewFront(addrs, Options{
+		Net: netsearch.Options{
+			Retry:     netsearch.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 1},
+			SleepFunc: func(time.Duration) {},
+		},
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { front.Close() })
+	web := httptest.NewServer(front.Handler())
+	t.Cleanup(web.Close)
+
+	// The closed loop: each worker sends its next batch when the last one
+	// is answered. When killAt requests are done the first replica of slot
+	// 0 goes away: its listener closes (redials refused) and its live
+	// connections die under the queries in flight.
+	var next, done atomic.Int64
+	var kill sync.Once
+	var wg sync.WaitGroup
+	latency := make([]time.Duration, requests)
+	failed := make([]string, requests)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for g := int(next.Add(1)) - 1; g < requests; g = int(next.Add(1)) - 1 {
+				req := batchRankRequest{Alg: "cori", K: 5}
+				for i := 0; i < batch; i++ {
+					at := (g*batch + i) * 3 // three pool words a query, no query twice
+					req.Queries = append(req.Queries, words[at]+" "+words[at+1]+" "+words[at+2])
+				}
+				t0 := time.Now()
+				failed[g] = postBatch(web.URL+"/rank/batch", req)
+				latency[g] = time.Since(t0)
+				if done.Add(1) >= killAt {
+					kill.Do(func() { servers[0][0].Close() })
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Zero failed requests: every one that raced the kill must have been
+	// answered by the surviving replica via failover.
+	for g, f := range failed {
+		if f != "" {
+			t.Errorf("request %d: %s", g, f)
+		}
+	}
+	if reg.Snapshot().Counters["cluster_failovers_total"] == 0 {
+		t.Error("cluster_failovers_total = 0, want > 0 after killing a replica under load")
+	}
+	// Bounded tail (of 30 requests the p99 is the slowest). The bound is
+	// generous for a loaded CI machine; a hang would blow far past it.
+	if p99, limit := slices.Max(latency), 5*time.Second; p99 > limit {
+		t.Errorf("p99 = %s, want at most %s", p99, limit)
+	}
+}
+
+// postBatch sends one rank batch and says what, if anything, was wrong
+// with the answer. Unlike postJSON it never fails the test itself, so
+// worker goroutines can call it.
+func postBatch(url string, req batchRankRequest) string {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err.Error()
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err.Error()
+	}
+	defer resp.Body.Close()
+	var got batchRankResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		return fmt.Sprintf("HTTP %d: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusOK || len(got.Results) != len(req.Queries) {
+		return fmt.Sprintf("HTTP %d, %d results for %d queries", resp.StatusCode, len(got.Results), len(req.Queries))
+	}
+	for _, item := range got.Results {
+		if item.Error != "" {
+			return item.Error
+		}
+	}
+	return ""
 }
