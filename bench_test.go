@@ -30,6 +30,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/langmodel"
 	"repro/internal/lint"
+	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/netsearch"
 	"repro/internal/randx"
@@ -601,6 +602,68 @@ func BenchmarkRank100DBs(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRankDBs is the compiled scorer's cost curve over federation
+// size, on the fixture family the benchmark's workloads are built from
+// (loadgen.SyntheticModels) and with their query shape (three terms): a
+// top-10 selection and the full ranking at each size, beside the scoring
+// they both start with. postings/op is the df-list entries the query's
+// terms touch; if cost follows postings the phase=score and k=10 rows grow
+// with it, and only k=all pays the n log n of the sort.
+func BenchmarkRankDBs(b *testing.B) {
+	for _, n := range []int{100, 512, 10000} {
+		models, words := loadgen.SyntheticModels(n, 0xbe7c)
+		c := selection.Compile(models)
+		src := randx.New(0x9a3e)
+		queries := make([][]int32, 64)
+		var postings int
+		for i := range queries {
+			q := make([]string, 3)
+			for j := range q {
+				q[j] = words[src.Intn(len(words))]
+				for _, m := range models {
+					if m.Contains(q[j]) {
+						postings++
+					}
+				}
+			}
+			queries[i] = c.AppendIDs(nil, q)
+		}
+		perQuery := float64(postings) / float64(len(queries))
+		alg := selection.CORI{}
+		scores := make([]float64, n)
+		out := make([]selection.Ranked, 0, n)
+		b.Run(fmt.Sprintf("n=%d/phase=score", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !c.ScoreInto(alg, queries[i%len(queries)], scores) {
+					b.Fatal("not compiled")
+				}
+			}
+			b.ReportMetric(perQuery, "postings/op")
+		})
+		for _, k := range []struct {
+			name string
+			k    int
+		}{{"k=10", 10}, {"k=all", 0}} {
+			want := k.k
+			if want == 0 {
+				want = n
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, k.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var ok bool
+					out, ok = c.RankTopInto(alg, queries[i%len(queries)], scores, out, k.k)
+					if !ok || len(out) != want {
+						b.Fatal("short ranking")
+					}
+				}
+				b.ReportMetric(perQuery, "postings/op")
+			})
+		}
 	}
 }
 

@@ -7,12 +7,17 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/experiments"
+	"repro/internal/loadgen"
+	"repro/internal/netsearch"
+	"repro/internal/selection"
 	"repro/internal/service"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -87,6 +92,97 @@ func TestFrontBatchMatchesSequential(t *testing.T) {
 					math.Float64bits(got.Ranked[j].Score) != math.Float64bits(want[j].Score) {
 					t.Fatalf("item %d row %d: batch %+v != sequential %+v", i, j, got.Ranked[j], want[j])
 				}
+			}
+		}
+	}
+}
+
+// TestFrontTopKIsPrefix: each shard selects its k with the scorer's
+// bounded selection, so through a 2-shard front the answer for k must be the
+// first k rows of the answer for "all", and must equal the per-partition
+// reference: each shard's own top k, asked directly, fused with uniform
+// weights. (Sharded CORI is partition-relative, so the single-process
+// ranking is not the reference here.) 40 warm synthetic models, 20 on each
+// shard, put k = 1..4 on the heap side of the selection.
+func TestFrontTopKIsPrefix(t *testing.T) {
+	const nDBs = 40
+	models, words := loadgen.SyntheticModels(nDBs, 0xbe7c)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]*service.Service, 2)
+	var addrs [][]string
+	for i := range shards {
+		shards[i] = service.New(analysis.Database(), st)
+		srv, err := ServeShard(shards[i], "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, []string{srv.Addr()})
+	}
+	for i, m := range models {
+		name := fmt.Sprintf("db-%03d", i)
+		if err := st.Put(name, m); err != nil {
+			t.Fatal(err)
+		}
+		// Placed by hand, not by ring: a rank scatters to every slot, and the
+		// ring sends all of these look-alike names to one of them.
+		if err := shards[i%2].Register(name, "prefix.invalid:0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newTestFront(t, addrs, telemetry.NewRegistry())
+	queries := []string{
+		words[3] + " " + words[17] + " " + words[3999],
+		"qqunknown zzunknown", // every database ties: the cut falls inside the tie on both shards
+		words[250],
+	}
+	same := func(label string, got, want []netsearch.RankedDB) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].Name != want[j].Name || math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+				t.Fatalf("%s row %d: %+v, want %+v", label, j, got[j], want[j])
+			}
+		}
+	}
+	for _, alg := range []string{"cori", "gloss-sum"} {
+		for _, q := range queries {
+			full, err := f.Rank(q, alg, 0, "")
+			if err != nil || len(full) != nDBs {
+				t.Fatalf("Rank(%q, %s, 0): %d rows, %v", q, alg, len(full), err)
+			}
+			for _, k := range []int{1, 2, 4, 5, 10, nDBs} {
+				label := fmt.Sprintf("%s k=%d %q", alg, k, q)
+				got, err := f.Rank(q, alg, k, "")
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				same(label+" vs full", got, full[:k])
+
+				partials := make([][]netsearch.RankedDB, len(shards))
+				lists := make([][]selection.DocScore, len(shards))
+				for s, svc := range shards {
+					if partials[s], err = svc.Rank(q, alg, k); err != nil {
+						t.Fatalf("%s shard %d: %v", label, s, err)
+					}
+					for j, r := range partials[s] {
+						lists[s] = append(lists[s], selection.DocScore{Doc: j, Score: r.Score})
+					}
+				}
+				fused, err := selection.MergeWeighted(lists, []float64{1, 1}, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := make([]netsearch.RankedDB, len(fused))
+				for j, h := range fused {
+					ref[j] = netsearch.RankedDB{Name: partials[h.DB][h.Doc].Name, Score: h.Score}
+				}
+				same(label+" vs per-partition reference", got, ref)
 			}
 		}
 	}

@@ -25,6 +25,11 @@ var binaryMagic = []byte("QBLM1")
 // maxBinaryTerms bounds decoding allocations against corrupt headers.
 const maxBinaryTerms = 1 << 28
 
+// maxBinaryPresize caps what ReadBinary allocates on the header's word alone:
+// room for this many terms (a few hundred KB), whatever count a forged or
+// corrupt header claims.
+const maxBinaryPresize = 1 << 12
+
 // WriteBinary serializes the model in the compact binary format.
 func (m *Model) WriteBinary(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
@@ -87,8 +92,15 @@ func ReadBinary(r io.Reader) (*Model, error) {
 	if nterms > maxBinaryTerms {
 		return nil, fmt.Errorf("langmodel: implausible term count %d", nterms)
 	}
-	m := New()
-	m.docs = int(docs)
+	// Size the vocabulary from the header, but never by more than a corrupt
+	// count could cost: a larger model grows past the hint as it would have
+	// grown from empty.
+	hint := int(min(nterms, maxBinaryPresize))
+	m := &Model{
+		terms: make(map[string]TermStats, hint),
+		order: make([]string, 0, hint),
+		docs:  int(docs),
+	}
 	var nameBuf []byte
 	for i := uint64(0); i < nterms; i++ {
 		l, err := binary.ReadUvarint(br)
@@ -113,12 +125,17 @@ func ReadBinary(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("langmodel: term %d ctf: %w", i, err)
 		}
+		// One allocation, one map operation per term: a store that does not
+		// grow the map overwrote an earlier copy of the term.
 		term := string(nameBuf)
-		if m.Contains(term) {
+		m.terms[term] = TermStats{DF: int(df), CTF: int64(ctf)}
+		if len(m.terms) == len(m.order) {
 			return nil, fmt.Errorf("langmodel: duplicate term %q", term)
 		}
-		m.bump(term, int(df), int64(ctf))
+		m.order = append(m.order, term)
 		m.totalCTF += int64(ctf)
 	}
+	// What bump would have counted, one mutation per term.
+	m.version = nterms
 	return m, nil
 }

@@ -2,6 +2,9 @@ package langmodel
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +101,77 @@ func TestBinaryRejectsDuplicateTerms(t *testing.T) {
 	}
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Error("duplicate term accepted")
+	}
+}
+
+// A header is only a claim: 2^28 terms over a 20-byte body must fail on the
+// missing bytes, having allocated for maxBinaryPresize terms at most.
+func TestBinaryForgedCountFailsFast(t *testing.T) {
+	payload := append([]byte("QBLM1"), 1) // docs
+	payload = binary.AppendUvarint(payload, maxBinaryTerms)
+	payload = append(payload, 3, 'a', 'b', 'c', 1, 1)
+	for len(payload) < len("QBLM1")+1+4+20 {
+		payload = append(payload, 0xff) // an unterminated uvarint
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(payload))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged term count accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("ReadBinary allocated %d bytes on a forged header, want under 1 MiB", got)
+	}
+	if _, err := ReadBinary(bytes.NewReader(binary.AppendUvarint(append([]byte("QBLM1"), 1), maxBinaryTerms+1))); err == nil {
+		t.Error("term count above maxBinaryTerms accepted")
+	}
+}
+
+// ReadBinary builds the model directly instead of through bump; it must
+// leave what bump would have: file order as first-seen order (Fingerprint and
+// every sampler draw read it), one version tick per term, the ctf total, and
+// one string per term. 5000 terms is past maxBinaryPresize, so the map and
+// the order slice also grow beyond their hint here.
+func TestBinaryReadMatchesIncrementalBuild(t *testing.T) {
+	const terms = 5000
+	src, want := New(), New()
+	for i := terms - 1; i >= 0; i-- {
+		src.AddTerm(fmt.Sprintf("w%04d", i), TermStats{DF: i%100 + 1, CTF: int64(i%500 + 1)})
+	}
+	src.SetDocs(777)
+	var buf bytes.Buffer
+	if _, err := src.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	got, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range src.Vocabulary() {
+		st, _ := src.Stats(tm)
+		want.AddTerm(tm, st)
+	}
+	want.SetDocs(777)
+	if !got.Equal(want) || got.TotalCTF() != want.TotalCTF() || got.Fingerprint() != want.Fingerprint() {
+		t.Fatal("decoded model differs from the same terms added one by one")
+	}
+	for i := 0; i < terms; i++ {
+		if got.TermAt(i) != want.TermAt(i) {
+			t.Fatalf("TermAt(%d) = %q, want %q", i, got.TermAt(i), want.TermAt(i))
+		}
+	}
+	if got.version != terms {
+		t.Errorf("version = %d, want one tick per term (%d)", got.version, terms)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > terms+64 {
+		t.Errorf("ReadBinary made %.0f allocations for %d terms, want about one per term", allocs, terms)
 	}
 }
 

@@ -107,42 +107,67 @@ func Compile(models []*langmodel.Model) *Compiled {
 		docs: make([]float64, n),
 		cw:   make([]float64, n),
 	}
-	var (
-		perTermDB [][]int32
-		perTermDF [][]float64
-		postings  int
-	)
+	// Each model lists a term once, so the posting count is known before the
+	// first term is read and every array below is allocated once at its final
+	// size. Pass one interns the terms and counts each one's postings,
+	// remembering the id of every posting in visit order.
+	postings := 0
+	for _, m := range models {
+		postings += m.VocabSize()
+	}
+	termOf := make([]int32, 0, postings)
+	var count []int32
 	for i, m := range models {
 		c.docs[i] = float64(m.Docs())
 		c.cw[i] = float64(m.TotalCTF())
-		db := int32(i)
-		m.Range(func(t string, st langmodel.TermStats) bool {
+		for j, v := 0, m.VocabSize(); j < v; j++ {
+			t := m.TermAt(j)
 			id, ok := c.ids[t]
 			if !ok {
-				id = int32(len(perTermDB))
+				id = int32(len(count))
 				c.ids[t] = id
 				c.terms = append(c.terms, t)
-				perTermDB = append(perTermDB, nil)
-				perTermDF = append(perTermDF, nil)
+				count = append(count, 0)
 			}
-			perTermDB[id] = append(perTermDB[id], db)
-			perTermDF[id] = append(perTermDF[id], float64(st.DF))
-			postings++
-			return true
-		})
+			count[id]++
+			termOf = append(termOf, id)
+		}
 	}
 
 	c.avgCW = meanCW(c.cw)
 
-	// Per-term CORI I component. cf is the number of databases whose model
-	// contains the term — the posting count, never zero for interned terms.
-	// Query terms outside the dictionary score with idf 0, exactly as the
-	// map-based path treats a term no model contains.
-	base := newCSR(len(perTermDB), postings)
-	for id, dbs := range perTermDB {
-		base.db = append(base.db, dbs...)
-		base.df = append(base.df, perTermDF[id]...)
-		base.endRow(rowIDF(n, len(dbs)))
+	// The counts give every row its place. Per-term CORI I component: cf is
+	// the number of databases whose model contains the term — the posting
+	// count, never zero for interned terms. Query terms outside the
+	// dictionary score with idf 0, exactly as the map-based path treats a
+	// term no model contains.
+	base := &csr{
+		start: make([]int32, len(count)+1),
+		db:    make([]int32, postings),
+		df:    make([]float64, postings),
+		idf:   make([]float64, len(count)),
+	}
+	for id, cf := range count {
+		base.start[id+1] = base.start[id] + cf
+		base.idf[id] = rowIDF(n, int(cf))
+	}
+
+	// Pass two walks the models in the same order and drops each posting at
+	// its row's cursor (count, reused), so a row's databases stay ascending.
+	next := count
+	copy(next, base.start)
+	p := 0
+	for i, m := range models {
+		db := int32(i)
+		m.Range(func(_ string, st langmodel.TermStats) bool {
+			id := termOf[p]
+			p++
+			at := next[id]
+			next[id]++
+			base.db[at] = db
+			base.df[at] = float64(st.DF)
+			return true
+		})
 	}
 	c.base, c.postings = base, postings
 	return c
@@ -383,36 +408,113 @@ func (c *Compiled) scoreGloss(g Gloss, ids []int32, scores []float64) {
 	}
 }
 
-// RankInto scores and ranks in one call without allocating: ids, scores
-// and out are caller-recycled buffers (scores must have length NumDBs; out
-// is appended to from empty). The ranking is identical to Rank over the
-// same models: best first, ties by database index. ok reports whether alg
-// is a compiled algorithm family.
+// RankInto is the full ranking: RankTopInto with no cutoff.
 //
 //lint:hotpath
 func (c *Compiled) RankInto(alg Algorithm, ids []int32, scores []float64, out []Ranked) ([]Ranked, bool) {
+	return c.RankTopInto(alg, ids, scores, out, 0)
+}
+
+// RankTopInto scores and selects the best k databases in one call without
+// allocating: ids, scores and out are caller-recycled buffers (scores must
+// have length NumDBs; out is overwritten from its start and grows only when
+// its capacity is below the rows selectTop needs). k <= 0 or k >= NumDBs is
+// the full ranking. The result is the first k rows of Rank over the same
+// models: best first, ties by database index. ok reports whether alg is a
+// compiled algorithm family.
+//
+//lint:hotpath
+func (c *Compiled) RankTopInto(alg Algorithm, ids []int32, scores []float64, out []Ranked, k int) ([]Ranked, bool) {
 	if !c.ScoreInto(alg, ids, scores) {
 		return out, false
 	}
-	for i := 0; i < c.n; i++ {
-		out = append(out, Ranked{DB: i, Score: scores[i]})
+	return selectTop(out, scores[:c.n], k), true
+}
+
+// fullSortShare is where selectTop stops using its heap: from k = n/4 up it
+// keeps all n rows, sorts them and cuts. Measured at 512 and 10 000
+// databases the heap costs what the sort costs somewhere between k = n/2
+// (tie-heavy scores, which pdqsort likes) and k = n (distinct scores), so
+// n/4 keeps every k on its cheaper side with a margin.
+const fullSortShare = 4
+
+// selectTop writes into out the k best of scores under the ranking's total
+// order — score descending, database index ascending — best first.
+//
+// The order is total, so the top k is one set in one sequence however it is
+// found. A small k is found in one pass over the scores with a k-sized heap
+// in out whose root is the worst row kept; a large one (fullSortShare) is
+// the same function keeping every row. Databases are visited in ascending
+// index, so a candidate that ties the root has the larger index and ranks
+// after it: the reject test is a single >, and a federation of equal scores
+// answers databases 0..k-1 without ever touching the heap. Cost: O(n) to
+// scan, O(log k) per row that displaces one, O(k log k) to order the rows
+// kept; O(n log k) if the scores happen to ascend with the index.
+//
+//lint:hotpath
+func selectTop(out []Ranked, scores []float64, k int) []Ranked {
+	n := len(scores)
+	if k <= 0 || k > n {
+		k = n
 	}
-	// The comparator is total (ties broken by DB), so the unstable pdqsort
-	// yields exactly the order sort.SliceStable yields in Rank.
-	slices.SortFunc(out, func(a, b Ranked) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.DB < b.DB:
-			return -1
-		case a.DB > b.DB:
-			return 1
+	keep := k
+	if k*fullSortShare >= n {
+		keep = n // no heap: every row is kept, sorted, and the cut comes last
+	}
+	out = out[:0]
+	for i, s := range scores[:keep] {
+		out = append(out, Ranked{DB: i, Score: s})
+	}
+	if keep < n {
+		for i := keep/2 - 1; i >= 0; i-- {
+			siftWorst(out, i)
 		}
-		return 0
-	})
-	return out, true
+		for i := keep; i < n; i++ {
+			if s := scores[i]; s > out[0].Score {
+				out[0] = Ranked{DB: i, Score: s}
+				siftWorst(out, 0)
+			}
+		}
+	}
+	slices.SortFunc(out, compareRanked)
+	return out[:k]
+}
+
+// compareRanked is the ranking's total order (ties broken by DB), so the
+// unstable pdqsort yields exactly the order sort.SliceStable yields in Rank.
+func compareRanked(a, b Ranked) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	case a.DB < b.DB:
+		return -1
+	case a.DB > b.DB:
+		return 1
+	}
+	return 0
+}
+
+// siftWorst restores the heap property below h[i]: every parent ranks after
+// (is worse than) both its children, so h[0] is the worst row kept.
+func siftWorst(h []Ranked, i int) {
+	row := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && compareRanked(h[r], h[child]) > 0 {
+			child = r
+		}
+		if compareRanked(h[child], row) <= 0 {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = row
 }
 
 // Rank is the convenience form of RankInto for callers that do not manage

@@ -170,6 +170,14 @@ func TestCompiledRankIntoZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: RankInto allocated %.1f times per run, want 0", alg.Name(), allocs)
 		}
+		// The serving call: ten of the fifty, on the heap side of selectTop.
+		allocs = testing.AllocsPerRun(100, func() {
+			ids = c.AppendIDs(ids[:0], query)
+			out, _ = c.RankTopInto(alg, ids, scores, out, 10)
+		})
+		if allocs != 0 || len(out) != 10 {
+			t.Errorf("%s: RankTopInto(10) allocated %.1f times per run for %d rows, want 0 for 10", alg.Name(), allocs, len(out))
+		}
 	}
 }
 

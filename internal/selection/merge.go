@@ -1,8 +1,9 @@
 package selection
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Result merging: after selection picks databases and each is searched,
@@ -79,14 +80,14 @@ func MergeWeightedInto(dst []MergedHit, results [][]DocScore, dbScores []float64
 			merged = append(merged, MergedHit{DB: db, Doc: h.Doc, Score: h.Score * w})
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
+	slices.SortFunc(merged, func(a, b MergedHit) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		if merged[i].DB != merged[j].DB {
-			return merged[i].DB < merged[j].DB
+		if a.DB != b.DB {
+			return cmp.Compare(a.DB, b.DB)
 		}
-		return merged[i].Doc < merged[j].Doc
+		return cmp.Compare(a.Doc, b.Doc)
 	})
 	if k > 0 && k < len(merged) {
 		merged = merged[:k]

@@ -84,6 +84,29 @@ func TestMergeWeightedDeterministicTies(t *testing.T) {
 	}
 }
 
+// The front fuses once per query into one recycled buffer; the fuse itself
+// must not allocate (sort.Slice boxed the slice and its closure: 3 per call).
+func TestMergeWeightedIntoZeroAlloc(t *testing.T) {
+	results := [][]DocScore{
+		{{Doc: 0, Score: 0.9}, {Doc: 1, Score: 0.5}, {Doc: 2, Score: 0.5}},
+		{{Doc: 0, Score: 0.7}, {Doc: 1, Score: 0.5}},
+	}
+	dbScores := []float64{0.8, 1}
+	dst := make([]MergedHit, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if dst, err = MergeWeightedInto(dst, results, dbScores, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MergeWeightedInto allocated %.1f times per fuse, want 0", allocs)
+	}
+	if len(dst) != 3 || dst[0] != (MergedHit{DB: 0, Doc: 0, Score: 0.9 * 0.9}) {
+		t.Errorf("fused top 3 = %+v", dst)
+	}
+}
+
 func TestMergeWeightedMismatchedInputs(t *testing.T) {
 	// A length mismatch is a programmer error: it must be reported, not
 	// read as "no hits".

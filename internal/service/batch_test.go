@@ -7,6 +7,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +16,9 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/analysis"
+	"repro/internal/loadgen"
 	"repro/internal/serving"
+	"repro/internal/store"
 )
 
 // TestRankBatchMatchesSequential is the batch-vs-sequential property test:
@@ -59,6 +62,89 @@ func TestRankBatchMatchesSequential(t *testing.T) {
 							i, j, got.Ranked[j], want[j])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRankTopKIsPrefixOnEveryPath: rankSnapshot hands k to the scorer's
+// bounded selection, so on every path that funnels into it (single, batch,
+// stream) the answer for k must be the first k rows of the answer for "all",
+// to the bit. 64 warm synthetic models put k = 1..15 on the heap side of the
+// selection and 16 and up on the full-sort side; the unknown-terms query is
+// the all-tied federation whose top k is the first k names.
+func TestRankTopKIsPrefixOnEveryPath(t *testing.T) {
+	const nDBs = 64
+	models, words := loadgen.SyntheticModels(nDBs, 0xbe7c)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(analysis.Database(), st)
+	t.Cleanup(func() { svc.Close() })
+	for i, m := range models {
+		name := fmt.Sprintf("db-%03d", i)
+		if err := st.Put(name, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Register(name, "prefix.invalid:0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.SetRankCacheSize(0)
+	queries := []string{
+		words[3] + " " + words[17] + " " + words[3999],
+		words[250],
+		"qqunknown zzunknown",
+		words[1200] + " qqunknown",
+	}
+	same := func(label string, got, want []RankedDB) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].Name != want[j].Name || math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+				t.Fatalf("%s row %d: %+v, the full ranking has %+v", label, j, got[j], want[j])
+			}
+		}
+	}
+	for _, alg := range []string{"cori", "gloss-sum", "gloss-ind@0.2"} {
+		full := make([][]RankedDB, len(queries))
+		for i, q := range queries {
+			if full[i], err = svc.Rank(q, alg, 0); err != nil || len(full[i]) != nDBs {
+				t.Fatalf("Rank(%q, %s, 0): %d rows, %v", q, alg, len(full[i]), err)
+			}
+		}
+		if alg == "cori" {
+			for j, r := range full[2] {
+				if want := fmt.Sprintf("db-%03d", j); r.Name != want || r.Score != 0.4 {
+					t.Fatalf("unknown-terms ranking row %d is %+v, want %s at 0.4", j, r, want)
+				}
+			}
+		}
+		for _, k := range []int{1, 3, 10, 15, 16, 32, nDBs - 1, nDBs, nDBs + 5} {
+			batch, err := svc.RankBatch(queries, alg, k)
+			if err != nil {
+				t.Fatalf("RankBatch(%s, %d): %v", alg, k, err)
+			}
+			streamed := make([]BatchItem, len(queries))
+			if err := svc.RankBatchStream(queries, alg, k, func(i int, item BatchItem) error {
+				streamed[i] = item
+				return nil
+			}); err != nil {
+				t.Fatalf("RankBatchStream(%s, %d): %v", alg, k, err)
+			}
+			for i, q := range queries {
+				want := full[i][:min(k, nDBs)]
+				single, err := svc.Rank(q, alg, k)
+				if err != nil {
+					t.Fatalf("Rank(%q, %s, %d): %v", q, alg, k, err)
+				}
+				label := fmt.Sprintf("%s k=%d %q", alg, k, q)
+				same(label+" single", single, want)
+				same(label+" batch", batch[i].Ranked, want)
+				same(label+" stream", streamed[i].Ranked, want)
 			}
 		}
 	}

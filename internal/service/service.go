@@ -808,15 +808,12 @@ func (s *Service) rankSnapshot(snap *snapshotSet, alg selection.Algorithm, scr *
 		scr.scores = make([]float64, c.NumDBs())
 	}
 	scr.scores = scr.scores[:c.NumDBs()]
-	ranked, ok := c.RankInto(alg, scr.ids, scr.scores, scr.ranked[:0])
-	scr.ranked = ranked[:0]
+	ranked, ok := c.RankTopInto(alg, scr.ids, scr.scores, scr.ranked, k)
+	scr.ranked = ranked
 	if !ok {
 		// parseAlgorithm only yields CORI/Gloss, which ScoreInto always
 		// accepts; reaching here means a new family was added to one side.
 		panic("service: algorithm " + alg.Name() + " is not compiled")
-	}
-	if k > 0 && k < len(ranked) {
-		ranked = ranked[:k]
 	}
 	out := make([]RankedDB, len(ranked))
 	for i, r := range ranked {
