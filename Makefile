@@ -11,11 +11,14 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Tier-1 benchmark set for the regression gate (see bench-check).
-BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip
+BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec
 # Benchmarks that must be present in every recording; benchdiff record
 # fails otherwise, so a renamed/filtered-out rank benchmark cannot
 # silently drop out of the regression gate.
-BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip
+BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec
+# Where they live: the root package, and the wire codec's own (its
+# micro-benchmarks reach unexported encoders).
+BENCH_PKGS := . ./internal/netsearch
 # Repeated runs per benchmark; benchdiff keeps the median, which is what
 # makes a 25% threshold usable on noisy shared CI machines.
 BENCH_COUNT ?= 5
@@ -61,14 +64,14 @@ bench-all:
 # the medians to BENCH_OUT (CI uploads it as an artifact), and fail if any
 # benchmark's ns/op grew more than 25% over the committed baseline.
 bench-check:
-	$(GO) test . -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) | tee bench.txt
+	$(GO) test $(BENCH_PKGS) -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) | tee bench.txt
 	$(GO) run ./cmd/benchdiff record -o $(BENCH_OUT) -require $(BENCH_REQUIRE) bench.txt
 	$(GO) run ./cmd/benchdiff compare -threshold 0.25 BENCH_baseline.json $(BENCH_OUT)
 
 # Refresh the committed baseline. Run on a quiet machine and commit the
 # resulting BENCH_baseline.json together with the change that shifted it.
 bench-baseline:
-	$(GO) test . -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) | tee bench.txt
+	$(GO) test $(BENCH_PKGS) -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) | tee bench.txt
 	$(GO) run ./cmd/benchdiff record -o BENCH_baseline.json -require $(BENCH_REQUIRE) bench.txt
 
 # The serving system's one measuring stick: BENCHMARK.json's workloads run
@@ -138,8 +141,9 @@ chaos:
 	$(GO) test -race -run 'Chaos' ./internal/netsearch ./internal/service ./internal/faulty ./internal/cluster
 
 # Short-budget fuzz pass over the parser-shaped attack surfaces —
-# tokenization, stemming, and the two model readers — and over the
-# scorer's top-k selection against sort-then-slice. Each target gets
+# tokenization, stemming, the two model readers, and the netsearch frame
+# decoders — and over the scorer's top-k selection against
+# sort-then-slice. Each target gets
 # FUZZTIME; failures reproduce with `go test -fuzz` on the package.
 fuzz-smoke:
 	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzTokenize$$' -fuzztime=$(FUZZTIME)
@@ -147,6 +151,7 @@ fuzz-smoke:
 	$(GO) test ./internal/langmodel -run xxx -fuzz '^FuzzRead$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/langmodel -run xxx -fuzz '^FuzzReadBinary$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/selection -run xxx -fuzz '^FuzzRankTop$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/netsearch -run xxx -fuzz '^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME)
 
 # Snapshot decoder fuzz smoke: mutated headers, section tables, and
 # payloads against the QBSNAP1 reader. The decoder must reject every

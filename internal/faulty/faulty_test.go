@@ -107,7 +107,9 @@ func TestConnScriptedTruncation(t *testing.T) {
 		errc <- err
 	}()
 
-	frame := []byte(`{"op":"search","query":"apple","n":4}` + "\n")
+	// A netsearch search frame: u32 LE payload length, kind 0x01, then
+	// n = 4, the query "apple" and the trace "".
+	frame := []byte("\x08\x00\x00\x00\x01\x04\x05apple\x00")
 	n, err := fc.Write(frame)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("scripted write fault returned %v", err)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 )
 
@@ -63,7 +64,7 @@ func (f *fakeShard) UnregisterDB(name string) error {
 	return nil
 }
 
-func startShardServer(t *testing.T, shard *fakeShard) *Client {
+func startShardServer(t *testing.T, shard core.Database) *Client {
 	t.Helper()
 	srv, err := Serve(shard, "127.0.0.1:0")
 	if err != nil {

@@ -5,21 +5,40 @@
 // using nothing but the ordinary "run query / fetch document" interface
 // (§3). No language-model export, no shared indexing conventions.
 //
-// The wire protocol is line-delimited JSON: one request object per line,
-// one response object per line, over a single TCP connection. Requests:
+// The wire protocol is length-prefixed binary frames, hand-encoded in
+// codec.go with no reflection on either end:
 //
-//	{"op":"search","query":"apple","n":4}
-//	{"op":"fetch","id":17}
-//	{"op":"count","query":"apple"}      (optional; total matching docs)
+//	u32 little-endian payload length | u8 kind | fields
+//
+// where a field is a uvarint integer, a uvarint-length-prefixed raw byte
+// string, or a score as 8 raw math.Float64bits bytes. In every layout the
+// integers come first and the strings last. Requests (every one closes
+// with its trace ID string):
+//
+//	0x01 search      n, query
+//	0x02 fetch       id
+//	0x03 count       query                   (optional; total matching docs)
+//	0x04 register    name, addr
+//	0x05 unregister  name
+//	0x06 rankstream  k, count, alg, queries…
 //
 // Responses carry either a result or an error string:
 //
-//	{"ids":[3,9,17,2]}
-//	{"doc":{"ID":17,"Title":"...","Text":"..."}}
-//	{"error":"no document with id 99"}
+//	0x81 ids    count, ids…
+//	0x82 doc    id, topic, title, text
+//	0x83 count  n
+//	0x84 ok
+//	0x85 item   index, count, scores…, error, names…
+//	0x86 eos
+//	0x87 error  message
+//
+// A length above maxFrame is refused before anything is allocated, and a
+// short, over-long or unknown-kind payload is a protocol error that drops
+// the connection. Both ends of every connection are built from this
+// repository, so there is no version byte and nothing to negotiate.
 //
 // The client side is fault tolerant: every operation can carry a deadline,
-// any encode/decode failure marks the connection broken (a half-written
+// any write or decode failure marks the connection broken (a half-written
 // frame must never be reused — the next response would be misaligned with
 // the next request), and broken connections are transparently redialed
 // with capped exponential backoff. All three operations are idempotent
@@ -28,7 +47,6 @@ package netsearch
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -41,45 +59,6 @@ import (
 	"repro/internal/randx"
 	"repro/internal/telemetry"
 )
-
-// request is one wire request. Trace carries the caller's trace ID on
-// every frame, so a server-side log line can be correlated with the HTTP
-// request (or sampling run) that caused it. The cluster ops reuse N as
-// the rank cutoff k and carry the database name/addr for registration.
-type request struct {
-	Op      string   `json:"op"`
-	Query   string   `json:"query,omitempty"`
-	Queries []string `json:"queries,omitempty"`
-	N       int      `json:"n,omitempty"`
-	ID      int      `json:"id,omitempty"`
-	Alg     string   `json:"alg,omitempty"`
-	Name    string   `json:"name,omitempty"`
-	Addr    string   `json:"addr,omitempty"`
-	Trace   string   `json:"trace,omitempty"`
-}
-
-// response is one wire response. Most ops answer with exactly one; the
-// "rankstream" op — the one rank op — answers with a frame sequence: one
-// Item frame per query as its ranking completes, terminated by an EOS
-// frame (or an Error frame for a whole-batch refusal). A stream with no
-// terminal frame means the connection died mid-flight.
-type response struct {
-	IDs   []int            `json:"ids,omitempty"`
-	Doc   *corpus.Document `json:"doc,omitempty"`
-	Count *int             `json:"count,omitempty"`
-	Item  *streamItemFrame `json:"item,omitempty"`
-	EOS   bool             `json:"eos,omitempty"`
-	Error string           `json:"error,omitempty"`
-}
-
-// streamItemFrame is one query's result inside a rankstream response
-// sequence. Index is the query's position in the request, so a fused
-// gather can stream shard results out of arrival order.
-type streamItemFrame struct {
-	Index  int        `json:"index"`
-	Ranked []RankedDB `json:"ranked,omitempty"`
-	Error  string     `json:"error,omitempty"`
-}
 
 // RankedDB is one row of a selection ranking: the unit a shard scores, the
 // wire carries, the front tier fuses and the HTTP surface serves. It is
@@ -240,13 +219,12 @@ func (s *Server) handle(conn net.Conn) {
 		//lint:ignore errsink teardown of a connection the handler already gave up on; the peer sees the disconnect either way
 		conn.Close()
 	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	bw := bufio.NewWriter(conn)
-	out := frameWriter{bw, json.NewEncoder(bw)}
+	in := frameReader{br: bufio.NewReader(conn)}
+	out := frameWriter{w: conn}
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return // disconnect or garbage; drop the connection
+		req, err := in.request()
+		if err != nil {
+			return // disconnect, forged length or malformed frame; drop the connection
 		}
 		// Most ops answer with one frame. "rankstream" answers with a frame
 		// sequence and owns the writer until its terminal frame, preserving
@@ -255,20 +233,20 @@ func (s *Server) handle(conn net.Conn) {
 		// desynced and the connection must go.
 		var errMsg string
 		var werr error
-		if req.Op == "rankstream" {
-			errMsg, werr = s.streamRank(req, out)
+		if req.Op == opRankStream {
+			errMsg, werr = s.streamRank(req, &out)
 		} else {
 			resp := s.dispatch(req)
-			errMsg, werr = resp.Error, out.send(resp, false)
+			errMsg, werr = resp.Error, out.send(&resp, false)
 		}
 		if lg, reg := s.observers(); lg != nil || reg != nil {
-			reg.Counter(`netsearch_server_requests_total{op="` + promSafe(req.Op) + `"}`).Inc()
+			reg.Counter(serverRequests[req.Op.slot()]).Inc()
 			if errMsg != "" {
 				reg.Counter("netsearch_server_errors_total").Inc()
 			}
 			if lg != nil {
 				lg.Debug("netsearch request",
-					"op", req.Op, telemetry.TraceKey, req.Trace, "err", errMsg)
+					"op", req.Op.String(), telemetry.TraceKey, req.Trace, "err", errMsg)
 			}
 		}
 		if werr != nil {
@@ -277,103 +255,83 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// frameWriter writes response frames to a connection through a buffer, so
-// that a frame can be held back to share a write with the one after it.
-type frameWriter struct {
-	bw  *bufio.Writer
-	enc *json.Encoder // onto bw
-}
-
-// send encodes a frame and writes everything buffered; with hold set it
-// only encodes, and the next send carries the frame.
-func (fw frameWriter) send(resp response, hold bool) error {
-	if err := fw.enc.Encode(resp); err != nil || hold {
-		return err
-	}
-	return fw.bw.Flush()
-}
-
-// promSafe clamps an op string from the wire to the small closed set of
-// known operations, so a hostile peer cannot mint unbounded metric-label
-// cardinality.
-func promSafe(op string) string {
-	switch op {
-	case "search", "fetch", "count", "rankstream", "register", "unregister":
-		return op
-	}
-	return "other"
-}
+// refusal is the error frame that answers a request the server will not
+// serve; the connection stays healthy.
+func refusal(msg string) response { return response{kind: kindError, Error: msg} }
 
 // streamRank serves one "rankstream" request as a frame sequence on out,
-// returning the ranker's whole-batch error text (sent as a terminal Error
+// returning the ranker's whole-batch error text (sent as a terminal error
 // frame) and any write failure. Every item is sent the moment it is
 // ranked, except the last, which rides in one write with the terminal
 // frame that follows it at once — so a stream of one (a single-query rank)
 // costs one write and one read, like any single-frame op.
-func (s *Server) streamRank(req request, out frameWriter) (errMsg string, werr error) {
+func (s *Server) streamRank(req request, out *frameWriter) (errMsg string, werr error) {
+	fail := func(msg string) (string, error) {
+		resp := refusal(msg)
+		return msg, out.send(&resp, false)
+	}
 	db, ok := s.db.(StreamBatchRanker)
 	if !ok {
-		errMsg = "rankstream unsupported by this database"
-		return errMsg, out.send(response{Error: errMsg}, false)
+		return fail("rankstream unsupported by this database")
 	}
 	sent := 0
 	err := db.RankDBsStream(req.Queries, req.Alg, req.N, func(i int, item RankedBatch) error {
 		sent++
-		frame := response{Item: &streamItemFrame{Index: i, Ranked: item.Ranked, Error: item.Error}}
-		return out.send(frame, sent == len(req.Queries))
+		frame := response{kind: kindItem, Item: streamItemFrame{Index: i, Ranked: item.Ranked, Error: item.Error}}
+		return out.send(&frame, sent == len(req.Queries))
 	})
 	if err != nil {
 		// If err was itself a write failure this send fails too and the
 		// caller drops the connection — exactly right either way.
-		return err.Error(), out.send(response{Error: err.Error()}, false)
+		return fail(err.Error())
 	}
-	return "", out.send(response{EOS: true}, false)
+	return "", out.send(&response{kind: kindEOS}, false)
 }
 
 func (s *Server) dispatch(req request) response {
 	switch req.Op {
-	case "search":
+	case opSearch:
 		ids, err := s.db.Search(req.Query, req.N)
 		if err != nil {
-			return response{Error: err.Error()}
+			return refusal(err.Error())
 		}
-		return response{IDs: ids}
-	case "fetch":
+		return response{kind: kindIDs, IDs: ids}
+	case opFetch:
 		doc, err := s.db.Fetch(req.ID)
 		if err != nil {
-			return response{Error: err.Error()}
+			return refusal(err.Error())
 		}
-		return response{Doc: &doc}
-	case "count":
+		return response{kind: kindDoc, Doc: doc}
+	case opCount:
 		hc, ok := s.db.(hitCounter)
 		if !ok {
-			return response{Error: "count unsupported by this database"}
+			return refusal("count unsupported by this database")
 		}
 		n, err := hc.TotalHits(req.Query)
 		if err != nil {
-			return response{Error: err.Error()}
+			return refusal(err.Error())
 		}
-		return response{Count: &n}
-	case "register":
+		return response{kind: kindCount, Count: n}
+	case opRegister:
 		rg, ok := s.db.(Registrar)
 		if !ok {
-			return response{Error: "register unsupported by this database"}
+			return refusal("register unsupported by this database")
 		}
 		if err := rg.RegisterDB(req.Name, req.Addr); err != nil {
-			return response{Error: err.Error()}
+			return refusal(err.Error())
 		}
-		return response{}
-	case "unregister":
+		return response{kind: kindOK}
+	case opUnregister:
 		rg, ok := s.db.(Registrar)
 		if !ok {
-			return response{Error: "unregister unsupported by this database"}
+			return refusal("unregister unsupported by this database")
 		}
 		if err := rg.UnregisterDB(req.Name); err != nil {
-			return response{Error: err.Error()}
+			return refusal(err.Error())
 		}
-		return response{}
+		return response{kind: kindOK}
 	default:
-		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		return refusal(fmt.Sprintf("unknown op 0x%02x", uint8(req.Op)))
 	}
 }
 
@@ -425,8 +383,8 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   net.Conn
-	dec    *json.Decoder
-	enc    *json.Encoder
+	in     frameReader // conn's read side; replaced with it
+	wbuf   []byte      // the request frame being sent; reused across operations
 	broken bool
 	closed bool
 	rng    *randx.Source // jitter stream; guarded by mu
@@ -484,8 +442,7 @@ func (c *Client) SetTrace(id string) {
 // constructor).
 func (c *Client) attach(conn net.Conn) {
 	c.conn = conn
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	c.enc = json.NewEncoder(conn)
+	c.in = frameReader{br: bufio.NewReader(conn)}
 	c.broken = false
 }
 
@@ -557,7 +514,7 @@ func (e emitError) Unwrap() error { return e.err }
 func (c *Client) run(req request, exchange func(request) (response, error)) (response, error) {
 	// Per-op latency covers the whole operation as the caller sees it:
 	// lock wait, retries, backoff sleeps and redials included.
-	sp := c.opts.Metrics.StartSpan(`netsearch_op_seconds{op="` + req.Op + `"}`)
+	sp := c.opts.Metrics.StartSpan(opSeconds[req.Op])
 	defer sp.End()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -569,8 +526,18 @@ func (c *Client) run(req request, exchange func(request) (response, error)) (res
 	if req.Trace == "" {
 		req.Trace = c.trace
 	}
+	// The request is encoded once, here, and every attempt re-sends the
+	// same bytes. One the peer would refuse on its length alone is refused
+	// now, with a reason, instead of as three dropped connections.
+	c.wbuf = appendRequest(c.wbuf[:0], &req)
+	if len(c.wbuf)-frameHeader > maxFrame {
+		c.wbuf = nil
+		return response{}, fmt.Errorf("netsearch: %s %s: request exceeds the %d-byte frame limit", req.Op, c.addr, maxFrame)
+	}
 	//lint:ignore lockheld c.mu is the wire-serialization mechanism (one exchange at a time per client, a stream being one exchange); the whole retry loop — backoff sleeps, redials, exchanges — runs under it by design so frames never interleave (DESIGN.md §8)
-	return c.retryLoop(req, exchange)
+	resp, err := c.retryLoop(req, exchange)
+	c.wbuf = trim(c.wbuf)
+	return resp, err
 }
 
 // retryLoop drives one operation through the redial-with-backoff policy.
@@ -586,7 +553,7 @@ func (c *Client) retryLoop(req request, exchange func(request) (response, error)
 			c.opts.Metrics.Counter("netsearch_retries_total").Inc()
 			if c.opts.Logger != nil {
 				c.opts.Logger.Debug("netsearch retry",
-					"op", req.Op, "attempt", attempt+1, "addr", c.addr,
+					"op", req.Op.String(), "attempt", attempt+1, "addr", c.addr,
 					telemetry.TraceKey, c.trace, "err", fmt.Sprint(lastErr))
 			}
 			c.sleep(policy.Delay(attempt-1, c.rng))
@@ -642,53 +609,66 @@ func (c *Client) retryLoop(req request, exchange func(request) (response, error)
 		req.Op, c.addr, policy.Attempts, lastErr)
 }
 
+// send writes the request frame run encoded, in one Write: the scripted
+// faults of internal/faulty count Write calls, and a half-written frame is
+// what the broken-connection rule exists for.
+func (c *Client) send() error {
+	if _, err := c.conn.Write(c.wbuf); err != nil {
+		return fmt.Errorf("netsearch: send: %w", err)
+	}
+	return nil
+}
+
 // do performs one request/response exchange on the current connection.
 // Caller holds mu.
 func (c *Client) do(req request) (response, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return response{}, fmt.Errorf("netsearch: send: %w", err)
+	if err := c.send(); err != nil {
+		return response{}, err
 	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
+	resp, err := c.in.response()
+	if err != nil {
 		return response{}, fmt.Errorf("netsearch: receive: %w", err)
 	}
-	if resp.Error != "" {
+	switch resp.kind {
+	case kindError:
 		return response{}, remoteError{resp.Error}
+	case answers[req.Op]:
+		return resp, nil
 	}
-	return resp, nil
+	// A well-formed frame that does not answer the question means the peer
+	// and we disagree about the protocol: treat it like a transport fault
+	// so the connection is discarded.
+	return response{}, fmt.Errorf("netsearch: frame kind 0x%02x does not answer %s", resp.kind, req.Op)
 }
 
 // doStream performs one "rankstream" exchange: send the request, then
-// decode Item frames into emit until the terminal EOS or Error frame.
+// decode item frames into emit until the terminal eos or error frame.
 // Caller holds mu for the whole stream — the frame sequence is one
 // exchange, and interleaving another op's frames into it would desync the
 // connection. An emit failure comes back wrapped in emitError so the retry
 // loop knows the caller (not the wire) gave up.
-func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error) error {
-	if err := c.enc.Encode(req); err != nil {
-		return fmt.Errorf("netsearch: send: %w", err)
+func (c *Client) doStream(emit func(i int, item RankedBatch) error) error {
+	if err := c.send(); err != nil {
+		return err
 	}
 	for {
-		var resp response
-		if err := c.dec.Decode(&resp); err != nil {
+		resp, err := c.in.response()
+		if err != nil {
 			return fmt.Errorf("netsearch: receive: %w", err)
 		}
-		switch {
-		case resp.Error != "":
+		switch resp.kind {
+		case kindError:
 			return remoteError{resp.Error}
-		case resp.EOS:
+		case kindEOS:
 			return nil
-		case resp.Item != nil:
+		case kindItem:
 			if err := emit(resp.Item.Index, RankedBatch{
 				Ranked: resp.Item.Ranked, Error: resp.Item.Error,
 			}); err != nil {
 				return emitError{err}
 			}
 		default:
-			// A frame that is neither item, error, nor EOS means the peer
-			// and we disagree about the protocol: treat it like a transport
-			// fault so the connection is discarded.
-			return errors.New("netsearch: rankstream frame with no item, error, or eos")
+			return fmt.Errorf("netsearch: frame kind 0x%02x inside a rankstream", resp.kind)
 		}
 	}
 }
@@ -707,16 +687,16 @@ func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error)
 // consumer that left would desync it), no retry happens, and the error is
 // returned wrapped — cancellation conventionally wraps ErrStreamCanceled.
 func (c *Client) RankDBsStream(queries []string, alg string, k int, trace string, emit func(i int, item RankedBatch) error) error {
-	req := request{Op: "rankstream", Queries: queries, Alg: alg, N: k, Trace: trace}
-	_, err := c.run(req, func(req request) (response, error) {
-		return response{}, c.doStream(req, emit)
+	req := request{Op: opRankStream, Queries: queries, Alg: alg, N: k, Trace: trace}
+	_, err := c.run(req, func(request) (response, error) {
+		return response{}, c.doStream(emit)
 	})
 	return err
 }
 
 // Search implements core.Database.
 func (c *Client) Search(query string, n int) ([]int, error) {
-	resp, err := c.run(request{Op: "search", Query: query, N: n}, c.do)
+	resp, err := c.run(request{Op: opSearch, Query: query, N: n}, c.do)
 	if err != nil {
 		return nil, err
 	}
@@ -725,14 +705,11 @@ func (c *Client) Search(query string, n int) ([]int, error) {
 
 // Fetch implements core.Database.
 func (c *Client) Fetch(id int) (corpus.Document, error) {
-	resp, err := c.run(request{Op: "fetch", ID: id}, c.do)
+	resp, err := c.run(request{Op: opFetch, ID: id}, c.do)
 	if err != nil {
 		return corpus.Document{}, err
 	}
-	if resp.Doc == nil {
-		return corpus.Document{}, errors.New("netsearch: fetch returned no document")
-	}
-	return *resp.Doc, nil
+	return resp.Doc, nil
 }
 
 // RankDBs ranks one query on a shard: a rankstream of one, its item's
@@ -760,7 +737,7 @@ func (c *Client) RankDBs(query, alg string, k int, trace string) ([]RankedDB, er
 // server-reported "already registered" error and leaves the registry in
 // the same state, so transport-level retries cannot corrupt placement.
 func (c *Client) RegisterDB(name, addr string) error {
-	_, err := c.run(request{Op: "register", Name: name, Addr: addr}, c.do)
+	_, err := c.run(request{Op: opRegister, Name: name, Addr: addr}, c.do)
 	return err
 }
 
@@ -768,7 +745,7 @@ func (c *Client) RegisterDB(name, addr string) error {
 // RegisterDB it converges under replay (a second delivery reports an
 // unknown database and changes nothing).
 func (c *Client) UnregisterDB(name string) error {
-	_, err := c.run(request{Op: "unregister", Name: name}, c.do)
+	_, err := c.run(request{Op: opUnregister, Name: name}, c.do)
 	return err
 }
 
@@ -777,14 +754,11 @@ func (c *Client) UnregisterDB(name string) error {
 // error. Together with Search and Fetch this makes the Client usable by
 // the sizeest estimators.
 func (c *Client) TotalHits(query string) (int, error) {
-	resp, err := c.run(request{Op: "count", Query: query}, c.do)
+	resp, err := c.run(request{Op: opCount, Query: query}, c.do)
 	if err != nil {
 		return 0, err
 	}
-	if resp.Count == nil {
-		return 0, errors.New("netsearch: count returned no value")
-	}
-	return *resp.Count, nil
+	return resp.Count, nil
 }
 
 var _ core.Database = (*Client)(nil)

@@ -76,15 +76,23 @@ func TestUnknownOpRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"explode"}` + "\n")); err != nil {
+	in := frameReader{br: bufio.NewReader(conn)}
+	// Kind 0x7f names no op. Its payload is stepped over by length, the
+	// answer is an error frame, and the connection serves the next request.
+	frame := endFrame(append(beginFrame(nil, 0x7f), "explode"...), frameHeader)
+	frame = appendRequest(frame, &request{Op: opSearch, Query: "alpha", N: 1})
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
+	resp, err := in.response()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(line, "unknown op") {
-		t.Errorf("response = %q", line)
+	if resp.kind != kindError || !strings.Contains(resp.Error, "unknown op") {
+		t.Errorf("response = %+v", resp)
+	}
+	if resp, err = in.response(); err != nil || resp.kind != kindIDs || len(resp.IDs) != 1 {
+		t.Errorf("search after the unknown op = %+v, %v", resp, err)
 	}
 }
 

@@ -17,7 +17,7 @@ package serving
 
 import (
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -66,11 +66,16 @@ func (s *surface) streamRankBatch(w http.ResponseWriter, r *http.Request, req ba
 		if err != nil {
 			return err
 		}
-		format := "%s\n"
+		// Prefix, body and terminator go out as they are: a formatted write
+		// would box b and parse a format once per query.
+		end := "\n"
 		if sse {
-			format = "data: %s\n\n"
+			if _, err := io.WriteString(w, "data: "); err != nil {
+				return err
+			}
+			end = "\n\n"
 		}
-		if _, err := fmt.Fprintf(w, format, b); err != nil {
+		if _, err := w.Write(append(b, end...)); err != nil {
 			return err
 		}
 		if flusher != nil {
