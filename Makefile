@@ -11,14 +11,14 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Tier-1 benchmark set for the regression gate (see bench-check).
-BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec
+BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec|EncodeRanking
 # Benchmarks that must be present in every recording; benchdiff record
 # fails otherwise, so a renamed/filtered-out rank benchmark cannot
 # silently drop out of the regression gate.
-BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec
-# Where they live: the root package, and the wire codec's own (its
-# micro-benchmarks reach unexported encoders).
-BENCH_PKGS := . ./internal/netsearch
+BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec,EncodeRanking
+# Where they live: the root package, and the wire codec's and the HTTP
+# ranking encoder's own (their micro-benchmarks reach unexported encoders).
+BENCH_PKGS := . ./internal/netsearch ./internal/serving
 # Repeated runs per benchmark; benchdiff keeps the median, which is what
 # makes a 25% threshold usable on noisy shared CI machines.
 BENCH_COUNT ?= 5
@@ -142,8 +142,8 @@ chaos:
 
 # Short-budget fuzz pass over the parser-shaped attack surfaces —
 # tokenization, stemming, the two model readers, and the netsearch frame
-# decoders — and over the scorer's top-k selection against
-# sort-then-slice. Each target gets
+# decoders — over the scorer's top-k selection against sort-then-slice,
+# and over the HTTP ranking encoder against encoding/json. Each target gets
 # FUZZTIME; failures reproduce with `go test -fuzz` on the package.
 fuzz-smoke:
 	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzTokenize$$' -fuzztime=$(FUZZTIME)
@@ -152,6 +152,7 @@ fuzz-smoke:
 	$(GO) test ./internal/langmodel -run xxx -fuzz '^FuzzReadBinary$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/selection -run xxx -fuzz '^FuzzRankTop$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsearch -run xxx -fuzz '^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serving -run xxx -fuzz '^FuzzEncodeRanking$$' -fuzztime=$(FUZZTIME)
 
 # Snapshot decoder fuzz smoke: mutated headers, section tables, and
 # payloads against the QBSNAP1 reader. The decoder must reject every

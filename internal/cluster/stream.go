@@ -12,7 +12,9 @@ package cluster
 //
 // Duplicate queries within the batch collapse before the scatter: each
 // unique query travels (and fuses) once, and every original position gets
-// a copy (cluster_rank_coalesced_total{scope="batch"}).
+// a ranking of its own — the fused slice itself for the last position that
+// asks for it, a copy for the earlier ones
+// (cluster_rank_coalesced_total{scope="batch"}).
 //
 // The cold-federation rule. A query for which no slot holds a model fuses
 // to nothing; scatter marks that item Cold. What a cold item means to the
@@ -33,10 +35,12 @@ import (
 	"repro/internal/serving"
 )
 
-// dedupQueries returns the unique queries in first-appearance order and,
-// per original position, the index of its unique query.
-func dedupQueries(queries []string) (uniq []string, pos []int) {
-	pos = make([]int, len(queries))
+// dedupQueries returns the unique queries in first-appearance order, per
+// original position the index of its unique query, and per unique query
+// the number of positions that use it (indexed like uniq).
+func dedupQueries(queries []string) (uniq []string, pos, uses []int) {
+	ints := make([]int, 2*len(queries)) // both tables in one allocation
+	pos, uses = ints[:len(queries)], ints[len(queries):]
 	idx := make(map[string]int, len(queries))
 	for i, q := range queries {
 		u, ok := idx[q]
@@ -46,8 +50,9 @@ func dedupQueries(queries []string) (uniq []string, pos []int) {
 			idx[q] = u
 		}
 		pos[i] = u
+		uses[u]++
 	}
-	return uniq, pos
+	return uniq, pos, uses
 }
 
 // slotItem is one frame of a slot's rank stream on its way to the fuser.
@@ -108,7 +113,7 @@ func (f *Front) RankBatchStream(queries []string, alg string, k int, trace strin
 // slot as one exchange, so failover retries it as a unit and never splits
 // it across replicas with divergent model states.
 func (f *Front) scatter(queries []string, alg string, k int, trace string, emit func(i int, item serving.Item) error) error {
-	uniq, pos := dedupQueries(queries)
+	uniq, pos, uses := dedupQueries(queries)
 	if dups := len(queries) - len(uniq); dups > 0 {
 		f.reg.Counter(`cluster_rank_coalesced_total{scope="batch"}`).Add(int64(dups))
 	}
@@ -197,9 +202,13 @@ func (f *Front) scatter(queries []string, alg string, k int, trace string, emit 
 			}
 			done[u] = true
 		}
-		// Each position owns its slice: duplicates must not alias.
+		// Each position owns its slice: duplicates must not alias. The last
+		// position to use a ranking takes the fused slice itself, so a batch
+		// without repeats copies nothing.
 		item := items[u]
-		item.Ranked = append([]netsearch.RankedDB(nil), item.Ranked...)
+		if uses[u]--; uses[u] > 0 {
+			item.Ranked = append([]netsearch.RankedDB(nil), item.Ranked...)
+		}
 		if err := emit(i, item); err != nil {
 			return err
 		}

@@ -84,6 +84,59 @@ func TestFrontStreamMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestFrontPositionsOwnTheirSlices: duplicates fuse once, yet every position
+// owns its ranking — the last user of a fused slice takes it, the earlier
+// ones get copies. Each emitted slice is scribbled over the moment it
+// arrives; every later position, duplicate or not, must still read the
+// ranking a query ranked alone gets.
+func TestFrontPositionsOwnTheirSlices(t *testing.T) {
+	f, dbs := sampledCluster(t, 2)
+	terms := experiments.TopicalTerms(dbs[0], dbs, 4)
+	a, b, c := terms[0]+" "+terms[1], terms[2], terms[3]
+	queries := []string{a, b, a, c, a, b}
+	want := map[string][]netsearch.RankedDB{}
+	for _, q := range []string{a, b, c} {
+		ranked, err := f.Rank(q, "cori", 3, "")
+		if err != nil || len(ranked) == 0 {
+			t.Fatalf("Rank(%q): %+v, %v", q, ranked, err)
+		}
+		want[q] = ranked
+	}
+	check := func(what string, i int, got []netsearch.RankedDB) {
+		t.Helper()
+		ref := want[queries[i]]
+		if len(got) != len(ref) {
+			t.Fatalf("%s position %d: %d rows, want %d", what, i, len(got), len(ref))
+		}
+		for j := range ref {
+			if got[j].Name != ref[j].Name || math.Float64bits(got[j].Score) != math.Float64bits(ref[j].Score) {
+				t.Fatalf("%s position %d row %d = %+v, want %+v: a neighbour's slice aliases it", what, i, j, got[j], ref[j])
+			}
+		}
+	}
+	scribble := func(rows []netsearch.RankedDB) {
+		for j := range rows {
+			rows[j] = netsearch.RankedDB{Name: "scribbled", Score: -1}
+		}
+	}
+	err := f.RankBatchStream(queries, "cori", 3, "", func(i int, item netsearch.RankedBatch) error {
+		check("streamed", i, item.Ranked)
+		scribble(item.Ranked)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := f.RankBatch(queries, "cori", 3, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range items {
+		check("buffered", i, items[i].Ranked)
+		scribble(items[i].Ranked)
+	}
+}
+
 // TestFrontStreamColdFederation: the documented divergence — a federation
 // with no models streams per-item errors (each wrapping ErrNoModels' text)
 // instead of the buffered path's whole-batch refusal.

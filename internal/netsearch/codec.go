@@ -26,17 +26,45 @@ const (
 	// generated corpora, tens at the log-normal tail); 4 MiB fits both
 	// with room.
 	maxFrame = 4 << 20
-	// bufRetain is the most a connection's frame buffer keeps between
-	// frames: one large document must not pin its size for the connection's
-	// lifetime.
-	bufRetain = 64 << 10
+	// BufRetain is the most a reused buffer keeps between uses — a
+	// connection's frame buffer here, a pooled reply buffer on the HTTP
+	// surface (internal/serving): one large document or batch must not pin
+	// its size for the process's lifetime. Exported so that both hops of a
+	// stream hold flushBytes against the same limit.
+	BufRetain = 64 << 10
+	// flushBytes is the most a stream holds back between writes, whatever
+	// FlushDue's count says. Half of BufRetain: a group that hits the cap has
+	// grown its buffer past flushBytes but not past BufRetain, so a long
+	// stream of wide rankings reuses one buffer instead of dropping it every
+	// group, and neither hop's resident set follows the batch size.
+	flushBytes = BufRetain / 2
 )
 
+// FlushDue is the one flush rule of the streaming read path, asked by both
+// hops — a shard's rankstream (streamRank) and the HTTP surface's NDJSON/SSE
+// stream (internal/serving) — after every item frame they append: sent is
+// the count of item frames so far, this one included, total the number the
+// stream will carry, and held the bytes appended since the last write.
+// Frames leave in groups that double, after items 1, 3, 7, 15, …, and the
+// last item never leaves on its own: the terminal frame follows it at once
+// and carries out everything held. So the first result leaves alone
+// (time-to-first-result is still one query's latency), result i is on the
+// wire by the time result 2i−1 is ranked (nothing waits longer than the
+// stream had already been running), and a stream of n costs ⌊log₂ n⌋+1
+// writes, not n. The byte cap bounds what a group of wide rankings can pin.
+// It is a rule and not a setting: its only inputs are the stream's own
+// progress.
+//
+//lint:hotpath
+func FlushDue(sent, total, held int) bool {
+	return sent < total && (sent&(sent+1) == 0 || held >= flushBytes)
+}
+
 // trim empties a frame buffer for reuse, or lets go of one that a large
-// frame grew past bufRetain, so the resident set follows the traffic down
+// frame grew past BufRetain, so the resident set follows the traffic down
 // again.
 func trim(buf []byte) []byte {
-	if cap(buf) > bufRetain {
+	if cap(buf) > BufRetain {
 		return nil
 	}
 	return buf[:0]
@@ -476,21 +504,27 @@ func (r *frameReader) response() (response, error) {
 }
 
 // frameWriter builds response frames in a buffer it reuses and hands them
-// to the connection in one Write, so that a frame can be held back to
-// share that write with the one after it.
+// to the connection in one Write, so that frames can be held back to share
+// that write with the ones after them.
 type frameWriter struct {
 	w   io.Writer
 	buf []byte
 }
 
-// send encodes a frame and writes everything buffered; with hold set it
-// only encodes, and the next send carries the frame.
-func (fw *frameWriter) send(resp *response, hold bool) error {
+// hold encodes a frame and keeps it for the next flush to carry.
+func (fw *frameWriter) hold(resp *response) {
 	fw.buf = appendResponse(fw.buf, resp)
-	if hold {
-		return nil
-	}
+}
+
+// flush writes everything held, in one Write.
+func (fw *frameWriter) flush() error {
 	_, err := fw.w.Write(fw.buf)
 	fw.buf = trim(fw.buf)
 	return err
+}
+
+// send encodes a frame and writes it with everything held before it.
+func (fw *frameWriter) send(resp *response) error {
+	fw.hold(resp)
+	return fw.flush()
 }

@@ -393,27 +393,27 @@ func TestDecodedItemOutlivesBuffer(t *testing.T) {
 // TestLargeFrameBufferReleased: one large document must not pin its size
 // on either end of the connection.
 func TestLargeFrameBufferReleased(t *testing.T) {
-	big := response{kind: kindDoc, Doc: corpus.Document{ID: 1, Text: strings.Repeat("x", 4*bufRetain)}}
+	big := response{kind: kindDoc, Doc: corpus.Document{ID: 1, Text: strings.Repeat("x", 4*BufRetain)}}
 	small := response{kind: kindCount, Count: 3}
 
 	in := readerOver(appendResponse(appendResponse(nil, &big), &small))
 	got, err := in.response()
-	if err != nil || len(got.Doc.Text) != 4*bufRetain {
+	if err != nil || len(got.Doc.Text) != 4*BufRetain {
 		t.Fatalf("large document: %d bytes of text, %v", len(got.Doc.Text), err)
 	}
-	if cap(in.buf) > bufRetain {
-		t.Errorf("reader kept %d bytes after a large frame, want at most %d", cap(in.buf), bufRetain)
+	if cap(in.buf) > BufRetain {
+		t.Errorf("reader kept %d bytes after a large frame, want at most %d", cap(in.buf), BufRetain)
 	}
 	if got, err = in.response(); err != nil || got.Count != 3 {
 		t.Errorf("frame after the large one = %+v, %v", got, err)
 	}
 
 	out := frameWriter{w: io.Discard}
-	if err := out.send(&big, false); err != nil {
+	if err := out.send(&big); err != nil {
 		t.Fatal(err)
 	}
-	if cap(out.buf) > bufRetain {
-		t.Errorf("writer kept %d bytes after a large frame, want at most %d", cap(out.buf), bufRetain)
+	if cap(out.buf) > BufRetain {
+		t.Errorf("writer kept %d bytes after a large frame, want at most %d", cap(out.buf), BufRetain)
 	}
 }
 

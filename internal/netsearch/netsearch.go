@@ -237,7 +237,7 @@ func (s *Server) handle(conn net.Conn) {
 			errMsg, werr = s.streamRank(req, &out)
 		} else {
 			resp := s.dispatch(req)
-			errMsg, werr = resp.Error, out.send(&resp, false)
+			errMsg, werr = resp.Error, out.send(&resp)
 		}
 		if lg, reg := s.observers(); lg != nil || reg != nil {
 			reg.Counter(serverRequests[req.Op.slot()]).Inc()
@@ -261,14 +261,15 @@ func refusal(msg string) response { return response{kind: kindError, Error: msg}
 
 // streamRank serves one "rankstream" request as a frame sequence on out,
 // returning the ranker's whole-batch error text (sent as a terminal error
-// frame) and any write failure. Every item is sent the moment it is
-// ranked, except the last, which rides in one write with the terminal
-// frame that follows it at once — so a stream of one (a single-query rank)
-// costs one write and one read, like any single-frame op.
+// frame) and any write failure. Item frames are held and written out as
+// FlushDue says: in doubling groups, the last item never on its own — so a
+// stream of one (a single-query rank) costs one write and one read, like
+// any single-frame op. A terminal frame, eos or error, carries out
+// everything still held before it.
 func (s *Server) streamRank(req request, out *frameWriter) (errMsg string, werr error) {
 	fail := func(msg string) (string, error) {
 		resp := refusal(msg)
-		return msg, out.send(&resp, false)
+		return msg, out.send(&resp)
 	}
 	db, ok := s.db.(StreamBatchRanker)
 	if !ok {
@@ -278,14 +279,18 @@ func (s *Server) streamRank(req request, out *frameWriter) (errMsg string, werr 
 	err := db.RankDBsStream(req.Queries, req.Alg, req.N, func(i int, item RankedBatch) error {
 		sent++
 		frame := response{kind: kindItem, Item: streamItemFrame{Index: i, Ranked: item.Ranked, Error: item.Error}}
-		return out.send(&frame, sent == len(req.Queries))
+		out.hold(&frame)
+		if FlushDue(sent, len(req.Queries), len(out.buf)) {
+			return out.flush()
+		}
+		return nil
 	})
 	if err != nil {
 		// If err was itself a write failure this send fails too and the
 		// caller drops the connection — exactly right either way.
 		return fail(err.Error())
 	}
-	return "", out.send(&response{kind: kindEOS}, false)
+	return "", out.send(&response{kind: kindEOS})
 }
 
 func (s *Server) dispatch(req request) response {

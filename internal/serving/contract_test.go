@@ -502,6 +502,31 @@ var contract = []struct {
 		// The tier still serves.
 		wantStatus(t, do(fx.h, http.MethodPost, "/rank/batch", body), http.StatusOK, "batch after the abort")
 	}},
+	{name: "a client that leaves with frames held got each earlier frame once", adm: admission.Config{MaxInFlight: 8}, run: func(t *testing.T, fx *fixture) {
+		// The client hangs up on the second write — frames 1 and 2 — so the
+		// stream is cut inside the group 3..6, which is being held.
+		ctx, cancel := context.WithCancel(context.Background())
+		gone := &nthWriteHook{ResponseRecorder: httptest.NewRecorder(), n: 2, hook: cancel}
+		body := batchBody{Queries: make([]string, 8)}
+		for i := range body.Queries {
+			body.Queries[i] = fx.query + strings.Repeat(" again", i)
+		}
+		fx.h.ServeHTTP(gone, newRequest(ctx, http.MethodPost, "/rank/batch?stream=1", body))
+		fs := frames(t, gone.Body.String(), false)
+		if len(fs) != 3 {
+			t.Fatalf("%d frames written to a client that left after the third, want 3", len(fs))
+		}
+		for i, f := range fs {
+			if f.Index != i || f.Done || len(f.Ranked) == 0 {
+				t.Errorf("frame %d = %+v", i, f)
+			}
+		}
+		if got := fx.reg.Counter(fx.prefix + "_stream_aborts_total").Value(); got != 1 {
+			t.Errorf("%s_stream_aborts_total = %d, want 1", fx.prefix, got)
+		}
+		wantIdle(t, fx)
+		wantStatus(t, do(fx.h, http.MethodPost, "/rank/batch", body), http.StatusOK, "batch after the abort")
+	}},
 }
 
 func TestHTTPContract(t *testing.T) {

@@ -172,6 +172,23 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// reply answers 200 with the ranking reply built in buf, closed by the
+// newline every JSON body of the surface ends in — or, if the encoder
+// refused the ranking, with that failure. Nothing of the status is written
+// until the body exists, so a refused ranking is an error the client can
+// read, not a 200 with nothing behind it.
+func reply(w http.ResponseWriter, buf *encBuf, err error) {
+	defer putBuf(buf)
+	if err != nil {
+		WriteFailure(w, err)
+		return
+	}
+	buf.b = append(buf.b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.b) // a client that left mid-reply is the server's to notice, as it was under json.Encoder
+}
+
 // WriteErr answers with a JSON error body.
 func WriteErr(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, httpError{Error: err.Error()})
@@ -271,7 +288,9 @@ func (s *surface) handleRank(w http.ResponseWriter, r *http.Request) {
 		WriteFailure(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, ranked)
+	buf := getBuf()
+	buf.b, err = appendRanked(buf.b, ranked)
+	reply(w, buf, err)
 }
 
 // batchRequest is the POST /rank/batch body.
@@ -279,14 +298,6 @@ type batchRequest struct {
 	Queries []string `json:"queries"`
 	Alg     string   `json:"alg,omitempty"`
 	K       int      `json:"k,omitempty"`
-}
-
-// batchResponse is the buffered POST /rank/batch reply: one item per
-// query, in request order. Degraded reports that admission control
-// clamped k.
-type batchResponse struct {
-	Results  []Item `json:"results"`
-	Degraded bool   `json:"degraded,omitempty"`
 }
 
 func (s *surface) handleRankBatch(w http.ResponseWriter, r *http.Request) {
@@ -324,7 +335,9 @@ func (s *surface) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		WriteFailure(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, batchResponse{Results: items, Degraded: degraded})
+	buf := getBuf()
+	buf.b, err = appendBatch(buf.b, items, degraded)
+	reply(w, buf, err)
 }
 
 // DecodeRegistration reads a POST /databases body, {"name","addr"}. An
