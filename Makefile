@@ -11,14 +11,15 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Tier-1 benchmark set for the regression gate (see bench-check).
-BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec|EncodeRanking
+BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec|EncodeRanking|WireSample|Porter
 # Benchmarks that must be present in every recording; benchdiff record
 # fails otherwise, so a renamed/filtered-out rank benchmark cannot
 # silently drop out of the regression gate.
-BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec,EncodeRanking
-# Where they live: the root package, and the wire codec's and the HTTP
-# ranking encoder's own (their micro-benchmarks reach unexported encoders).
-BENCH_PKGS := . ./internal/netsearch ./internal/serving
+BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec,EncodeRanking,WireSample,Porter
+# Where they live: the root package, the wire codec's and the HTTP ranking
+# encoder's own (their micro-benchmarks reach unexported encoders), and the
+# stemmer's.
+BENCH_PKGS := . ./internal/netsearch ./internal/serving ./internal/analysis
 # Repeated runs per benchmark; benchdiff keeps the median, which is what
 # makes a 25% threshold usable on noisy shared CI machines.
 BENCH_COUNT ?= 5
@@ -30,8 +31,8 @@ COVER_FLOOR ?= 86.2
 
 # Ratcheted ceiling on honoured //lint:ignore suppressions, the mirror
 # image of COVER_FLOOR: lower it as suppressions are retired; never raise
-# it to admit a new one. Current: 41.
-LINT_IGNORE_CEIL ?= 41
+# it to admit a new one. Current: 39.
+LINT_IGNORE_CEIL ?= 39
 
 .PHONY: all build test race bench bench-all bench-check bench-baseline \
 	bench-pairs experiments-check cover vet lint lint-sarif lint-ratchet \
@@ -141,10 +142,11 @@ chaos:
 	$(GO) test -race -run 'Chaos' ./internal/netsearch ./internal/service ./internal/faulty ./internal/cluster
 
 # Short-budget fuzz pass over the parser-shaped attack surfaces —
-# tokenization, stemming, the two model readers, and the netsearch frame
-# decoders — over the scorer's top-k selection against sort-then-slice,
-# and over the HTTP ranking encoder against encoding/json. Each target gets
-# FUZZTIME; failures reproduce with `go test -fuzz` on the package.
+# tokenization, stemming (the Porter kernel against the implementation it
+# replaced), the two model readers, and the netsearch frame decoders — over
+# the scorer's top-k selection against sort-then-slice, and over the HTTP
+# ranking encoder against encoding/json. Each target gets FUZZTIME; failures
+# reproduce with `go test -fuzz` on the package.
 fuzz-smoke:
 	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzTokenize$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzPorter$$' -fuzztime=$(FUZZTIME)

@@ -1167,3 +1167,41 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWireSample prices the write path's unit of work: one
+// 100-document query-based sample (the paper's four documents per query,
+// random terms from the learned model, no snapshots) taken through a
+// netsearch client from a loopback netsearch.Serve over one database of an
+// experiments.Federation. It pays for everything a re-sample pays for —
+// the probe queries and fetch groups on the wire, the database's search
+// and stemming, tokenizing and folding each document into the learned
+// model — so docs/s here is what a freshness scheduler's probe budget buys.
+func BenchmarkWireSample(b *testing.B) {
+	dbs, err := experiments.Federation(1, 600, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := netsearch.Serve(dbs[0].Index, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := netsearch.DialWith(srv.Addr(), netsearch.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	docs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := core.DefaultConfig(dbs[0].Actual, 100, uint64(i+1))
+		cfg.SnapshotEvery = 0
+		res, err := core.Sample(client, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs += res.Docs
+	}
+	b.ReportMetric(float64(docs)/b.Elapsed().Seconds(), "docs/s")
+}

@@ -39,9 +39,10 @@ func (a Analyzer) Tokens(text string) []string {
 // form of Tokens for hot paths: recycling dst across calls reuses its
 // capacity, and the underlying tokenizer slices lower-case ASCII tokens
 // straight out of text. Sliced tokens alias text's backing array (see
-// AppendTokens in tokenize.go), so callers that retain tokens past the
-// call must strings.Clone them; langmodel.Model already does this when
-// interning new vocabulary.
+// AppendTokens in tokenize.go), and with Stem set so do most stems: Porter
+// returns a prefix of the token wherever stripping a suffix is all it did.
+// Callers that retain tokens past the call must strings.Clone them;
+// langmodel.Model already does this when interning new vocabulary.
 func (a Analyzer) AppendTokens(dst []string, text string) []string {
 	base := len(dst)
 	dst = AppendTokens(dst, text)
@@ -68,7 +69,9 @@ func (a Analyzer) AppendTokens(dst []string, text string) []string {
 
 // Term runs the pipeline over a single token (already lower-case) and
 // reports whether it survives; the transformed term is returned. Used when
-// normalizing a learned vocabulary against a database's conventions.
+// normalizing a learned vocabulary against a database's conventions. The
+// term may alias tok (it is tok, or with Stem set a prefix of it): a caller
+// that keeps it longer than whatever owns tok must strings.Clone it.
 func (a Analyzer) Term(tok string) (string, bool) {
 	if tok == "" {
 		return "", false

@@ -155,11 +155,3 @@ func TestPorterMergesInflections(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkPorter(b *testing.B) {
-	words := []string{"generalization", "running", "flies", "agreement", "computational", "relational"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Porter(words[i%len(words)])
-	}
-}

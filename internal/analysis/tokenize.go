@@ -37,6 +37,16 @@ var tokenBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 64); return &b },
 }
 
+// ownedToken copies a token out of a scratch buffer: the package's one
+// allocation per token, paid only by a token whose bytes had to be rewritten
+// — case-folded or UTF-8-lowered by AppendTokens, or changed by one of
+// Porter's rules. A token that is a run of the input as it stands is a
+// slice of it and never comes here.
+func ownedToken(scratch []byte) string {
+	//lint:ignore allocfree a rewritten token has no bytes in the input to alias; tokens the input already spells are sliced from it, which is the zero-alloc contract
+	return string(scratch)
+}
+
 // AppendTokens tokenizes text exactly like Tokenize and appends the tokens
 // to dst, returning the extended slice. It is the allocation-free form of
 // Tokenize for hot paths: tokens that are already lower-case ASCII are
@@ -67,8 +77,7 @@ func AppendTokens(dst []string, text string) []string {
 		if start != noToken {
 			if folded {
 				if len(*buf) > 0 {
-					//lint:ignore allocfree only tokens that needed case folding or UTF-8 lowering pay this copy; lower-case ASCII tokens slice text directly, which is the zero-alloc contract
-					dst = append(dst, string(*buf))
+					dst = append(dst, ownedToken(*buf))
 				}
 			} else if lastLD > start {
 				dst = append(dst, text[start:lastLD])

@@ -17,7 +17,11 @@
 // cooperation, no exported statistics, no shared indexing conventions.
 package core
 
-import "repro/internal/corpus"
+import (
+	"fmt"
+
+	"repro/internal/corpus"
+)
 
 // Database is the minimal interface a searchable text database must
 // provide: run a query and return ranked document ids, and fetch a
@@ -30,4 +34,40 @@ type Database interface {
 	Search(query string, n int) ([]int, error)
 	// Fetch returns the full text of a previously returned document.
 	Fetch(id int) (corpus.Document, error)
+}
+
+// BatchFetcher is an optional capability beside Database, which stays the
+// whole of what a database must offer: one that can fetch several documents
+// in a single exchange (netsearch.Client sends a probe query's fetches in
+// one write and reads the answers in order) says so by implementing it, and
+// the sampler then pays one round trip for a query's documents instead of
+// one each.
+type BatchFetcher interface {
+	// FetchAll returns the documents for ids, in the order asked. It
+	// fails as a whole: on an error no document is returned.
+	FetchAll(ids []int) ([]corpus.Document, error)
+}
+
+// fetchAll fetches ids from db in order, in one exchange when db can and
+// one Fetch each when it cannot.
+func fetchAll(db Database, ids []int) ([]corpus.Document, error) {
+	if bf, ok := db.(BatchFetcher); ok {
+		docs, err := bf.FetchAll(ids)
+		if err != nil {
+			return nil, fmt.Errorf("core: fetch %v: %w", ids, err)
+		}
+		if len(docs) != len(ids) {
+			return nil, fmt.Errorf("core: fetch %v: %d documents returned", ids, len(docs))
+		}
+		return docs, nil
+	}
+	docs := make([]corpus.Document, len(ids))
+	for i, id := range ids {
+		doc, err := db.Fetch(id)
+		if err != nil {
+			return nil, fmt.Errorf("core: fetch %d: %w", id, err)
+		}
+		docs[i] = doc
+	}
+	return docs, nil
 }

@@ -227,6 +227,10 @@ func sample(db Database, cfg Config, prev *Result) (*Result, error) {
 		}
 	}
 
+	var (
+		unseen []int    // one query's hits not yet examined
+		toks   []string // one document's tokens; AddDocument keeps none of them
+	)
 	for {
 		used[term] = true
 		res.QueryTerms = append(res.QueryTerms, term)
@@ -238,27 +242,35 @@ func sample(db Database, cfg Config, prev *Result) (*Result, error) {
 		if len(hits) == 0 {
 			res.FailedQueries++
 		}
-		newDocs := 0
+		// All of a query's unseen hits are known before the first is
+		// fetched, so they are fetched together and then folded in hit
+		// order: the same documents in the same order as one at a time.
+		unseen = unseen[:0]
 		for _, id := range hits {
-			if seenDocs[id] {
-				continue
+			if !seenDocs[id] {
+				seenDocs[id] = true
+				unseen = append(unseen, id)
 			}
-			seenDocs[id] = true
-			res.DocIDs = append(res.DocIDs, id)
-			doc, err := db.Fetch(id)
+		}
+		newDocs := len(unseen)
+		if newDocs > 0 {
+			res.DocIDs = append(res.DocIDs, unseen...)
+			docs, err := fetchAll(db, unseen)
 			if err != nil {
-				return nil, fmt.Errorf("core: fetch %d: %w", id, err)
+				return nil, err
 			}
-			learned.AddDocument(cfg.Analyzer.Tokens(doc.Text))
-			newDocs++
-			res.Docs++
-			if cfg.SnapshotEvery > 0 && res.Docs >= nextSnapshot {
-				res.Snapshots = append(res.Snapshots, Snapshot{
-					Docs:    res.Docs,
-					Queries: res.Queries,
-					Model:   learned.Snapshot(),
-				})
-				nextSnapshot += cfg.SnapshotEvery
+			for _, doc := range docs {
+				toks = cfg.Analyzer.AppendTokens(toks[:0], doc.Text)
+				learned.AddDocument(toks)
+				res.Docs++
+				if cfg.SnapshotEvery > 0 && res.Docs >= nextSnapshot {
+					res.Snapshots = append(res.Snapshots, Snapshot{
+						Docs:    res.Docs,
+						Queries: res.Queries,
+						Model:   learned.Snapshot(),
+					})
+					nextSnapshot += cfg.SnapshotEvery
+				}
 			}
 		}
 		if len(hits) > 0 && newDocs == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -617,5 +618,93 @@ func BenchmarkSample100Docs(b *testing.B) {
 		if _, err := Sample(ix, DefaultConfig(actual, 100, uint64(i))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// groupDB is a database that also offers BatchFetcher, recording the groups
+// it is asked for.
+type groupDB struct {
+	*index.Index
+	groups [][]int
+	err    error
+}
+
+func (g *groupDB) FetchAll(ids []int) ([]corpus.Document, error) {
+	g.groups = append(g.groups, append([]int(nil), ids...))
+	if g.err != nil {
+		return nil, g.err
+	}
+	docs := make([]corpus.Document, len(ids))
+	for i, id := range ids {
+		var err error
+		if docs[i], err = g.Index.Fetch(id); err != nil {
+			return nil, err
+		}
+	}
+	return docs, nil
+}
+
+// TestSampleBatchFetchSameRun: fetching a query's documents in one call is
+// an economy of round trips and nothing else. The run over a database with
+// FetchAll must be the run over the same database without it — documents in
+// the same order, the same queries, every snapshot — and each group must be
+// exactly one query's unseen hits.
+func TestSampleBatchFetchSameRun(t *testing.T) {
+	ix, actual := testDB(t, 400)
+	for _, seed := range []uint64{3, 11, 42} {
+		cfg := DefaultConfig(actual, 120, seed)
+		plain, err := Sample(ix, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gdb := &groupDB{Index: ix}
+		grouped, err := Sample(gdb, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plain.Learned.Equal(grouped.Learned) {
+			t.Errorf("seed %d: learned models differ", seed)
+		}
+		if !slices.Equal(plain.DocIDs, grouped.DocIDs) {
+			t.Errorf("seed %d: documents differ:\n%v\n%v", seed, plain.DocIDs, grouped.DocIDs)
+		}
+		if !slices.Equal(plain.QueryTerms, grouped.QueryTerms) {
+			t.Errorf("seed %d: queries differ", seed)
+		}
+		if plain.Queries != grouped.Queries || plain.FailedQueries != grouped.FailedQueries ||
+			plain.ZeroNewQueries != grouped.ZeroNewQueries {
+			t.Errorf("seed %d: counters differ: %+v vs %+v", seed, plain, grouped)
+		}
+		if len(plain.Snapshots) == 0 || len(plain.Snapshots) != len(grouped.Snapshots) {
+			t.Fatalf("seed %d: %d vs %d snapshots", seed, len(plain.Snapshots), len(grouped.Snapshots))
+		}
+		for i, s := range plain.Snapshots {
+			g := grouped.Snapshots[i]
+			if s.Docs != g.Docs || s.Queries != g.Queries || !s.Model.Equal(g.Model) {
+				t.Errorf("seed %d: snapshot %d differs", seed, i)
+			}
+		}
+		var flat []int
+		for _, g := range gdb.groups {
+			if len(g) == 0 || len(g) > cfg.DocsPerQuery {
+				t.Errorf("seed %d: a group of %d for %d documents per query", seed, len(g), cfg.DocsPerQuery)
+			}
+			flat = append(flat, g...)
+		}
+		if !slices.Equal(flat, grouped.DocIDs) {
+			t.Errorf("seed %d: the groups are not the documents examined, in order", seed)
+		}
+		if want := grouped.Queries - grouped.FailedQueries - grouped.ZeroNewQueries; len(gdb.groups) != want {
+			t.Errorf("seed %d: %d groups for %d queries with new documents", seed, len(gdb.groups), want)
+		}
+	}
+}
+
+func TestSamplePropagatesBatchFetchError(t *testing.T) {
+	ix, actual := testDB(t, 100)
+	sentinel := errors.New("group down")
+	_, err := Sample(&groupDB{Index: ix, err: sentinel}, DefaultConfig(actual, 10, 1))
+	if !errors.Is(err, sentinel) {
+		t.Errorf("got %v, want wrapped sentinel", err)
 	}
 }

@@ -87,6 +87,10 @@ func Build(docs []corpus.Document, an analysis.Analyzer, scoring Scoring) *Index
 func (ix *Index) Add(doc corpus.Document) {
 	id := int32(len(ix.docs))
 	ix.docs = append(ix.docs, doc)
+	// The tokens, stems included, are mostly slices of doc.Text (see
+	// analysis.Porter), and the first document to use a term leaves its
+	// slice behind as the key of postings and ctf. No clone: the text a key
+	// pins is one ix.docs keeps for Fetch anyway.
 	tokens := ix.analyzer.Tokens(doc.Text)
 	tf := make(map[string]int32, len(tokens))
 	for _, t := range tokens {

@@ -68,6 +68,15 @@ type Model struct {
 	docs     int
 	totalCTF int64
 
+	// counts and distinct are AddDocument's working memory, one document's
+	// term counts and its terms in first-seen order: kept between documents
+	// so that folding one in allocates for the vocabulary it adds and not for
+	// the document, and emptied before AddDocument returns, so that neither
+	// holds on to a token (tokens alias the document's text). Snapshots and
+	// clones do not take them along.
+	counts   map[string]int
+	distinct []string
+
 	// version counts mutations, invalidating the normalize cache.
 	version uint64
 	// Normalize memoization (see normalize.go). Guarded by normMu so
@@ -99,30 +108,27 @@ func (m *Model) lookup(term string) (TermStats, bool) {
 // step 4 of the sampling algorithm (§3). A single pass over the tokens
 // with one scratch map does both counts; insertion order (and with it
 // every downstream random draw) stays deterministic because new terms are
-// appended the moment they are first seen.
+// appended the moment they are first seen. The model keeps no token: a new
+// term is cloned, so callers may recycle the slice and let go of the text
+// behind it.
 func (m *Model) AddDocument(tokens []string) {
 	m.mutable()
-	counts := make(map[string]int, len(tokens))
-	distinct := make([]string, 0, len(tokens))
+	if m.counts == nil {
+		m.counts = make(map[string]int, len(tokens))
+	}
 	for _, t := range tokens {
-		if counts[t] == 0 {
-			distinct = append(distinct, t)
+		n := m.counts[t]
+		if n == 0 {
+			m.distinct = append(m.distinct, t)
 		}
-		counts[t]++
+		m.counts[t] = n + 1
 	}
-	for _, t := range distinct {
-		st, ok := m.lookup(t)
-		n := counts[t]
-		if !ok {
-			// Own the vocabulary: tokens from analysis.AppendTokens may
-			// alias the source document, and the model outlives it.
-			t = strings.Clone(t)
-			m.order = append(m.order, t)
-		}
-		st.DF++
-		st.CTF += int64(n)
-		m.terms[t] = st
+	for _, t := range m.distinct {
+		m.add(t, 1, int64(m.counts[t]), true)
 	}
+	clear(m.counts)
+	clear(m.distinct)
+	m.distinct = m.distinct[:0]
 	m.totalCTF += int64(len(tokens))
 	m.docs++
 	m.version++
@@ -135,19 +141,29 @@ func (m *Model) mutable() {
 	}
 }
 
-// bump merges (df, ctf) deltas for one term, tracking first-seen order.
-func (m *Model) bump(term string, df int, ctf int64) {
-	m.mutable()
+// add merges (df, ctf) deltas for one term, tracking first-seen order.
+// clone says the term may be a view of text the model does not own — a
+// token aliasing its document — so a new one is copied and the model never
+// pins that text. Without it the term must be, or be a slice of, a string
+// some model's vocabulary already owns: model strings are never views of a
+// document, so a model derived from another shares them.
+func (m *Model) add(term string, df int, ctf int64, clone bool) {
 	st, ok := m.lookup(term)
 	if !ok {
-		// See AddDocument: new terms are cloned so the model never pins a
-		// caller's source text via an aliased token.
-		term = strings.Clone(term)
+		if clone {
+			term = strings.Clone(term)
+		}
 		m.order = append(m.order, term)
 	}
 	st.DF += df
 	st.CTF += ctf
 	m.terms[term] = st
+}
+
+// bump is add for one term from outside the package, cloned when new.
+func (m *Model) bump(term string, df int, ctf int64) {
+	m.mutable()
+	m.add(term, df, ctf, true)
 	m.version++
 }
 

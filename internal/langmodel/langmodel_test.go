@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/analysis"
 )
@@ -388,5 +389,54 @@ func BenchmarkRanks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Ranks(ByDF)
+	}
+}
+
+// TestAddDocumentReusesItsScratch: folding a document in allocates for the
+// vocabulary it adds, not for the document — a document of known terms is
+// free — and the working memory kept between documents holds on to none of
+// the tokens, which alias text the caller is about to drop.
+func TestAddDocumentReusesItsScratch(t *testing.T) {
+	tokens := analysis.Raw().Tokens("the quick brown fox jumps over the lazy dog and the quick cat")
+	m := New()
+	m.AddDocument(tokens)
+	if got := testing.AllocsPerRun(50, func() { m.AddDocument(tokens) }); got != 0 {
+		t.Errorf("a document of known terms cost %v allocations", got)
+	}
+	if len(m.counts) != 0 || len(m.distinct) != 0 {
+		t.Errorf("scratch not emptied: %d counts, %d distinct", len(m.counts), len(m.distinct))
+	}
+	for _, s := range m.distinct[:cap(m.distinct)] {
+		if s != "" {
+			t.Fatalf("the distinct list still holds %q past its length", s)
+		}
+	}
+	want := docModel("the quick brown fox jumps over the lazy dog and the quick cat")
+	fresh := New()
+	fresh.AddDocument(tokens)
+	if !fresh.Equal(want) || m.DF("quick") != 52 || m.CTF("the") != 3*52 {
+		t.Errorf("reused scratch miscounts: df(quick)=%d ctf(the)=%d", m.DF("quick"), m.CTF("the"))
+	}
+	if snap := m.Snapshot(); snap.counts != nil || m.Clone().counts != nil {
+		t.Error("a snapshot or clone took the scratch along")
+	}
+}
+
+// TestNormalizeSharesVocabulary: the normalized view is built from strings
+// its source already owns — a term that survives unchanged, or as a prefix,
+// is not copied — and is still the model a cloning Normalize would build.
+func TestNormalizeSharesVocabulary(t *testing.T) {
+	m := docModel("sampling databases sampled database happy connection")
+	n := m.Normalize(analysis.Database())
+	for term, stem := range map[string]string{"sampling": "sampl", "databases": "databas", "connection": "connect"} {
+		src, got := "", ""
+		m.Range(func(t string, _ TermStats) bool { src = t; return t != term })
+		n.Range(func(t string, _ TermStats) bool { got = t; return t != stem })
+		if got != stem || unsafe.StringData(got) != unsafe.StringData(src) {
+			t.Errorf("%q → %q does not share %q's bytes", term, got, src)
+		}
+	}
+	if n.DF("sampl") != 2 || n.DF("databas") != 2 || n.DF("happi") != 1 {
+		t.Errorf("normalized counts: sampl=%d databas=%d happi=%d", n.DF("sampl"), n.DF("databas"), n.DF("happi"))
 	}
 }

@@ -38,7 +38,8 @@ func (m *Model) Normalize(an analysis.Analyzer) *Model {
 			continue
 		}
 		st, _ := m.lookup(t)
-		out.bump(nt, st.DF, st.CTF)
+		// nt is t, a prefix of t, or a string Porter made: nothing to clone.
+		out.add(nt, st.DF, st.CTF, false)
 		out.totalCTF += st.CTF
 	}
 

@@ -147,12 +147,16 @@ func (o op) String() string { return opNames[o.slot()] }
 // every frame, so a server-side log line can be correlated with the HTTP
 // request (or sampling run) that caused it. The cluster ops reuse N as
 // the rank cutoff k and carry the database name/addr for registration.
+// IDs is the client's side of a fetch: a group of ids that crosses as one
+// fetch frame each (appendFetches), which the server decodes one ID at a
+// time.
 type request struct {
 	Op      op
 	Query   string
 	Queries []string
 	N       int
 	ID      int
+	IDs     []int
 	Alg     string
 	Name    string
 	Addr    string
@@ -242,6 +246,19 @@ func appendRequest(dst []byte, req *request) []byte {
 	}
 	dst = appendString(dst, req.Trace)
 	return endFrame(dst, begun)
+}
+
+// appendFetches appends a fetch group: one fetch frame per id, each closing
+// with the trace like any request, laid end to end for a single write.
+//
+//lint:hotpath
+func appendFetches(dst []byte, ids []int, trace string) []byte {
+	req := request{Op: opFetch, Trace: trace}
+	for _, id := range ids {
+		req.ID = id
+		dst = appendRequest(dst, &req)
+	}
+	return dst
 }
 
 // appendResponse appends resp as one frame. In every layout the integers
@@ -512,6 +529,8 @@ type frameWriter struct {
 }
 
 // hold encodes a frame and keeps it for the next flush to carry.
+//
+//lint:hotpath
 func (fw *frameWriter) hold(resp *response) {
 	fw.buf = appendResponse(fw.buf, resp)
 }

@@ -37,11 +37,18 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // the client and the server end's write counter.
 func pipeServer(t *testing.T, db core.Database, opts Options) (*Client, *countingConn) {
 	t.Helper()
-	near, far := net.Pipe()
+	c, _, far := countedPipe(t, db, opts)
+	return c, far
+}
+
+// countedPipe is pipeServer with the client end's writes counted too.
+func countedPipe(t *testing.T, db core.Database, opts Options) (c *Client, near, far *countingConn) {
+	t.Helper()
+	nearEnd, farEnd := net.Pipe()
 	srv := &Server{db: db, conns: map[net.Conn]struct{}{}}
-	cc := &countingConn{Conn: far}
+	near, far = &countingConn{Conn: nearEnd}, &countingConn{Conn: farEnd}
 	srv.wg.Add(1)
-	go srv.handle(cc)
+	go srv.handle(far)
 	opts.DialFunc = func(string) (net.Conn, error) { return near, nil }
 	c, err := DialWith("pipe", opts)
 	if err != nil {
@@ -56,7 +63,7 @@ func pipeServer(t *testing.T, db core.Database, opts Options) (*Client, *countin
 		c.Close()
 		srv.wg.Wait()
 	})
-	return c, cc
+	return c, near, far
 }
 
 // gatedShard ranks one item per token received on step and reports on

@@ -227,17 +227,29 @@ func (s *Server) handle(conn net.Conn) {
 			return // disconnect, forged length or malformed frame; drop the connection
 		}
 		// Most ops answer with one frame. "rankstream" answers with a frame
-		// sequence and owns the writer until its terminal frame, preserving
-		// the one-request/one-exchange shape the connection's framing
-		// depends on; either way a write failure means the frame stream is
-		// desynced and the connection must go.
+		// sequence and owns the writer until its terminal frame (which also
+		// carries out any answer still held from before it); either way
+		// answers leave in request order, and a write failure means the
+		// frame stream is desynced and the connection must go.
 		var errMsg string
 		var werr error
 		if req.Op == opRankStream {
 			errMsg, werr = s.streamRank(req, &out)
 		} else {
+			// In-order pipelining: a single-frame answer is held while more
+			// requests are already waiting in the reader, and everything
+			// held leaves in one write once the server has answered all it
+			// has read (or holds flushBytes). A client that sends one
+			// request and waits sees a write per answer, as before; one that
+			// sends a group (Client.FetchAll) gets the group's answers
+			// together, in request order. A peer that dies mid-frame fails
+			// the next read and the held answers go with the connection.
 			resp := s.dispatch(req)
-			errMsg, werr = resp.Error, out.send(&resp)
+			errMsg = resp.Error
+			out.hold(&resp)
+			if in.br.Buffered() == 0 || len(out.buf) >= flushBytes {
+				werr = out.flush()
+			}
 		}
 		if lg, reg := s.observers(); lg != nil || reg != nil {
 			reg.Counter(serverRequests[req.Op.slot()]).Inc()
@@ -534,7 +546,11 @@ func (c *Client) run(req request, exchange func(request) (response, error)) (res
 	// The request is encoded once, here, and every attempt re-sends the
 	// same bytes. One the peer would refuse on its length alone is refused
 	// now, with a reason, instead of as three dropped connections.
-	c.wbuf = appendRequest(c.wbuf[:0], &req)
+	if req.Op == opFetch {
+		c.wbuf = appendFetches(c.wbuf[:0], req.IDs, req.Trace)
+	} else {
+		c.wbuf = appendRequest(c.wbuf[:0], &req)
+	}
 	if len(c.wbuf)-frameHeader > maxFrame {
 		c.wbuf = nil
 		return response{}, fmt.Errorf("netsearch: %s %s: request exceeds the %d-byte frame limit", req.Op, c.addr, maxFrame)
@@ -708,13 +724,80 @@ func (c *Client) Search(query string, n int) ([]int, error) {
 	return resp.IDs, nil
 }
 
-// Fetch implements core.Database.
+// Fetch implements core.Database: a fetch group of one.
 func (c *Client) Fetch(id int) (corpus.Document, error) {
-	resp, err := c.run(request{Op: opFetch, ID: id}, c.do)
+	docs, err := c.FetchAll([]int{id})
 	if err != nil {
 		return corpus.Document{}, err
 	}
-	return resp.Doc, nil
+	return docs[0], nil
+}
+
+// fetchGroup is the most fetches one exchange carries. The client writes a
+// whole group before it reads the first answer, so the group's requests
+// must fit the socket buffers with room to spare whatever the documents
+// weigh: were the write to block on a server itself blocked writing
+// answers nobody reads yet, neither side would move again. 64 fetch frames
+// are under 4 KiB with a long trace ID on each.
+const fetchGroup = 64
+
+// FetchAll implements core.BatchFetcher: the documents for ids, in order.
+// The fetch frames of a group leave in one write and the answers are read
+// back in the order asked (the server answers in request order and flushes
+// once it has answered everything it has read), so a probe query's
+// documents cost one round trip, not one each. Like every read it is
+// idempotent: a transport fault replays the whole group on a fresh
+// connection. A server-reported error for one id (an unknown document)
+// fails the call with the first such error, after all of the group's
+// answers have been read, so the connection stays aligned and healthy. One
+// Options.Timeout bounds a group's exchange, and one op-latency
+// observation (op="fetch") times it.
+func (c *Client) FetchAll(ids []int) ([]corpus.Document, error) {
+	docs := make([]corpus.Document, 0, len(ids))
+	for len(ids) > 0 {
+		group := ids[:min(len(ids), fetchGroup)]
+		ids = ids[len(group):]
+		at := len(docs)
+		_, err := c.run(request{Op: opFetch, IDs: group}, func(request) (response, error) {
+			var err error
+			docs, err = c.doFetches(len(group), docs[:at])
+			return response{}, err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return docs, nil
+}
+
+// doFetches performs one fetch-group exchange on the current connection:
+// send the frames run encoded, then read n answers, appending the
+// documents to docs. Caller holds mu. An error frame does not end the
+// reading — the answers behind it are already on their way and would be
+// taken for the next request's — but the first one is what the group
+// returns.
+func (c *Client) doFetches(n int, docs []corpus.Document) ([]corpus.Document, error) {
+	if err := c.send(); err != nil {
+		return docs, err
+	}
+	var refused error
+	for ; n > 0; n-- {
+		resp, err := c.in.response()
+		if err != nil {
+			return docs, fmt.Errorf("netsearch: receive: %w", err)
+		}
+		switch resp.kind {
+		case kindDoc:
+			docs = append(docs, resp.Doc)
+		case kindError:
+			if refused == nil {
+				refused = remoteError{resp.Error}
+			}
+		default:
+			return docs, fmt.Errorf("netsearch: frame kind 0x%02x does not answer %s", resp.kind, opFetch)
+		}
+	}
+	return docs, refused
 }
 
 // RankDBs ranks one query on a shard: a rankstream of one, its item's
@@ -766,4 +849,7 @@ func (c *Client) TotalHits(query string) (int, error) {
 	return resp.Count, nil
 }
 
-var _ core.Database = (*Client)(nil)
+var (
+	_ core.Database     = (*Client)(nil)
+	_ core.BatchFetcher = (*Client)(nil)
+)

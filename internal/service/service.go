@@ -786,7 +786,10 @@ func (s *Service) rank(query string, algName string, k int) ([]RankedDB, string,
 // analyze tokenizes query into scr.terms and builds its cache key in
 // scr.key: the analyzed terms joined with 0x1f (a byte the tokenizer never
 // emits), so equal term sequences collide and raw query spelling does not.
-// It reports whether the query has any index terms.
+// It reports whether the query has any index terms. The terms are slices
+// of query (stems too, where stemming only stripped a suffix) and are only
+// looked up before the scratch is reused; what outlives the request is the
+// key, which is a copy.
 func (scr *rankScratch) analyze(an analysis.Analyzer, query string) bool {
 	scr.terms = an.AppendTokens(scr.terms[:0], query)
 	scr.key = scr.key[:0]
