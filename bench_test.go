@@ -965,9 +965,7 @@ func BenchmarkScatterGather(b *testing.B) {
 // ranks it replaces, on a warm 100-database service. The batch arm pays
 // for algorithm parsing, snapshot acquisition, and scratch checkout once
 // per 32 queries instead of once per query; both arms rank the same 32
-// queries per op, so ns/op is directly comparable. The rank cache is off
-// in both arms — the batch path bypasses it by design, and a cached
-// sequential arm would price a map lookup, not a ranking.
+// queries per op, so ns/op is directly comparable.
 func BenchmarkBatchRank(b *testing.B) {
 	const nQueries = 32
 	models, words := rankBenchModels(100)
@@ -982,7 +980,6 @@ func BenchmarkBatchRank(b *testing.B) {
 	}
 	svc := service.New(analysis.Database(), st)
 	defer svc.Close()
-	svc.SetRankCacheSize(0)
 	for i := range models {
 		if err := svc.Register(fmt.Sprintf("db-%03d", i), "bench.invalid:0"); err != nil {
 			b.Fatal(err)
@@ -1115,11 +1112,10 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 }
 
 // BenchmarkHTTPRank prices one GET /rank through the service's HTTP
-// handler — middleware, admission (off), query parsing, analysis, a rank
-// cache miss, scoring, JSON encoding — with no socket: the in-process
+// handler — middleware, admission (off), query parsing, analysis, a
+// flight of one, scoring, JSON encoding — with no socket: the in-process
 // twin of the benchmark's rank_uniq workload, and the fast local check
-// on its allocs-per-query budget. Queries never repeat, so every request
-// misses the cache.
+// on its allocs-per-query budget. Queries never repeat.
 func BenchmarkHTTPRank(b *testing.B) {
 	svc, words := warmRankService(b, 100)
 	h := svc.Handler()
@@ -1140,11 +1136,10 @@ func BenchmarkHTTPRank(b *testing.B) {
 
 // BenchmarkWireRoundTrip prices one single-query rank exchange on the
 // netsearch fabric: a client's RankDBs against a loopback ServeShard over
-// a 100-database service with its result cache off, so every call
-// encodes, crosses the socket, ranks and decodes.
+// a 100-database service: every call encodes, crosses the socket, ranks
+// and decodes.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	svc, words := warmRankService(b, 100)
-	svc.SetRankCacheSize(0)
 	srv, err := cluster.ServeShard(svc, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -28,14 +28,9 @@
 //
 //	selectd -max-inflight 64 -degrade-at 48 -degrade-k 10 -max-p99 250ms
 //
-// Result caching and coalescing (DESIGN.md §10): identical in-flight rank
-// work is always computed once and shared across callers; -rank-cache
-// additionally sizes the completed-result LRU in single/shard mode (0
-// disables it), and -front-cache enables the topology-epoch-keyed result
-// cache on a front tier:
-//
-//	selectd -rank-cache 4096                       # single/shard
-//	selectd -shards '...' -front-cache 1024        # front tier
+// Coalescing (DESIGN.md §10): identical rank work in flight is computed
+// once and shared across its callers, in every mode; no completed ranking
+// is kept, so every answer is of the current models.
 //
 // Batch rankings stream: POST /rank/batch?stream=1 flushes each query's
 // ranking as it completes (NDJSON, or SSE via Accept: text/event-stream).
@@ -100,8 +95,6 @@ func main() {
 	degradeK := flag.Int("degrade-k", 0, "admission: rank cutoff served while degraded (default 10)")
 	maxP99 := flag.Duration("max-p99", 0, "admission: shed while the windowed p99 rank latency exceeds this (0 = off)")
 	retryAfter := flag.Duration("retry-after", 0, "admission: Retry-After hint on shed responses (default 1s)")
-	rankCache := flag.Int("rank-cache", service.DefaultRankCacheSize, "completed rank result LRU capacity, single/shard mode (0 = off)")
-	frontCache := flag.Int("front-cache", 0, "front tier: topology-epoch-keyed rank result cache capacity (0 = off)")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -149,7 +142,6 @@ func main() {
 			Metrics:   reg,
 			Logger:    logger,
 			Admission: adm,
-			CacheSize: *frontCache,
 		})
 		if err != nil {
 			fail("%v", err)
@@ -176,9 +168,6 @@ func main() {
 	svc := service.New(analysis.Database(), st)
 	//lint:ignore errsink process-exit cleanup; a close error after serving has no consumer
 	defer svc.Close()
-	if *rankCache != service.DefaultRankCacheSize {
-		svc.SetRankCacheSize(*rankCache)
-	}
 	svc.SetMetrics(reg)
 	svc.SetLogger(logger)
 	svc.SetAdmission(adm)

@@ -28,12 +28,8 @@ type Options struct {
 	// netsearch fabric: per-op deadlines, retry/backoff policy, dial
 	// hooks for fault injection, and metrics/logging.
 	Net netsearch.Options
-	// TripAfter is the per-replica breaker threshold (default
-	// DefaultTripThreshold; < 0 disables the breaker).
-	TripAfter int
-	// Vnodes and Seed parameterize the placement ring (see NewRing).
-	Vnodes int
-	Seed   uint64
+	// Seed parameterizes the placement ring (see NewRing).
+	Seed uint64
 	// Metrics receives the scatter-path instruments:
 	// cluster_scatter_seconds, cluster_shard_errors{shard=...},
 	// cluster_failovers_total, cluster_breaker_trips_total. nil disables.
@@ -46,13 +42,6 @@ type Options struct {
 	// value disables admission control entirely — the default, so a front
 	// upgraded across this feature behaves exactly as before.
 	Admission admission.Config
-	// CacheSize enables the front-tier result cache for single-query
-	// rankings: a hit saves a whole scatter (one RPC per slot). 0 — the
-	// default — disables it (concurrent identical scatters still share
-	// one flight); entries are keyed by (query, alg, k, topology epoch) and
-	// a register/unregister through this front invalidates them all (see
-	// Rank).
-	CacheSize int
 }
 
 // replica is one shard process inside a slot, with the front's local
@@ -90,15 +79,14 @@ type ReplicaHealth struct {
 // top-k. Registration routes by ring placement to the owning slot's
 // replicas. All methods are safe for concurrent use.
 type Front struct {
-	ring      *Ring
-	reps      [][]*replica // [slot][replica], configured failover order
-	tripAfter int
-	netOpts   netsearch.Options
-	reg       *telemetry.Registry
-	logger    *slog.Logger
-	gate      *admission.Gate // nil unless Options.Admission enables it
-	cache     *serving.Cache  // flights only unless Options.CacheSize enables the LRU
-	epoch     atomic.Uint64   // topology epoch: bumped per register/unregister
+	ring    *Ring
+	reps    [][]*replica // [slot][replica], configured failover order
+	netOpts netsearch.Options
+	reg     *telemetry.Registry
+	logger  *slog.Logger
+	gate    *admission.Gate  // nil unless Options.Admission enables it
+	flights *serving.Flights // single ranks in flight
+	epoch   atomic.Uint64    // topology epoch: bumped per register/unregister
 }
 
 // NewFront builds a front tier over the given slot topology: slots[i] is
@@ -112,24 +100,19 @@ func NewFront(slots [][]string, opts Options) (*Front, error) {
 			return nil, fmt.Errorf("cluster: slot %d has no replica addresses", i)
 		}
 	}
-	tripAfter := opts.TripAfter
-	if tripAfter == 0 {
-		tripAfter = DefaultTripThreshold
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = telemetry.NopLogger()
 	}
 	f := &Front{
-		ring:      NewRing(len(slots), opts.Vnodes, opts.Seed),
-		reps:      make([][]*replica, len(slots)),
-		tripAfter: tripAfter,
-		netOpts:   opts.Net,
-		reg:       opts.Metrics,
-		logger:    logger,
-		gate:      admission.New(opts.Admission, opts.Metrics, "cluster"),
+		ring:    NewRing(len(slots), 0, opts.Seed),
+		reps:    make([][]*replica, len(slots)),
+		netOpts: opts.Net,
+		reg:     opts.Metrics,
+		logger:  logger,
+		gate:    admission.New(opts.Admission, opts.Metrics, "cluster"),
 	}
-	f.cache = serving.NewCache(opts.CacheSize, "cluster", tier{f}.Metrics)
+	f.flights = serving.NewFlights("cluster", tier{f}.Metrics)
 	if f.netOpts.Metrics == nil {
 		f.netOpts.Metrics = opts.Metrics
 	}
@@ -213,28 +196,17 @@ func (f *Front) Close() error {
 // originating request. A query no shard can use fails with ErrInvalid, a
 // federation without models with ErrNoModels.
 //
-// Concurrent identical scatters single-flight through the front's cache
-// (cluster_rank_coalesced_total{scope="flight"}), and with
-// Options.CacheSize set completed rankings are served from its LRU
-// (cluster_select_cache_hits_total / _misses_total) — a hit saves an
-// entire scatter, one RPC per slot, which is why the front caches even
-// though every shard does too. The key carries the front-local topology
-// epoch, bumped on every register/unregister routed through this front,
-// so a placement change invalidates the whole cache at the cost of one
-// atomic increment. The epoch is best-effort by design: a registration
-// routed through a *different* front is invisible here, exactly as stale
-// as the shards' own epoch-keyed caches already allow, and bounded by the
-// LRU's size. The front has no analyzer, so spelling variants of a query
-// miss here and coalesce shard-side on the term key instead.
+// Concurrent identical scatters share one flight
+// (cluster_rank_coalesced_total{scope="flight"}); nothing outlives it, so
+// every rank sees the shards' current models. The key carries the
+// front-local topology epoch, bumped on every register/unregister routed
+// through this front, so a rank that starts after a placement change never
+// joins a scatter from before it. The front has no analyzer, so spelling
+// variants of a query fly apart here and coalesce shard-side on the term
+// key instead.
 func (f *Front) Rank(query, alg string, k int, trace string) ([]netsearch.RankedDB, error) {
-	ranked, _, err := f.rank(query, alg, k, trace)
-	return ranked, err
-}
-
-// rank is Rank plus the cache disposition of serving.Ranker.
-func (f *Front) rank(query, alg string, k int, trace string) ([]netsearch.RankedDB, string, error) {
 	key := serving.Key{Query: query, Alg: alg, K: k, Epoch: f.epoch.Load()}
-	val, status, err := f.cache.Do(key, true, func() (ranked []netsearch.RankedDB, err error) {
+	val, err := f.flights.Do(key, func() (ranked []netsearch.RankedDB, err error) {
 		defer f.reg.Timer("cluster_scatter_seconds")()
 		err = f.scatter([]string{query}, alg, k, trace, func(_ int, it serving.Item) error {
 			switch {
@@ -251,9 +223,9 @@ func (f *Front) rank(query, alg string, k int, trace string) ([]netsearch.Ranked
 		return ranked, err
 	})
 	if err != nil {
-		return nil, status, err
+		return nil, err
 	}
-	return append([]netsearch.RankedDB(nil), val...), status, nil
+	return append([]netsearch.RankedDB(nil), val...), nil
 }
 
 // RankBatch is the buffered form of RankBatchStream: every query's fused
@@ -383,7 +355,7 @@ func (f *Front) recordFailure(r *replica, err error) {
 	f.reg.Counter(`cluster_shard_errors{shard="` + shardLabel(r.slot, r.addr) + `"}`).Inc()
 	r.mu.Lock()
 	r.fails++
-	tripped := f.tripAfter > 0 && r.fails >= f.tripAfter && !r.open
+	tripped := r.fails >= DefaultTripThreshold && !r.open
 	if tripped {
 		r.open = true
 	}

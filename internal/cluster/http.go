@@ -49,8 +49,8 @@ func (f *Front) Handler() http.Handler {
 // the trace ID the seam carries in ctx is the trace argument here.
 type tier struct{ *Front }
 
-func (t tier) Rank(ctx context.Context, query, alg string, k int) ([]netsearch.RankedDB, string, error) {
-	return t.rank(query, alg, k, serving.TraceFromContext(ctx))
+func (t tier) Rank(ctx context.Context, query, alg string, k int) ([]netsearch.RankedDB, error) {
+	return t.Front.Rank(query, alg, k, serving.TraceFromContext(ctx))
 }
 
 func (t tier) RankStream(ctx context.Context, queries []string, alg string, k int, emit func(int, serving.Item) error) error {
@@ -129,9 +129,8 @@ func (f *Front) unregisterOnSlot(slot int, name string) error {
 // (ErrInvalid) stops the operation without costing the replica health.
 func (f *Front) onSlot(slot int, verb, name string, benign error, op func(*netsearch.Client) error) (nBenign int, err error) {
 	// Any attempt — even a failed one, which may have changed some
-	// replicas — moves the topology epoch, invalidating the front's result
-	// cache wholesale. Invalidation is cheap; serving a fused ranking that
-	// predates a placement change is not.
+	// replicas — moves the topology epoch, so no later rank joins a scatter
+	// that predates the placement change.
 	defer f.epoch.Add(1)
 	for _, r := range f.reps[slot] {
 		c, err := f.connect(r)

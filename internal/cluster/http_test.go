@@ -9,13 +9,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"testing"
 
 	"repro/internal/admission"
+	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/netsearch"
+	"repro/internal/service"
 	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
@@ -263,5 +269,93 @@ func TestFrontHTTPRankBatchStream(t *testing.T) {
 	resp2 := postJSON(t, ts.URL+"/rank/batch?stream=1", batchRankRequest{Alg: "cori"}, nil)
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty streamed batch: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestFrontRankFollowsShardResample: a front keeps no ranking, so GET /rank
+// after a shard re-samples a database answers from the new models, though a
+// re-sample never moves the front's topology epoch. gGlOSS scores are
+// per-database local, so the fused answer must equal a single process's
+// over the same models to the bit, whatever the shard count.
+func TestFrontRankFollowsShardResample(t *testing.T) {
+	for _, nShards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d shards", nShards), func(t *testing.T) {
+			dbs, err := experiments.Federation(4, 150, 31)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single := service.New(analysis.Database(), nil)
+			shards := make([]*service.Service, nShards)
+			var addrs [][]string
+			for i := range shards {
+				shards[i] = service.New(analysis.Database(), nil)
+				srv, err := ServeShard(shards[i], "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				addrs = append(addrs, []string{srv.Addr()})
+			}
+			f := newTestFront(t, addrs, telemetry.NewRegistry())
+			ts := httptest.NewServer(f.Handler())
+			t.Cleanup(ts.Close)
+			// homes are the two services that hold db: its owning shard and
+			// the single-process reference.
+			homes := func(db *experiments.FederationDB) []*service.Service {
+				return []*service.Service{single, shards[f.Ring().Owner(db.Name)]}
+			}
+			// The first probe term is given: the default is drawn from the
+			// service's union model, which a shard and a single process do
+			// not share.
+			sample := func(db *experiments.FederationDB, opts service.SampleOptions) {
+				t.Helper()
+				opts.InitialTerm = experiments.TopicalTerms(db, dbs, 1)[0]
+				for _, svc := range homes(db) {
+					if _, err := svc.Sample(db.Name, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, db := range dbs {
+				for _, svc := range homes(db) {
+					if err := svc.RegisterLocal(db.Name, db.Index); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sample(db, service.SampleOptions{Docs: 40, Seed: 7})
+			}
+
+			terms := experiments.TopicalTerms(dbs[0], dbs, 2)
+			query := terms[0] + " " + terms[1]
+			rankURL := ts.URL + "/rank?alg=gloss-sum&q=" + url.QueryEscape(query)
+			var first, second []netsearch.RankedDB
+			if resp := getJSON(t, rankURL, &first); resp.StatusCode != http.StatusOK {
+				t.Fatalf("first rank: status %d", resp.StatusCode)
+			}
+			sample(dbs[0], service.SampleOptions{Docs: 120, Seed: 11})
+			if resp := getJSON(t, rankURL, &second); resp.StatusCode != http.StatusOK {
+				t.Fatalf("second rank: status %d", resp.StatusCode)
+			}
+			if reflect.DeepEqual(first, second) {
+				t.Fatalf("the re-sample did not change the ranking: %+v", first)
+			}
+
+			want, err := single.Rank(query, "gloss-sum", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(second) != len(want) {
+				t.Fatalf("front ranks %d databases after the re-sample, single process %d", len(second), len(want))
+			}
+			wantScores := map[string]float64{}
+			for _, r := range want {
+				wantScores[r.Name] = r.Score
+			}
+			for _, r := range second {
+				if s, ok := wantScores[r.Name]; !ok || math.Float64bits(s) != math.Float64bits(r.Score) {
+					t.Errorf("after the re-sample the front scores %s %v, the new epoch's single-process ranking %v (present %v)", r.Name, r.Score, s, ok)
+				}
+			}
+		})
 	}
 }

@@ -67,24 +67,10 @@ func (sh *Shard) Fetch(id int) (corpus.Document, error) {
 // its first emit, so no item has gone out yet). Invalid-argument errors
 // come back marked so the front knows failover cannot help. Per-query
 // problems ride in each item's Error, already plain text: the front passes
-// them through to the matching item and never fails over on them.
-//
-// A stream of one is the front's single-query rank — interactive traffic,
-// which the service admits to its result cache where a bulk batch bypasses
-// it — so it is answered by Rank, as GET /rank on the shard itself would
-// be. A refusal other than "no models" is re-asked of the batch path,
-// which knows a whole-request error from a per-item one.
+// them through to the matching item and never fails over on them. The
+// front's single-query rank is a stream of one: a batch of one.
 func (sh *Shard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item netsearch.RankedBatch) error) error {
-	var err error
-	if len(queries) == 1 {
-		var ranked []netsearch.RankedDB
-		if ranked, err = sh.svc.Rank(queries[0], alg, k); err == nil {
-			return emit(0, netsearch.RankedBatch{Ranked: ranked})
-		}
-	}
-	if !errors.Is(err, service.ErrNoModels) {
-		err = sh.svc.RankBatchStream(queries, alg, k, emit)
-	}
+	err := sh.svc.RankBatchStream(queries, alg, k, emit)
 	switch {
 	case errors.Is(err, service.ErrNoModels):
 		for i := range queries {

@@ -3,8 +3,8 @@ package cluster
 // Tests for the streaming scatter-gather path (DESIGN.md §10): the fused
 // stream must be bit-identical to the buffered batch (which is itself
 // pinned to the single-query path), client aborts must tear the scatter
-// down without failover or health penalties, and the front cache must
-// hit, coalesce, and invalidate on topology epochs.
+// down without failover or health penalties, and a failed scatter's flight
+// must fail its followers and nobody later.
 
 import (
 	"errors"
@@ -202,84 +202,22 @@ func TestFrontStreamEmitAbortNoFailover(t *testing.T) {
 	}
 }
 
-// TestFrontCacheHitsAndEpochInvalidation: with Options.CacheSize set, a
-// repeated query is served without a scatter; any register/unregister
-// routed through the front bumps its topology epoch and invalidates.
-func TestFrontCacheHitsAndEpochInvalidation(t *testing.T) {
-	s := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}}}
-	reg := telemetry.NewRegistry()
-	f, err := NewFront([][]string{{serveStub(t, s)}}, Options{Metrics: reg, CacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	hits := reg.Counter("cluster_select_cache_hits_total")
-	misses := reg.Counter("cluster_select_cache_misses_total")
-
-	first, err := f.Rank("apple", "cori", 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits.Value() != 0 || misses.Value() != 1 {
-		t.Fatalf("first rank: hits=%d misses=%d", hits.Value(), misses.Value())
-	}
-	calls := s.calls()
-	second, err := f.Rank("apple", "cori", 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits.Value() != 1 || s.calls() != calls {
-		t.Fatalf("second rank: hits=%d, shard calls %d -> %d (want no scatter)", hits.Value(), calls, s.calls())
-	}
-	if len(first) != len(second) || first[0] != second[0] {
-		t.Fatalf("cache hit differs: %+v vs %+v", first, second)
-	}
-	// Returned slices are copies, not the cache's backing array.
-	second[0].Name = "mutated"
-	if again, _ := f.Rank("apple", "cori", 2, ""); again[0].Name != "db-a" {
-		t.Fatal("caller mutation reached the front cache")
-	}
-
-	// A registration routed through this front bumps the epoch: the same
-	// query misses and scatters again.
-	if err := f.registerOnSlot(0, "db-new", "127.0.0.1:1"); err != nil {
-		t.Fatal(err)
-	}
-	missesBefore := misses.Value()
-	if _, err := f.Rank("apple", "cori", 2, ""); err != nil {
-		t.Fatal(err)
-	}
-	if misses.Value() != missesBefore+1 {
-		t.Fatalf("post-register rank did not miss: misses=%d, want %d", misses.Value(), missesBefore+1)
-	}
-	// So does an unregister — even though the entry count is unchanged.
-	if err := f.unregisterOnSlot(0, "db-new"); err != nil {
-		t.Fatal(err)
-	}
-	missesBefore = misses.Value()
-	if _, err := f.Rank("apple", "cori", 2, ""); err != nil {
-		t.Fatal(err)
-	}
-	if misses.Value() != missesBefore+1 {
-		t.Fatalf("post-unregister rank did not miss: misses=%d, want %d", misses.Value(), missesBefore+1)
-	}
-}
-
 // TestFrontCacheFlightErrors: a failed scatter reaches only the followers
-// already waiting on it — never the LRU, never a later caller.
+// already waiting on it, never a later caller.
 func TestFrontCacheFlightErrors(t *testing.T) {
-	c := serving.NewCache(4, "cluster", func() *telemetry.Registry { return nil })
+	c := serving.NewFlights("cluster", func() *telemetry.Registry { return nil })
 	key := serving.Key{Query: "q", Alg: "cori", K: 2}
 	fl, leader := c.Join(key)
 	if !leader {
 		t.Fatal("first join not leader")
 	}
-	c.Fulfill(key, fl, nil, errors.New("scatter failed"), true)
-	if _, ok := c.Probe(key); ok {
-		t.Fatal("errored scatter was cached")
+	follower, leader := c.Join(key)
+	if leader {
+		t.Fatal("second join led a flight that already has a leader")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after an error, want 0", c.Len())
+	c.Fulfill(key, fl, nil, errors.New("scatter failed"))
+	if _, err := follower.Wait(); err == nil || err.Error() != "scatter failed" {
+		t.Fatalf("follower got %v, want the scatter's error", err)
 	}
 	if _, leader := c.Join(key); !leader {
 		t.Fatal("failed flight stayed joinable")

@@ -3,7 +3,7 @@ package lint
 // allocfree proves that functions marked //lint:hotpath — and everything
 // they transitively call inside the module — perform no heap allocations.
 // PR 5 made the query-serving path (Compiled.ScoreInto/RankInto,
-// analysis.AppendTokens, index.SearchScored, the rank-cache probe)
+// analysis.AppendTokens, index.SearchScored, the rank-flight lookup)
 // allocation-free by construction, and the benchmarks assert 0 allocs/op;
 // but a benchmark only guards the paths it exercises, and an innocuous
 // fmt.Sprintf or un-presized append three calls deep reintroduces GC
@@ -49,7 +49,7 @@ import (
 var AllocFree = &Analyzer{
 	Name: "allocfree",
 	Doc: "Functions marked //lint:hotpath (the zero-allocation query-serving path: " +
-		"compiled scoring, tokenization, scored search, the rank-cache probe) must not " +
+		"compiled scoring, tokenization, scored search, the rank-flight lookup) must not " +
 		"allocate, directly or through any module function they call. Composite literals, " +
 		"conversions that copy, un-presized appends, escaping closures, fmt, and " +
 		"goroutine spawns are reported with the hot root that reaches them.",

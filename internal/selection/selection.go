@@ -158,7 +158,7 @@ type Gloss struct {
 }
 
 // Name implements Algorithm. The threshold is part of the name — distinct
-// thresholds are distinct rankings, and the name keys result caches.
+// thresholds are distinct rankings, and the name keys rank flights.
 func (g Gloss) Name() string {
 	base := "gloss-sum"
 	if g.Estimator == GlossInd {

@@ -30,10 +30,8 @@ import (
 // returned as an error; per-query problems land in the item's Error.
 //
 // RankBatch scores exactly like Rank (both funnel into rankSnapshot), so
-// batched and sequential rankings are bit-identical. It deliberately
-// bypasses the result cache: a batch is the bulk path, and filling the
-// LRU with its queries would evict the interactive working set. It still
-// coalesces through the in-flight map, which caches nothing.
+// batched and sequential rankings are bit-identical, and coalesces through
+// the same in-flight map.
 func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchItem, error) {
 	return serving.RankBatch(context.TODO(), tier{s}, queries, algName, k)
 }
@@ -47,7 +45,7 @@ func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchIte
 // HTTP layer can still answer them with a plain status code.
 //
 // The emitted Ranked slice is the caller's to keep: it is a fresh copy,
-// never shared with the cache, the coalescer, or other emits.
+// never shared with the coalescer or other emits.
 func (s *Service) RankBatchStream(queries []string, algName string, k int, emit func(i int, item BatchItem) error) error {
 	reg := s.Metrics()
 	defer reg.Timer("service_rank_batch_seconds")()
@@ -78,7 +76,6 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 	if len(queries) > 1 {
 		seen = make(map[string][]RankedDB, len(queries))
 	}
-	cache := s.cache.Load()
 	for i, q := range queries {
 		if !scr.analyze(s.analyzer, q) {
 			err := emit(i, BatchItem{Error: fmt.Sprintf("service: query has no index terms: %v", ErrInvalid)})
@@ -93,7 +90,7 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 			reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Inc()
 		} else {
 			key := serving.Key{Query: termKey, Alg: algName, K: k, Epoch: snap.epoch}
-			val, _, err = cache.Do(key, false, func() ([]RankedDB, error) {
+			val, err = s.flights.Do(key, func() ([]RankedDB, error) {
 				return s.rankSnapshot(snap, alg, scr, k), nil
 			})
 			if err != nil {

@@ -40,8 +40,8 @@ func (s *Service) Handler() http.Handler {
 // Metrics is promoted from *Service as is.
 type tier struct{ *Service }
 
-func (t tier) Rank(_ context.Context, query, alg string, k int) ([]RankedDB, string, error) {
-	return t.rankCached(query, alg, k)
+func (t tier) Rank(_ context.Context, query, alg string, k int) ([]RankedDB, error) {
+	return t.Service.Rank(query, alg, k)
 }
 
 func (t tier) RankStream(_ context.Context, queries []string, alg string, k int, emit func(int, BatchItem) error) error {

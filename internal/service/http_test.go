@@ -274,7 +274,9 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-func TestHTTPRankCacheHeader(t *testing.T) {
+// TestHTTPRankAlgSpellings: the algorithm spellings GET /rank accepts are
+// routable end to end, and one it does not know is the caller's mistake.
+func TestHTTPRankAlgSpellings(t *testing.T) {
 	ts, dbs := httpFixture(t)
 	// Sample one database so ranking has a model to serve.
 	var st DBStatus
@@ -283,22 +285,14 @@ func TestHTTPRankCacheHeader(t *testing.T) {
 		t.Fatalf("sample returned %d", resp.StatusCode)
 	}
 
-	rankURL := ts.URL + "/rank?q=" + url.QueryEscape("system data") + "&alg=cori&k=2"
 	var ranked []RankedDB
-	if resp = getJSON(t, rankURL, &ranked); resp.Header.Get("X-Cache") != "miss" {
-		t.Fatalf("first rank X-Cache = %q, want miss", resp.Header.Get("X-Cache"))
+	for _, alg := range []string{"cori", "gloss-sum@0.2"} {
+		rankURL := ts.URL + "/rank?q=" + url.QueryEscape("system data") + "&alg=" + url.QueryEscape(alg) + "&k=2"
+		if resp = getJSON(t, rankURL, &ranked); resp.StatusCode != http.StatusOK {
+			t.Fatalf("alg %q: rank returned %d", alg, resp.StatusCode)
+		}
 	}
-	if resp = getJSON(t, rankURL, &ranked); resp.Header.Get("X-Cache") != "hit" {
-		t.Fatalf("second rank X-Cache = %q, want hit", resp.Header.Get("X-Cache"))
-	}
-	// A GlOSS threshold spelling is routable end to end.
-	thrURL := ts.URL + "/rank?q=" + url.QueryEscape("system data") + "&alg=" + url.QueryEscape("gloss-sum@0.2")
-	if resp = getJSON(t, thrURL, &ranked); resp.StatusCode != http.StatusOK {
-		t.Fatalf("threshold rank returned %d", resp.StatusCode)
-	}
-	// Invalid requests bypass the cache.
-	badURL := ts.URL + "/rank?q=x&alg=bogus"
-	if resp = getJSON(t, badURL, nil); resp.Header.Get("X-Cache") != "bypass" || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad alg: X-Cache=%q status=%d", resp.Header.Get("X-Cache"), resp.StatusCode)
+	if resp = getJSON(t, ts.URL+"/rank?q=x&alg=bogus", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad alg: status=%d", resp.StatusCode)
 	}
 }

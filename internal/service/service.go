@@ -53,10 +53,6 @@ var (
 // always attempts the database and closes the circuit on success.
 var ErrCircuitOpen = errors.New("service: circuit open")
 
-// DefaultRankCacheSize is the default capacity of the selection result
-// cache (entries, across all epochs).
-const DefaultRankCacheSize = 1024
-
 // DefaultTripThreshold is the number of consecutive sampling failures
 // after which a database's circuit breaker opens.
 const DefaultTripThreshold = 3
@@ -157,15 +153,13 @@ type Service struct {
 	// Query-serving state (snapshot.go): gen counts model-set generations
 	// (bumped under mu whenever served models change), snap is the
 	// RCU-published compiled snapshot, compileMu single-flights rebuilds,
-	// and cache remembers recent single-query results and single-flights
-	// identical in-flight rank work across every serving path — GET /rank,
-	// POST /rank/batch (buffered or streamed) and the cluster shard RPCs.
-	// It is never nil: SetRankCacheSize(0) turns the LRU off, not the
-	// coalescing.
+	// and flights single-flights identical in-flight rank work across every
+	// serving path — GET /rank, POST /rank/batch (buffered or streamed) and
+	// the cluster shard RPCs.
 	gen       atomic.Uint64
 	snap      atomic.Pointer[snapshotSet]
 	compileMu sync.Mutex
-	cache     atomic.Pointer[serving.Cache]
+	flights   *serving.Flights
 
 	// gate is the admission controller for the rank endpoints (nil, the
 	// default, admits everything; see SetAdmission and DESIGN.md §14).
@@ -204,17 +198,14 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 		entries:   make(map[string]*entry),
 		tripAfter: DefaultTripThreshold,
 	}
-	s.SetRankCacheSize(DefaultRankCacheSize)
+	s.flights = serving.NewFlights("service", s.Metrics)
 	return s
 }
 
-// SetRankCacheSize resizes the selection result cache (default
-// DefaultRankCacheSize entries); n <= 0 disables result caching. Resizing
-// installs a fresh, empty cache; ranks already in flight finish on the one
-// they started with.
-func (s *Service) SetRankCacheSize(n int) {
-	s.cache.Store(serving.NewCache(n, "service", s.Metrics))
-}
+// The result cache this sized is gone and the call does nothing. It stays
+// only because benchmark/bench/layers.go:470 makes it, and goes when that
+// line does (ROADMAP item 10(f)).
+func (s *Service) SetRankCacheSize(int) {}
 
 // SetAdmission installs admission control on the rank endpoints (GET
 // /rank, POST /rank/batch): bounded concurrency, latency shedding, and
@@ -713,8 +704,8 @@ func parseAlgorithm(algName string) (selection.Algorithm, error) {
 
 // rankScratch is the per-query working memory of the serving path — token
 // list, interned term ids, dense scores, ranking — recycled through a pool
-// so a cache-missing Rank allocates only the result it returns (and a
-// cache-hitting one only the copy it hands back).
+// so a Rank allocates only its flight, the result it computes and the copy
+// it hands back.
 type rankScratch struct {
 	terms  []string
 	ids    []int32
@@ -733,57 +724,53 @@ var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 // Rank is the service's Select operation: its latency is observed into
 // service_select_seconds and its outcomes into service_selects_total /
 // service_select_errors_total. Scoring runs against the compiled snapshot
-// (snapshot.go) — no service lock is held while scoring — and results are
-// served from the epoch-keyed cache when possible (cache hits and misses
-// count into service_select_cache_hits_total / _misses_total).
+// (snapshot.go) — no service lock is held while scoring — and a rank
+// identical to one already in flight waits for that one's answer
+// (service_rank_coalesced_total{scope="flight"}).
 func (s *Service) Rank(query string, algName string, k int) ([]RankedDB, error) {
-	out, _, err := s.rankCached(query, algName, k)
-	return out, err
-}
-
-// rankCached is Rank plus the cache disposition for the X-Cache response
-// header: "hit" (served from cache, including single-flight waits), "miss"
-// (computed and cached), or "bypass" (cache disabled or request invalid).
-func (s *Service) rankCached(query string, algName string, k int) (_ []RankedDB, cacheStatus string, _ error) {
 	reg := s.Metrics()
 	defer reg.Timer("service_select_seconds")()
-	out, status, err := s.rank(query, algName, k)
+	out, err := s.rank(reg, query, algName, k)
 	if err != nil {
 		reg.Counter("service_select_errors_total").Inc()
 	} else {
 		reg.Counter("service_selects_total").Inc()
 	}
-	return out, status, err
+	return out, err
 }
 
-func (s *Service) rank(query string, algName string, k int) ([]RankedDB, string, error) {
+func (s *Service) rank(reg *telemetry.Registry, query string, algName string, k int) ([]RankedDB, error) {
 	alg, err := parseAlgorithm(algName)
 	if err != nil {
-		return nil, "bypass", err
+		return nil, err
 	}
 
 	scr := rankScratchPool.Get().(*rankScratch)
 	defer rankScratchPool.Put(scr)
 
 	if !scr.analyze(s.analyzer, query) {
-		return nil, "bypass", fmt.Errorf("service: query has no index terms: %w", ErrInvalid)
+		return nil, fmt.Errorf("service: query has no index terms: %w", ErrInvalid)
 	}
 	snap := s.snapshot()
 	if snap.compiled.NumDBs() == 0 {
-		return nil, "bypass", ErrNoModels
+		return nil, ErrNoModels
 	}
 	key := serving.Key{Query: string(scr.key), Alg: alg.Name(), K: k, Epoch: snap.epoch}
-	out, status, err := s.cache.Load().Do(key, true, func() ([]RankedDB, error) {
+	out, err := s.flights.Do(key, func() ([]RankedDB, error) {
+		// One per computed single rank ("a leader that computed"), kept
+		// only because benchmark/bench/layers.go:364-396 reads it to tell a
+		// computed replay from a repeated one (ROADMAP item 10(f)).
+		reg.Counter("service_select_cache_misses_total").Inc()
 		return s.rankSnapshot(snap, alg, scr, k), nil
 	})
 	if err != nil {
-		return nil, status, err
+		return nil, err
 	}
-	// Hand back a copy: the slice is shared with the cache and followers.
-	return append([]RankedDB(nil), out...), status, nil
+	// Hand back a copy: the slice is shared with the flight's followers.
+	return append([]RankedDB(nil), out...), nil
 }
 
-// analyze tokenizes query into scr.terms and builds its cache key in
+// analyze tokenizes query into scr.terms and builds its flight key in
 // scr.key: the analyzed terms joined with 0x1f (a byte the tokenizer never
 // emits), so equal term sequences collide and raw query spelling does not.
 // It reports whether the query has any index terms. The terms are slices

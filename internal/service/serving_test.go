@@ -1,8 +1,8 @@
 package service
 
 // Tests for the compiled query-serving path: snapshot compilation and RCU
-// invalidation, the epoch-keyed result cache (hits, misses, single-flight,
-// LRU bounds), equivalence with the map-based scorers, and a -race stress
+// invalidation, the epoch-keyed rank flights, equivalence with the
+// map-based scorers, and a -race stress
 // scenario of Rank racing resamples and registry churn.
 
 import (
@@ -35,146 +35,82 @@ func sampledFixture(t *testing.T) (*Service, *telemetry.Registry) {
 	return svc, reg
 }
 
-func TestRankCacheHitAndMissCounters(t *testing.T) {
+// TestRankAfterResampleNeverJoinsOldFlight: the epoch is in the flight key,
+// so a rank that starts after a re-sample computes against the new model
+// set even while an identical rank from the old epoch is still in flight.
+func TestRankAfterResampleNeverJoinsOldFlight(t *testing.T) {
 	svc, reg := sampledFixture(t)
-	hits := reg.Counter("service_select_cache_hits_total")
-	misses := reg.Counter("service_select_cache_misses_total")
+	coalesced := reg.Counter(`service_rank_coalesced_total{scope="flight"}`)
 
-	first, status, err := svc.rankCached("system data language", "cori", 0)
-	if err != nil {
-		t.Fatal(err)
+	// Lead the old epoch's flight and leave it unfulfilled.
+	oldKey := flightKey(svc, "system data", "cori", 0)
+	old, leader := svc.flights.Join(oldKey)
+	if !leader {
+		t.Fatal("test could not lead the old epoch's flight")
 	}
-	if status != "miss" || misses.Value() != 1 || hits.Value() != 0 {
-		t.Fatalf("first rank: status=%q hits=%d misses=%d", status, hits.Value(), misses.Value())
-	}
-	second, status, err := svc.rankCached("system data language", "cori", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != "hit" || hits.Value() != 1 || misses.Value() != 1 {
-		t.Fatalf("second rank: status=%q hits=%d misses=%d", status, hits.Value(), misses.Value())
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("cache hit returned different result:\n%+v\n%+v", first, second)
-	}
-	// Different k, algorithm, or term sequence are distinct keys.
-	for _, q := range []struct{ query, alg string; k int }{
-		{"system data language", "cori", 2},
-		{"system data language", "gloss-sum", 0},
-		{"system data", "cori", 0},
-	} {
-		if _, status, err = svc.rankCached(q.query, q.alg, q.k); err != nil || status != "miss" {
-			t.Fatalf("variant %+v: status=%q err=%v", q, status, err)
-		}
-	}
-	// The cached slice must not alias the caller's: mutating a returned
-	// ranking cannot corrupt later hits.
-	out, _, _ := svc.rankCached("system data language", "cori", 0)
-	out[0].Name = "corrupted"
-	again, _, _ := svc.rankCached("system data language", "cori", 0)
-	if again[0].Name == "corrupted" {
-		t.Fatal("caller mutation reached the cache")
-	}
-}
 
-func TestRankCacheInvalidatedByEpoch(t *testing.T) {
-	svc, reg := sampledFixture(t)
-	misses := reg.Counter("service_select_cache_misses_total")
-
-	if _, status, err := svc.rankCached("system data", "cori", 0); err != nil || status != "miss" {
-		t.Fatalf("first: %q %v", status, err)
-	}
-	epoch := svc.Epoch()
-
-	// A resample changes the served set: epoch bumps, same query misses.
+	// A resample changes the served set: the epoch bumps.
 	names := svc.Databases()
 	if _, err := svc.Sample(names[0].Name, SampleOptions{Docs: 30, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Epoch() == epoch {
+	if svc.Epoch() == oldKey.Epoch {
 		t.Fatal("Sample did not bump the epoch")
 	}
-	if _, status, err := svc.rankCached("system data", "cori", 0); err != nil || status != "miss" {
-		t.Fatalf("post-resample: %q %v", status, err)
-	}
-	if misses.Value() != 2 {
-		t.Fatalf("misses = %d, want 2", misses.Value())
+	// Were the key epoch-free this rank would block on the flight above.
+	if _, err := svc.Rank("system data", "cori", 0); err != nil {
+		t.Fatalf("post-resample: %v", err)
 	}
 
 	// Unregister bumps too (its model left the set).
-	epoch = svc.Epoch()
+	epoch := svc.Epoch()
 	if err := svc.Unregister(names[1].Name); err != nil {
 		t.Fatal(err)
 	}
 	if svc.Epoch() == epoch {
 		t.Fatal("Unregister did not bump the epoch")
 	}
-	out, status, err := svc.rankCached("system data", "cori", 0)
-	if err != nil || status != "miss" {
-		t.Fatalf("post-unregister: %q %v", status, err)
+	out, err := svc.Rank("system data", "cori", 0)
+	if err != nil {
+		t.Fatalf("post-unregister: %v", err)
 	}
 	for _, r := range out {
 		if r.Name == names[1].Name {
 			t.Fatalf("unregistered database %s still ranked", r.Name)
 		}
 	}
-}
-
-func TestRankCacheDisabled(t *testing.T) {
-	svc, reg := sampledFixture(t)
-	svc.SetRankCacheSize(0)
-	for i := 0; i < 3; i++ {
-		if _, status, err := svc.rankCached("system data", "cori", 0); err != nil || status != "bypass" {
-			t.Fatalf("rank %d with cache off: %q %v", i, status, err)
-		}
+	if coalesced.Value() != 0 {
+		t.Fatalf("%d ranks joined a flight across an epoch change", coalesced.Value())
 	}
-	if h, m := reg.Counter("service_select_cache_hits_total").Value(),
-		reg.Counter("service_select_cache_misses_total").Value(); h != 0 || m != 0 {
-		t.Fatalf("disabled cache counted hits=%d misses=%d", h, m)
-	}
-	svc.SetRankCacheSize(8)
-	if _, status, _ := svc.rankCached("system data", "cori", 0); status != "miss" {
-		t.Fatalf("re-enabled cache: %q", status)
+	svc.flights.Fulfill(oldKey, old, nil, nil)
+	if got := svc.flights.Inflight(); got != 0 {
+		t.Fatalf("inflight = %d, want 0", got)
 	}
 }
 
-func TestRankCacheLRUBound(t *testing.T) {
-	c := serving.NewCache(3, "service", func() *telemetry.Registry { return nil })
-	// add admits a completed result the way a leading single rank does.
-	add := func(q string, val []RankedDB) {
-		key := serving.Key{Query: q}
-		f, leader := c.Join(key)
-		if !leader {
-			t.Fatalf("flight %q already in progress", q)
+// TestRankAllocations pins what one Service.Rank on a warm snapshot
+// allocates. With the result LRU the parent allocated 8 times on a query it
+// had not seen (one more: the LRU's entry) and 4 on a repeated one.
+func TestRankAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the scratch pool drops entries under -race")
+	}
+	svc, _ := sampledFixture(t)
+	if _, err := svc.Rank("system data language", "cori", 2); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := svc.Rank("system data language", "cori", 2); err != nil {
+			t.Fatal(err)
 		}
-		c.Fulfill(key, f, val, nil, true)
-	}
-	for _, q := range []string{"a", "b", "c", "d", "e"} {
-		add(q, []RankedDB{{Name: q}})
-	}
-	if c.Len() != 3 {
-		t.Fatalf("cache holds %d entries, cap 3", c.Len())
-	}
-	// "c","d","e" should remain; touching "c" then inserting evicts "d".
-	if _, ok := c.Probe(serving.Key{Query: "c"}); !ok {
-		t.Fatal("entry c was evicted prematurely")
-	}
-	add("f", []RankedDB{{Name: "f"}})
-	if _, ok := c.Probe(serving.Key{Query: "d"}); ok {
-		t.Fatal("LRU entry d survived eviction")
-	}
-	// Duplicate adds are idempotent: same key refreshes in place.
-	add("c", []RankedDB{{Name: "c", Score: 2}})
-	if c.Len() != 3 {
-		t.Fatalf("idempotent add grew the cache to %d entries", c.Len())
-	}
-	if val, ok := c.Probe(serving.Key{Query: "c"}); !ok || val[0].Score != 2 {
-		t.Fatalf("refreshed entry c = %+v ok=%v", val, ok)
+	})
+	if want := 7.0; got != want {
+		t.Fatalf("Rank allocates %.0f times per call, want %.0f", got, want)
 	}
 }
 
 func TestCoalescerSingleFlight(t *testing.T) {
-	co := serving.NewCache(0, "service", func() *telemetry.Registry { return nil })
+	co := serving.NewFlights("service", func() *telemetry.Registry { return nil })
 	key := serving.Key{Query: "q"}
 	f, leader := co.Join(key)
 	if !leader {
@@ -195,7 +131,7 @@ func TestCoalescerSingleFlight(t *testing.T) {
 			joined.Done()
 			if wl {
 				t.Errorf("waiter %d became leader", i)
-				co.Fulfill(key, wf, nil, nil, false)
+				co.Fulfill(key, wf, nil, nil)
 				return
 			}
 			results[i], _ = wf.Wait()
@@ -205,7 +141,7 @@ func TestCoalescerSingleFlight(t *testing.T) {
 	// flight, so a straggler would (correctly) lead a fresh one.
 	joined.Wait()
 	want := []RankedDB{{Name: "db1", Score: 1}}
-	co.Fulfill(key, f, want, nil, true)
+	co.Fulfill(key, f, want, nil)
 	wg.Wait()
 	for i, r := range results {
 		if !reflect.DeepEqual(r, want) {
@@ -215,9 +151,6 @@ func TestCoalescerSingleFlight(t *testing.T) {
 	if co.Inflight() != 0 {
 		t.Fatalf("inflight = %d after fulfill, want 0", co.Inflight())
 	}
-	if co.Len() != 0 {
-		t.Fatalf("a capacity-0 cache admitted %d entries", co.Len())
-	}
 
 	// Errors reach current followers only: the flight is gone from the map
 	// at fulfill, so the next identical request starts fresh.
@@ -226,7 +159,7 @@ func TestCoalescerSingleFlight(t *testing.T) {
 	if !leader {
 		t.Fatal("error-case join not leader")
 	}
-	co.Fulfill(key2, f2, nil, errors.New("boom"), false)
+	co.Fulfill(key2, f2, nil, errors.New("boom"))
 	if _, leader := co.Join(key2); !leader {
 		t.Fatal("failed flight stayed joinable")
 	}

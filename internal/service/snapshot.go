@@ -308,5 +308,5 @@ func (s *Service) LoadSnapshot() error {
 
 // Epoch returns the current model-set generation. It changes whenever a
 // sampling run, registration, or unregistration alters the served models;
-// result caches key on it so stale entries die with their snapshot.
+// rank flights key on it, so no rank joins a flight from an older set.
 func (s *Service) Epoch() uint64 { return s.gen.Load() }

@@ -191,7 +191,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// rest pending — while the client disconnects.
 	queries := []string{"system data", "market stock", "language model"}
 	key := flightKey(svc, "market stock", "cori", 2)
-	f, leader := svc.cache.Load().Join(key)
+	f, leader := svc.flights.Join(key)
 	if !leader {
 		t.Fatal("test could not lead the blocking flight")
 	}
@@ -218,7 +218,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// Give the disconnect a moment to propagate to the server's context,
 	// then unblock the stream: its next emit must see the dead client.
 	time.Sleep(50 * time.Millisecond)
-	svc.cache.Load().Fulfill(key, f, []RankedDB{{Name: "x"}}, nil, false)
+	svc.flights.Fulfill(key, f, []RankedDB{{Name: "x"}}, nil)
 
 	aborts := reg.Counter("service_stream_aborts_total")
 	deadline := time.Now().Add(5 * time.Second)
@@ -228,7 +228,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := svc.cache.Load().Inflight(); got != 0 {
+	if got := svc.flights.Inflight(); got != 0 {
 		t.Errorf("coalescer holds %d flights after disconnect, want 0", got)
 	}
 	if got := reg.Gauge("service_rank_flights_inflight").Value(); got != 0 {
@@ -246,7 +246,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 func TestBatchJoinsForeignFlight(t *testing.T) {
 	svc, reg := sampledFixture(t)
 	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.cache.Load().Join(key)
+	f, leader := svc.flights.Join(key)
 	if !leader {
 		t.Fatal("test could not lead the flight")
 	}
@@ -271,7 +271,7 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	want := []RankedDB{{Name: "sentinel", Score: 42}}
-	svc.cache.Load().Fulfill(key, f, want, nil, false)
+	svc.flights.Fulfill(key, f, want, nil)
 
 	r := <-done
 	if r.err != nil {
@@ -294,7 +294,7 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 	svc, reg := sampledFixture(t)
 	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.cache.Load().Join(key)
+	f, leader := svc.flights.Join(key)
 	if !leader {
 		t.Fatal("test could not lead the flight")
 	}
@@ -314,7 +314,7 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	svc.cache.Load().Fulfill(key, f, nil, errors.New("leader exploded"), false)
+	svc.flights.Fulfill(key, f, nil, errors.New("leader exploded"))
 	items := <-done
 	if items == nil || items[0].Error != "leader exploded" {
 		t.Fatalf("concurrent follower item = %+v, want the flight's error", items)
@@ -333,13 +333,13 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 // with an error before re-panicking, so followers never block forever.
 func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 	svc, _ := sampledFixture(t)
-	cache := svc.cache.Load()
+	flights := svc.flights
 	key := flightKey(svc, "system data", "cori", 2)
 	computing, release := make(chan struct{}), make(chan struct{})
 	propagated := make(chan bool, 1)
 	go func() {
 		defer func() { propagated <- recover() != nil }()
-		cache.Do(key, false, func() ([]RankedDB, error) {
+		flights.Do(key, func() ([]RankedDB, error) {
 			close(computing)
 			<-release
 			// nil snapshot makes rankSnapshot panic inside the leader.
@@ -347,7 +347,7 @@ func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 		})
 	}()
 	<-computing
-	f, leader := cache.Join(key)
+	f, leader := flights.Join(key)
 	if leader {
 		t.Fatal("test led a flight that already has a leader")
 	}
@@ -358,8 +358,8 @@ func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 	if _, err := f.Wait(); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("flight error = %v, want a rank-panicked error", err)
 	}
-	if cache.Inflight() != 0 {
-		t.Fatalf("inflight = %d after panic, want 0", cache.Inflight())
+	if flights.Inflight() != 0 {
+		t.Fatalf("inflight = %d after panic, want 0", flights.Inflight())
 	}
 }
 
@@ -377,8 +377,8 @@ func flightKey(svc *Service, query, alg string, k int) serving.Key {
 
 // TestChaosStreamCoalesceEpochSwap races streamed batches (with heavy
 // within-batch duplication), single ranks, and epoch-bumping resamples.
-// Under -race this is the proof that the coalescer, the cache, and the
-// streaming surface never cross epochs or leak flights.
+// Under -race this is the proof that the coalescer and the streaming
+// surface never cross epochs or leak flights.
 func TestChaosStreamCoalesceEpochSwap(t *testing.T) {
 	svc, dbs := fixture(t, nil)
 	reg := telemetry.NewRegistry()
@@ -440,7 +440,7 @@ func TestChaosStreamCoalesceEpochSwap(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := svc.cache.Load().Inflight(); got != 0 {
+	if got := svc.flights.Inflight(); got != 0 {
 		t.Fatalf("coalescer holds %d flights after the dust settled, want 0", got)
 	}
 	if dups := reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Value(); dups != 3*rounds*2 {

@@ -45,7 +45,7 @@ var errBroke = errors.New("fake: upstream broke mid-stream")
 
 func newScriptTier() *scriptTier {
 	reg := telemetry.NewRegistry()
-	return &scriptTier{fakeTier: &fakeTier{reg: reg, gate: admission.New(admission.Config{}, reg, "fake"), seen: map[string]bool{}}}
+	return &scriptTier{fakeTier: &fakeTier{reg: reg, gate: admission.New(admission.Config{}, reg, "fake")}}
 }
 
 func (s *scriptTier) gated() *scriptTier {
@@ -57,9 +57,9 @@ func (s *scriptTier) handler() http.Handler {
 	return serving.NewHandler(s, "fake", map[string]string{"status": "ok"}, nil)
 }
 
-func (s *scriptTier) Rank(ctx context.Context, query, alg string, k int) ([]serving.RankedDB, string, error) {
+func (s *scriptTier) Rank(ctx context.Context, query, alg string, k int) ([]serving.RankedDB, error) {
 	if s.item != nil {
-		return s.item(0).Ranked, "bypass", nil
+		return s.item(0).Ranked, nil
 	}
 	return s.fakeTier.Rank(ctx, query, alg, k)
 }

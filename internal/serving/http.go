@@ -282,8 +282,7 @@ func (s *surface) handleRank(w http.ResponseWriter, r *http.Request) {
 		k = clamped
 		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
 	}
-	ranked, cacheStatus, err := s.tier.Rank(r.Context(), q.Get("q"), q.Get("alg"), k)
-	w.Header().Set("X-Cache", cacheStatus)
+	ranked, err := s.tier.Rank(r.Context(), q.Get("q"), q.Get("alg"), k)
 	if err != nil {
 		WriteFailure(w, err)
 		return

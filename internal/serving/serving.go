@@ -1,13 +1,14 @@
 // Package serving is the one serving core of the selection service: the
 // question "rank the databases for this query" (paper §1) asked through one
-// seam, answered over one HTTP surface, remembered by one result cache.
+// seam, answered over one HTTP surface, computed once per identical rank in
+// flight.
 //
 // The seam is Ranker. internal/service implements it over a compiled
 // snapshot of learned language models, internal/cluster over a scatter to
 // shard services; everything above it — admission, the JSON and streaming
 // endpoints, status mapping, request telemetry — is written here once and
 // parameterised by the tier it serves (NewHandler). Below it, both tiers
-// remember and single-flight their rankings in the same Cache.
+// single-flight their rankings through the same Flights.
 package serving
 
 import (
@@ -50,11 +51,9 @@ var (
 
 // Ranker is the seam between a serving tier and everything that serves it.
 type Ranker interface {
-	// Rank answers one query through the tier's result cache. cacheStatus
-	// is the X-Cache disposition: "hit" (served from the cache, including
-	// a wait on an identical in-flight rank), "miss" (computed and cached)
-	// or "bypass" (cache disabled or request invalid).
-	Rank(ctx context.Context, query, alg string, k int) (ranked []RankedDB, cacheStatus string, err error)
+	// Rank answers one query, sharing the computation with any identical
+	// rank already in flight on the tier.
+	Rank(ctx context.Context, query, alg string, k int) ([]RankedDB, error)
 	// RankStream ranks a batch that shares one algorithm and one k,
 	// calling emit once per query, in input order, the moment that query's
 	// ranking completes. Whole-request refusals (unknown algorithm, a tier
