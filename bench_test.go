@@ -437,11 +437,11 @@ func BenchmarkSamplerThroughputParallel(b *testing.B) {
 		ix := index.Build(p.MustGenerate(), analysis.Database(), index.InQuery)
 		dbs[i] = db{ix: ix, actual: ix.LanguageModel()}
 	}
-	var iter, docsDone int64
+	var iter, docsDone atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			i := atomic.AddInt64(&iter, 1)
+			i := iter.Add(1)
 			d := dbs[int(i)%len(dbs)]
 			cfg := core.DefaultConfig(d.actual, 200, uint64(i))
 			cfg.SnapshotEvery = 0
@@ -449,10 +449,10 @@ func BenchmarkSamplerThroughputParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			atomic.AddInt64(&docsDone, int64(res.Docs))
+			docsDone.Add(int64(res.Docs))
 		}
 	})
-	b.ReportMetric(float64(atomic.LoadInt64(&docsDone))/b.Elapsed().Seconds(), "docs/s")
+	b.ReportMetric(float64(docsDone.Load())/b.Elapsed().Seconds(), "docs/s")
 }
 
 // BenchmarkSuiteBaselines times the full three-corpus baseline sweep
@@ -839,7 +839,7 @@ func TestSparsePatchAllocatesLittle(t *testing.T) {
 }
 
 // BenchmarkRepolintFullRepo prices the lint gate itself: loading,
-// type-checking, and running all nine analyzers (CFG construction,
+// type-checking, and running every analyzer (CFG construction,
 // dataflow fixpoints, call-graph reachability included) over every
 // package in the module — the wall time `make lint` adds to CI. One op
 // is one cold end-to-end run; load+check dominates, so this also guards

@@ -88,7 +88,6 @@ func cmdRecord(args []string) {
 		if err != nil {
 			fail("%v", err)
 		}
-		//lint:ignore errsink file opened for reading; close cannot lose data
 		defer f.Close()
 		in = f
 	}

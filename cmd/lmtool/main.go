@@ -73,7 +73,6 @@ func load(path string) (*langmodel.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore errsink file opened for reading; close cannot lose data
 	defer f.Close()
 	if strings.HasSuffix(path, ".qblm") {
 		return langmodel.ReadBinary(f)

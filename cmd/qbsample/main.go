@@ -100,7 +100,6 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		//lint:ignore errsink process-exit cleanup; a close error after the run has no consumer
 		defer client.Close()
 		db = client
 		cfg.InitialTerm = *first

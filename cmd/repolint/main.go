@@ -4,7 +4,8 @@
 // review rules that keep experiment output bit-reproducible: all
 // randomness through internal/randx, no wall-clock reads on
 // golden-output paths, no map-iteration order leaking into results,
-// all fan-out through internal/parallel, no locks copied by value.
+// all fan-out through internal/parallel; hot paths allocation-free and
+// no blocking call under a held lock.
 //
 // Usage:
 //
@@ -18,7 +19,6 @@
 //	-sarif path   also write a SARIF 2.1.0 log to path ("-" for stdout)
 //	-list         list registered analyzers and exit
 //	-show-ignored also print suppressed findings (marked "ignored:")
-//	-disable a,b  comma-separated analyzer names to skip
 //
 // Suppress a single finding at its line with a justified directive:
 //
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -52,31 +51,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sarifPath := fs.String("sarif", "", "also write a SARIF 2.1.0 log to this path (\"-\" for stdout)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	showIgnored := fs.Bool("show-ignored", false, "also print suppressed findings")
-	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	analyzers := lint.All()
-	if *disable != "" {
-		skip := make(map[string]bool)
-		for _, name := range strings.Split(*disable, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := lint.ByName(name); !ok {
-				fmt.Fprintf(stderr, "repolint: unknown analyzer %q\n", name)
-				return 2
-			}
-			skip[name] = true
-		}
-		kept := analyzers[:0]
-		for _, a := range analyzers {
-			if !skip[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		analyzers = kept
-	}
-
 	if *list {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
@@ -167,10 +146,9 @@ func writeSARIF(path string, diags []lint.Diagnostic, analyzers []*lint.Analyzer
 		if err != nil {
 			return err
 		}
-		defer func() {
-			//lint:ignore errsink best-effort double close; the success path closes explicitly and checks the error
-			f.Close()
-		}()
+		// Best-effort close on the error paths; the success path closes
+		// explicitly below and checks the error.
+		defer f.Close()
 		out = f
 	}
 	enc := json.NewEncoder(out)

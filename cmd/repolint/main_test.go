@@ -111,17 +111,6 @@ func TestExitTwoOnMissingModule(t *testing.T) {
 	}
 }
 
-func TestExitTwoOnUnknownAnalyzer(t *testing.T) {
-	dir := writeModule(t, map[string]string{"clean.go": cleanSrc})
-	code, _, stderr := runRepolint(t, dir, "-disable", "nosuchanalyzer")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "unknown analyzer") {
-		t.Errorf("stderr = %q, want unknown-analyzer message", stderr)
-	}
-}
-
 // TestSARIFOutput: -sarif writes a parseable SARIF 2.1.0 log whose
 // results match the findings, with module-relative forward-slash URIs,
 // and still exits 1.

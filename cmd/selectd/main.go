@@ -146,7 +146,6 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		//lint:ignore errsink process-exit cleanup; a close error after serving has no consumer
 		defer front.Close()
 		fmt.Printf("front tier over %d slots listening on http://%s\n", len(slots), *addr)
 		if err := http.ListenAndServe(*addr, front.Handler()); err != nil {
@@ -166,7 +165,6 @@ func main() {
 	}
 
 	svc := service.New(analysis.Database(), st)
-	//lint:ignore errsink process-exit cleanup; a close error after serving has no consumer
 	defer svc.Close()
 	svc.SetMetrics(reg)
 	svc.SetLogger(logger)
@@ -199,7 +197,6 @@ func main() {
 			if err != nil {
 				fail("%v", err)
 			}
-			//lint:ignore errsink process-exit cleanup; a close error after serving has no consumer
 			defer ns.Close()
 			if err := svc.Register(db.Name, ns.Addr()); err != nil {
 				fail("%v", err)
@@ -246,7 +243,6 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		//lint:ignore errsink process-exit cleanup; a close error after serving has no consumer
 		defer shardSrv.Close()
 		fmt.Printf("serving as cluster shard on %s (netsearch fabric)\n", shardSrv.Addr())
 	}

@@ -39,7 +39,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//lint:ignore errsink example-exit cleanup; a close error has no consumer
 	defer searchSrv.Close()
 
 	liar := starts.Liar{Model: actual, Bait: []string{"miracle", "free", "winner"}, Factor: 1000}
@@ -47,7 +46,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//lint:ignore errsink example-exit cleanup; a close error has no consumer
 	defer exportSrv.Close()
 
 	fmt.Printf("remote database up: search on %s, STARTS export on %s\n\n",
@@ -68,7 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//lint:ignore errsink example-exit cleanup; a close error has no consumer
 	defer client.Close()
 
 	cfg := core.DefaultConfig(actual, 200, 3) // initial term source only

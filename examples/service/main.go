@@ -29,7 +29,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//lint:ignore errsink best-effort temp-dir cleanup at example exit
 	defer os.RemoveAll(dir)
 	st, err := store.Open(filepath.Join(dir, "models"))
 	if err != nil {
@@ -42,7 +41,6 @@ func main() {
 	}
 
 	svc := service.New(analysis.Database(), st)
-	//lint:ignore errsink example-exit cleanup; a close error has no consumer
 	defer svc.Close()
 
 	// Register three databases in-process and one over TCP — the service
@@ -56,7 +54,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//lint:ignore errsink example-exit cleanup; a close error has no consumer
 	defer remote.Close()
 	if err := svc.Register(dbs[3].Name, remote.Addr()); err != nil {
 		log.Fatal(err)

@@ -86,6 +86,8 @@ type Gate struct {
 
 	// n is the authoritative in-flight count; the gauge mirrors it so the
 	// shedding decision never depends on whether telemetry is installed.
+	// The gauge moves by ±1 on the admitted path only, so concurrent
+	// updates commute and a shed arrival never shows: idle reads zero.
 	n        atomic.Int64
 	inflight *telemetry.Gauge
 	shedCap  *telemetry.Counter
@@ -156,7 +158,7 @@ func (g *Gate) Admit() (t *Ticket, ok bool) {
 		g.shedP99.Inc()
 		return nil, false
 	}
-	g.inflight.Set(n)
+	g.inflight.Add(1)
 	degraded := g.cfg.DegradeAt > 0 && n >= int64(g.cfg.DegradeAt)
 	if degraded {
 		g.degraded.Inc()
@@ -202,7 +204,8 @@ func (t *Ticket) Release() {
 		return
 	}
 	t.g.window.Observe(t.g.now().Sub(t.start).Seconds())
-	t.g.inflight.Set(t.g.n.Add(-1))
+	t.g.n.Add(-1)
+	t.g.inflight.Add(-1)
 }
 
 // InFlight returns the current in-flight count (tests and debugging).

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -168,5 +169,38 @@ func TestGaugeTracksInFlight(t *testing.T) {
 	t2.Release()
 	if got := reg.Snapshot().Gauges["service_rank_inflight"]; got != 0 {
 		t.Errorf("inflight gauge after releases = %d, want 0", got)
+	}
+}
+
+// TestGaugeReturnsToZero admits and releases 64 tickets from each of 8
+// goroutines, with a cap nothing reaches, and reads the gauge at 0
+// afterwards: it moves by +1 and -1, which commute. (Set to the counter's
+// value after each update, two releases could publish out of order and
+// leave an idle gate reading 1.)
+func TestGaugeReturnsToZero(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	const workers, each = 8, 64
+	g := New(Config{MaxInFlight: workers * each}, reg, "service")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tk, ok := g.Admit()
+				if !ok {
+					t.Error("arrival shed under a cap nothing reaches")
+					return
+				}
+				tk.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := g.InFlight(); got != 0 {
+		t.Errorf("InFlight() = %d after every release, want 0", got)
+	}
+	if got := reg.Snapshot().Gauges["service_rank_inflight"]; got != 0 {
+		t.Errorf("service_rank_inflight = %d after every release, want 0", got)
 	}
 }

@@ -145,7 +145,7 @@ func (f *Front) scatter(queries []string, alg string, k int, trace string, emit 
 	}
 	defer func() {
 		close(quit)
-		//lint:ignore errsink reader errors were already routed through slotStream.err; Wait only joins
+		// Wait only joins: every reader's error already reached slotStream.err.
 		readers.Wait()
 	}()
 

@@ -136,7 +136,6 @@ func Load(path string) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
 	}
-	//lint:ignore errsink file opened for reading; close cannot lose data
 	defer f.Close()
 	return ReadFrom(f)
 }

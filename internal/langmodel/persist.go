@@ -80,7 +80,6 @@ func Load(path string) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("langmodel: load: %w", err)
 	}
-	//lint:ignore errsink file opened for reading; close cannot lose data
 	defer f.Close()
 	return Read(f)
 }

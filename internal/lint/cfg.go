@@ -1,13 +1,11 @@
 package lint
 
 // Intraprocedural control-flow graphs over go/ast function bodies: the
-// substrate the flow-sensitive analyzers (lockheld, errsink) run on. The
-// per-statement AST walks of the original five analyzers cannot answer
-// questions like "is this mutex released on every path?" or "does this
-// error reach a sink before it is overwritten?" — those are properties of
-// paths, not statements. BuildCFG lowers a body to basic blocks with
-// explicit successor edges; dataflow.go provides the forward/backward
-// fixpoint solvers that run over them.
+// substrate the flow-sensitive analyzer (lockheld) runs on. A
+// per-statement AST walk cannot answer "is this mutex released on every
+// path?" — that is a property of paths, not statements. BuildCFG lowers a
+// body to basic blocks with explicit successor edges; dataflow.go
+// provides the forward fixpoint solver that runs over them.
 //
 // The construction is deliberately modest: blocks hold the original
 // ast.Node statements in execution order (condition and range expressions

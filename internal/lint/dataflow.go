@@ -1,19 +1,18 @@
 package lint
 
-// Generic worklist fixpoint solvers over the CFGs built by cfg.go.
+// A generic worklist fixpoint solver over the CFGs built by cfg.go.
 // Analyses supply a transfer function (what one block does to a fact), a
 // merge (join at control-flow confluences), and an equality test (fixpoint
 // detection); the solver owns iteration order and termination. Facts must
-// form a finite-height lattice under merge — every analyzer here uses
-// finite sets keyed by syntactic objects, so termination is structural.
+// form a finite-height lattice under merge — lockheld's facts are finite
+// sets keyed by syntactic objects, so termination is structural.
 
 // Forward solves a forward dataflow problem: facts flow from a block to
-// its successors. entry is the fact at function entry; bottom produces
-// the identity fact for merge (the empty set for may-analyses). The
-// returned map holds the IN fact of every reachable block; analyzers
-// re-apply their transfer node-by-node over a block when they need
-// per-statement facts for reporting.
-func Forward[F any](g *CFG, entry F, bottom func() F,
+// its successors. entry is the fact at function entry. The returned map
+// holds the IN fact of every reachable block; analyzers re-apply their
+// transfer node-by-node over a block when they need per-statement facts
+// for reporting.
+func Forward[F any](g *CFG, entry F,
 	transfer func(*Block, F) F, merge func(F, F) F, equal func(F, F) bool) map[*Block]F {
 
 	in := make(map[*Block]F, len(g.Blocks))
@@ -43,55 +42,4 @@ func Forward[F any](g *CFG, entry F, bottom func() F,
 		}
 	}
 	return in
-}
-
-// Backward solves a backward dataflow problem: facts flow from a block to
-// its predecessors (classically: liveness). exit is the fact at the
-// synthetic Exit block and at blocks with no successors (panic
-// terminators). The returned map holds the OUT fact of every block.
-func Backward[F any](g *CFG, exit F, bottom func() F,
-	transfer func(*Block, F) F, merge func(F, F) F, equal func(F, F) bool) map[*Block]F {
-
-	preds := make(map[*Block][]*Block, len(g.Blocks))
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	out := make(map[*Block]F, len(g.Blocks))
-	for _, b := range g.Blocks {
-		out[b] = bottom()
-	}
-	out[g.Exit] = exit
-	for _, b := range g.Blocks {
-		if len(b.Succs) == 0 && b != g.Exit {
-			out[b] = exit // panic paths: nothing is needed after them
-		}
-	}
-
-	work := make([]*Block, len(g.Blocks))
-	copy(work, g.Blocks)
-	inWork := make(map[*Block]bool, len(g.Blocks))
-	for _, b := range work {
-		inWork[b] = true
-	}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[b] = false
-
-		liveIn := transfer(b, out[b])
-		for _, p := range preds[b] {
-			merged := merge(out[p], liveIn)
-			if equal(merged, out[p]) {
-				continue
-			}
-			out[p] = merged
-			if !inWork[p] {
-				inWork[p] = true
-				work = append(work, p)
-			}
-		}
-	}
-	return out
 }

@@ -163,29 +163,16 @@ func Unsuppressed(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// All returns the default analyzer set enforced by cmd/repolint, in
-// stable order: the five per-statement invariant checks from PR 2,
-// then the four CFG/dataflow analyzers.
+// All returns the analyzer set enforced by cmd/repolint, in stable
+// order: the four per-statement determinism checks, then the two
+// interprocedural proofs.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DirectRand,
 		WallClock,
 		MapOrder,
 		BareGoroutine,
-		MutexByValue,
 		AllocFree,
 		LockHeld,
-		AtomicRCU,
-		ErrSink,
 	}
-}
-
-// ByName resolves an analyzer from the default set.
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
 }

@@ -144,8 +144,7 @@ func checkLockHeldBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		return fact
 	}
-	ins := Forward(g, lockFact{}, func() lockFact { return lockFact{} },
-		transfer, mergeLocks, equalLocks)
+	ins := Forward(g, lockFact{}, transfer, mergeLocks, equalLocks)
 
 	// Reporting sweep: re-apply the transfer with diagnostics enabled.
 	for _, b := range g.Blocks {

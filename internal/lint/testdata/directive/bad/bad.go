@@ -15,3 +15,9 @@ func stale() {
 	//lint:ignore baregoroutine there is no goroutine on the next line
 	_ = 0
 }
+
+// outsideRunSet names an analyzer that did not run: not stale, no finding.
+func outsideRunSet() {
+	//lint:ignore errsink names an analyzer outside the run set
+	_ = 0
+}

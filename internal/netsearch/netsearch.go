@@ -216,7 +216,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		//lint:ignore errsink teardown of a connection the handler already gave up on; the peer sees the disconnect either way
 		conn.Close()
 	}()
 	in := frameReader{br: bufio.NewReader(conn)}

@@ -105,7 +105,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		//lint:ignore errsink teardown of a connection the handler already gave up on; nothing consumes the error
 		conn.Close()
 	}()
 	r := bufio.NewReader(conn)
@@ -146,7 +145,6 @@ func FetchModel(addr string) (*langmodel.Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("starts: dial %s: %w", addr, err)
 	}
-	//lint:ignore errsink read-side teardown; the fetch already succeeded or failed through the protocol errors
 	defer conn.Close()
 	if _, err := fmt.Fprintln(conn, "EXPORT"); err != nil {
 		return nil, fmt.Errorf("starts: send: %w", err)

@@ -105,7 +105,7 @@ func syncDir(dir string) error {
 	if err != nil {
 		return fmt.Errorf("store: open dir %s: %w", dir, err)
 	}
-	//lint:ignore errsink directory handle close after the explicit Sync check; durability was already decided by Sync
+	// Durability is decided by the Sync below, so Close's error is dropped.
 	defer d.Close()
 	if err := d.Sync(); err != nil {
 		return fmt.Errorf("store: sync dir %s: %w", dir, err)
@@ -126,7 +126,6 @@ func (s *Store) Get(name string) (*langmodel.Model, error) {
 		}
 		return nil, fmt.Errorf("store: open %s: %w", name, err)
 	}
-	//lint:ignore errsink file opened for reading; close cannot lose data
 	defer f.Close()
 	m, err := langmodel.ReadBinary(f)
 	if err != nil {
