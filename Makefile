@@ -11,15 +11,15 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Tier-1 benchmark set for the regression gate (see bench-check).
-BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec|EncodeRanking|WireSample|Porter
+BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec|EncodeRanking|WireSample|Porter|AddDocument
 # Benchmarks that must be present in every recording; benchdiff record
 # fails otherwise, so a renamed/filtered-out rank benchmark cannot
 # silently drop out of the regression gate.
-BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec,EncodeRanking,WireSample,Porter
+BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec,EncodeRanking,WireSample,Porter,AddDocument,SamplerThroughput
 # Where they live: the root package, the wire codec's and the HTTP ranking
-# encoder's own (their micro-benchmarks reach unexported encoders), and the
-# stemmer's.
-BENCH_PKGS := . ./internal/netsearch ./internal/serving ./internal/analysis
+# encoder's own (their micro-benchmarks reach unexported encoders), the
+# stemmer's, and the learn step's.
+BENCH_PKGS := . ./internal/netsearch ./internal/serving ./internal/analysis ./internal/langmodel
 # Repeated runs per benchmark; benchdiff keeps the median, which is what
 # makes a 25% threshold usable on noisy shared CI machines.
 BENCH_COUNT ?= 5
@@ -142,13 +142,15 @@ chaos:
 
 # Short-budget fuzz pass over the parser-shaped attack surfaces —
 # tokenization, stemming (the Porter kernel against the implementation it
-# replaced), the two model readers, and the netsearch frame decoders — over
+# replaced), the learn step (AddDocument against the fold it replaced), the
+# two model readers, and the netsearch frame decoders — over
 # the scorer's top-k selection against sort-then-slice, and over the HTTP
 # ranking encoder against encoding/json. Each target gets FUZZTIME; failures
 # reproduce with `go test -fuzz` on the package.
 fuzz-smoke:
 	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzTokenize$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzPorter$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/langmodel -run xxx -fuzz '^FuzzAddDocument$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/langmodel -run xxx -fuzz '^FuzzRead$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/langmodel -run xxx -fuzz '^FuzzReadBinary$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/selection -run xxx -fuzz '^FuzzRankTop$$' -fuzztime=$(FUZZTIME)

@@ -41,8 +41,8 @@ func (a Analyzer) Tokens(text string) []string {
 // straight out of text. Sliced tokens alias text's backing array (see
 // AppendTokens in tokenize.go), and with Stem set so do most stems: Porter
 // returns a prefix of the token wherever stripping a suffix is all it did.
-// Callers that retain tokens past the call must strings.Clone them;
-// langmodel.Model already does this when interning new vocabulary.
+// Callers that retain tokens past the call must copy them (strings.Clone);
+// langmodel.Model copies a document's new vocabulary into one string.
 func (a Analyzer) AppendTokens(dst []string, text string) []string {
 	base := len(dst)
 	dst = AppendTokens(dst, text)

@@ -68,14 +68,16 @@ type Model struct {
 	docs     int
 	totalCTF int64
 
-	// counts and distinct are AddDocument's working memory, one document's
-	// term counts and its terms in first-seen order: kept between documents
-	// so that folding one in allocates for the vocabulary it adds and not for
-	// the document, and emptied before AddDocument returns, so that neither
-	// holds on to a token (tokens alias the document's text). Snapshots and
-	// clones do not take them along.
-	counts   map[string]int
+	// slots, distinct and tf are AddDocument's working memory: the index of
+	// each of one document's terms into the other two, the terms in
+	// first-seen order, and their counts in the document. They are kept
+	// between documents so that folding one in allocates for the vocabulary
+	// it adds and not for the document, and emptied before AddDocument
+	// returns, so that none holds on to a token (tokens alias the
+	// document's text). Snapshots and clones do not take them along.
+	slots    map[string]int32
 	distinct []string
+	tf       []int64
 
 	// version counts mutations, invalidating the normalize cache.
 	version uint64
@@ -105,30 +107,63 @@ func (m *Model) lookup(term string) (TermStats, bool) {
 
 // AddDocument folds one document's tokens into the model: df increases by
 // one for each distinct term, ctf by each occurrence. This is the update
-// step 4 of the sampling algorithm (§3). A single pass over the tokens
-// with one scratch map does both counts; insertion order (and with it
+// step 4 of the sampling algorithm (§3). A token costs one hash in a
+// scratch index of the document's distinct terms; a distinct term costs
+// one lookup and one store in the model. Insertion order (and with it
 // every downstream random draw) stays deterministic because new terms are
-// appended the moment they are first seen. The model keeps no token: a new
-// term is cloned, so callers may recycle the slice and let go of the text
+// appended in the order the document first shows them. The model keeps no
+// token: the document's new terms are copied into one string, and each is
+// a slice of it, so callers may recycle the slice and let go of the text
 // behind it.
 func (m *Model) AddDocument(tokens []string) {
 	m.mutable()
-	if m.counts == nil {
-		m.counts = make(map[string]int, len(tokens))
+	if m.slots == nil {
+		m.slots = make(map[string]int32, len(tokens))
 	}
 	for _, t := range tokens {
-		n := m.counts[t]
-		if n == 0 {
+		i, ok := m.slots[t]
+		if !ok {
+			i = int32(len(m.distinct))
+			m.slots[t] = i
 			m.distinct = append(m.distinct, t)
+			m.tf = append(m.tf, 0)
 		}
-		m.counts[t] = n + 1
+		m.tf[i]++
 	}
-	for _, t := range m.distinct {
-		m.add(t, 1, int64(m.counts[t]), true)
+	// A known term is stored as soon as it is looked up. A new one is
+	// marked by negating its count and waits for the copy it will share.
+	newBytes, fresh := 0, false
+	for i, t := range m.distinct {
+		st, ok := m.lookup(t)
+		if !ok {
+			m.tf[i] = -m.tf[i]
+			newBytes += len(t)
+			fresh = true
+			continue
+		}
+		st.DF++
+		st.CTF += m.tf[i]
+		m.terms[t] = st
 	}
-	clear(m.counts)
+	if fresh {
+		// Grow makes the copy one allocation; every slice taken of it stays
+		// valid whatever the builder does next, as written bytes never change.
+		var b strings.Builder
+		b.Grow(newBytes)
+		for i, t := range m.distinct {
+			if m.tf[i] > 0 {
+				continue
+			}
+			b.WriteString(t)
+			t = b.String()[b.Len()-len(t):]
+			m.order = append(m.order, t)
+			m.terms[t] = TermStats{DF: 1, CTF: -m.tf[i]}
+		}
+	}
+	clear(m.slots)
 	clear(m.distinct)
 	m.distinct = m.distinct[:0]
+	m.tf = m.tf[:0]
 	m.totalCTF += int64(len(tokens))
 	m.docs++
 	m.version++
@@ -294,12 +329,14 @@ func (m *Model) Clone() *Model {
 // document counts). The union of per-database samples that §8 uses for
 // query expansion is built this way.
 func (m *Model) Merge(other *Model) {
+	m.mutable()
 	other.Range(func(t string, st TermStats) bool {
-		m.bump(t, st.DF, st.CTF)
+		m.add(t, st.DF, st.CTF, true)
 		return true
 	})
 	m.docs += other.docs
 	m.totalCTF += other.totalCTF
+	m.version++
 }
 
 // String summarizes the model for logs.

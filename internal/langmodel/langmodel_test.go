@@ -2,6 +2,7 @@ package langmodel
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"unsafe"
 
 	"repro/internal/analysis"
+	"repro/internal/corpus"
 )
 
 func docModel(texts ...string) *Model {
@@ -372,12 +374,24 @@ func TestMergePreservesTotals(t *testing.T) {
 	}
 }
 
+// BenchmarkAddDocument folds the first 100 documents of a generated WSJ88
+// sample, tokenized as the sampler tokenizes them, into a fresh model per
+// op. Early in a sample most of a document's terms are new to the model,
+// so a fresh model is what prices the new-term path, not only the lookups
+// of terms already known.
 func BenchmarkAddDocument(b *testing.B) {
-	tokens := strings.Fields(strings.Repeat("alpha beta gamma delta epsilon ", 40))
+	docs := corpus.Scaled(corpus.WSJ88(), 0.01).MustGenerate()[:100]
+	tokens := make([][]string, len(docs))
+	for i, d := range docs {
+		tokens[i] = analysis.Raw().Tokens(d.Text)
+	}
 	b.ReportAllocs()
-	m := New()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.AddDocument(tokens)
+		m := New()
+		for _, toks := range tokens {
+			m.AddDocument(toks)
+		}
 	}
 }
 
@@ -403,8 +417,8 @@ func TestAddDocumentReusesItsScratch(t *testing.T) {
 	if got := testing.AllocsPerRun(50, func() { m.AddDocument(tokens) }); got != 0 {
 		t.Errorf("a document of known terms cost %v allocations", got)
 	}
-	if len(m.counts) != 0 || len(m.distinct) != 0 {
-		t.Errorf("scratch not emptied: %d counts, %d distinct", len(m.counts), len(m.distinct))
+	if len(m.slots) != 0 || len(m.distinct) != 0 || len(m.tf) != 0 {
+		t.Errorf("scratch not emptied: %d slots, %d distinct, %d counts", len(m.slots), len(m.distinct), len(m.tf))
 	}
 	for _, s := range m.distinct[:cap(m.distinct)] {
 		if s != "" {
@@ -417,8 +431,65 @@ func TestAddDocumentReusesItsScratch(t *testing.T) {
 	if !fresh.Equal(want) || m.DF("quick") != 52 || m.CTF("the") != 3*52 {
 		t.Errorf("reused scratch miscounts: df(quick)=%d ctf(the)=%d", m.DF("quick"), m.CTF("the"))
 	}
-	if snap := m.Snapshot(); snap.counts != nil || m.Clone().counts != nil {
+	snap, clone := m.Snapshot(), m.Clone()
+	if snap.slots != nil || snap.distinct != nil || snap.tf != nil ||
+		clone.slots != nil || clone.distinct != nil || clone.tf != nil {
 		t.Error("a snapshot or clone took the scratch along")
+	}
+}
+
+// TestMergeOfEmptyModelIsAMutation: merging a model that has documents but
+// no terms changes the document count, so like any other mutation it must
+// refuse a frozen snapshot and retire the memoized normalized view.
+func TestMergeOfEmptyModelIsAMutation(t *testing.T) {
+	an := analysis.Database()
+	m := New()
+	m.AddDocument([]string{"alpha"})
+	m.Normalize(an)
+	empty := New()
+	empty.AddDocument(nil)
+	m.Merge(empty)
+	if got := m.Normalize(an).Docs(); m.Docs() != 2 || got != 2 {
+		t.Errorf("docs %d, normalized docs %d, want 2 and 2", m.Docs(), got)
+	}
+	snap := m.Snapshot()
+	defer func() {
+		if recover() == nil {
+			t.Error("merging into a frozen snapshot did not panic")
+		}
+	}()
+	snap.Merge(empty)
+}
+
+var (
+	sinkTerms map[string]TermStats
+	sinkOrder []string
+)
+
+// TestNormalizeBuildsAtFullSize: under an analyzer that rewrites no term,
+// Normalize allocates its output's map and order at their final size and
+// nothing else that grows with the vocabulary — no rehash on the way up.
+// What the runtime spends on a map of n entries is measured beside it and
+// subtracted, so the test does not depend on the map implementation.
+func TestNormalizeBuildsAtFullSize(t *testing.T) {
+	var extra []float64
+	for _, n := range []int{100, 1000, 10000} {
+		m := New()
+		for i := 0; i < n; i++ {
+			m.AddTerm(fmt.Sprintf("w%d", i), TermStats{DF: 1, CTF: 1})
+		}
+		normalize := testing.AllocsPerRun(5, func() {
+			m.version++ // retire the memoized view, so each run rebuilds it
+			m.Normalize(analysis.Raw())
+		})
+		storage := testing.AllocsPerRun(5, func() {
+			sinkTerms = make(map[string]TermStats, n)
+			sinkOrder = make([]string, 0, n)
+		})
+		extra = append(extra, normalize-storage)
+	}
+	if extra[1] != extra[0] || extra[2] != extra[0] {
+		t.Errorf("allocations beyond the output's own storage at 100 / 1000 / 10000 terms: %v, want them equal", extra)
 	}
 }
 

@@ -30,8 +30,11 @@ func (m *Model) Normalize(an analysis.Analyzer) *Model {
 	version := m.version
 	m.normMu.Unlock()
 
-	out := New()
-	out.docs = m.docs
+	out := &Model{
+		terms: make(map[string]TermStats, len(m.order)),
+		order: make([]string, 0, len(m.order)),
+		docs:  m.docs,
+	}
 	for _, t := range m.order {
 		nt, ok := an.Term(t)
 		if !ok {
