@@ -11,6 +11,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/experiments"
+	"repro/internal/index"
+	"repro/internal/langmodel"
 )
 
 // The CLI integration tests build the real binaries once and drive them
@@ -171,6 +178,35 @@ func TestCLIRemoteSampling(t *testing.T) {
 	stdout, _ := runCLI(t, "lmtool", "info", out)
 	if !strings.Contains(stdout, "documents:") {
 		t.Errorf("remote model unreadable:\n%s", stdout)
+	}
+
+	// Without -first the remote run draws its first probe from core's
+	// built-in seed model: the same model as sampling the same index in
+	// process with no initial term.
+	seeded := filepath.Join(t.TempDir(), "seeded.json")
+	runCLI(t, "qbsample", "-addr", addr, "-docs", "30", "-seed", "5", "-out", seeded)
+	got, err := langmodel.Load(seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := experiments.NewSuite(1, 1).Env("CACM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := corpus.Scaled(env.Profile, 0.1).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Sample(index.Build(docs, analysis.Database(), index.InQuery), core.Config{
+		DocsPerQuery: 4, Selector: core.RandomLLM{}, Stop: core.StopAfterDocs(30),
+		Analyzer: analysis.Raw(), Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != res.Learned.Fingerprint() {
+		t.Errorf("qbsample -addr without -first learned %x, core.Sample in process %x",
+			got.Fingerprint(), res.Learned.Fingerprint())
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 //	qbsample -corpus CACM [-docs 300] [-per-query 4] [-strategy random-llm]
 //	         [-seed 1] [-scale 1] [-out lm.json] [-tsv] [-converge 0.005]
-//	qbsample -addr 127.0.0.1:7070 -first apple [-docs 300] [-timeout 10s] [-retries 3] ...
+//	qbsample -addr 127.0.0.1:7070 [-first apple] [-docs 300] [-timeout 10s] [-retries 3] ...
 package main
 
 import (
@@ -30,7 +30,7 @@ import (
 func main() {
 	corpusName := flag.String("corpus", "", "built-in corpus to sample (CACM, WSJ88, TREC123, Support)")
 	addr := flag.String("addr", "", "remote netsearch database address (alternative to -corpus)")
-	first := flag.String("first", "", "initial query term (required with -addr)")
+	first := flag.String("first", "", "initial query term (default: drawn from the corpus's own model with -corpus, from the built-in seed words with -addr)")
 	docs := flag.Int("docs", 300, "document budget")
 	perQuery := flag.Int("per-query", 4, "documents examined per query (N)")
 	strategy := flag.String("strategy", "random-llm", "term selection: random-llm, df-llm, ctf-llm, avg-tf-llm")
@@ -90,9 +90,6 @@ func main() {
 	case *addr != "" && *corpusName != "":
 		fail("-corpus and -addr are mutually exclusive")
 	case *addr != "":
-		if *first == "" {
-			fail("-addr requires -first (an initial query term)")
-		}
 		client, err := netsearch.DialWith(*addr, netsearch.Options{
 			Timeout: *timeout,
 			Retry:   netsearch.RetryPolicy{Attempts: *retries, Seed: *seed},

@@ -278,7 +278,7 @@ func TestFrontHTTPRankBatchStream(t *testing.T) {
 // per-database local, so the fused answer must equal a single process's
 // over the same models to the bit, whatever the shard count.
 func TestFrontRankFollowsShardResample(t *testing.T) {
-	for _, nShards := range []int{1, 2} {
+	for _, nShards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("%d shards", nShards), func(t *testing.T) {
 			dbs, err := experiments.Federation(4, 150, 31)
 			if err != nil {
@@ -304,12 +304,8 @@ func TestFrontRankFollowsShardResample(t *testing.T) {
 			homes := func(db *experiments.FederationDB) []*service.Service {
 				return []*service.Service{single, shards[f.Ring().Owner(db.Name)]}
 			}
-			// The first probe term is given: the default is drawn from the
-			// service's union model, which a shard and a single process do
-			// not share.
 			sample := func(db *experiments.FederationDB, opts service.SampleOptions) {
 				t.Helper()
-				opts.InitialTerm = experiments.TopicalTerms(db, dbs, 1)[0]
 				for _, svc := range homes(db) {
 					if _, err := svc.Sample(db.Name, opts); err != nil {
 						t.Fatal(err)

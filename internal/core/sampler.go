@@ -22,10 +22,14 @@ type Config struct {
 	Stop StopCondition
 	// InitialModel supplies the first query term, drawn at random from its
 	// eligible vocabulary. The paper always drew the first term from the
-	// actual TREC-123 model (§4.4) and found the choice immaterial.
-	// Exactly one of InitialModel and InitialTerm must be set.
+	// actual TREC-123 model (§4.4) and found the choice immaterial. At
+	// most one of InitialModel and InitialTerm may be set; with neither,
+	// the term comes from a fixed built-in model of 15 common words, so
+	// the learned model depends on nothing but the database and Config.
 	InitialModel *langmodel.Model
-	// InitialTerm fixes the first query term explicitly.
+	// InitialTerm fixes the first query term explicitly. With InitialTerm
+	// set and no InitialModel, a run whose learned model offers no term
+	// mid-run ends exhausted rather than drawing from the built-in model.
 	InitialTerm string
 	// Analyzer is the pipeline applied to sampled documents when updating
 	// the learned model. The paper builds learned models raw — no stopword
@@ -79,7 +83,7 @@ func DefaultConfig(initial *langmodel.Model, docs int, seed uint64) Config {
 	}
 }
 
-func (c *Config) validate(resuming bool) error {
+func (c *Config) validate() error {
 	if c.DocsPerQuery <= 0 {
 		return errors.New("core: DocsPerQuery must be positive")
 	}
@@ -89,19 +93,22 @@ func (c *Config) validate(resuming bool) error {
 	if c.Stop == nil {
 		return errors.New("core: Stop condition is required")
 	}
-	if resuming {
-		// A resumed run picks terms with the selector from the carried-over
-		// learned model; initial-term settings are optional.
-		return nil
-	}
-	if c.InitialTerm == "" && c.InitialModel == nil {
-		return errors.New("core: need InitialTerm or InitialModel for the first query")
-	}
 	if c.InitialTerm != "" && c.InitialModel != nil {
 		return errors.New("core: InitialTerm and InitialModel are mutually exclusive")
 	}
 	return nil
 }
+
+// seedModel is the first-term source of a run that names none: one
+// document of common words, frozen, so every run shares it read-only.
+var seedModel = func() *langmodel.Model {
+	m := langmodel.New()
+	m.AddDocument([]string{
+		"the", "and", "for", "that", "with", "this", "from", "have",
+		"new", "time", "year", "people", "world", "data", "system",
+	})
+	return m.Snapshot()
+}()
 
 // Snapshot is a periodic frozen view of the learned model during a run.
 type Snapshot struct {
@@ -167,7 +174,7 @@ func Resume(db Database, cfg Config, prev *Result) (*Result, error) {
 }
 
 func sample(db Database, cfg Config, prev *Result) (*Result, error) {
-	if err := cfg.validate(prev != nil); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	maxQueries := cfg.MaxQueries
@@ -196,6 +203,10 @@ func sample(db Database, cfg Config, prev *Result) (*Result, error) {
 			used[t] = true
 		}
 	}
+	initial := cfg.InitialModel
+	if initial == nil && cfg.InitialTerm == "" {
+		initial = seedModel
+	}
 	state := &State{Learned: learned}
 	nextSnapshot := cfg.SnapshotEvery
 	if cfg.SnapshotEvery > 0 {
@@ -211,8 +222,8 @@ func sample(db Database, cfg Config, prev *Result) (*Result, error) {
 	switch {
 	case prev != nil:
 		term, ok = cfg.Selector.Next(learned, used, rng)
-		if !ok && cfg.InitialModel != nil {
-			term, ok = randomEligible(cfg.InitialModel, used, rng)
+		if !ok && initial != nil {
+			term, ok = randomEligible(initial, used, rng)
 		}
 		if !ok {
 			res.Exhausted = true
@@ -221,7 +232,7 @@ func sample(db Database, cfg Config, prev *Result) (*Result, error) {
 	case cfg.InitialTerm != "":
 		term = cfg.InitialTerm
 	default:
-		term, ok = randomEligible(cfg.InitialModel, used, rng)
+		term, ok = randomEligible(initial, used, rng)
 		if !ok {
 			return nil, errors.New("core: initial model has no eligible query term")
 		}
@@ -299,13 +310,13 @@ func sample(db Database, cfg Config, prev *Result) (*Result, error) {
 			return res, nil
 		}
 		term, ok = cfg.Selector.Next(learned, used, rng)
-		if !ok && cfg.InitialModel != nil {
+		if !ok && initial != nil {
 			// The selector has nothing to offer — typically the learned
 			// model is still empty because the first queries failed. Keep
 			// drawing terms from the initial model until sampling takes
 			// hold (the paper's initial term was a random TREC-123 word
 			// that need not occur in the sampled database).
-			term, ok = randomEligible(cfg.InitialModel, used, rng)
+			term, ok = randomEligible(initial, used, rng)
 		}
 		if !ok {
 			res.Exhausted = true

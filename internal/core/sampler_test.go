@@ -172,6 +172,31 @@ func TestSampleInitialTerm(t *testing.T) {
 	}
 }
 
+// TestSampleBuiltInSeed: with neither InitialTerm nor InitialModel the
+// first probe term comes from the built-in seed model, so the run still
+// samples and is a function of the database and Config alone.
+func TestSampleBuiltInSeed(t *testing.T) {
+	ix, _ := testDB(t, 200)
+	cfg := DefaultConfig(nil, 20, 1)
+	a, err := Sample(ix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Sample(ix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Docs < 20 {
+		t.Errorf("sampled %d docs, want >= 20", a.Docs)
+	}
+	if !seedModel.Contains(a.QueryTerms[0]) {
+		t.Errorf("first probe %q is not a built-in seed word", a.QueryTerms[0])
+	}
+	if a.Learned.Fingerprint() != b.Learned.Fingerprint() {
+		t.Error("two runs of one Config learned different models")
+	}
+}
+
 func TestSampleOLMCountsFailedQueries(t *testing.T) {
 	ix, actual := testDB(t, 300)
 	// An "other" model full of terms the database does not index.
@@ -375,7 +400,6 @@ func TestSampleConfigValidation(t *testing.T) {
 	ix, actual := testDB(t, 50)
 	bad := []Config{
 		{},
-		{DocsPerQuery: 4, Selector: RandomLLM{}, Stop: StopAfterDocs(10)}, // no initial
 		{DocsPerQuery: 0, Selector: RandomLLM{}, Stop: StopAfterDocs(10), InitialModel: actual},
 		{DocsPerQuery: 4, Stop: StopAfterDocs(10), InitialModel: actual},
 		{DocsPerQuery: 4, Selector: RandomLLM{}, InitialModel: actual},

@@ -26,7 +26,6 @@ import (
 // and k the rankings must agree to the bit — not approximately, exactly.
 func TestRankBatchMatchesSequential(t *testing.T) {
 	svc, _ := sampledFixture(t)
-	svc.SetRankCacheSize(0) // sequential path computes, never replays
 	queries := []string{
 		"system data language",
 		"stock market data",
@@ -91,7 +90,6 @@ func TestRankTopKIsPrefixOnEveryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.SetRankCacheSize(0)
 	queries := []string{
 		words[3] + " " + words[17] + " " + words[3999],
 		words[250],

@@ -87,8 +87,10 @@ type SampleOptions struct {
 	PerQuery int `json:"per_query"`
 	// Seed makes the run reproducible (default 1).
 	Seed uint64 `json:"seed"`
-	// InitialTerm seeds the first query. If empty, the service uses a
-	// term from its union model, falling back to a built-in common word.
+	// InitialTerm seeds the first query. If empty, the term is drawn from
+	// core's fixed built-in model of common words — never from the models
+	// this process serves, so a database learns the same model on any
+	// shard and in any sampling order.
 	InitialTerm string `json:"initial_term"`
 	// Extend continues the previous sampling run instead of starting
 	// over: Docs more documents are added to the existing sample — the
@@ -202,9 +204,9 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 	return s
 }
 
-// The result cache this sized is gone and the call does nothing. It stays
-// only because benchmark/bench/layers.go:470 makes it, and goes when that
-// line does (ROADMAP item 10(f)).
+// The result cache this sized is gone and the call does nothing. Its only
+// caller is benchmark/bench/layers.go:470; it goes when that line does
+// (ROADMAP item 10(f)).
 func (s *Service) SetRankCacheSize(int) {}
 
 // SetAdmission installs admission control on the rank endpoints (GET
@@ -424,32 +426,6 @@ func (s *Service) connect(e *entry) (core.Database, error) {
 	return client, nil
 }
 
-// initialModel builds the model the first query term is drawn from: the
-// union of everything the service has already learned, or a tiny built-in
-// model of very common words when nothing is known yet. The sampler draws
-// that term by position, so the union is merged in name order — map order
-// would learn a different model run to run — and outside the registry
-// lock: installed models are immutable (e.model is replaced, never
-// mutated), so only collecting the pointers needs it.
-func (s *Service) initialModel() *langmodel.Model {
-	s.mu.RLock()
-	_, models := s.servedModels()
-	s.mu.RUnlock()
-	union := langmodel.New()
-	for _, m := range models {
-		union.Merge(m)
-	}
-	if union.VocabSize() > 0 {
-		return union
-	}
-	seedWords := []string{
-		"the", "and", "for", "that", "with", "this", "from", "have",
-		"new", "time", "year", "people", "world", "data", "system",
-	}
-	union.AddDocument(seedWords)
-	return union
-}
-
 // recordFailure updates an entry's health counters after a failed connect
 // or sampling run, tripping the circuit breaker once the consecutive
 // failure count reaches the threshold. Caller holds mu.
@@ -526,11 +502,7 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		Stop:         core.StopAfterDocs(opts.Docs),
 		Analyzer:     analysis.Raw(),
 		Seed:         opts.Seed,
-	}
-	if opts.InitialTerm != "" {
-		cfg.InitialTerm = opts.InitialTerm
-	} else {
-		cfg.InitialModel = s.initialModel()
+		InitialTerm:  opts.InitialTerm,
 	}
 	var res *core.Result
 	if opts.Extend && prev != nil {
@@ -595,9 +567,9 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 }
 
 // SampleAll samples every registered database concurrently with the same
-// options (seeds are offset per database so runs stay independent) and
-// returns the per-database statuses keyed by name, plus a map of the
-// databases that failed (nil when everything sampled). One database
+// options, each exactly as Sample(name, opts) would, and returns the
+// per-database statuses keyed by name, plus a map of the databases that
+// failed (nil when everything sampled). One database
 // failing never stops the others; each failure is reported under its own
 // name. Databases whose circuit breaker is open are skipped — their error
 // is ErrCircuitOpen — so a fleet-wide resample does not hammer a peer
@@ -625,7 +597,7 @@ func (s *Service) SampleAll(opts SampleOptions, parallelism int) (map[string]DBS
 	}
 	// The pool caps concurrency; collecting outcomes by input order keeps
 	// the maps deterministic regardless of completion order.
-	results, _ := parallel.Map(parallelism, names, func(i int, name string) (outcome, error) {
+	results, _ := parallel.Map(parallelism, names, func(_ int, name string) (outcome, error) {
 		if tripped[name] {
 			s.mu.RLock()
 			var st DBStatus
@@ -635,9 +607,7 @@ func (s *Service) SampleAll(opts SampleOptions, parallelism int) (map[string]DBS
 			s.mu.RUnlock()
 			return outcome{st, fmt.Errorf("service: %q skipped: %w", name, ErrCircuitOpen)}, nil
 		}
-		o := opts.withDefaults()
-		o.Seed += uint64(i) * 7919
-		st, err := s.Sample(name, o)
+		st, err := s.Sample(name, opts)
 		return outcome{st, err}, nil
 	})
 	statuses := make(map[string]DBStatus, len(names))

@@ -3,10 +3,10 @@ package service
 import (
 	"errors"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
 	"repro/internal/index"
@@ -303,40 +303,149 @@ func TestSampleExtendGrowsSample(t *testing.T) {
 	}
 }
 
-func TestInitialModelGrowsWithKnowledge(t *testing.T) {
+// TestExtendIsNotOneLongerRun: Extend resumes with the RNG restarted from
+// the seed and stops on whole queries, so Sample(N) then Extend(M) learns
+// a different model than Sample(N+M) — and never fewer than N+M documents.
+func TestExtendIsNotOneLongerRun(t *testing.T) {
 	svc, dbs := fixture(t, nil)
-	before := svc.initialModel()
-	if _, err := svc.Sample(dbs[0].Name, SampleOptions{Docs: 40}); err != nil {
+	name := dbs[0].Name
+	if _, err := svc.Sample(name, SampleOptions{Docs: 40, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	after := svc.initialModel()
-	if after.VocabSize() <= before.VocabSize() {
-		t.Errorf("union initial model did not grow: %d -> %d",
-			before.VocabSize(), after.VocabSize())
+	extended, err := svc.Sample(name, SampleOptions{Docs: 20, Seed: 3, Extend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	once, _ := fixture(t, nil)
+	if _, err := once.Sample(name, SampleOptions{Docs: 60, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if extended.SampledDocs < 60 {
+		t.Errorf("40 + 20 sampled %d docs, want >= 60", extended.SampledDocs)
+	}
+	a, b := svc.entries[name].model.Fingerprint(), once.entries[name].model.Fingerprint()
+	if a == b {
+		t.Errorf("40 + 20 and 60 in one run learned the same model %x", a)
 	}
 }
 
-// TestSampleWithoutInitialTermIsDeterministic: with no InitialTerm the
-// sampler draws its first query by position from the union of the learned
-// models, so the union must be merged in a fixed order — same databases,
-// same seed, same learned models, every time.
-func TestSampleWithoutInitialTermIsDeterministic(t *testing.T) {
-	var first []uint64
-	for trial := 0; trial < 12; trial++ {
-		svc, dbs := fixture(t, nil)
-		// The third and fourth runs start from a union of two and three
-		// models: the runs whose first query depends on the merge order.
-		var got []uint64
-		for _, db := range append(dbs, dbs[0]) {
-			if _, err := svc.Sample(db.Name, SampleOptions{Docs: 40, Seed: 11}); err != nil {
+// TestLearnedModelIndependentOfProcess: with no InitialTerm, a database's
+// learned model depends only on the database and the options — not on
+// what else the process serves or learned before, how SampleAll schedules
+// it, what a restart warm-loads, or which side of the wire the sampler
+// runs on. Every variant runs where a union of served models would have
+// supplied the first probe term.
+func TestLearnedModelIndependentOfProcess(t *testing.T) {
+	opts := SampleOptions{Docs: 40, Seed: 11}
+	_, dbs := fixture(t, nil)
+	learned := func(svc *Service, name string) uint64 {
+		t.Helper()
+		svc.mu.RLock()
+		defer svc.mu.RUnlock()
+		m := svc.entries[name].model
+		if m == nil {
+			t.Fatalf("%s has no model", name)
+		}
+		return m.Fingerprint()
+	}
+	sample := func(svc *Service, name string) {
+		t.Helper()
+		if _, err := svc.Sample(name, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	variants := []struct {
+		name  string
+		model func(db int) uint64
+	}{
+		{"sampled after every other database", func(db int) uint64 {
+			svc, _ := fixture(t, nil)
+			for i, other := range dbs {
+				if i != db {
+					sample(svc, other.Name)
+				}
+			}
+			sample(svc, dbs[db].Name)
+			return learned(svc, dbs[db].Name)
+		}},
+		{"re-sampled in a process holding only this database", func(db int) uint64 {
+			svc := New(analysis.Database(), nil)
+			if err := svc.RegisterLocal(dbs[db].Name, dbs[db].Index); err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, svc.entries[db.Name].model.Fingerprint())
+			sample(svc, dbs[db].Name)
+			sample(svc, dbs[db].Name)
+			return learned(svc, dbs[db].Name)
+		}},
+		{"SampleAll at parallelism 4", func(db int) uint64 {
+			svc, _ := fixture(t, nil)
+			if _, errs := svc.SampleAll(opts, 4); errs != nil {
+				t.Fatal(errs)
+			}
+			return learned(svc, dbs[db].Name)
+		}},
+		{"after a restart that warm-loads the others", func(db int) uint64 {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, _ := fixture(t, st)
+			for i, other := range dbs {
+				if i != db {
+					sample(before, other.Name)
+				}
+			}
+			after, _ := fixture(t, st)
+			sample(after, dbs[db].Name)
+			return learned(after, dbs[db].Name)
+		}},
+		{"core.Sample in process, then Normalize", func(db int) uint64 {
+			res, err := core.Sample(dbs[db].Index, core.Config{
+				DocsPerQuery: 4, Selector: core.RandomLLM{}, Stop: core.StopAfterDocs(opts.Docs),
+				Analyzer: analysis.Raw(), Seed: opts.Seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Learned.Normalize(analysis.Database()).Fingerprint()
+		}},
+		{"over netsearch, after the others were learned locally", func(db int) uint64 {
+			srv, err := netsearch.Serve(dbs[db].Index, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			svc := New(analysis.Database(), nil)
+			defer svc.Close()
+			for i, other := range dbs {
+				if i != db {
+					if err := svc.RegisterLocal(other.Name, other.Index); err != nil {
+						t.Fatal(err)
+					}
+					sample(svc, other.Name)
+				}
+			}
+			if err := svc.Register(dbs[db].Name, srv.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			sample(svc, dbs[db].Name)
+			return learned(svc, dbs[db].Name)
+		}},
+	}
+	// Pinned: the built-in seed words and their order decide every
+	// default-path model, so changing either moves these.
+	fresh := []uint64{0xd5030c58c5c3efbd, 0xdcd2dcc07dd9de2f, 0xdd70ecd1506cee7a}
+	for db := range dbs {
+		svc, _ := fixture(t, nil)
+		sample(svc, dbs[db].Name)
+		want := learned(svc, dbs[db].Name)
+		if want != fresh[db] {
+			t.Errorf("%s sampled first learned %x, want %x", dbs[db].Name, want, fresh[db])
 		}
-		if first == nil {
-			first = got
-		} else if !slices.Equal(got, first) {
-			t.Fatalf("trial %d learned models %x, trial 0 learned %x", trial, got, first)
+		for _, v := range variants {
+			if got := v.model(db); got != want {
+				t.Errorf("%s, %s: learned %x, sampled first in a full process %x", dbs[db].Name, v.name, got, want)
+			}
 		}
 	}
 }
