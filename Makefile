@@ -26,13 +26,13 @@ BENCH_COUNT ?= 5
 BENCH_OUT ?= BENCH_current.json
 
 # Ratcheted statement-coverage floor over ./internal/... — raise it as
-# coverage grows; never lower it to admit a regression. Current: 86.8%.
-COVER_FLOOR ?= 86.2
+# coverage grows; never lower it to admit a regression. Current: 89.2%.
+COVER_FLOOR ?= 88.6
 
 # Ratcheted ceiling on honoured //lint:ignore suppressions, the mirror
 # image of COVER_FLOOR: lower it as suppressions are retired; never raise
-# it to admit a new one. Current: 14.
-LINT_IGNORE_CEIL ?= 14
+# it to admit a new one. Current: 11.
+LINT_IGNORE_CEIL ?= 11
 
 .PHONY: all build test race bench bench-all bench-check bench-baseline \
 	bench-pairs experiments-check cover vet lint lint-sarif lint-ratchet \

@@ -282,21 +282,6 @@ func BenchmarkExtSizeEstimation(b *testing.B) {
 	}
 }
 
-// BenchmarkExtPhrase runs the unigram-vs-bigram convergence extension.
-func BenchmarkExtPhrase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := benchSuite(b, i).PhraseConvergence("WSJ88")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && len(points) > 0 {
-			last := points[len(points)-1]
-			b.ReportMetric(last.UnigramCtf, "unigram-ctf")
-			b.ReportMetric(last.BigramCtf, "bigram-ctf")
-		}
-	}
-}
-
 // BenchmarkExtStoppingRule runs the rdiff stopping-rule extension.
 func BenchmarkExtStoppingRule(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/langmodel"
 )
@@ -131,6 +130,27 @@ func TestCLIExperimentsSubset(t *testing.T) {
 	}
 }
 
+func TestCLIExperimentsUnknownID(t *testing.T) {
+	// A misspelt id must fail loudly, not print the header and exit 0.
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "experiments"),
+		"-scale", "0.05", "-light-init", "-exp", "table1,tabel1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 2 {
+		t.Fatalf("exit status %d (%v), want 2\nstdout:\n%s\nstderr:\n%s", code, err, stdout.String(), stderr.String())
+	}
+	for _, want := range []string{`"tabel1"`, "table1", "ext-fed", "all"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %s:\n%s", want, stderr.String())
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout not empty:\n%s", stdout.String())
+	}
+}
+
 func TestCLIDbselect(t *testing.T) {
 	stdout, _ := runCLI(t, "dbselect",
 		"-dbs", "3", "-docs-each", "150", "-sample-docs", "40", "-alg", "gloss-sum")
@@ -189,11 +209,11 @@ func TestCLIRemoteSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := experiments.NewSuite(1, 1).Env("CACM")
+	p, err := corpus.ByName("CACM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs, err := corpus.Scaled(env.Profile, 0.1).Generate()
+	docs, err := corpus.Scaled(p, 0.1).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/corpus"
-	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/netsearch"
 )
@@ -41,12 +40,11 @@ func main() {
 	if *name == "all" {
 		profiles = append(corpus.Profiles(), corpus.Support())
 	} else {
-		suite := experiments.NewSuite(1, 1)
-		env, err := suite.Env(*name)
+		p, err := corpus.ByName(*name)
 		if err != nil {
 			fail("%v", err)
 		}
-		profiles = []corpus.Profile{env.Profile}
+		profiles = []corpus.Profile{p}
 	}
 
 	if *serve != "" && len(profiles) != 1 {

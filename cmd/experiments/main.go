@@ -7,7 +7,9 @@
 // -exp selects experiments by id (comma-separated), from:
 //
 //	table1 fig1 fig2 table2 fig3 table3 fig4 table4
-//	ext-agree ext-adv ext-stop ext-size ext-phrase ext-var ext-fed ext-expand all
+//	ext-agree ext-adv ext-stop ext-size ext-var ext-fed all
+//
+// An unknown id is an error (exit status 2), not an empty run.
 //
 // -scale multiplies corpus sizes (1.0 = DESIGN.md defaults; unit tests use
 // smaller). Everything is deterministic for a given (-scale, -seed) pair:
@@ -19,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -28,10 +31,16 @@ import (
 	"repro/internal/telemetry"
 )
 
+// ids lists every -exp id, in the package doc's order.
+var ids = []string{
+	"table1", "fig1", "fig2", "table2", "fig3", "table3", "fig4", "table4",
+	"ext-agree", "ext-adv", "ext-stop", "ext-size", "ext-var", "ext-fed", "all",
+}
+
 func main() {
 	scale := flag.Float64("scale", 1.0, "corpus size multiplier")
 	seed := flag.Uint64("seed", 1, "experiment seed")
-	exp := flag.String("exp", "all", "comma-separated experiment ids (see doc)")
+	exp := flag.String("exp", "all", "comma-separated experiment ids: "+strings.Join(ids, " "))
 	lightInit := flag.Bool("light-init", false,
 		"draw each run's first query term from the sampled corpus's own model instead of TREC123's (faster for partial runs)")
 	par := flag.Int("parallel", 0, "worker goroutines for independent runs (0 = one per CPU, 1 = sequential)")
@@ -54,7 +63,12 @@ func main() {
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(id)] = true
+		id = strings.TrimSpace(id)
+		if !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "experiments: unknown -exp id %q; valid ids: %s\n", id, strings.Join(ids, " "))
+			os.Exit(2)
+		}
+		want[id] = true
 	}
 	all := want["all"]
 	selected := func(id string) bool { return all || want[id] }
@@ -202,17 +216,6 @@ func main() {
 		fmt.Fprintln(out)
 	}
 
-	if selected("ext-phrase") {
-		points, err := suite.PhraseConvergence("WSJ88")
-		if err != nil {
-			fail(err)
-		}
-		if err := experiments.WritePhrase(out, "WSJ88", points); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-	}
-
 	if selected("ext-fed") {
 		numDBs, docsEach := 8, 800
 		if *scale < 1 {
@@ -226,17 +229,6 @@ func main() {
 			fail(err)
 		}
 		if err := experiments.WriteFederated(out, res); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
-	}
-
-	if selected("ext-expand") {
-		res, err := experiments.ExpansionSelection(8, 600, 60, 48, 3, *seed, workers, withMetrics)
-		if err != nil {
-			fail(err)
-		}
-		if err := experiments.WriteExpansion(out, res); err != nil {
 			fail(err)
 		}
 		fmt.Fprintln(out)

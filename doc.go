@@ -12,9 +12,8 @@
 //   - internal/langmodel  — df/ctf language models
 //   - internal/metrics    — pct-learned, ctf ratio, Spearman, rdiff, tau
 //   - internal/selection  — CORI and GlOSS database selection
-//   - internal/starts     — cooperative (STARTS) baseline + failure modes
+//   - internal/starts     — cooperative (STARTS) baseline: refusers, liars
 //   - internal/netsearch  — TCP search substrate (remote sampling)
-//   - internal/expansion  — §8 co-occurrence query expansion
 //   - internal/summarize  — §7 database-content summaries
 //   - internal/experiments— every table/figure of the paper, reproduced
 //

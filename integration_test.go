@@ -7,7 +7,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/expansion"
 	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/langmodel"
@@ -21,8 +20,8 @@ import (
 // TestEndToEndPipeline drives the complete system the way a selection
 // service would use it: generate corpora, index them, expose one over TCP,
 // learn language models by sampling (local and remote), persist and reload
-// a model, run database selection with learned models, summarize a
-// database, and expand a query from the union of samples.
+// a model, run database selection with learned models, and summarize a
+// database.
 func TestEndToEndPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline is not short")
@@ -47,17 +46,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	defer client.Close()
 
 	models := make([]*langmodel.Model, len(dbs))
-	pool := expansion.NewPool()
-	an := analysis.Database()
 	for i, db := range dbs {
 		var target core.Database = db.Index
 		if i == 0 {
 			target = client // remote path for one database
 		}
-		rec := &recording{db: target}
 		cfg := core.DefaultConfig(db.Actual, 80, uint64(1000+i))
 		cfg.SnapshotEvery = 0
-		res, err := core.Sample(rec, cfg)
+		res, err := core.Sample(target, cfg)
 		if err != nil {
 			t.Fatalf("sampling db %d: %v", i, err)
 		}
@@ -65,9 +61,6 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Fatalf("db %d: nothing sampled", i)
 		}
 		models[i] = res.Learned.Normalize(db.Index.Analyzer())
-		for _, text := range rec.texts {
-			pool.AddDocument(an.Tokens(text))
-		}
 
 		// Learned model should be a usable approximation.
 		if ctf := metrics.CtfRatio(models[i], db.Actual); ctf < 0.4 {
@@ -119,30 +112,11 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Error("sampled model contains the lie (it should not: bait is topical to db 1)")
 	}
 
-	// --- Summaries and expansion from the union of samples. ---
+	// --- Summarize a database from its learned model. ---
 	rows := summarize.Top(models[0], langmodel.ByAvgTF, 10, analysis.InqueryStoplist())
 	if len(rows) == 0 {
 		t.Error("summary empty")
 	}
-	if pool.Docs() < 100 {
-		t.Errorf("union of samples has only %d docs", pool.Docs())
-	}
-}
-
-// recording wraps a database and keeps fetched document text.
-type recording struct {
-	db    core.Database
-	texts []string
-}
-
-func (r *recording) Search(q string, n int) ([]int, error) { return r.db.Search(q, n) }
-
-func (r *recording) Fetch(id int) (corpus.Document, error) {
-	d, err := r.db.Fetch(id)
-	if err == nil {
-		r.texts = append(r.texts, d.Text)
-	}
-	return d, err
 }
 
 // TestDeterminismAcrossPipeline guards the repo-wide invariant: identical

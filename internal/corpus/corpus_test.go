@@ -239,6 +239,22 @@ func TestBuiltinProfilesValid(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, want := range []Profile{CACM(), WSJ88(), TREC123(), Support()} {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", want.Name, err)
+		}
+		if got.Name != want.Name || got.Docs != want.Docs || got.Seed != want.Seed {
+			t.Errorf("ByName(%q) = %s (%d docs, seed %#x), want %d docs, seed %#x",
+				want.Name, got.Name, got.Docs, got.Seed, want.Docs, want.Seed)
+		}
+	}
+	if _, err := ByName("cacm"); err == nil {
+		t.Error("ByName accepted an unknown name")
+	}
+}
+
 func TestBuiltinProfileOrdering(t *testing.T) {
 	// Size and heterogeneity orderings drive the paper's results; guard them.
 	c, w, tr := CACM(), WSJ88(), TREC123()

@@ -1,5 +1,7 @@
 package corpus
 
+import "fmt"
+
 // Built-in profiles reproduce the structure of the paper's test corpora
 // (Table 1) at a default scale that keeps the full experiment suite
 // runnable on one machine. Document counts scale with corpus.Scaled;
@@ -154,4 +156,15 @@ func Table4Terms() []string {
 // Profiles returns the three Table 1 corpora in paper order.
 func Profiles() []Profile {
 	return []Profile{CACM(), WSJ88(), TREC123()}
+}
+
+// ByName returns the built-in profile called name: "CACM", "WSJ88",
+// "TREC123" or "Support".
+func ByName(name string) (Profile, error) {
+	for _, p := range append(Profiles(), Support()) {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("corpus: unknown corpus %q (want CACM, WSJ88, TREC123 or Support)", name)
 }

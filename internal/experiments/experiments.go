@@ -26,8 +26,6 @@ type CurvePoint struct {
 	Spearman float64
 	// SpearmanSimple is the paper's untied formula, for reference.
 	SpearmanSimple float64
-	// KendallTau is the tau-b cross-check (extension).
-	KendallTau float64
 }
 
 // RdiffPoint is one step of the Figure 4 convergence curve.
@@ -59,13 +57,12 @@ type BaselineRun struct {
 // measure computes every comparison metric between a raw learned model and
 // the environment's actual model, applying the §4.1 protocol: normalize
 // the learned vocabulary to the database's conventions first.
-func measure(learned *langmodel.Model, env *Env) (pct, ctf, rho, rhoSimple, tau float64) {
+func measure(learned *langmodel.Model, env *Env) (pct, ctf, rho, rhoSimple float64) {
 	norm := learned.Normalize(env.Index.Analyzer())
 	pct = metrics.PercentageLearned(norm, env.Actual)
 	ctf = metrics.CtfRatio(norm, env.Actual)
 	rho = metrics.Spearman(norm, env.Actual, langmodel.ByDF)
 	rhoSimple = metrics.SpearmanSimple(norm, env.Actual, langmodel.ByDF)
-	tau = metrics.KendallTau(norm, env.Actual, langmodel.ByDF)
 	return
 }
 
@@ -77,11 +74,11 @@ func measure(learned *langmodel.Model, env *Env) (pct, ctf, rho, rhoSimple, tau 
 // snapshot order, so the output is identical to the sequential loop.
 func curvesFromRun(res *core.Result, env *Env, workers int) ([]CurvePoint, []RdiffPoint) {
 	points, _ := parallel.Map(workers, res.Snapshots, func(_ int, snap core.Snapshot) (CurvePoint, error) {
-		pct, ctf, rho, rhoS, tau := measure(snap.Model, env)
+		pct, ctf, rho, rhoS := measure(snap.Model, env)
 		return CurvePoint{
 			Docs: snap.Docs, Queries: snap.Queries,
 			PctLearned: pct, CtfRatio: ctf,
-			Spearman: rho, SpearmanSimple: rhoS, KendallTau: tau,
+			Spearman: rho, SpearmanSimple: rhoS,
 		}, nil
 	})
 	rdiffs := make([]RdiffPoint, 0, len(res.Snapshots))
@@ -248,7 +245,7 @@ func (s *Suite) Table2(name string, ns []int) ([]Table2Row, error) {
 		row := Table2Row{Corpus: name, N: n, Queries: res.Queries}
 		if stop.done {
 			row.Docs = res.Docs
-			_, _, _, rhoSimple, _ := measure(res.Learned, env)
+			_, _, _, rhoSimple := measure(res.Learned, env)
 			row.SRCC = rhoSimple
 		}
 		return row, nil

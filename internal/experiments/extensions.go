@@ -453,7 +453,7 @@ func (s *Suite) StoppingRule(threshold float64) ([]StoppingRow, error) {
 		if err != nil {
 			return StoppingRow{}, fmt.Errorf("experiments: stopping rule on %s: %w", name, err)
 		}
-		_, ctf, _, rhoSimple, _ := measure(res.Learned, env)
+		_, ctf, _, rhoSimple := measure(res.Learned, env)
 		row := StoppingRow{Corpus: name, Docs: res.Docs, CtfRatio: ctf, Spearman: rhoSimple}
 
 		base, err := s.Baseline(name)

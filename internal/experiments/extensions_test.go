@@ -132,37 +132,6 @@ func TestSizeEstimation(t *testing.T) {
 	}
 }
 
-func TestPhraseConvergence(t *testing.T) {
-	s := smallSuite()
-	points, err := s.PhraseConvergence("CACM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) < 2 {
-		t.Fatalf("only %d points", len(points))
-	}
-	last := points[len(points)-1]
-	first := points[0]
-	if last.UnigramCtf <= first.UnigramCtf {
-		t.Error("unigram coverage did not grow")
-	}
-	if last.BigramCtf <= first.BigramCtf {
-		t.Error("bigram coverage did not grow")
-	}
-	// The experiment's point: phrase statistics converge more slowly. At
-	// tiny test scale the budget may cover the whole corpus (both reach
-	// 1.0), so assert on the first, clearly partial, snapshot.
-	if first.BigramCtf >= first.UnigramCtf {
-		t.Errorf("bigram ctf %f not below unigram %f at %d docs",
-			first.BigramCtf, first.UnigramCtf, first.Docs)
-	}
-	for _, p := range points {
-		if p.BigramCtf < 0 || p.BigramCtf > 1 || p.UnigramCtf < 0 || p.UnigramCtf > 1 {
-			t.Errorf("ctf ratio out of range: %+v", p)
-		}
-	}
-}
-
 func TestGcdAll(t *testing.T) {
 	cases := []struct {
 		in   []int

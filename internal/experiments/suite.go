@@ -15,7 +15,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -123,21 +122,6 @@ func (s *Suite) timeExp(exp string) func() time.Duration {
 	return s.Metrics.Timer(`experiments_run_seconds{exp="` + exp + `"}`)
 }
 
-// profileByName maps experiment corpus names to profiles.
-func profileByName(name string) (corpus.Profile, error) {
-	switch name {
-	case "CACM":
-		return corpus.CACM(), nil
-	case "WSJ88":
-		return corpus.WSJ88(), nil
-	case "TREC123":
-		return corpus.TREC123(), nil
-	case "Support":
-		return corpus.Support(), nil
-	}
-	return corpus.Profile{}, fmt.Errorf("experiments: unknown corpus %q", name)
-}
-
 // envEntry returns (creating if needed) the cache slot for a corpus. Only
 // the map access is under the suite lock; the build itself runs outside
 // it, so different corpora can build concurrently.
@@ -161,7 +145,7 @@ func (s *Suite) envEntry(name string) *entry[*Env] {
 func (s *Suite) Env(name string) (*Env, error) {
 	return s.envEntry(name).get(func() (*Env, error) {
 		defer s.Metrics.Timer(`experiments_env_build_seconds{env="` + name + `"}`)()
-		p, err := profileByName(name)
+		p, err := corpus.ByName(name)
 		if err != nil {
 			return nil, err
 		}

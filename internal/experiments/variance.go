@@ -51,7 +51,7 @@ func (s *Suite) SeedVariance(name string, nSeeds int) (VarianceRow, error) {
 		if err != nil {
 			return finals{}, fmt.Errorf("experiments: variance %s seed %d: %w", name, i, err)
 		}
-		_, ctf, _, rhoSimple, _ := measure(res.Learned, env)
+		_, ctf, _, rhoSimple := measure(res.Learned, env)
 		return finals{ctf: ctf, rho: rhoSimple, queries: float64(res.Queries)}, nil
 	})
 	if err != nil {

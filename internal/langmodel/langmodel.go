@@ -5,9 +5,8 @@
 // algorithms need (§2.1, §4.1).
 //
 // The same type serves as the *actual* language model (built from a full
-// database index), the *learned* language model (built incrementally from
-// sampled documents), and the *union of samples* used for query expansion
-// (§8).
+// database index) and the *learned* language model (built incrementally
+// from sampled documents).
 //
 // A Model is either *live* (mutable, built by AddDocument/AddTerm/Merge)
 // or *frozen* (an immutable snapshot taken with Snapshot). Snapshots are
@@ -326,8 +325,7 @@ func (m *Model) Clone() *Model {
 }
 
 // Merge folds other into m (vocabulary union, summed statistics, summed
-// document counts). The union of per-database samples that §8 uses for
-// query expansion is built this way.
+// document counts).
 func (m *Model) Merge(other *Model) {
 	m.mutable()
 	other.Range(func(t string, st TermStats) bool {

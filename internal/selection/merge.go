@@ -94,25 +94,3 @@ func MergeWeightedInto(dst []MergedHit, results [][]DocScore, dbScores []float64
 	}
 	return merged, nil
 }
-
-// MergeRoundRobin fuses result lists by interleaving them in rank order —
-// the score-free baseline merge. Lists are visited in database order;
-// exhausted lists are skipped. k <= 0 returns everything.
-func MergeRoundRobin(results [][]DocScore, k int) []MergedHit {
-	var merged []MergedHit
-	total := 0
-	for _, list := range results {
-		total += len(list)
-	}
-	for pos := 0; len(merged) < total; pos++ {
-		for db, list := range results {
-			if pos < len(list) {
-				merged = append(merged, MergedHit{DB: db, Doc: list[pos].Doc, Score: list[pos].Score})
-			}
-		}
-	}
-	if k > 0 && k < len(merged) {
-		merged = merged[:k]
-	}
-	return merged
-}

@@ -157,55 +157,3 @@ func TestMergeWeightedAllNonpositiveDBScores(t *testing.T) {
 		t.Errorf("best database weight = %v, want 1 (score 0.5)", merged[0].Score/0.5)
 	}
 }
-
-func TestMergeRoundRobinKLargerThanTotal(t *testing.T) {
-	results := [][]DocScore{{{Doc: 1}}, {{Doc: 2}}}
-	if got := MergeRoundRobin(results, 99); len(got) != 2 {
-		t.Errorf("k=99 over 2 hits returned %d", len(got))
-	}
-}
-
-func TestMergeRoundRobinDeterministic(t *testing.T) {
-	results := [][]DocScore{
-		{{Doc: 5, Score: 0.5}, {Doc: 3, Score: 0.4}},
-		{{Doc: 1, Score: 0.9}},
-		{},
-	}
-	a := MergeRoundRobin(results, 0)
-	b := MergeRoundRobin(results, 0)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("round-robin merge order unstable")
-	}
-	// Empty lists are skipped, not fused as zero hits.
-	if len(a) != 3 {
-		t.Errorf("merged %d hits, want 3", len(a))
-	}
-}
-
-func TestMergeRoundRobinInterleaves(t *testing.T) {
-	results := [][]DocScore{
-		{{Doc: 1}, {Doc: 2}},
-		{{Doc: 10}},
-		{{Doc: 100}, {Doc: 200}, {Doc: 300}},
-	}
-	merged := MergeRoundRobin(results, 0)
-	wantDocs := []int{1, 10, 100, 2, 200, 300}
-	if len(merged) != len(wantDocs) {
-		t.Fatalf("merged %d hits, want %d", len(merged), len(wantDocs))
-	}
-	for i, want := range wantDocs {
-		if merged[i].Doc != want {
-			t.Errorf("position %d: doc %d, want %d", i, merged[i].Doc, want)
-		}
-	}
-}
-
-func TestMergeRoundRobinTopK(t *testing.T) {
-	results := [][]DocScore{{{Doc: 1}, {Doc: 2}}, {{Doc: 3}}}
-	if got := MergeRoundRobin(results, 2); len(got) != 2 {
-		t.Errorf("k=2 returned %d", len(got))
-	}
-	if got := MergeRoundRobin(nil, 5); len(got) != 0 {
-		t.Errorf("empty input returned %d", len(got))
-	}
-}

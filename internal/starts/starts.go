@@ -3,11 +3,12 @@
 // each database exports its own language model on request.
 //
 // The package also models the failure modes that motivate query-based
-// sampling: providers that can't cooperate (legacy systems), won't
-// cooperate (no incentive, hostile), or lie (misrepresent their contents to
-// attract traffic). The adversarial experiment (EXPERIMENTS.md, ext-adv)
-// shows database selection being corrupted by a lying provider while
-// sampling-built models are unaffected.
+// sampling: providers that won't cooperate (no incentive, hostile) or lie
+// (misrepresent their contents to attract traffic). The adversarial
+// experiment (EXPERIMENTS.md, ext-adv) shows database selection being
+// corrupted by a lying provider while sampling-built models are
+// unaffected; it is the baseline the parked trust-but-verify item would
+// check exported models against.
 package starts
 
 import (
@@ -17,15 +18,9 @@ import (
 	"repro/internal/langmodel"
 )
 
-// Errors returned by non-cooperating providers.
-var (
-	// ErrRefused is returned by providers that choose not to cooperate
-	// with this selection service.
-	ErrRefused = errors.New("starts: provider refuses to export its language model")
-	// ErrUnsupported is returned by legacy systems that predate the
-	// protocol and cannot export anything.
-	ErrUnsupported = errors.New("starts: provider does not implement the protocol")
-)
+// ErrRefused is returned by providers that choose not to cooperate with
+// this selection service.
+var ErrRefused = errors.New("starts: provider refuses to export its language model")
 
 // Provider is a database-side implementation of the cooperative protocol:
 // export your language model on request.
@@ -55,12 +50,6 @@ type Noncooperative struct{}
 
 // Export implements Provider.
 func (Noncooperative) Export() (*langmodel.Model, error) { return nil, ErrRefused }
-
-// Legacy cannot speak the protocol at all.
-type Legacy struct{}
-
-// Export implements Provider.
-func (Legacy) Export() (*langmodel.Model, error) { return nil, ErrUnsupported }
 
 // Liar misrepresents its contents: it exports its true model with the
 // frequencies of chosen bait terms inflated, the classic trick for pulling

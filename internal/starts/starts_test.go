@@ -2,8 +2,6 @@ package starts
 
 import (
 	"errors"
-	"net"
-	"strings"
 	"testing"
 
 	"repro/internal/langmodel"
@@ -38,12 +36,9 @@ func TestCooperativeNilModel(t *testing.T) {
 	}
 }
 
-func TestNoncooperativeAndLegacy(t *testing.T) {
+func TestNoncooperativeRefuses(t *testing.T) {
 	if _, err := (Noncooperative{}).Export(); !errors.Is(err, ErrRefused) {
 		t.Errorf("got %v, want ErrRefused", err)
-	}
-	if _, err := (Legacy{}).Export(); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("got %v, want ErrUnsupported", err)
 	}
 }
 
@@ -95,94 +90,19 @@ func TestAcquirePartitionsResults(t *testing.T) {
 	providers := []Provider{
 		Cooperative{Model: testModel()},
 		Noncooperative{},
-		Legacy{},
 		Liar{Model: testModel(), Bait: []string{"bait"}},
 	}
 	models, failures := Acquire(providers)
 	if len(models) != 2 {
 		t.Errorf("acquired %d models, want 2", len(models))
 	}
-	if len(failures) != 2 {
-		t.Errorf("got %d failures, want 2", len(failures))
+	if len(failures) != 1 {
+		t.Errorf("got %d failures, want 1", len(failures))
 	}
 	if _, ok := models[0]; !ok {
 		t.Error("cooperative provider missing from results")
 	}
 	if err := failures[1]; !errors.Is(err, ErrRefused) {
 		t.Errorf("failure 1 = %v", err)
-	}
-	if err := failures[2]; !errors.Is(err, ErrUnsupported) {
-		t.Errorf("failure 2 = %v", err)
-	}
-}
-
-func TestWireExport(t *testing.T) {
-	m := testModel()
-	srv, err := ListenAndServe(Cooperative{Model: m}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	got, err := FetchModel(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(m) {
-		t.Error("model round-trip over wire failed")
-	}
-}
-
-func TestWireRefusal(t *testing.T) {
-	srv, err := ListenAndServe(Noncooperative{}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	_, err = FetchModel(srv.Addr())
-	if err == nil || !strings.Contains(err.Error(), "refuses") {
-		t.Errorf("got %v, want refusal", err)
-	}
-}
-
-func TestWireUnknownCommand(t *testing.T) {
-	srv, err := ListenAndServe(Cooperative{Model: testModel()}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("GIMME\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(buf[:n]), "ERR") {
-		t.Errorf("response = %q", buf[:n])
-	}
-}
-
-func TestWireServerCloseIdempotent(t *testing.T) {
-	srv, err := ListenAndServe(Cooperative{Model: testModel()}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Errorf("second close: %v", err)
-	}
-}
-
-func TestFetchModelBadAddr(t *testing.T) {
-	if _, err := FetchModel("127.0.0.1:1"); err == nil {
-		t.Error("expected dial error")
 	}
 }
