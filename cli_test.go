@@ -77,43 +77,41 @@ func TestCLICorpusgen(t *testing.T) {
 }
 
 func TestCLIQbsampleAndLmtool(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "lm.json")
-	binPath := filepath.Join(dir, "lm.qblm")
+	path := filepath.Join(t.TempDir(), "lm.qblm")
 
 	_, stderr := runCLI(t, "qbsample",
-		"-corpus", "CACM", "-scale", "0.1", "-docs", "50", "-seed", "3", "-out", jsonPath)
+		"-corpus", "CACM", "-scale", "0.1", "-docs", "50", "-seed", "3", "-out", path)
 	if !strings.Contains(stderr, "sampled") || !strings.Contains(stderr, "accuracy vs actual model") {
 		t.Errorf("qbsample stderr:\n%s", stderr)
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := langmodel.ReadBinary(f); err != nil {
+		t.Fatalf("qbsample -out did not write QBLM1: %v", err)
+	}
 
-	stdout, _ := runCLI(t, "lmtool", "info", jsonPath)
+	stdout, _ := runCLI(t, "lmtool", "info", path)
 	if !strings.Contains(stdout, "vocabulary:") {
 		t.Errorf("lmtool info output:\n%s", stdout)
 	}
 
-	runCLI(t, "lmtool", "convert", jsonPath, binPath)
-	ji, err := os.Stat(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi, err := os.Stat(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bi.Size() >= ji.Size() {
-		t.Errorf("binary (%d) not smaller than JSON (%d)", bi.Size(), ji.Size())
-	}
-
 	// compare: a model against itself is perfect.
-	stdout, _ = runCLI(t, "lmtool", "compare", jsonPath, binPath)
+	stdout, _ = runCLI(t, "lmtool", "compare", path, path)
 	if !strings.Contains(stdout, "ctf ratio:        1.0000") {
 		t.Errorf("self-compare not perfect:\n%s", stdout)
 	}
 
-	stdout, _ = runCLI(t, "lmtool", "top", "-k", "3", binPath)
+	stdout, _ = runCLI(t, "lmtool", "top", "-k", "3", path)
 	if len(strings.Fields(stdout)) < 2 {
 		t.Errorf("lmtool top output too small:\n%s", stdout)
+	}
+
+	stdout, _ = runCLI(t, "lmtool", "dump", path)
+	if !strings.HasPrefix(stdout, "# docs=") {
+		t.Errorf("lmtool dump output:\n%s", stdout)
 	}
 }
 
@@ -189,7 +187,7 @@ func TestCLIRemoteSampling(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 	}
 
-	out := filepath.Join(t.TempDir(), "remote.json")
+	out := filepath.Join(t.TempDir(), "remote.qblm")
 	_, stderr := runCLI(t, "qbsample",
 		"-addr", addr, "-first", "time", "-docs", "30", "-seed", "5", "-out", out)
 	if !strings.Contains(stderr, "sampled 3") { // 30-ish documents
@@ -203,9 +201,14 @@ func TestCLIRemoteSampling(t *testing.T) {
 	// Without -first the remote run draws its first probe from core's
 	// built-in seed model: the same model as sampling the same index in
 	// process with no initial term.
-	seeded := filepath.Join(t.TempDir(), "seeded.json")
+	seeded := filepath.Join(t.TempDir(), "seeded.qblm")
 	runCLI(t, "qbsample", "-addr", addr, "-docs", "30", "-seed", "5", "-out", seeded)
-	got, err := langmodel.Load(seeded)
+	f, err := os.Open(seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := langmodel.ReadBinary(f)
 	if err != nil {
 		t.Fatal(err)
 	}

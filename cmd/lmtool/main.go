@@ -4,26 +4,24 @@
 //
 //	lmtool info <model>                     # docs, vocabulary, occurrences
 //	lmtool top <model> [-k 20] [-by avg-tf] # §7-style summary
-//	lmtool convert <in> <out>               # JSON <-> binary by extension
 //	lmtool compare <learned> <actual>       # the paper's §4.3 metrics
 //	lmtool dump <model>                     # TSV to stdout
-//	lmtool snapshot <dir|segment>           # inspect a compiled snapshot
+//	lmtool snapshot <dir|file>              # inspect a compiled snapshot
 //
-// Model files are read as the compact binary format when their extension
-// is .qblm and as JSON otherwise; convert writes whichever format the
-// output extension selects.
+// Model files are QBLM1, the binary format qbsample -out and the model
+// store write (.qblm); dump is the text export.
 //
-// snapshot takes a snapshot store directory (it follows the MANIFEST) or
-// a .qbsnap segment file directly, prints the header and section table,
-// and verifies every section checksum — the first tool to reach for when
-// a service refuses a warm start.
+// snapshot takes a snapshot store directory (it reads the directory's
+// snapshot.qbsnap) or a .qbsnap file directly, prints the header and
+// section table, and verifies every section checksum — the first tool to
+// reach for when a service refuses a warm start.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"path/filepath"
 
 	"repro/internal/analysis"
 	"repro/internal/langmodel"
@@ -45,8 +43,6 @@ func main() {
 		err = runInfo(args)
 	case "top":
 		err = runTop(args)
-	case "convert":
-		err = runConvert(args)
 	case "compare":
 		err = runCompare(args)
 	case "dump":
@@ -63,38 +59,18 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lmtool {info|top|convert|compare|dump|snapshot} ...")
+	fmt.Fprintln(os.Stderr, "usage: lmtool {info|top|compare|dump|snapshot} ...")
 	os.Exit(2)
 }
 
-// load reads a model, picking the format by extension.
+// load reads a QBLM1 model file.
 func load(path string) (*langmodel.Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".qblm") {
-		return langmodel.ReadBinary(f)
-	}
-	return langmodel.Read(f)
-}
-
-// save writes a model, picking the format by extension.
-func save(m *langmodel.Model, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".qblm") {
-		_, err = m.WriteBinary(f)
-	} else {
-		_, err = m.WriteTo(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return langmodel.ReadBinary(f)
 }
 
 func runInfo(args []string) error {
@@ -154,26 +130,6 @@ func parseMetric(name string) (langmodel.RankMetric, error) {
 	return 0, fmt.Errorf("unknown metric %q", name)
 }
 
-func runConvert(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("convert needs <in> and <out>")
-	}
-	m, err := load(args[0])
-	if err != nil {
-		return err
-	}
-	if err := save(m, args[1]); err != nil {
-		return err
-	}
-	in, _ := os.Stat(args[0])
-	out, _ := os.Stat(args[1])
-	if in != nil && out != nil {
-		fmt.Fprintf(os.Stderr, "%s (%d bytes) -> %s (%d bytes)\n",
-			args[0], in.Size(), args[1], out.Size())
-	}
-	return nil
-}
-
 func runCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	normalize := fs.Bool("normalize", false, "stop+stem the first model before comparing (the §4.1 protocol)")
@@ -205,22 +161,13 @@ func runCompare(args []string) error {
 
 func runSnapshot(args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("snapshot needs a store directory or a %s segment", store.SegmentExt)
+		return fmt.Errorf("snapshot needs a store directory or a snapshot file")
 	}
 	path := args[0]
 	if fi, err := os.Stat(path); err != nil {
 		return err
 	} else if fi.IsDir() {
-		ss, err := store.OpenSnapshots(path)
-		if err != nil {
-			return err
-		}
-		m, err := ss.Manifest()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("manifest:    seq %d, epoch %d, %d bytes, crc %08x\n", m.Seq, m.Epoch, m.Size, m.CRC)
-		path = ss.SegmentPath(m)
+		path = filepath.Join(path, store.SnapshotFile)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -230,7 +177,7 @@ func runSnapshot(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("segment:     %s (%d bytes)\n", path, len(data))
+	fmt.Printf("file:        %s (%d bytes)\n", path, len(data))
 	fmt.Printf("version:     %d\n", info.Version)
 	fmt.Printf("epoch:       %d\n", info.Epoch)
 	fmt.Printf("databases:   %d\n", info.DBs)

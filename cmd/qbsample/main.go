@@ -6,10 +6,13 @@
 // paper's premise: no cooperation beyond "run query, fetch document" is
 // needed.
 //
+// -out writes the learned model in QBLM1, the binary format the model
+// store and lmtool read; -tsv prints it as text.
+//
 // Usage:
 //
 //	qbsample -corpus CACM [-docs 300] [-per-query 4] [-strategy random-llm]
-//	         [-seed 1] [-scale 1] [-out lm.json] [-tsv] [-converge 0.005]
+//	         [-seed 1] [-scale 1] [-out lm.qblm] [-tsv] [-converge 0.005]
 //	qbsample -addr 127.0.0.1:7070 [-first apple] [-docs 300] [-timeout 10s] [-retries 3] ...
 package main
 
@@ -36,7 +39,7 @@ func main() {
 	strategy := flag.String("strategy", "random-llm", "term selection: random-llm, df-llm, ctf-llm, avg-tf-llm")
 	seed := flag.Uint64("seed", 1, "sampling seed")
 	scale := flag.Float64("scale", 1.0, "built-in corpus size multiplier")
-	out := flag.String("out", "", "write learned model JSON to this file")
+	out := flag.String("out", "", "write the learned model to this file (QBLM1, read by lmtool)")
 	tsv := flag.Bool("tsv", false, "dump learned model as TSV to stdout")
 	converge := flag.Float64("converge", 0, "stop when rdiff over two 50-doc spans falls below this (0 = fixed budget)")
 	verbose := flag.Bool("verbose", false, "trace every query to stderr")
@@ -140,7 +143,7 @@ func main() {
 	}
 
 	if *out != "" {
-		if err := res.Learned.Save(*out); err != nil {
+		if err := writeModel(res.Learned, *out); err != nil {
 			fail("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
@@ -150,4 +153,17 @@ func main() {
 			fail("%v", err)
 		}
 	}
+}
+
+// writeModel writes m to path in QBLM1.
+func writeModel(m *langmodel.Model, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := m.WriteBinary(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -35,10 +35,9 @@
 // Batch rankings stream: POST /rank/batch?stream=1 flushes each query's
 // ranking as it completes (NDJSON, or SSE via Accept: text/event-stream).
 //
-// With -snapshot-dir, the compiled selection snapshot is persisted in a
-// checksummed binary segment and adopted on restart (a warm start: the
-// first /rank serves without recompiling the federation); -snapshot-persist
-// controls whether newly compiled snapshots are saved back (default true).
+// With -snapshot-dir, each newly compiled selection snapshot is saved to
+// one self-checking file, <dir>/snapshot.qbsnap, and adopted on restart (a
+// warm start: the first /rank serves without recompiling the federation).
 //
 // With -demo n, selectd also spins up n in-process demo databases (served
 // over netsearch, as real remote databases would be), registers them, and
@@ -79,7 +78,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	storeDir := flag.String("store", "", "directory for persisted language models (empty = in-memory only)")
 	snapDir := flag.String("snapshot-dir", "", "directory for persisted compiled selection snapshots (empty = compile on first query)")
-	snapPersist := flag.Bool("snapshot-persist", true, "with -snapshot-dir, save each newly compiled snapshot on publish")
 	demo := flag.Int("demo", 0, "spin up this many demo databases and sample them")
 	demoDocs := flag.Int("demo-docs", 600, "documents per demo database")
 	sampleDocs := flag.Int("demo-sample", 150, "sampling budget per demo database")
@@ -89,7 +87,6 @@ func main() {
 	logLevel := flag.String("log", "info", "log level: debug, info, warn, error")
 	shards := flag.String("shards", "", "run as a stateless front tier over this shard topology (slots comma-separated, replicas |-separated)")
 	join := flag.String("join", "", "also serve this instance as a cluster shard on this netsearch address")
-	ringSeed := flag.Uint64("ring-seed", 0, "placement ring seed (front tier; must match across fronts of one cluster)")
 	maxInflight := flag.Int("max-inflight", 0, "admission: max concurrent rank requests before shedding with 429 (0 = unbounded)")
 	degradeAt := flag.Int("degrade-at", 0, "admission: in-flight depth at which rankings degrade to -degrade-k rows (0 = never)")
 	degradeK := flag.Int("degrade-k", 0, "admission: rank cutoff served while degraded (default 10)")
@@ -138,7 +135,6 @@ func main() {
 				Metrics: reg,
 				Logger:  logger,
 			},
-			Seed:      *ringSeed,
 			Metrics:   reg,
 			Logger:    logger,
 			Admission: adm,
@@ -176,7 +172,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		svc.SetSnapshotStore(snaps, *snapPersist)
+		svc.SetSnapshotStore(snaps)
 		fmt.Printf("persisting compiled snapshots under %s\n", snaps.Dir())
 	}
 	svc.SetDialOptions(netsearch.Options{

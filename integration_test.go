@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/netsearch"
 	"repro/internal/selection"
 	"repro/internal/starts"
+	"repro/internal/store"
 	"repro/internal/summarize"
 )
 
@@ -69,11 +69,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// --- Persist and reload one learned model; must round-trip. ---
-	path := filepath.Join(t.TempDir(), "lm.json")
-	if err := models[0].Save(path); err != nil {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := langmodel.Load(path)
+	if err := st.Put("db0", models[0]); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := st.Get("db0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,6 @@ type Options struct {
 	// netsearch fabric: per-op deadlines, retry/backoff policy, dial
 	// hooks for fault injection, and metrics/logging.
 	Net netsearch.Options
-	// Seed parameterizes the placement ring (see NewRing).
-	Seed uint64
 	// Metrics receives the scatter-path instruments:
 	// cluster_scatter_seconds, cluster_shard_errors{shard=...},
 	// cluster_failovers_total, cluster_breaker_trips_total. nil disables.
@@ -105,7 +103,7 @@ func NewFront(slots [][]string, opts Options) (*Front, error) {
 		logger = telemetry.NopLogger()
 	}
 	f := &Front{
-		ring:    NewRing(len(slots), 0, opts.Seed),
+		ring:    NewRing(len(slots), 0, 0),
 		reps:    make([][]*replica, len(slots)),
 		netOpts: opts.Net,
 		reg:     opts.Metrics,

@@ -259,8 +259,8 @@ func Dialer(opts ConnOptions) func(addr string) (net.Conn, error) {
 // Writer wraps an io.Writer and deterministically truncates the n-th
 // Write (1-based) mid-buffer, delivering the first half and failing every
 // write after it — a process crash in the middle of flushing a file. It
-// is the filesystem sibling of Conn's torn frame, built for the snapshot
-// store's crash-safety tests (store.SnapshotStore.WrapWriter).
+// is the filesystem sibling of Conn's torn frame, built for the store's
+// crash-safety tests of its one atomic write.
 type Writer struct {
 	inner io.Writer
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary model format. A selection service indexes thousands of databases
@@ -17,8 +18,9 @@ import (
 //	per term, in sorted term order:
 //	  uvarint len(term), term bytes, uvarint df, uvarint ctf
 //
-// Terms are delta-friendly (sorted) and the whole file is deterministic
-// for a given model. Typical models are 3–5× smaller than the JSON form.
+// Terms are sorted and the whole file is deterministic for a given model.
+// It is the one file format for a model: the store, qbsample -out and
+// lmtool all use it.
 
 var binaryMagic = []byte("QBLM1")
 
@@ -85,6 +87,9 @@ func ReadBinary(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("langmodel: docs: %w", err)
 	}
+	if docs > math.MaxInt {
+		return nil, fmt.Errorf("langmodel: document count %d overflows", docs)
+	}
 	nterms, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("langmodel: term count: %w", err)
@@ -124,6 +129,10 @@ func ReadBinary(r io.Reader) (*Model, error) {
 		ctf, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("langmodel: term %d ctf: %w", i, err)
+		}
+		// A count past the signed range would read back negative.
+		if df > math.MaxInt || ctf > math.MaxInt64 {
+			return nil, fmt.Errorf("langmodel: term %d frequency overflows (df %d, ctf %d)", i, df, ctf)
 		}
 		// One allocation, one map operation per term: a store that does not
 		// grow the map overwrote an earlier copy of the term.

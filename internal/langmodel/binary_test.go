@@ -54,23 +54,6 @@ func TestBinaryDeterministic(t *testing.T) {
 	}
 }
 
-func TestBinarySmallerThanJSON(t *testing.T) {
-	m := New()
-	for i := 0; i < 2000; i++ {
-		m.AddTerm(term(i)+"suffix", TermStats{DF: i%50 + 1, CTF: int64(i%200 + 1)})
-	}
-	var bin, js bytes.Buffer
-	if _, err := m.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.WriteTo(&js); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len() >= js.Len() {
-		t.Errorf("binary %d bytes not smaller than JSON %d bytes", bin.Len(), js.Len())
-	}
-}
-
 func TestBinaryRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"",
@@ -201,18 +184,25 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("QBLM1"))
 	f.Add([]byte{})
+	f.Add(binary.AppendUvarint(append([]byte("QBLM1\x01\x01\x01x"), 1), 1<<63))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var sum int64
-		got.Range(func(_ string, st TermStats) bool {
+		got.Range(func(term string, st TermStats) bool {
+			if st.DF < 0 || st.CTF < 0 {
+				t.Fatalf("negative stats survived decode: %q %+v", term, st)
+			}
 			sum += st.CTF
 			return true
 		})
 		if sum != got.TotalCTF() {
 			t.Fatal("decoded model violates ctf invariant")
+		}
+		if got.Docs() < 0 {
+			t.Fatalf("negative document count %d survived decode", got.Docs())
 		}
 	})
 }

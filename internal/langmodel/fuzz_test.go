@@ -72,43 +72,3 @@ func sameFold(t *testing.T, got, want *Model) {
 		}
 	}
 }
-
-// FuzzRead hardens the persistence decoder against malformed or hostile
-// inputs: it must either return an error or a structurally sound model,
-// never panic.
-func FuzzRead(f *testing.F) {
-	seeds := []string{
-		`{"docs":1,"terms":{"x":[1,2]}}`,
-		`{"docs":0,"terms":{}}`,
-		`{"docs":-5,"terms":{"":[0,0]}}`,
-		`{"docs":1,"terms":{"x":[-1,2]}}`,
-		`not json`,
-		`{"docs":1e99}`,
-		`{"terms":{"a":[1,1],"b":[2,2],"c":[3,3]}}`,
-		``,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Read(strings.NewReader(string(data)))
-		if err != nil {
-			return
-		}
-		// A successfully decoded model must satisfy its invariants.
-		var sum int64
-		m.Range(func(term string, st TermStats) bool {
-			if st.DF < 0 || st.CTF < 0 {
-				t.Fatalf("negative stats survived decode: %q %+v", term, st)
-			}
-			sum += st.CTF
-			return true
-		})
-		if sum != m.TotalCTF() {
-			t.Fatalf("totalCTF %d != per-term sum %d", m.TotalCTF(), sum)
-		}
-		if m.VocabSize() != len(m.Vocabulary()) {
-			t.Fatal("vocab size inconsistent")
-		}
-	})
-}

@@ -8,7 +8,7 @@
 // database index) and the *learned* language model (built incrementally
 // from sampled documents).
 //
-// A Model is either *live* (mutable, built by AddDocument/AddTerm/Merge)
+// A Model is either *live* (mutable, built by AddDocument/AddTerm)
 // or *frozen* (an immutable snapshot taken with Snapshot). Snapshots are
 // copy-on-write: internally a model may be a small overlay of recent
 // changes on top of a chain of frozen base layers, so taking a snapshot
@@ -322,19 +322,6 @@ func (m *Model) flatten() *Model {
 // Clone returns a deep, flat, mutable copy.
 func (m *Model) Clone() *Model {
 	return m.flatten()
-}
-
-// Merge folds other into m (vocabulary union, summed statistics, summed
-// document counts).
-func (m *Model) Merge(other *Model) {
-	m.mutable()
-	other.Range(func(t string, st TermStats) bool {
-		m.add(t, st.DF, st.CTF, true)
-		return true
-	})
-	m.docs += other.docs
-	m.totalCTF += other.totalCTF
-	m.version++
 }
 
 // String summarizes the model for logs.

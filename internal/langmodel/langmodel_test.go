@@ -2,9 +2,9 @@ package langmodel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,21 +85,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if c.DF("a") != 2 || !c.Contains("d") {
 		t.Error("clone did not record update")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := docModel("x x y")
-	b := docModel("y z")
-	a.Merge(b)
-	if a.Docs() != 2 {
-		t.Errorf("docs = %d, want 2", a.Docs())
-	}
-	if a.DF("y") != 2 || a.CTF("x") != 2 || a.DF("z") != 1 {
-		t.Errorf("merge stats wrong: %v", a)
-	}
-	if a.TotalCTF() != 5 {
-		t.Errorf("totalCTF = %d, want 5", a.TotalCTF())
 	}
 }
 
@@ -260,59 +245,52 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-func TestFromTokenizedDocs(t *testing.T) {
-	m := FromTokenizedDocs([]string{"The cat", "the dog"}, analysis.Raw())
-	if m.DF("the") != 2 || m.Docs() != 2 {
-		t.Errorf("FromTokenizedDocs stats wrong: %v", m)
-	}
-}
-
+// TestPersistRoundTrip: a model read back from QBLM1 is Equal to the one
+// written and fingerprints alike, even when the one written is a chained
+// snapshot. A warm start compares the fingerprints of models read from the
+// store with those the snapshot recorded, so a drift here would reject
+// every persisted snapshot.
 func TestPersistRoundTrip(t *testing.T) {
-	m := docModel("apple apple bear", "cat apple")
+	live := docModel("apple apple bear", "cat apple")
+	live.Snapshot()
+	live.AddDocument([]string{"dog", "apple"})
+	m := live.Snapshot()
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := m.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Equal(got) {
+	if !m.Equal(got) || got.Fingerprint() != m.Fingerprint() {
 		t.Errorf("round trip mismatch: %v vs %v", m, got)
 	}
 }
 
-func TestSaveLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lm.json")
-	m := docModel("x y", "x")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(got) {
-		t.Error("Save/Load mismatch")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("expected error for missing file")
-	}
-}
-
+// TestReadRejectsNegative: QBLM1 stores counts unsigned, so a count past the
+// signed range would read back negative; ReadBinary refuses it.
 func TestReadRejectsNegative(t *testing.T) {
-	r := strings.NewReader(`{"docs":1,"terms":{"x":[-1,2]}}`)
-	if _, err := Read(r); err == nil {
-		t.Error("expected error for negative df")
+	header := []byte("QBLM1\x01\x01\x01x") // docs 1, one term "x"
+	cases := map[string][]byte{
+		"docs": binary.AppendUvarint([]byte("QBLM1"), 1<<63),
+		"df":   append(binary.AppendUvarint(header, 1<<63), 1),
+		"ctf":  binary.AppendUvarint(append(header, 1), 1<<63),
+	}
+	for name, data := range cases {
+		if _, err := ReadBinary(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s of 2^63: err = %v, want an overflow error", name, err)
+		}
 	}
 }
 
+// TestReadRejectsGarbage: a model file in the JSON export older versions
+// wrote, or any other text, fails on the magic, not somewhere inside.
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json")); err == nil {
-		t.Error("expected decode error")
+	for _, in := range []string{`{"docs":1,"terms":{"x":[1,2]}}`, "not a model"} {
+		if _, err := ReadBinary(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("ReadBinary(%q) err = %v, want bad magic", in, err)
+		}
 	}
 }
 
@@ -352,25 +330,6 @@ func TestSortedStatsOrdered(t *testing.T) {
 	st := m.sortedStats()
 	if len(st) != 3 || st[0].Term != "a" || st[2].Term != "c" {
 		t.Errorf("sortedStats = %v", st)
-	}
-}
-
-func TestMergePreservesTotals(t *testing.T) {
-	// Property: after merging, totalCTF equals the sum of per-term CTFs.
-	if err := quick.Check(func(na, nb uint8) bool {
-		a, b := New(), New()
-		for i := 0; i < int(na%10)+1; i++ {
-			a.AddDocument([]string{term(i), term(i + 1)})
-		}
-		for i := 0; i < int(nb%10)+1; i++ {
-			b.AddDocument([]string{term(i + 5)})
-		}
-		a.Merge(b)
-		var sum int64
-		a.Range(func(_ string, st TermStats) bool { sum += st.CTF; return true })
-		return sum == a.TotalCTF()
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -436,29 +395,6 @@ func TestAddDocumentReusesItsScratch(t *testing.T) {
 		clone.slots != nil || clone.distinct != nil || clone.tf != nil {
 		t.Error("a snapshot or clone took the scratch along")
 	}
-}
-
-// TestMergeOfEmptyModelIsAMutation: merging a model that has documents but
-// no terms changes the document count, so like any other mutation it must
-// refuse a frozen snapshot and retire the memoized normalized view.
-func TestMergeOfEmptyModelIsAMutation(t *testing.T) {
-	an := analysis.Database()
-	m := New()
-	m.AddDocument([]string{"alpha"})
-	m.Normalize(an)
-	empty := New()
-	empty.AddDocument(nil)
-	m.Merge(empty)
-	if got := m.Normalize(an).Docs(); m.Docs() != 2 || got != 2 {
-		t.Errorf("docs %d, normalized docs %d, want 2 and 2", m.Docs(), got)
-	}
-	snap := m.Snapshot()
-	defer func() {
-		if recover() == nil {
-			t.Error("merging into a frozen snapshot did not panic")
-		}
-	}()
-	snap.Merge(empty)
 }
 
 var (

@@ -87,13 +87,3 @@ func (m *Model) Prune(minDF int) *Model {
 	}
 	return out
 }
-
-// FromTokenizedDocs builds a model by running the analyzer over each
-// document text in docs.
-func FromTokenizedDocs(texts []string, an analysis.Analyzer) *Model {
-	m := New()
-	for _, text := range texts {
-		m.AddDocument(an.Tokens(text))
-	}
-	return m
-}

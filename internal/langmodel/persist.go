@@ -2,90 +2,13 @@ package langmodel
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
-// modelJSON is the on-disk representation: a STARTS-like export with the
-// document count and one [df, ctf] pair per term.
-type modelJSON struct {
-	Docs  int                 `json:"docs"`
-	Terms map[string][2]int64 `json:"terms"`
-}
-
-// WriteTo serializes the model as JSON. It implements io.WriterTo.
-func (m *Model) WriteTo(w io.Writer) (int64, error) {
-	dto := modelJSON{Docs: m.docs, Terms: make(map[string][2]int64, m.VocabSize())}
-	m.Range(func(t string, st TermStats) bool {
-		dto.Terms[t] = [2]int64{int64(st.DF), st.CTF}
-		return true
-	})
-	cw := &countingWriter{w: w}
-	enc := json.NewEncoder(cw)
-	if err := enc.Encode(dto); err != nil {
-		return cw.n, fmt.Errorf("langmodel: encode: %w", err)
-	}
-	return cw.n, nil
-}
-
-// Read parses a model previously written by WriteTo.
-func Read(r io.Reader) (*Model, error) {
-	var dto modelJSON
-	dec := json.NewDecoder(bufio.NewReader(r))
-	if err := dec.Decode(&dto); err != nil {
-		return nil, fmt.Errorf("langmodel: decode: %w", err)
-	}
-	m := New()
-	m.docs = dto.Docs
-	// Insert in sorted term order: JSON map iteration is randomized, and
-	// models read from disk must behave identically across process runs.
-	terms := make([]string, 0, len(dto.Terms))
-	for t := range dto.Terms {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, t := range terms {
-		pair := dto.Terms[t]
-		if pair[0] < 0 || pair[1] < 0 {
-			return nil, fmt.Errorf("langmodel: negative frequency for term %q", t)
-		}
-		m.bump(t, int(pair[0]), pair[1])
-		m.totalCTF += pair[1]
-	}
-	return m, nil
-}
-
-// Save writes the model to a file.
-func (m *Model) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("langmodel: save: %w", err)
-	}
-	if _, err := m.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("langmodel: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a model from a file written by Save.
-func Load(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("langmodel: load: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
-}
-
-// DumpTSV writes "term df ctf" lines in sorted term order — a human- and
-// diff-friendly export used by cmd/qbsample.
+// DumpTSV writes "term df ctf" lines in sorted term order — the text
+// export of cmd/qbsample -tsv and lmtool dump.
 func (m *Model) DumpTSV(w io.Writer) error {
 	terms := m.Vocabulary()
 	bw := bufio.NewWriter(w)

@@ -94,7 +94,10 @@ type SampleOptions struct {
 	InitialTerm string `json:"initial_term"`
 	// Extend continues the previous sampling run instead of starting
 	// over: Docs more documents are added to the existing sample — the
-	// paper's "sampling can be continued" property (§5).
+	// paper's "sampling can be continued" property (§5). Only a run held in
+	// this process can be continued: a database whose model was loaded
+	// from the store refuses Extend (ErrInvalid), and one with no model
+	// takes a fresh sample.
 	Extend bool `json:"extend"`
 	// TraceID correlates the run's log lines and netsearch wire frames
 	// with the request that triggered it. The HTTP layer fills it from
@@ -175,10 +178,9 @@ type Service struct {
 	dirtyAll bool
 
 	// Snapshot persistence (snapshot.go), guarded by mu: snapStore is the
-	// optional on-disk home for compiled snapshots; persistSnap saves each
-	// published snapshot there.
-	snapStore   *store.SnapshotStore
-	persistSnap bool
+	// optional on-disk home for compiled snapshots; each published snapshot
+	// is saved there.
+	snapStore *store.SnapshotStore
 
 	// persistMu serializes snapshot saves, which run outside compileMu
 	// (disk I/O must not be held under the lock that gates cold queries);
@@ -469,6 +471,17 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 	// executing, not ones parked on the guard.
 	e.run <- struct{}{}
 	defer func() { <-e.run }()
+	s.mu.RLock()
+	prev, stored, st := e.lastRun, e.model, e.stats
+	s.mu.RUnlock()
+	if opts.Extend && prev == nil && stored != nil {
+		// The model came from the store (a restart, or a replica that did
+		// not take the first sample): there is no run to continue, and a
+		// fresh one would replace the stored model with a smaller one.
+		reg.Counter("service_sample_errors_total").Inc()
+		return st, fmt.Errorf("service: extend %q: the stored model of %d docs has no sampling run in this process to continue; sample it again without extend: %w",
+			name, stored.Docs(), ErrInvalid)
+	}
 	inflight := reg.Gauge("service_inflight_samples")
 	inflight.Add(1)
 	defer inflight.Add(-1)
@@ -492,9 +505,6 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		c.SetTrace(opts.TraceID)
 		defer c.SetTrace("")
 	}
-	s.mu.RLock()
-	prev := e.lastRun
-	s.mu.RUnlock()
 
 	cfg := core.Config{
 		DocsPerQuery: opts.PerQuery,
@@ -548,7 +558,7 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 	e.stats.LastError = ""
 	e.stats.ConsecutiveFailures = 0
 	e.stats.CircuitOpen = false
-	st := e.stats
+	st = e.stats
 	s.mu.Unlock()
 	if s.st != nil {
 		// Persist after releasing the registry lock: Put fsyncs, and an

@@ -2,7 +2,9 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -300,6 +302,44 @@ func TestSampleExtendGrowsSample(t *testing.T) {
 	}
 	if fresh.SampledDocs == 0 {
 		t.Error("extend-without-prev sampled nothing")
+	}
+}
+
+// TestExtendAfterRestartRefuses: a database whose model was loaded from the
+// store has no run in this process to continue. Extend must say so
+// (ErrInvalid, a 400 over HTTP) and leave the stored model alone, not
+// replace it with a fresh, smaller sample.
+func TestExtendAfterRestartRefuses(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "models")
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcA, dbs := fixture(t, st)
+	name := dbs[0].Name
+	if _, err := svcA.Sample(name, SampleOptions{Docs: 60, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := st.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svcB, _ := fixture(t, st)
+	_, err = svcB.Sample(name, SampleOptions{Docs: 20, Seed: 3, Extend: true})
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), fmt.Sprintf("%d docs", before.Docs())) {
+		t.Fatalf("extend after restart: err = %v, want ErrInvalid naming %d docs", err, before.Docs())
+	}
+	after, err := st.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Docs() < 60 || after.Fingerprint() != before.Fingerprint() {
+		t.Fatalf("stored model went from %d docs (%x) to %d (%x)",
+			before.Docs(), before.Fingerprint(), after.Docs(), after.Fingerprint())
+	}
+	if got := svcB.entries[name].model.Fingerprint(); got != before.Fingerprint() {
+		t.Errorf("served model changed to %x", got)
 	}
 }
 

@@ -23,8 +23,8 @@ package service
 //
 // With a snapshot store attached (SetSnapshotStore), each newly compiled
 // snapshot is persisted on swap, and LoadSnapshot warm-starts serving from
-// disk: the first Rank after a restart scores against the mmapped segment
-// without compiling anything.
+// disk: the first Rank after a restart scores against the mmapped snapshot
+// file without compiling anything.
 
 import (
 	"errors"
@@ -96,15 +96,14 @@ func (s *Service) invalidateDB(name string) {
 	s.dirty[name] = true
 }
 
-// SetSnapshotStore attaches a persistent snapshot store. When persist is
-// true, every snapshot the service compiles from then on is saved to the
-// store as it is published; either way LoadSnapshot can warm-start from
-// whatever the store holds.
-func (s *Service) SetSnapshotStore(ss *store.SnapshotStore, persist bool) {
+// SetSnapshotStore attaches a persistent snapshot store: every snapshot
+// the service compiles from then on is saved to the store as it is
+// published, and LoadSnapshot can warm-start from whatever the store
+// holds.
+func (s *Service) SetSnapshotStore(ss *store.SnapshotStore) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.snapStore = ss
-	s.persistSnap = persist && ss != nil
 }
 
 // snapshot returns a compiled snapshot no older than the model set at call
@@ -214,9 +213,9 @@ func (s *Service) compile(names []string, models []*langmodel.Model, dirty map[s
 // rather than letting it clobber a newer one already on disk.
 func (s *Service) persistSnapshot(snap *snapshotSet) {
 	s.mu.RLock()
-	ss, persist := s.snapStore, s.persistSnap
+	ss := s.snapStore
 	s.mu.RUnlock()
-	if !persist || ss == nil {
+	if ss == nil {
 		return
 	}
 	reg := s.Metrics()

@@ -50,7 +50,7 @@ func TestSnapshotWarmStart(t *testing.T) {
 	svcA, dbs := fixture(t, st)
 	regA := telemetry.NewRegistry()
 	svcA.SetMetrics(regA)
-	svcA.SetSnapshotStore(ss, true)
+	svcA.SetSnapshotStore(ss)
 	for _, db := range dbs {
 		if _, err := svcA.Sample(db.Name, SampleOptions{Docs: 50, Seed: 7}); err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestSnapshotWarmStart(t *testing.T) {
 	svcB := New(analysis.Database(), st2)
 	regB := telemetry.NewRegistry()
 	svcB.SetMetrics(regB)
-	svcB.SetSnapshotStore(ss, true)
+	svcB.SetSnapshotStore(ss)
 	for _, db := range dbs {
 		if err := svcB.RegisterLocal(db.Name, db.Index); err != nil {
 			t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSnapshotStaleFingerprintRejected(t *testing.T) {
 	}
 	ss := snapshotStore(t)
 	svcA, dbs := fixture(t, st)
-	svcA.SetSnapshotStore(ss, true)
+	svcA.SetSnapshotStore(ss)
 	for _, db := range dbs {
 		if _, err := svcA.Sample(db.Name, SampleOptions{Docs: 50, Seed: 7}); err != nil {
 			t.Fatal(err)
@@ -206,7 +206,7 @@ func TestSnapshotStaleFingerprintRejected(t *testing.T) {
 	svcB := New(analysis.Database(), st2)
 	regB := telemetry.NewRegistry()
 	svcB.SetMetrics(regB)
-	svcB.SetSnapshotStore(ss, false)
+	svcB.SetSnapshotStore(ss)
 	for _, db := range dbs {
 		if err := svcB.RegisterLocal(db.Name, db.Index); err != nil {
 			t.Fatal(err)
@@ -335,7 +335,7 @@ func TestSnapshotChurnEquivalence(t *testing.T) {
 func TestSnapshotPersistOnSwap(t *testing.T) {
 	svc, reg := sampledFixture(t)
 	ss := snapshotStore(t)
-	svc.SetSnapshotStore(ss, true)
+	svc.SetSnapshotStore(ss)
 
 	if _, err := svc.Rank("stock market data", "cori", 0); err != nil {
 		t.Fatal(err)
@@ -350,19 +350,16 @@ func TestSnapshotPersistOnSwap(t *testing.T) {
 	if persists := reg.Counter("service_snapshot_persists_total").Value(); persists != 2 {
 		t.Fatalf("persists = %d, want one per published rebuild", persists)
 	}
-	m, err := ss.Manifest()
+	saved, size, err := ss.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Seq != 2 {
-		t.Fatalf("manifest seq = %d, want 2", m.Seq)
+	if saved.Epoch != svc.Epoch() {
+		t.Fatalf("persisted epoch %d, service at %d", saved.Epoch, svc.Epoch())
 	}
-	if m.Epoch != svc.Epoch() {
-		t.Fatalf("persisted epoch %d, service at %d", m.Epoch, svc.Epoch())
-	}
-	if reg.Gauge("service_snapshot_bytes").Value() != m.Size {
-		t.Fatalf("snapshot_bytes gauge %d, manifest size %d",
-			reg.Gauge("service_snapshot_bytes").Value(), m.Size)
+	if reg.Gauge("service_snapshot_bytes").Value() != size {
+		t.Fatalf("snapshot_bytes gauge %d, snapshot file %d bytes",
+			reg.Gauge("service_snapshot_bytes").Value(), size)
 	}
 }
 

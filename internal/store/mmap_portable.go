@@ -8,7 +8,7 @@ import (
 )
 
 // mapFile reports memory mapping as unsupported; Load falls back to
-// reading the segment onto the heap.
+// reading the snapshot file onto the heap.
 func mapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, errors.ErrUnsupported
 }

@@ -1,33 +1,24 @@
-// Compiled-snapshot persistence: a segment/manifest scheme extending
-// Put's atomic-rename + fsync discipline from single model files to the
-// two-file commit a compiled snapshot needs.
+// Compiled-snapshot persistence: one file, snapshot.qbsnap, in the
+// selection package's QBSNAP1 format, replaced whole by writeAtomic (temp
+// file, fsync, rename, directory fsync) — the same write Put makes.
 //
-// A snapshot lives in one immutable segment file (`seg-<seq>.qbsnap`, the
-// selection package's checksummed binary format) named by a monotonically
-// increasing sequence number, never rewritten in place. Which segment is
-// current is decided solely by MANIFEST, a tiny self-checksummed record
-// replaced atomically (temp file + fsync + rename + directory fsync), so
-// every crash point leaves a loadable state:
+// The file checks itself: a header CRC, a section-table CRC, a CRC per
+// section, and the rule that the last section ends at end of file. So
+// every crash point leaves a loadable state or an error, never a guess:
 //
-//   - crash while writing the temp segment: MANIFEST still names the old
-//     segment; the orphan temp/segment is garbage-collected on next Save;
-//   - crash after the segment rename but before the manifest rename:
-//     same — the new segment is invisible until MANIFEST says otherwise;
-//   - torn or bit-flipped manifest: the self-CRC fails and Load reports
-//     corruption, never a guess;
-//   - torn or bit-flipped segment (lost cache writes, disk rot): the
-//     manifest's whole-file CRC and the format's per-section checksums
-//     fail and Load reports corruption.
+//   - crash while writing the temp file: the rename never happened and the
+//     previous snapshot.qbsnap is intact; the next Save removes the temp;
+//   - torn or bit-flipped snapshot file (lost cache writes, disk rot): one
+//     of the checksums or the end-of-file rule fails and Load reports
+//     corruption.
 //
 // Callers treat any Load error as a cold start (recompile from models);
 // a snapshot is a cache, and the design never serves a torn one.
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,26 +27,11 @@ import (
 	"repro/internal/selection"
 )
 
-// SegmentExt is the file extension for snapshot segment files.
-const SegmentExt = ".qbsnap"
-
-// manifestName is the file naming the current segment.
-const manifestName = "MANIFEST"
+// SnapshotFile is the name of the one snapshot file in a snapshot store.
+const SnapshotFile = "snapshot.qbsnap"
 
 // ErrNoSnapshot is returned by Load when the store holds no snapshot yet.
 var ErrNoSnapshot = errors.New("store: no snapshot")
-
-var snapCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// SnapshotManifest is the persisted pointer to the current segment.
-type SnapshotManifest struct {
-	Version int    `json:"version"`
-	Seq     uint64 `json:"seq"`
-	Segment string `json:"segment"`
-	Epoch   uint64 `json:"epoch"`
-	Size    int64  `json:"size"`
-	CRC     uint32 `json:"crc"` // CRC-32C of the whole segment file
-}
 
 // SnapshotStore persists compiled selection snapshots in a directory.
 // Save and Load are safe against crashes at any point but not against
@@ -63,10 +39,10 @@ type SnapshotManifest struct {
 type SnapshotStore struct {
 	dir string
 
-	// WrapWriter, when non-nil, wraps the segment writer during Save — the
-	// fault-injection point crash-safety tests use (internal/faulty.Writer
-	// truncates the n-th write mid-buffer, the torn-segment scenario).
-	// Production code leaves it nil.
+	// WrapWriter, when non-nil, wraps the snapshot file's writer during
+	// Save — the fault-injection point crash-safety tests use
+	// (internal/faulty.Writer truncates the n-th write mid-buffer, the
+	// torn-write scenario). Production code leaves it nil.
 	WrapWriter func(io.Writer) io.Writer
 	// DisableMmap forces Load onto the portable read-into-heap path even
 	// where memory mapping is available (tests of the fallback).
@@ -85,206 +61,85 @@ func OpenSnapshots(dir string) (*SnapshotStore, error) {
 // Dir returns the store's root directory.
 func (ss *SnapshotStore) Dir() string { return ss.dir }
 
-// Manifest reads and verifies the current manifest. ErrNoSnapshot when
-// none exists yet.
-func (ss *SnapshotStore) Manifest() (*SnapshotManifest, error) {
-	raw, err := os.ReadFile(filepath.Join(ss.dir, manifestName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrNoSnapshot
-		}
-		return nil, fmt.Errorf("store: read manifest: %w", err)
-	}
-	payload, crcLine, ok := strings.Cut(string(raw), "\n")
-	if !ok {
-		return nil, fmt.Errorf("store: manifest has no checksum line")
-	}
-	var gotCRC uint32
-	if _, err := fmt.Sscanf(strings.TrimSpace(crcLine), "%08x", &gotCRC); err != nil {
-		return nil, fmt.Errorf("store: manifest checksum line: %w", err)
-	}
-	if want := crc32.Checksum([]byte(payload), snapCastagnoli); gotCRC != want {
-		return nil, fmt.Errorf("store: manifest checksum %08x, want %08x (corrupt manifest)", gotCRC, want)
-	}
-	var m SnapshotManifest
-	if err := json.Unmarshal([]byte(payload), &m); err != nil {
-		return nil, fmt.Errorf("store: manifest: %w", err)
-	}
-	if m.Segment == "" || strings.ContainsAny(m.Segment, "/\\") {
-		return nil, fmt.Errorf("store: manifest names invalid segment %q", m.Segment)
-	}
-	return &m, nil
-}
-
-// SegmentPath returns the path of the segment a manifest names.
-func (ss *SnapshotStore) SegmentPath(m *SnapshotManifest) string {
-	return filepath.Join(ss.dir, m.Segment)
-}
-
-// Save persists snap as a new segment and commits it by atomically
-// replacing the manifest, returning the segment size in bytes. The
-// previous snapshot remains the loadable one until the manifest rename;
-// superseded segments are garbage-collected afterwards.
+// Save replaces the snapshot file with snap, returning its size in bytes.
+// The previous snapshot stays the loadable one until the rename. Temp
+// files left by an earlier crashed Save are removed afterwards.
 func (ss *SnapshotStore) Save(snap *selection.Snapshot) (int64, error) {
 	data, err := selection.EncodeSnapshot(snap)
 	if err != nil {
 		return 0, fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	seq := uint64(1)
-	if prev, err := ss.Manifest(); err == nil {
-		seq = prev.Seq + 1
-	}
-	segName := fmt.Sprintf("seg-%016d%s", seq, SegmentExt)
-
-	// Segment: temp file, full write, fsync, rename, directory fsync —
-	// the same discipline as Put, so the bytes are durable before any
-	// pointer to them exists.
-	tmp, err := os.CreateTemp(ss.dir, ".tmp-seg-*")
+	err = writeAtomic(ss.dir, SnapshotFile, func(w io.Writer) error {
+		if ss.WrapWriter != nil {
+			w = ss.WrapWriter(w)
+		}
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return 0, fmt.Errorf("store: temp segment: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	w := io.Writer(tmp)
-	if ss.WrapWriter != nil {
-		w = ss.WrapWriter(w)
-	}
-	if _, err := w.Write(data); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("store: write segment: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("store: sync segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("store: close segment: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(ss.dir, segName)); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("store: rename segment: %w", err)
-	}
-	if err := syncDir(ss.dir); err != nil {
 		return 0, err
 	}
-
-	m := SnapshotManifest{
-		Version: 1,
-		Seq:     seq,
-		Segment: segName,
-		Epoch:   snap.Epoch,
-		Size:    int64(len(data)),
-		CRC:     crc32.Checksum(data, snapCastagnoli),
-	}
-	if err := ss.writeManifest(&m); err != nil {
-		return 0, err
-	}
-	ss.gcSegments(segName)
+	ss.removeTemps()
 	return int64(len(data)), nil
 }
 
-// writeManifest atomically replaces MANIFEST with a self-checksummed
-// record: one JSON line, then the CRC-32C of that line in hex.
-func (ss *SnapshotStore) writeManifest(m *SnapshotManifest) error {
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("store: marshal manifest: %w", err)
-	}
-	body := fmt.Sprintf("%s\n%08x\n", payload, crc32.Checksum(payload, snapCastagnoli))
-	tmp, err := os.CreateTemp(ss.dir, ".tmp-manifest-*")
-	if err != nil {
-		return fmt.Errorf("store: temp manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(body); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: write manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: sync manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: close manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(ss.dir, manifestName)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: rename manifest: %w", err)
-	}
-	return syncDir(ss.dir)
-}
-
-// gcSegments removes superseded segment files and orphaned temp files.
-// Best effort: a leftover costs disk, never correctness.
-func (ss *SnapshotStore) gcSegments(current string) {
+// removeTemps removes temp files a crashed Save left behind. Best effort:
+// a leftover costs disk, never correctness.
+func (ss *SnapshotStore) removeTemps() {
 	entries, err := os.ReadDir(ss.dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		stale := (strings.HasSuffix(name, SegmentExt) && name != current) ||
-			strings.HasPrefix(name, ".tmp-seg-") || strings.HasPrefix(name, ".tmp-manifest-")
-		if stale {
-			os.Remove(filepath.Join(ss.dir, name))
+		if strings.HasPrefix(e.Name(), ".tmp-"+SnapshotFile+"-") {
+			os.Remove(filepath.Join(ss.dir, e.Name()))
 		}
 	}
 }
 
-// Load reads, verifies, and decodes the current snapshot, returning it
-// with the segment size in bytes. On platforms with memory mapping the
-// segment is mapped read-only and the snapshot's numeric arrays alias the
-// mapping (segments are immutable and replaced by rename, so the mapped
-// inode can never change under the snapshot); elsewhere — or with
-// DisableMmap — the file is read onto the heap. Any integrity failure
-// (manifest self-CRC, segment CRC, per-section checksums, structural
-// validation) is an error: the caller falls back to a full recompile,
-// never a torn snapshot.
+// Load reads, verifies, and decodes the snapshot file, returning it with
+// its size in bytes; ErrNoSnapshot when there is none. On platforms with
+// memory mapping the file is mapped read-only and the snapshot's numeric
+// arrays alias the mapping (the file is replaced by rename, never
+// rewritten, so the mapped inode can never change under the snapshot);
+// elsewhere — or with DisableMmap — it is read onto the heap. Any
+// integrity failure is an error: the caller falls back to a full
+// recompile, never a torn snapshot.
 func (ss *SnapshotStore) Load() (*selection.Snapshot, int64, error) {
-	m, err := ss.Manifest()
-	if err != nil {
-		return nil, 0, err
-	}
-	path := ss.SegmentPath(m)
-	data, err := ss.readSegment(path, m.Size)
+	data, err := ss.read()
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, 0, fmt.Errorf("store: manifest names missing segment %s: %w", m.Segment, ErrNoSnapshot)
+			return nil, 0, ErrNoSnapshot
 		}
-		return nil, 0, err
-	}
-	if int64(len(data)) != m.Size {
-		return nil, 0, fmt.Errorf("store: segment %s is %d bytes, manifest says %d (truncated write)",
-			m.Segment, len(data), m.Size)
-	}
-	if got := crc32.Checksum(data, snapCastagnoli); got != m.CRC {
-		return nil, 0, fmt.Errorf("store: segment %s checksum %08x, manifest says %08x (corrupt segment)",
-			m.Segment, got, m.CRC)
+		return nil, 0, fmt.Errorf("store: read %s: %w", SnapshotFile, err)
 	}
 	snap, err := selection.DecodeSnapshot(data)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: decode segment %s: %w", m.Segment, err)
+		return nil, 0, fmt.Errorf("store: decode %s: %w", SnapshotFile, err)
 	}
 	return snap, int64(len(data)), nil
 }
 
-// readSegment returns the segment bytes, memory-mapped when possible.
-func (ss *SnapshotStore) readSegment(path string, size int64) ([]byte, error) {
-	if !ss.DisableMmap && size > 0 {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		data, merr := mapFile(f, size)
-		f.Close() // the mapping outlives the descriptor
-		if merr == nil {
+// read returns the snapshot file's bytes, memory-mapped when possible.
+func (ss *SnapshotStore) read() ([]byte, error) {
+	f, err := os.Open(filepath.Join(ss.dir, SnapshotFile))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() // a mapping outlives the descriptor
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !ss.DisableMmap && fi.Size() > 0 {
+		if data, err := mapFile(f, fi.Size()); err == nil {
 			return data, nil
 		}
 		// Fall through to the portable path on any mapping failure.
 	}
-	return os.ReadFile(path)
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

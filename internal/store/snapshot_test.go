@@ -38,20 +38,18 @@ func openSnapDir(t *testing.T) *SnapshotStore {
 	return ss
 }
 
-// segmentFiles lists the .qbsnap files currently in the store.
-func segmentFiles(t *testing.T, ss *SnapshotStore) []string {
+// dirFiles lists every file in the store's directory.
+func dirFiles(t *testing.T, ss *SnapshotStore) []string {
 	t.Helper()
 	entries, err := os.ReadDir(ss.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var segs []string
+	var names []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), SegmentExt) {
-			segs = append(segs, e.Name())
-		}
+		names = append(names, e.Name())
 	}
-	return segs
+	return names
 }
 
 func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
@@ -87,8 +85,14 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotSaveReplacesAndGCs: every Save replaces the one snapshot
+// file, and a temp file a crashed Save left behind is removed by the next.
 func TestSnapshotSaveReplacesAndGCs(t *testing.T) {
 	ss := openSnapDir(t)
+	leftover := filepath.Join(ss.Dir(), ".tmp-"+SnapshotFile+"-123")
+	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for epoch := uint64(1); epoch <= 3; epoch++ {
 		if _, err := ss.Save(snapFixture(epoch, int(epoch))); err != nil {
 			t.Fatal(err)
@@ -101,21 +105,14 @@ func TestSnapshotSaveReplacesAndGCs(t *testing.T) {
 	if out.Epoch != 3 {
 		t.Fatalf("loaded epoch %d, want the latest (3)", out.Epoch)
 	}
-	m, err := ss.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Seq != 3 {
-		t.Fatalf("manifest seq %d, want 3", m.Seq)
-	}
-	if segs := segmentFiles(t, ss); len(segs) != 1 {
-		t.Fatalf("superseded segments not collected: %v", segs)
+	if files := dirFiles(t, ss); len(files) != 1 || files[0] != SnapshotFile {
+		t.Fatalf("directory holds %v, want only %s", files, SnapshotFile)
 	}
 }
 
 // TestSnapshotTornSegmentWrite is the crash-safety scenario: the process
-// dies mid-way through writing a new segment (faulty.Writer delivers half
-// a write, then fails). The previous snapshot must remain the loadable
+// dies mid-way through writing a new snapshot file (faulty.Writer delivers
+// half a write, then fails). The previous snapshot must remain the loadable
 // one, and the next healthy Save must recover fully.
 func TestSnapshotTornSegmentWrite(t *testing.T) {
 	ss := openSnapDir(t)
@@ -143,62 +140,38 @@ func TestSnapshotTornSegmentWrite(t *testing.T) {
 	if out, _, err = ss.Load(); err != nil || out.Epoch != 3 {
 		t.Fatalf("post-recovery Load = epoch %d, err %v", out.Epoch, err)
 	}
-	if segs := segmentFiles(t, ss); len(segs) != 1 {
-		t.Fatalf("torn-write leftovers not collected: %v", segs)
+	if files := dirFiles(t, ss); len(files) != 1 {
+		t.Fatalf("torn-write leftovers not collected: %v", files)
 	}
 }
 
-// TestSnapshotCorruptManifest flips one byte of the manifest: the self-CRC
-// must refuse it rather than follow a half-written pointer.
-func TestSnapshotCorruptManifest(t *testing.T) {
-	ss := openSnapDir(t)
-	if _, err := ss.Save(snapFixture(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(ss.Dir(), manifestName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[2] ^= 0x01 // inside the JSON payload
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ss.Load(); err == nil || !strings.Contains(err.Error(), "manifest") {
-		t.Fatalf("corrupt manifest Load err = %v", err)
-	}
-}
-
-// TestSnapshotCorruptSegment flips one byte of the committed segment: the
-// whole-file CRC in the manifest must catch it.
+// TestSnapshotCorruptSegment flips one byte in the middle of the snapshot
+// file, then truncates it to half: the file's own checksums and its
+// end-of-file rule must refuse both.
 func TestSnapshotCorruptSegment(t *testing.T) {
 	ss := openSnapDir(t)
 	ss.DisableMmap = true // the test rewrites the file in place
 	if _, err := ss.Save(snapFixture(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ss.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(ss.SegmentPath(m))
+	path := filepath.Join(ss.Dir(), SnapshotFile)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(ss.SegmentPath(m), raw, 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ss.Load(); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupt segment Load err = %v", err)
+		t.Fatalf("corrupt snapshot Load err = %v", err)
 	}
 
-	// Truncation is caught by the size check before any decoding.
-	if err := os.WriteFile(ss.SegmentPath(m), raw[:len(raw)/2], 0o644); err != nil {
+	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ss.Load(); err == nil {
-		t.Fatal("truncated segment loaded")
+		t.Fatal("truncated snapshot loaded")
 	}
 }
 
@@ -207,14 +180,10 @@ func TestSnapshotMissingSegment(t *testing.T) {
 	if _, err := ss.Save(snapFixture(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ss.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(ss.SegmentPath(m)); err != nil {
+	if err := os.Remove(filepath.Join(ss.Dir(), SnapshotFile)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ss.Load(); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("missing segment Load err = %v, want ErrNoSnapshot", err)
+		t.Fatalf("missing snapshot Load err = %v, want ErrNoSnapshot", err)
 	}
 }

@@ -2,13 +2,15 @@
 // service samples each database once (or occasionally re-samples) and
 // consults the stored models for every query thereafter; models must
 // survive restarts and be cheap to load. Files use the compact binary
-// format of langmodel.WriteBinary and are written atomically
-// (temp file + rename), so a crash can never leave a torn model.
+// format of langmodel.WriteBinary (QBLM1) and are written atomically
+// (temp file + fsync + rename + directory fsync), so a crash can never
+// leave a torn model.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,20 +69,29 @@ func (s *Store) Put(name string, m *langmodel.Model) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
+	return writeAtomic(s.dir, name+Ext, func(w io.Writer) error {
+		_, err := m.WriteBinary(w)
+		return err
+	})
+}
+
+// writeAtomic replaces dir/name with what write produces, so that a crash
+// at any point leaves either the old file or the new one, never a torn one.
+// write fills a temp file in dir; the temp file is fsynced before the
+// rename publishes it, and the directory is fsynced after, so the new
+// entry survives a crash too. On failure the temp file is removed and the
+// old file is untouched.
+func writeAtomic(dir, name string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, ".tmp-"+name+"-*")
 	if err != nil {
-		return fmt.Errorf("store: temp file: %w", err)
+		return fmt.Errorf("store: temp file for %s: %w", name, err)
 	}
 	tmpName := tmp.Name()
-	if _, err := m.WriteBinary(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("store: write %s: %w", name, err)
 	}
-	// The temp file's bytes must be on stable storage before the rename
-	// publishes it, or a crash could leave the final name pointing at
-	// truncated data — exactly the torn model the atomic rename promises
-	// to rule out.
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
@@ -90,13 +101,11 @@ func (s *Store) Put(name string, m *langmodel.Model) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: close %s: %w", name, err)
 	}
-	if err := os.Rename(tmpName, s.path(name)); err != nil {
+	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: rename %s: %w", name, err)
 	}
-	// And the rename itself must be durable: fsync the directory so the
-	// new entry survives a crash too.
-	return syncDir(s.dir)
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory, making recent renames in it durable.

@@ -2,12 +2,14 @@ package store
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/faulty"
 	"repro/internal/langmodel"
 )
 
@@ -68,6 +70,40 @@ func TestPutReplacesAtomically(t *testing.T) {
 		t.Error("replacement not visible")
 	}
 	// No temp litter.
+	entries, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".tmp-") {
+			t.Errorf("leftover temp file %s", e.Name())
+		}
+	}
+}
+
+// TestWriteAtomicTornWrite: a write that dies part-way through (faulty.Writer
+// delivers half a buffer, then fails) leaves the previous file readable and
+// no temp file behind — the promise Put and the snapshot Save both rest on.
+func TestWriteAtomicTornWrite(t *testing.T) {
+	s := open(t)
+	old := model("old content")
+	if err := s.Put("db", old); err != nil {
+		t.Fatal(err)
+	}
+	err := writeAtomic(s.Dir(), "db"+Ext, func(w io.Writer) error {
+		_, err := model("new content entirely").WriteBinary(faulty.WrapWriter(w, 1))
+		return err
+	})
+	if !errors.Is(err, faulty.ErrInjected) {
+		t.Fatalf("torn write err = %v, want injected", err)
+	}
+	got, err := s.Get("db")
+	if err != nil {
+		t.Fatalf("previous model unreadable after a torn write: %v", err)
+	}
+	if !got.Equal(old) {
+		t.Error("a torn write changed the stored model")
+	}
 	entries, err := os.ReadDir(s.Dir())
 	if err != nil {
 		t.Fatal(err)
