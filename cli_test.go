@@ -2,6 +2,7 @@ package repro
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -235,8 +236,15 @@ func TestCLIRemoteSampling(t *testing.T) {
 
 func TestCLISelectdHTTP(t *testing.T) {
 	bin := filepath.Join(buildCLIs(t), "selectd")
+	// Admission has one flag, -max-inflight; a removed one is an unknown
+	// flag, which exits 2 before anything starts. (The unusable address
+	// makes a binary that still took the flag exit 1, not serve.)
+	removed := exec.Command(bin, "-degrade-at", "1", "-addr", "no-port")
+	if out, err := removed.CombinedOutput(); removed.ProcessState.ExitCode() != 2 {
+		t.Fatalf("selectd -degrade-at 1: exit status %d (%v), want 2\n%s", removed.ProcessState.ExitCode(), err, out)
+	}
 	addr := "127.0.0.1:18731"
-	cmd := exec.Command(bin, "-addr", addr, "-demo", "2", "-demo-docs", "120", "-demo-sample", "30")
+	cmd := exec.Command(bin, "-addr", addr, "-demo", "2", "-demo-docs", "120", "-demo-sample", "30", "-max-inflight", "8")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,5 +285,27 @@ func TestCLISelectdHTTP(t *testing.T) {
 		if st["has_model"] != true {
 			t.Errorf("database %v has no model", st["name"])
 		}
+	}
+
+	// The rank passes the gate -max-inflight installed.
+	rank, err := http.Get("http://" + addr + "/rank?q=market&k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank.Body.Close()
+	if rank.StatusCode != http.StatusOK {
+		t.Errorf("GET /rank: status %d, want 200", rank.StatusCode)
+	}
+	metrics, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer metrics.Body.Close()
+	body, err := io.ReadAll(metrics.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\nservice_admitted_total 1\n") {
+		t.Errorf("/metrics does not count one admitted rank:\n%s", body)
 	}
 }

@@ -20,13 +20,12 @@
 //
 // Without either flag, selectd is the unchanged single-process service.
 //
-// Admission control (DESIGN.md §14) is off by default and flag-tunable in
-// every mode: -max-inflight caps concurrent rank requests (shed with 429 +
-// Retry-After past it), -degrade-at/-degrade-k serve smaller rankings
-// under load instead of shedding, and -max-p99 sheds while the recent
-// windowed p99 latency exceeds the bound:
+// Admission control (DESIGN.md §14) is off by default and available in
+// every mode: -max-inflight caps concurrent rank requests, and an arrival
+// past the cap is shed with 429 and Retry-After: 1. An admitted request is
+// answered in full, as it would be on an idle server:
 //
-//	selectd -max-inflight 64 -degrade-at 48 -degrade-k 10 -max-p99 250ms
+//	selectd -max-inflight 64
 //
 // Coalescing (DESIGN.md §10): identical rank work in flight is computed
 // once and shared across its callers, in every mode; no completed ranking
@@ -88,10 +87,6 @@ func main() {
 	shards := flag.String("shards", "", "run as a stateless front tier over this shard topology (slots comma-separated, replicas |-separated)")
 	join := flag.String("join", "", "also serve this instance as a cluster shard on this netsearch address")
 	maxInflight := flag.Int("max-inflight", 0, "admission: max concurrent rank requests before shedding with 429 (0 = unbounded)")
-	degradeAt := flag.Int("degrade-at", 0, "admission: in-flight depth at which rankings degrade to -degrade-k rows (0 = never)")
-	degradeK := flag.Int("degrade-k", 0, "admission: rank cutoff served while degraded (default 10)")
-	maxP99 := flag.Duration("max-p99", 0, "admission: shed while the windowed p99 rank latency exceeds this (0 = off)")
-	retryAfter := flag.Duration("retry-after", 0, "admission: Retry-After hint on shed responses (default 1s)")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -108,16 +103,9 @@ func main() {
 	}
 	reg := telemetry.NewRegistry()
 	logger := telemetry.NewLogger(os.Stderr, level, true)
-	adm := admission.Config{
-		MaxInFlight: *maxInflight,
-		DegradeAt:   *degradeAt,
-		DegradeK:    *degradeK,
-		MaxP99:      *maxP99,
-		RetryAfter:  *retryAfter,
-	}
-	if adm.Enabled() {
-		fmt.Printf("admission control on: max-inflight=%d degrade-at=%d max-p99=%s\n",
-			*maxInflight, *degradeAt, *maxP99)
+	adm := admission.Config{MaxInFlight: *maxInflight}
+	if *maxInflight > 0 {
+		fmt.Printf("admission control on: max-inflight=%d\n", *maxInflight)
 	}
 
 	// Front-tier mode: no service, no store — just ring geometry, shard

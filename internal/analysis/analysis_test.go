@@ -227,19 +227,6 @@ func TestStoplistNilSafe(t *testing.T) {
 	}
 }
 
-func TestStoplistWordsRoundTrip(t *testing.T) {
-	s := NewStoplist([]string{"x", "y", "z"})
-	got := s.Words()
-	if len(got) != 3 {
-		t.Fatalf("Words() returned %d entries, want 3", len(got))
-	}
-	for _, w := range got {
-		if !s.Contains(w) {
-			t.Errorf("Words() returned %q not in list", w)
-		}
-	}
-}
-
 func TestAnalyzerRaw(t *testing.T) {
 	a := Raw()
 	got := a.Tokens("The running dogs ran quickly")

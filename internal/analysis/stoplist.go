@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Stoplist is a set of words excluded from indexing. The zero value is an
 // empty (pass-everything) list.
@@ -34,17 +31,6 @@ func (s *Stoplist) Len() int {
 		return 0
 	}
 	return len(s.words)
-}
-
-// Words returns the stopwords in sorted order, so anything serialized
-// from a stoplist (e.g. persisted index headers) is byte-stable.
-func (s *Stoplist) Words() []string {
-	out := make([]string, 0, s.Len())
-	for w := range s.words {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // InqueryStoplist returns the default stoplist used by every database in the

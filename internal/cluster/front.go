@@ -35,10 +35,9 @@ type Options struct {
 	// Logger receives one line per failover and breaker transition. nil
 	// discards.
 	Logger *slog.Logger
-	// Admission configures load shedding and graceful degradation on the
-	// front's serving surface (GET /rank, POST /rank/batch). The zero
-	// value disables admission control entirely — the default, so a front
-	// upgraded across this feature behaves exactly as before.
+	// Admission caps the requests in flight on the front's serving
+	// surface (GET /rank, POST /rank/batch). The zero value disables
+	// admission control entirely.
 	Admission admission.Config
 }
 

@@ -2,7 +2,7 @@ package cluster
 
 // The front's HTTP rank surface is the serving core's (internal/serving,
 // whose contract test pins it for every tier); these tests drive it
-// through a real front — admission, degradation, buffered and streamed
+// through a real front — admission, registration, buffered and streamed
 // batches fused over the wire.
 
 import (
@@ -35,8 +35,7 @@ type batchRankRequest struct {
 }
 
 type batchRankResponse struct {
-	Results  []netsearch.RankedBatch `json:"results"`
-	Degraded bool                    `json:"degraded,omitempty"`
+	Results []netsearch.RankedBatch `json:"results"`
 }
 
 func postJSON(t *testing.T, url string, body any, out any) *http.Response {
@@ -174,38 +173,38 @@ func TestFrontAdmissionOverload(t *testing.T) {
 	}
 }
 
-func TestFrontAdmissionDegradesK(t *testing.T) {
-	s := &stubShard{partial: []netsearch.RankedDB{
-		{Name: "db-a", Score: 0.9}, {Name: "db-b", Score: 0.5}, {Name: "db-c", Score: 0.2},
-	}}
-	f, err := NewFront([][]string{{serveStub(t, s)}}, Options{
-		Metrics:   telemetry.NewRegistry(),
-		Admission: admission.Config{MaxInFlight: 8, DegradeAt: 1, DegradeK: 1},
-	})
+// TestFrontRegistryMarkerInName: a database name may contain the text of a
+// wire error marker. Through a real front and shard, registering such a
+// name twice is still the idempotent 201 and unregistering an unknown one
+// still 404: only a marker that begins the shard's message classifies it.
+func TestFrontRegistryMarkerInName(t *testing.T) {
+	srv, err := ServeShard(service.New(analysis.Database(), nil), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { f.Close() })
+	t.Cleanup(func() { srv.Close() })
+	f := newTestFront(t, [][]string{{srv.Addr()}}, telemetry.NewRegistry())
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
 
-	var ranked []netsearch.RankedDB
-	resp := getJSON(t, ts.URL+"/rank?q=apple&alg=cori&k=3", &ranked)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded rank: status %d", resp.StatusCode)
+	name := "a " + markInvalid + "b"
+	for i := 0; i < 2; i++ {
+		resp := postJSON(t, ts.URL+"/databases", map[string]string{"name": name, "addr": "127.0.0.1:1"}, nil)
+		if resp.StatusCode != http.StatusCreated {
+			t.Errorf("POST /databases %q, attempt %d: status %d, want 201", name, i+1, resp.StatusCode)
+		}
 	}
-	if resp.Header.Get("X-Degraded-K") != "1" || len(ranked) != 1 {
-		t.Errorf("degraded rank: X-Degraded-K=%q rows=%d, want 1 and 1",
-			resp.Header.Get("X-Degraded-K"), len(ranked))
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/databases/"+url.PathEscape("x "+markInvalid+"y"), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var batch batchRankResponse
-	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"apple"}, Alg: "cori", K: 3}, &batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded batch: status %d", resp.StatusCode)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !batch.Degraded || len(batch.Results[0].Ranked) != 1 {
-		t.Errorf("degraded batch: %+v", batch)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("DELETE of an unknown name holding %q: status %d, want 404", markInvalid, resp.StatusCode)
 	}
 }
 

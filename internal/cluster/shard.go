@@ -117,20 +117,25 @@ var _ netsearch.Registrar = (*Shard)(nil)
 
 // classify re-attaches the service sentinel matching a marked wire error,
 // so the front tier can reuse the HTTP layer's statusFor-style mapping on
-// errors that crossed the fabric as text.
+// errors that crossed the fabric as text. A remote error arrives as the
+// shard's bare message, so a marker counts only at its start: the same
+// text later in the message is part of a name, not a class.
 func classify(err error) error {
 	if err == nil {
 		return nil
 	}
 	msg := err.Error()
-	// The markers arrive embedded in the client's transport wrapping.
-	switch {
-	case strings.Contains(msg, markInvalid):
-		return fmt.Errorf("%s: %w", strings.TrimPrefix(msg, markInvalid), service.ErrInvalid)
-	case strings.Contains(msg, markExists):
-		return fmt.Errorf("%s: %w", strings.TrimPrefix(msg, markExists), service.ErrExists)
-	case strings.Contains(msg, markUnknown):
-		return fmt.Errorf("%s: %w", strings.TrimPrefix(msg, markUnknown), service.ErrUnknownDatabase)
+	for _, m := range [...]struct {
+		mark     string
+		sentinel error
+	}{
+		{markInvalid, service.ErrInvalid},
+		{markExists, service.ErrExists},
+		{markUnknown, service.ErrUnknownDatabase},
+	} {
+		if rest, ok := strings.CutPrefix(msg, m.mark); ok {
+			return fmt.Errorf("%s: %w", rest, m.sentinel)
+		}
 	}
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -323,6 +324,26 @@ func TestEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("different models Equal")
 	}
+}
+
+// sortedStats lists the model's terms with their statistics in term order.
+func (m *Model) sortedStats() []struct {
+	Term string
+	TermStats
+} {
+	out := make([]struct {
+		Term string
+		TermStats
+	}, 0, m.VocabSize())
+	m.Range(func(t string, st TermStats) bool {
+		out = append(out, struct {
+			Term string
+			TermStats
+		}{t, st})
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
+	return out
 }
 
 func TestSortedStatsOrdered(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // DumpTSV writes "term df ctf" lines in sorted term order — the text
@@ -34,26 +33,6 @@ func (m *Model) Equal(other *Model) bool {
 		return equal
 	})
 	return equal
-}
-
-// sortedTerms is a test helper ensuring deterministic ordering when needed.
-func (m *Model) sortedStats() []struct {
-	Term string
-	TermStats
-} {
-	out := make([]struct {
-		Term string
-		TermStats
-	}, 0, m.VocabSize())
-	m.Range(func(t string, st TermStats) bool {
-		out = append(out, struct {
-			Term string
-			TermStats
-		}{t, st})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
-	return out
 }
 
 type countingWriter struct {

@@ -108,21 +108,6 @@ func TestChaosCircuitBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-func TestChaosBreakerDisabled(t *testing.T) {
-	flaky := faulty.WrapDB(appleIndex(), 1, 1.0)
-	svc := New(analysis.Database(), nil)
-	svc.SetTripThreshold(0)
-	if err := svc.RegisterLocal("flaky", flaky); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < DefaultTripThreshold+2; i++ {
-		svc.Sample("flaky", SampleOptions{Docs: 4, InitialTerm: "apple"})
-	}
-	if st := svc.Databases()[0]; st.CircuitOpen {
-		t.Errorf("disabled breaker tripped anyway: %+v", st)
-	}
-}
-
 // TestChaosSampleAllSurvivesFaultsAndRestart is the acceptance scenario:
 // three healthy local databases, one remote database reached through a
 // transport that corrupts 20% of writes and whose server restarts

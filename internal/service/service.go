@@ -150,10 +150,9 @@ type Service struct {
 	metrics *telemetry.Registry
 	logger  *slog.Logger
 
-	mu        sync.RWMutex
-	entries   map[string]*entry
-	dialOpts  netsearch.Options
-	tripAfter int
+	mu       sync.RWMutex
+	entries  map[string]*entry
+	dialOpts netsearch.Options
 
 	// Query-serving state (snapshot.go): gen counts model-set generations
 	// (bumped under mu whenever served models change), snap is the
@@ -196,11 +195,10 @@ type Service struct {
 // stored models are loaded for databases as they are registered.
 func New(an analysis.Analyzer, st *store.Store) *Service {
 	s := &Service{
-		analyzer:  an,
-		st:        st,
-		logger:    telemetry.NopLogger(),
-		entries:   make(map[string]*entry),
-		tripAfter: DefaultTripThreshold,
+		analyzer: an,
+		st:       st,
+		logger:   telemetry.NopLogger(),
+		entries:  make(map[string]*entry),
 	}
 	s.flights = serving.NewFlights("service", s.Metrics)
 	return s
@@ -212,9 +210,8 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 func (s *Service) SetRankCacheSize(int) {}
 
 // SetAdmission installs admission control on the rank endpoints (GET
-// /rank, POST /rank/batch): bounded concurrency, latency shedding, and
-// k-degradation per cfg (all thresholds off by default — a zero cfg
-// removes the gate). The gate's telemetry lands in the registry installed
+// /rank, POST /rank/batch): an in-flight cap past which arrivals are shed
+// (a zero cfg removes the gate). The gate's telemetry lands in the registry installed
 // at call time, so install metrics first. Direct Rank/RankBatch calls are
 // not gated: admission protects the serving surface, not embedded use.
 func (s *Service) SetAdmission(cfg admission.Config) {
@@ -271,15 +268,6 @@ func (s *Service) SetDialOptions(opts netsearch.Options) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dialOpts = opts
-}
-
-// SetTripThreshold sets how many consecutive sampling failures open a
-// database's circuit breaker (default DefaultTripThreshold); n <= 0
-// disables the breaker.
-func (s *Service) SetTripThreshold(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tripAfter = n
 }
 
 // Register adds a remote database reachable at a netsearch address. The
@@ -434,7 +422,7 @@ func (s *Service) connect(e *entry) (core.Database, error) {
 func (s *Service) recordFailure(e *entry, err error) {
 	e.stats.LastError = err.Error()
 	e.stats.ConsecutiveFailures++
-	if s.tripAfter > 0 && e.stats.ConsecutiveFailures >= s.tripAfter {
+	if e.stats.ConsecutiveFailures >= DefaultTripThreshold {
 		if !e.stats.CircuitOpen {
 			s.metrics.Counter("service_breaker_trips_total").Inc()
 			s.logger.Warn("circuit breaker tripped",

@@ -27,14 +27,13 @@ import (
 )
 
 // streamFrame decodes any frame of a rank stream: item frames carry Index
-// and Ranked/Error, the terminal frame carries Done/Results/Degraded.
+// and Ranked/Error, the terminal frame carries Done/Results.
 type streamFrame struct {
-	Index    int        `json:"index"`
-	Ranked   []RankedDB `json:"ranked"`
-	Error    string     `json:"error"`
-	Done     bool       `json:"done"`
-	Results  int        `json:"results"`
-	Degraded bool       `json:"degraded"`
+	Index   int        `json:"index"`
+	Ranked  []RankedDB `json:"ranked"`
+	Error   string     `json:"error"`
+	Done    bool       `json:"done"`
+	Results int        `json:"results"`
 }
 
 // readStream POSTs a batch with ?stream=1 and decodes every frame,
@@ -106,7 +105,7 @@ func TestHTTPRankBatchStreamNDJSON(t *testing.T) {
 		t.Fatalf("got %d frames for %d queries (+done)", len(frames), len(queries))
 	}
 	done := frames[len(frames)-1]
-	if !done.Done || done.Results != len(queries) || done.Degraded {
+	if !done.Done || done.Results != len(queries) {
 		t.Fatalf("done frame: %+v", done)
 	}
 	want, err := svc.RankBatch(queries, "cori", 2)

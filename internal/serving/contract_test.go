@@ -224,18 +224,16 @@ type batchBody struct {
 }
 
 type batchReply struct {
-	Results  []serving.Item `json:"results"`
-	Degraded bool           `json:"degraded"`
+	Results []serving.Item `json:"results"`
 }
 
 // frame decodes any frame of a rank stream.
 type frame struct {
-	Index    int                `json:"index"`
-	Ranked   []serving.RankedDB `json:"ranked"`
-	Error    string             `json:"error"`
-	Done     bool               `json:"done"`
-	Results  int                `json:"results"`
-	Degraded bool               `json:"degraded"`
+	Index   int                `json:"index"`
+	Ranked  []serving.RankedDB `json:"ranked"`
+	Error   string             `json:"error"`
+	Done    bool               `json:"done"`
+	Results int                `json:"results"`
 }
 
 // frames splits a streamed body into its frames, checking the framing:
@@ -373,7 +371,7 @@ var contract = []struct {
 		if err := json.Unmarshal(rr.Body.Bytes(), &buffered); err != nil {
 			t.Fatal(err)
 		}
-		if len(buffered.Results) != 3 || len(buffered.Results[0].Ranked) != 2 || buffered.Results[1].Error == "" || buffered.Degraded {
+		if len(buffered.Results) != 3 || len(buffered.Results[0].Ranked) != 2 || buffered.Results[1].Error == "" {
 			t.Fatalf("buffered batch: %+v", buffered)
 		}
 		for _, sse := range []bool{false, true} {
@@ -389,7 +387,7 @@ var contract = []struct {
 			if len(fs) != 4 {
 				t.Fatalf("stream (sse=%v): %d frames for 3 queries (+done)", sse, len(fs))
 			}
-			if done := fs[3]; !done.Done || done.Results != 3 || done.Degraded {
+			if done := fs[3]; !done.Done || done.Results != 3 {
 				t.Errorf("terminal frame: %+v", done)
 			}
 			for i, f := range fs[:3] {
@@ -414,7 +412,7 @@ var contract = []struct {
 		second := do(fx.h, http.MethodGet, target, nil)
 		wantStatus(t, first, http.StatusOK, "first rank")
 		// No tier keeps a ranking, so none has a cache disposition to report:
-		// an undegraded rank's only extension header is its trace ID.
+		// a rank's only extension header is its trace ID.
 		for _, rec := range []*httptest.ResponseRecorder{first, second} {
 			for name, val := range rec.Header() {
 				if strings.HasPrefix(name, "X-") && name != "X-Trace-Id" {
@@ -436,7 +434,7 @@ var contract = []struct {
 		// A stream parked in its first write holds the gate's only slot.
 		entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		parked := &hookWriter{ResponseRecorder: httptest.NewRecorder(), hook: func() { close(entered); <-release }}
-		body := batchBody{Queries: []string{fx.query}}
+		body := batchBody{Queries: []string{fx.query}, K: 2}
 		go func() {
 			defer close(done)
 			fx.h.ServeHTTP(parked, newRequest(context.Background(), http.MethodPost, "/rank/batch?stream=1", body))
@@ -447,8 +445,8 @@ var contract = []struct {
 			"batch": do(fx.h, http.MethodPost, "/rank/batch", body),
 		} {
 			wantStatus(t, rr, http.StatusTooManyRequests, "saturated "+what)
-			if rr.Header().Get("Retry-After") == "" {
-				t.Errorf("saturated %s: 429 without Retry-After", what)
+			if got := rr.Header().Get("Retry-After"); got != "1" {
+				t.Errorf("saturated %s: Retry-After %q, want 1", what, got)
 			}
 		}
 		close(release)
@@ -456,26 +454,28 @@ var contract = []struct {
 		if got := fx.reg.Counter(fx.prefix + `_shed_total{reason="inflight"}`).Value(); got != 2 {
 			t.Errorf("shed counter = %d, want 2", got)
 		}
-		wantStatus(t, do(fx.h, http.MethodPost, "/rank/batch", body), http.StatusOK, "batch after release")
+		// Load never changes an admitted answer: the stream that held the
+		// slot and every reply after it are whole, with no degradation
+		// marker in a header or a body.
+		admitted := map[string]*httptest.ResponseRecorder{
+			"parked stream": parked.ResponseRecorder,
+			"rank":          do(fx.h, http.MethodGet, "/rank?q="+strings.ReplaceAll(fx.query, " ", "+")+"&k=2", nil),
+			"batch":         do(fx.h, http.MethodPost, "/rank/batch", body),
+			"stream":        do(fx.h, http.MethodPost, "/rank/batch?stream=1", body),
+		}
+		for what, rr := range admitted {
+			wantStatus(t, rr, http.StatusOK, what+" after release")
+			if got := rr.Header().Get("X-Degraded-K"); got != "" {
+				t.Errorf("%s: X-Degraded-K %q", what, got)
+			}
+			if strings.Contains(rr.Body.String(), `"degraded"`) {
+				t.Errorf("%s: body carries a degraded key: %q", what, rr.Body)
+			}
+		}
+		if fs := frames(t, admitted["parked stream"].Body.String(), false); len(fs) != 2 || len(fs[0].Ranked) != 2 || !fs[1].Done {
+			t.Errorf("parked stream: %+v", fs)
+		}
 		wantIdle(t, fx)
-	}},
-	{name: "a degrading gate clamps k and says so", adm: admission.Config{MaxInFlight: 8, DegradeAt: 1, DegradeK: 1}, run: func(t *testing.T, fx *fixture) {
-		// DegradeAt 1: every admitted request sees depth >= 1.
-		rr := do(fx.h, http.MethodGet, "/rank?q="+strings.ReplaceAll(fx.query, " ", "+")+"&k=2", nil)
-		var ranked []serving.RankedDB
-		if err := json.Unmarshal(rr.Body.Bytes(), &ranked); err != nil || len(ranked) != 1 || rr.Header().Get("X-Degraded-K") != "1" {
-			t.Errorf("degraded rank: %d rows, X-Degraded-K %q (%v)", len(ranked), rr.Header().Get("X-Degraded-K"), err)
-		}
-		body := batchBody{Queries: []string{fx.query}, K: 2}
-		var reply batchReply
-		rr = do(fx.h, http.MethodPost, "/rank/batch", body)
-		if err := json.Unmarshal(rr.Body.Bytes(), &reply); err != nil || !reply.Degraded || len(reply.Results[0].Ranked) != 1 || rr.Header().Get("X-Degraded-K") != "1" {
-			t.Errorf("degraded batch: %+v, X-Degraded-K %q (%v)", reply, rr.Header().Get("X-Degraded-K"), err)
-		}
-		fs := frames(t, do(fx.h, http.MethodPost, "/rank/batch?stream=1", body).Body.String(), false)
-		if len(fs) != 2 || len(fs[0].Ranked) != 1 || !fs[1].Degraded {
-			t.Errorf("degraded stream: %+v", fs)
-		}
 	}},
 	{name: "a client that leaves mid-stream is noticed", adm: admission.Config{MaxInFlight: 8}, run: func(t *testing.T, fx *fixture) {
 		// The client hangs up the moment the first frame is written.

@@ -195,11 +195,10 @@ func appendItem(dst []byte, index int, it Item) ([]byte, error) {
 }
 
 // appendBatch appends the buffered POST /rank/batch reply,
-// {"results":[{…},…],"degraded":true}: one item per query in request
-// order, degraded present only when admission control clamped k.
+// {"results":[{…},…]}: one item per query in request order.
 //
 //lint:hotpath
-func appendBatch(dst []byte, items []Item, degraded bool) ([]byte, error) {
+func appendBatch(dst []byte, items []Item) ([]byte, error) {
 	dst = append(dst, `{"results":`...)
 	if items == nil {
 		dst = append(dst, "null"...)
@@ -216,26 +215,15 @@ func appendBatch(dst []byte, items []Item, degraded bool) ([]byte, error) {
 		}
 		dst = append(dst, ']')
 	}
-	return appendDegraded(dst, degraded), nil
+	return append(dst, '}'), nil
 }
 
-// appendDone appends a stream's terminal frame,
-// {"done":true,"results":n,"degraded":true}: results counts the item
-// frames sent and degraded mirrors the buffered reply's flag.
+// appendDone appends a stream's terminal frame, {"done":true,"results":n}:
+// results counts the item frames sent.
 //
 //lint:hotpath
-func appendDone(dst []byte, results int, degraded bool) []byte {
+func appendDone(dst []byte, results int) []byte {
 	dst = append(dst, `{"done":true,"results":`...)
 	dst = strconv.AppendInt(dst, int64(results), 10)
-	return appendDegraded(dst, degraded)
-}
-
-// appendDegraded closes a reply object, with the degraded flag if set.
-//
-//lint:hotpath
-func appendDegraded(dst []byte, degraded bool) []byte {
-	if degraded {
-		dst = append(dst, `,"degraded":true`...)
-	}
 	return append(dst, '}')
 }

@@ -15,8 +15,7 @@ import (
 
 // batchResponse is the buffered POST /rank/batch reply.
 type batchResponse struct {
-	Results  []Item `json:"results"`
-	Degraded bool   `json:"degraded,omitempty"`
+	Results []Item `json:"results"`
 }
 
 // streamItem is one query's frame in a rank stream.
@@ -28,9 +27,8 @@ type streamItem struct {
 
 // streamDone is a rank stream's terminal frame.
 type streamDone struct {
-	Done     bool `json:"done"`
-	Results  int  `json:"results"`
-	Degraded bool `json:"degraded,omitempty"`
+	Done    bool `json:"done"`
+	Results int  `json:"results"`
 }
 
 // encoded is what WriteJSON put on the wire for v: json.Encoder's bytes,
@@ -56,7 +54,7 @@ func sameBytes(t *testing.T, shape string, got []byte, gotErr error, want []byte
 // checkShapes encodes one ranking and one error text through all four reply
 // shapes, on top of bytes already in the buffer (a frame is appended behind
 // the frames held before it).
-func checkShapes(t *testing.T, ranked []RankedDB, errText string, index int, degraded bool) {
+func checkShapes(t *testing.T, ranked []RankedDB, errText string, index int) {
 	t.Helper()
 	const held = "held\n"
 	strip := func(b []byte) []byte { return bytes.TrimPrefix(b, []byte(held)) }
@@ -66,8 +64,8 @@ func checkShapes(t *testing.T, ranked []RankedDB, errText string, index int, deg
 	sameBytes(t, "GET /rank", append(strip(got), '\n'), gotErr, want, wantErr)
 
 	items := []Item{{Ranked: ranked}, {Error: errText}, {Ranked: ranked, Error: errText}, {}}
-	got, gotErr = appendBatch([]byte(held), items, degraded)
-	want, wantErr = encoded(batchResponse{Results: items, Degraded: degraded})
+	got, gotErr = appendBatch([]byte(held), items)
+	want, wantErr = encoded(batchResponse{Results: items})
 	sameBytes(t, "POST /rank/batch", append(strip(got), '\n'), gotErr, want, wantErr)
 
 	for _, it := range items {
@@ -76,8 +74,8 @@ func checkShapes(t *testing.T, ranked []RankedDB, errText string, index int, deg
 		sameBytes(t, "item frame", strip(got), gotErr, want, wantErr)
 	}
 
-	got = appendDone([]byte(held), index, degraded)
-	want, wantErr = json.Marshal(streamDone{Done: true, Results: index, Degraded: degraded})
+	got = appendDone([]byte(held), index)
+	want, wantErr = json.Marshal(streamDone{Done: true, Results: index})
 	sameBytes(t, "done frame", strip(got), nil, want, wantErr)
 }
 
@@ -93,17 +91,17 @@ func FuzzEncodeRanking(f *testing.F) {
 			0, math.Copysign(0, -1), 0.4, 1.0 / 3, 1, -17, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, 1.5e300,
 			math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
 		} {
-			f.Add(name, name+"!", math.Float64bits(score), 3, true)
+			f.Add(name, name+"!", math.Float64bits(score), 3)
 		}
 	}
-	f.Fuzz(func(t *testing.T, name, errText string, bits uint64, index int, degraded bool) {
+	f.Fuzz(func(t *testing.T, name, errText string, bits uint64, index int) {
 		if index < 0 { // a frame's index is a position in the request
 			index = -(index + 1)
 		}
 		score := math.Float64frombits(bits)
-		checkShapes(t, []RankedDB{{Name: name, Score: score}, {Name: errText, Score: -score}, {Name: name + errText, Score: score / 3}}, errText, index, degraded)
-		checkShapes(t, []RankedDB{}, errText, index, !degraded)
-		checkShapes(t, nil, name, index, degraded)
+		checkShapes(t, []RankedDB{{Name: name, Score: score}, {Name: errText, Score: -score}, {Name: name + errText, Score: score / 3}}, errText, index)
+		checkShapes(t, []RankedDB{}, errText, index)
+		checkShapes(t, nil, name, index)
 	})
 }
 
@@ -146,7 +144,7 @@ func BenchmarkEncodeRanking(b *testing.B) {
 		encode func(dst []byte) ([]byte, error)
 	}{
 		{"rank10", func(dst []byte) ([]byte, error) { return appendRanked(dst, rows) }},
-		{"batch32x10", func(dst []byte) ([]byte, error) { return appendBatch(dst, items, false) }},
+		{"batch32x10", func(dst []byte) ([]byte, error) { return appendBatch(dst, items) }},
 		{"frame10", func(dst []byte) ([]byte, error) { return appendItem(dst, 11, items[0]) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -250,13 +250,11 @@ func ParseK(raw string) (int, error) {
 }
 
 // admit passes the request through the tier's gate. A shed request has
-// been answered — 429 with the gate's Retry-After hint, one overload
-// contract on every tier — and ok is false; otherwise the caller owes
-// ticket.Release.
-func (s *surface) admit(w http.ResponseWriter) (ticket *admission.Ticket, ok bool) {
-	gate := s.tier.Gate()
-	if ticket, ok = gate.Admit(); !ok {
-		w.Header().Set("Retry-After", strconv.Itoa(gate.RetryAfterSeconds()))
+// been answered — 429 with Retry-After: 1, one overload contract on every
+// tier — and ok is false; otherwise the caller owes ticket.Release.
+func (s *surface) admit(w http.ResponseWriter) (ticket admission.Ticket, ok bool) {
+	if ticket, ok = s.tier.Gate().Admit(); !ok {
+		w.Header().Set("Retry-After", "1")
 		WriteJSON(w, http.StatusTooManyRequests, httpError{Error: "service overloaded, retry later"})
 	}
 	return ticket, ok
@@ -277,10 +275,6 @@ func (s *surface) handleRank(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		WriteFailure(w, err)
 		return
-	}
-	if clamped := ticket.ClampK(k); clamped != k {
-		k = clamped
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
 	}
 	ranked, err := s.tier.Rank(r.Context(), q.Get("q"), q.Get("alg"), k)
 	if err != nil {
@@ -320,22 +314,17 @@ func (s *surface) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer ticket.Release()
-	k := ticket.ClampK(req.K)
-	degraded := k != req.K
-	if degraded {
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
 	if stream := r.URL.Query().Get("stream"); stream == "1" || stream == "true" {
-		s.streamRankBatch(w, r, req, k, degraded)
+		s.streamRankBatch(w, r, req)
 		return
 	}
-	items, err := RankBatch(r.Context(), s.tier, req.Queries, req.Alg, k)
+	items, err := RankBatch(r.Context(), s.tier, req.Queries, req.Alg, req.K)
 	if err != nil {
 		WriteFailure(w, err)
 		return
 	}
 	buf := getBuf()
-	buf.b, err = appendBatch(buf.b, items, degraded)
+	buf.b, err = appendBatch(buf.b, items)
 	reply(w, buf, err)
 }
 

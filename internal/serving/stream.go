@@ -85,8 +85,8 @@ func (st *frameStream) item(i int, it Item) error {
 // done appends the terminal frame and writes out everything held. It is
 // not flushed: the handler returns next, and the server sends the frame in
 // one write with the end of the response.
-func (st *frameStream) done(degraded bool) error {
-	st.end(appendDone(st.begin(), st.sent, degraded))
+func (st *frameStream) done() error {
+	st.end(appendDone(st.begin(), st.sent))
 	return st.write()
 }
 
@@ -110,9 +110,9 @@ func (st *frameStream) write() error {
 }
 
 // streamRankBatch serves one POST /rank/batch?stream=1 request. The
-// caller has already admitted the request and clamped k; the admission
-// ticket's deferred Release fires once the last frame is written.
-func (s *surface) streamRankBatch(w http.ResponseWriter, r *http.Request, req batchRequest, k int, degraded bool) {
+// caller has already admitted the request; the admission ticket's
+// deferred Release fires once the last frame is written.
+func (s *surface) streamRankBatch(w http.ResponseWriter, r *http.Request, req batchRequest) {
 	reg := s.tier.Metrics()
 	ctx := r.Context()
 	st := frameStream{
@@ -123,7 +123,7 @@ func (s *surface) streamRankBatch(w http.ResponseWriter, r *http.Request, req ba
 	}
 	st.flusher, _ = w.(http.Flusher)
 	defer putBuf(st.buf)
-	err := s.tier.RankStream(ctx, req.Queries, req.Alg, k, func(i int, it Item) error {
+	err := s.tier.RankStream(ctx, req.Queries, req.Alg, req.K, func(i int, it Item) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr // client disconnected; stop ranking for nobody
 		}
@@ -147,7 +147,7 @@ func (s *surface) streamRankBatch(w http.ResponseWriter, r *http.Request, req ba
 		reg.Counter(s.prefix + "_stream_aborts_total").Inc()
 		return
 	}
-	if err := st.done(degraded); err != nil {
+	if err := st.done(); err != nil {
 		reg.Counter(s.prefix + "_stream_aborts_total").Inc()
 		return
 	}
