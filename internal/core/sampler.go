@@ -116,8 +116,8 @@ type Snapshot struct {
 	Docs int
 	// Queries is the number of queries issued by then.
 	Queries int
-	// Model is an immutable copy-on-write view of the learned model at
-	// that point (langmodel.Model.Snapshot). Treat it as read-only; call
+	// Model is an immutable view of the learned model at that point
+	// (langmodel.Model.Snapshot). Treat it as read-only; call
 	// Clone to get a mutable copy.
 	Model *langmodel.Model
 }

@@ -220,9 +220,9 @@ func (ix *Index) SearchScored(query string, n int) ([]Hit, error) {
 		if !ok {
 			continue
 		}
-		df := len(plist)
+		w := ix.termWeight(len(plist))
 		for _, p := range plist {
-			s := ix.termScore(float64(p.tf), float64(ix.docLens[p.doc]), df, avgdl)
+			s := ix.termScore(float64(p.tf), float64(ix.docLens[p.doc]), w, avgdl)
 			if scr.mark[p.doc] != scr.gen {
 				scr.mark[p.doc] = scr.gen
 				scr.scores[p.doc] = s
@@ -322,21 +322,33 @@ func (ix *Index) avgDocLen() float64 {
 	return float64(ix.totalLen) / float64(len(ix.docs))
 }
 
-func (ix *Index) termScore(tf, dl float64, df int, avgdl float64) float64 {
+// termWeight is the factor of a term's score that depends only on its df
+// and the collection: BM25's idf, InQuery's normalized idf. SearchScored
+// computes it once per query term and passes it to termScore.
+func (ix *Index) termWeight(df int) float64 {
 	n := float64(len(ix.docs))
-	switch ix.scoring {
-	case BM25:
-		const k1, b = 1.2, 0.75
+	if ix.scoring == BM25 {
 		idf := logf((n - float64(df) + 0.5) / (float64(df) + 0.5))
 		if idf < 0 {
 			idf = 0
 		}
+		return idf
+	}
+	return logf((n+0.5)/float64(df)) / logf(n+1)
+}
+
+// termScore is one posting's score given its term's weight w. The
+// expression and its operand order are those of the per-posting formula,
+// so scores are bit-identical to computing the weight at every posting.
+func (ix *Index) termScore(tf, dl, w, avgdl float64) float64 {
+	switch ix.scoring {
+	case BM25:
+		const k1, b = 1.2, 0.75
 		denom := tf + k1*(1-b+b*dl/avgdl)
-		return idf * tf * (k1 + 1) / denom
+		return w * tf * (k1 + 1) / denom
 	default: // InQuery
 		t := tf / (tf + 0.5 + 1.5*dl/avgdl)
-		i := logf((n+0.5)/float64(df)) / logf(n+1)
-		return 0.4 + 0.6*t*i
+		return 0.4 + 0.6*t*w
 	}
 }
 

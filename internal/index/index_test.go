@@ -1,7 +1,9 @@
 package index
 
 import (
+	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -348,9 +350,64 @@ func BenchmarkSearchOneTerm(b *testing.B) {
 	}
 }
 
+// termScoreRef is a posting's score with every factor computed at the
+// posting, as the scorer did before it computed the df-only factor once per
+// query term. It is the oracle for that hoist.
+func termScoreRef(ix *Index, tf, dl float64, df int, avgdl float64) float64 {
+	n := float64(len(ix.docs))
+	switch ix.scoring {
+	case BM25:
+		const k1, b = 1.2, 0.75
+		idf := math.Log((n - float64(df) + 0.5) / (float64(df) + 0.5))
+		if idf < 0 {
+			idf = 0
+		}
+		denom := tf + k1*(1-b+b*dl/avgdl)
+		return idf * tf * (k1 + 1) / denom
+	default: // InQuery
+		t := tf / (tf + 0.5 + 1.5*dl/avgdl)
+		i := math.Log((n+0.5)/float64(df)) / math.Log(n+1)
+		return 0.4 + 0.6*t*i
+	}
+}
+
+// TestSearchScoredBitsMatchPerPostingScore: computing the df-only factor
+// once per query term leaves every score bit-identical to the per-posting
+// formula, for both scorings, over every document a query of frequent
+// terms (the longest posting lists) touches.
+func TestSearchScoredBitsMatchPerPostingScore(t *testing.T) {
+	docs := corpus.Scaled(corpus.WSJ88(), 0.02).MustGenerate()
+	for _, scoring := range []Scoring{InQuery, BM25} {
+		ix := Build(docs, analysis.Database(), scoring)
+		terms := ix.LanguageModel().TopTerms(langmodel.ByDF, 40)
+		compared := 0
+		for i := 0; i < len(terms); i += 2 {
+			q := strings.Join(terms[i:min(i+3, len(terms))], " ")
+			got, err := ix.SearchScored(q, len(docs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceSearchScored(ix, q, len(docs))
+			if len(got) != len(want) {
+				t.Fatalf("%s q=%q: %d hits, want %d", scoring, q, len(got), len(want))
+			}
+			for j := range want {
+				if got[j].Doc != want[j].Doc || math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+					t.Fatalf("%s q=%q: hit %d = %+v, per-posting formula %+v", scoring, q, j, got[j], want[j])
+				}
+			}
+			compared += len(got)
+		}
+		if compared < 1000 {
+			t.Fatalf("%s: only %d scores compared", scoring, compared)
+		}
+	}
+}
+
 // referenceSearchScored is the pre-densification implementation — a
-// per-query map accumulator followed by a full sort — kept in tests as the
-// oracle the pooled dense accumulator must match bit for bit.
+// per-query map accumulator followed by a full sort, scoring each posting
+// with termScoreRef — kept in tests as the oracle the pooled dense
+// accumulator must match bit for bit.
 func referenceSearchScored(ix *Index, query string, n int) []Hit {
 	if n <= 0 {
 		return nil
@@ -368,7 +425,7 @@ func referenceSearchScored(ix *Index, query string, n int) []Hit {
 		}
 		df := len(plist)
 		for _, p := range plist {
-			scores[p.doc] += ix.termScore(float64(p.tf), float64(ix.docLens[p.doc]), df, avgdl)
+			scores[p.doc] += termScoreRef(ix, float64(p.tf), float64(ix.docLens[p.doc]), df, avgdl)
 		}
 	}
 	if len(scores) == 0 {

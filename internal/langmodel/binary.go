@@ -2,10 +2,12 @@ package langmodel
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary model format. A selection service indexes thousands of databases
@@ -18,7 +20,9 @@ import (
 //	per term, in sorted term order:
 //	  uvarint len(term), term bytes, uvarint df, uvarint ctf
 //
-// Terms are sorted and the whole file is deterministic for a given model.
+// Terms are sorted and the whole file is deterministic for a given model;
+// ReadBinary refuses a file whose terms are not strictly ascending, so the
+// first-seen order a file loads with is the one its re-save writes.
 // It is the one file format for a model: the store, qbsample -out and
 // lmtool all use it.
 
@@ -51,8 +55,7 @@ func (m *Model) WriteBinary(w io.Writer) (int64, error) {
 	if err := writeUvarint(uint64(m.VocabSize())); err != nil {
 		return cw.n, err
 	}
-	terms := m.Vocabulary()
-	for _, t := range terms {
+	for _, t := range m.Vocabulary() {
 		st, _ := m.lookup(t)
 		if err := writeUvarint(uint64(len(t))); err != nil {
 			return cw.n, err
@@ -97,16 +100,16 @@ func ReadBinary(r io.Reader) (*Model, error) {
 	if nterms > maxBinaryTerms {
 		return nil, fmt.Errorf("langmodel: implausible term count %d", nterms)
 	}
-	// Size the vocabulary from the header, but never by more than a corrupt
-	// count could cost: a larger model grows past the hint as it would have
-	// grown from empty.
+	// Size the statistics from the header, but never by more than a corrupt
+	// count could cost: past the hint they grow by doubling, capped at the
+	// count, so an honest file ends at its exact size. Term bytes go into
+	// one buffer, copied into one string at the end, and every term is a
+	// slice of it.
 	hint := int(min(nterms, maxBinaryPresize))
-	m := &Model{
-		terms: make(map[string]TermStats, hint),
-		order: make([]string, 0, hint),
-		docs:  int(docs),
-	}
-	var nameBuf []byte
+	m := &Model{stats: make([]TermStats, 0, hint), docs: int(docs)}
+	ends := make([]int, 0, hint)
+	var text []byte
+	prev := 0 // where the previous term starts in text
 	for i := uint64(0); i < nterms; i++ {
 		l, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -115,13 +118,17 @@ func ReadBinary(r io.Reader) (*Model, error) {
 		if l > 1<<20 {
 			return nil, fmt.Errorf("langmodel: implausible term length %d", l)
 		}
-		if uint64(cap(nameBuf)) < l {
-			nameBuf = make([]byte, l)
-		}
-		nameBuf = nameBuf[:l]
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
+		start := len(text)
+		text = slices.Grow(text, int(l))[:start+int(l)]
+		if _, err := io.ReadFull(br, text[start:]); err != nil {
 			return nil, fmt.Errorf("langmodel: term %d bytes: %w", i, err)
 		}
+		// Strictly ascending, as WriteBinary writes: this also refuses a
+		// duplicate, and makes a re-save reproduce the file's order.
+		if i > 0 && bytes.Compare(text[prev:start], text[start:]) >= 0 {
+			return nil, fmt.Errorf("langmodel: term %d %q does not sort after %q", i, text[start:], text[prev:start])
+		}
+		prev = start
 		df, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("langmodel: term %d df: %w", i, err)
@@ -134,16 +141,23 @@ func ReadBinary(r io.Reader) (*Model, error) {
 		if df > math.MaxInt || ctf > math.MaxInt64 {
 			return nil, fmt.Errorf("langmodel: term %d frequency overflows (df %d, ctf %d)", i, df, ctf)
 		}
-		// One allocation, one map operation per term: a store that does not
-		// grow the map overwrote an earlier copy of the term.
-		term := string(nameBuf)
-		m.terms[term] = TermStats{DF: int(df), CTF: int64(ctf)}
-		if len(m.terms) == len(m.order) {
-			return nil, fmt.Errorf("langmodel: duplicate term %q", term)
+		if len(m.stats) == cap(m.stats) {
+			grown := make([]TermStats, i, i+min(nterms-i, i))
+			copy(grown, m.stats)
+			m.stats = grown
 		}
-		m.order = append(m.order, term)
+		m.stats = append(m.stats, TermStats{DF: int(df), CTF: int64(ctf)})
+		ends = append(ends, len(text))
 		m.totalCTF += int64(ctf)
 	}
+	all := string(text)
+	m.order = make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		m.order[i] = all[start:end]
+		start = end
+	}
+	m.reindex(indexSize(len(m.order)))
 	// What bump would have counted, one mutation per term.
 	m.version = nterms
 	return m, nil

@@ -70,20 +70,38 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBinaryRejectsDuplicateTerms(t *testing.T) {
-	// Handcraft a payload with the same term twice.
-	var buf bytes.Buffer
-	buf.WriteString("QBLM1")
-	buf.WriteByte(1) // docs
-	buf.WriteByte(2) // two terms
-	for i := 0; i < 2; i++ {
-		buf.WriteByte(3) // len
-		buf.WriteString("abc")
-		buf.WriteByte(1) // df
-		buf.WriteByte(1) // ctf
+// qblm1 handcrafts a QBLM1 file of one document holding the given terms in
+// the given order, each with df 1 and ctf 1.
+func qblm1(terms ...string) []byte {
+	buf := append([]byte("QBLM1"), 1, byte(len(terms)))
+	for _, term := range terms {
+		buf = append(buf, byte(len(term)))
+		buf = append(buf, term...)
+		buf = append(buf, 1, 1)
 	}
-	if _, err := ReadBinary(&buf); err == nil {
+	return buf
+}
+
+func TestBinaryRejectsDuplicateTerms(t *testing.T) {
+	if _, err := ReadBinary(bytes.NewReader(qblm1("abc", "abc"))); err == nil {
 		t.Error("duplicate term accepted")
+	}
+}
+
+// TestBinaryRejectsUnsortedTerms: QBLM1 files list terms in ascending
+// order, and the order a file is read in is the model's TermAt order, so a
+// file in any other order would load as a model its own re-save does not
+// reproduce.
+func TestBinaryRejectsUnsortedTerms(t *testing.T) {
+	for _, terms := range [][]string{{"b", "a"}, {"a", "c", "b"}, {"ab", "a"}, {"a", "", "b"}} {
+		if _, err := ReadBinary(bytes.NewReader(qblm1(terms...))); err == nil || !strings.Contains(err.Error(), "does not sort after") {
+			t.Errorf("terms %q: err = %v, want an order error", terms, err)
+		}
+	}
+	for _, terms := range [][]string{{"", "a"}, {"a", "ab", "b"}} {
+		if _, err := ReadBinary(bytes.NewReader(qblm1(terms...))); err != nil {
+			t.Errorf("sorted terms %q refused: %v", terms, err)
+		}
 	}
 }
 
@@ -113,9 +131,9 @@ func TestBinaryForgedCountFailsFast(t *testing.T) {
 
 // ReadBinary builds the model directly instead of through bump; it must
 // leave what bump would have: file order as first-seen order (Fingerprint and
-// every sampler draw read it), one version tick per term, the ctf total, and
-// one string per term. 5000 terms is past maxBinaryPresize, so the map and
-// the order slice also grow beyond their hint here.
+// every sampler draw read it), one version tick per term and the ctf total.
+// 5000 terms is past maxBinaryPresize, so the stats also grow beyond their
+// hint here, and must still end at their exact size.
 func TestBinaryReadMatchesIncrementalBuild(t *testing.T) {
 	const terms = 5000
 	src, want := New(), New()
@@ -148,13 +166,16 @@ func TestBinaryReadMatchesIncrementalBuild(t *testing.T) {
 	if got.version != terms {
 		t.Errorf("version = %d, want one tick per term (%d)", got.version, terms)
 	}
+	if cap(got.order) != terms || cap(got.stats) != terms || len(got.index) != indexSize(terms) {
+		t.Errorf("order cap %d, stats cap %d, index %d slots for %d terms", cap(got.order), cap(got.stats), len(got.index), terms)
+	}
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > terms+64 {
-		t.Errorf("ReadBinary made %.0f allocations for %d terms, want about one per term", allocs, terms)
+	if allocs > 64 {
+		t.Errorf("ReadBinary made %.0f allocations for %d terms, want a few dozen, not one per term", allocs, terms)
 	}
 }
 

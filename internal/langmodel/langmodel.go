@@ -9,16 +9,18 @@
 // from sampled documents).
 //
 // A Model is either *live* (mutable, built by AddDocument/AddTerm)
-// or *frozen* (an immutable snapshot taken with Snapshot). Snapshots are
-// copy-on-write: internally a model may be a small overlay of recent
-// changes on top of a chain of frozen base layers, so taking a snapshot
-// costs O(changes since the last snapshot), not O(vocabulary). All
-// accessors resolve through the chain transparently; mutating a frozen
-// model panics.
+// or *frozen* (an immutable snapshot taken with Snapshot). Both have one
+// storage form, which holds each term once: the terms in first-seen order,
+// their statistics in a parallel slice, and an int32 hash index from term
+// to position. A snapshot copies the statistics and the index and shares
+// the order slice's prefix, which the live model never writes into;
+// mutating a frozen model panics.
 package langmodel
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,28 +44,18 @@ func (t TermStats) AvgTF() float64 {
 	return float64(t.CTF) / float64(t.DF)
 }
 
-// maxSnapshotDepth bounds the copy-on-write layer chain: a snapshot whose
-// chain would exceed this depth is materialized flat instead, so term
-// lookups stay O(maxSnapshotDepth) in the worst case while snapshots
-// remain O(delta) in the common case.
-const maxSnapshotDepth = 8
-
 // Model is a language model: a vocabulary with frequency statistics. The
 // zero value is not usable; call New.
 type Model struct {
-	// terms holds the stats written since the last snapshot cut. For a
-	// flat model (base == nil) it holds the whole vocabulary; otherwise a
-	// term missing here resolves through the base chain.
-	terms map[string]TermStats
-	// base is the frozen layer beneath this model's overlay (nil for flat
-	// models). Base layers are immutable and may be shared by several
-	// snapshots and the live model.
-	base *Model
-	// depth is the number of base layers beneath this one.
-	depth int
+	// order holds the terms in first-seen order (see TermAt) and stats
+	// their statistics, position for position. index finds a term's
+	// position: an open-addressing table over maphash with a power-of-two
+	// size, at most 3/4 full, whose slots hold position+1 (0 is empty).
+	order []string
+	stats []TermStats
+	index []int32
 	// frozen marks an immutable snapshot; mutating it panics.
 	frozen   bool
-	order    []string // terms in first-seen order; see TermAt
 	docs     int
 	totalCTF int64
 
@@ -89,31 +81,87 @@ type Model struct {
 	normValid   bool
 }
 
+// hashSeed keys the term index. Positions, not slots, are what a model
+// exposes, so a per-process seed changes no output.
+var hashSeed = maphash.MakeSeed()
+
 // New returns an empty language model.
 func New() *Model {
-	return &Model{terms: make(map[string]TermStats)}
+	return &Model{}
 }
 
-// lookup resolves a term's stats through the copy-on-write chain.
-func (m *Model) lookup(term string) (TermStats, bool) {
-	for n := m; n != nil; n = n.base {
-		if st, ok := n.terms[term]; ok {
-			return st, true
+// indexSize is the smallest power-of-two table, at least 8 slots, that
+// holds n terms at a load of at most 3/4.
+func indexSize(n int) int {
+	size := 8
+	for 3*size < 4*n {
+		size *= 2
+	}
+	return size
+}
+
+// reindex rebuilds the term index at the given power-of-two size.
+func (m *Model) reindex(size int) {
+	m.index = make([]int32, size)
+	mask := size - 1
+	for i, t := range m.order {
+		s := int(maphash.String(hashSeed, t)) & mask
+		for m.index[s] != 0 {
+			s = (s + 1) & mask
+		}
+		m.index[s] = int32(i + 1)
+	}
+}
+
+// probe returns the term's position and index slot, or -1 and the empty
+// slot it would take.
+func (m *Model) probe(term string) (pos, slot int) {
+	if len(m.index) == 0 {
+		return -1, -1
+	}
+	mask := len(m.index) - 1
+	for s := int(maphash.String(hashSeed, term)) & mask; ; s = (s + 1) & mask {
+		if p := m.index[s]; p == 0 || m.order[p-1] == term {
+			return int(p) - 1, s
 		}
 	}
+}
+
+// lookup returns the term's stats.
+func (m *Model) lookup(term string) (TermStats, bool) {
+	if p, _ := m.probe(term); p >= 0 {
+		return m.stats[p], true
+	}
 	return TermStats{}, false
+}
+
+// intern returns the term's position, appending it with zero stats when
+// it is new: one probe either way. A new term is stored as given, so a
+// caller that must not keep it replaces order[pos] with an equal string.
+func (m *Model) intern(term string) (pos int, fresh bool) {
+	if 4*(len(m.order)+1) > 3*len(m.index) {
+		m.reindex(indexSize(len(m.order) + 1))
+	}
+	p, s := m.probe(term)
+	if p >= 0 {
+		return p, false
+	}
+	m.index[s] = int32(len(m.order) + 1)
+	m.order = append(m.order, term)
+	m.stats = append(m.stats, TermStats{})
+	return len(m.order) - 1, true
 }
 
 // AddDocument folds one document's tokens into the model: df increases by
 // one for each distinct term, ctf by each occurrence. This is the update
 // step 4 of the sampling algorithm (§3). A token costs one hash in a
 // scratch index of the document's distinct terms; a distinct term costs
-// one lookup and one store in the model. Insertion order (and with it
-// every downstream random draw) stays deterministic because new terms are
-// appended in the order the document first shows them. The model keeps no
-// token: the document's new terms are copied into one string, and each is
-// a slice of it, so callers may recycle the slice and let go of the text
-// behind it.
+// one probe of the model's index, which finds it or appends it. Insertion
+// order (and with it every downstream random draw) stays deterministic
+// because new terms are appended in the order the document first shows
+// them. The model keeps no token: the document's new terms are copied into
+// one string, and each is a slice of it, so callers may recycle the slice
+// and let go of the text behind it.
 func (m *Model) AddDocument(tokens []string) {
 	m.mutable()
 	if m.slots == nil {
@@ -129,34 +177,25 @@ func (m *Model) AddDocument(tokens []string) {
 		}
 		m.tf[i]++
 	}
-	// A known term is stored as soon as it is looked up. A new one is
-	// marked by negating its count and waits for the copy it will share.
-	newBytes, fresh := 0, false
+	// New terms are appended as the tokens themselves, then swapped for
+	// slices of one copy of their bytes.
+	first, newBytes := len(m.order), 0
 	for i, t := range m.distinct {
-		st, ok := m.lookup(t)
-		if !ok {
-			m.tf[i] = -m.tf[i]
+		p, fresh := m.intern(t)
+		if fresh {
 			newBytes += len(t)
-			fresh = true
-			continue
 		}
-		st.DF++
-		st.CTF += m.tf[i]
-		m.terms[t] = st
+		m.stats[p].DF++
+		m.stats[p].CTF += m.tf[i]
 	}
-	if fresh {
+	if first < len(m.order) {
 		// Grow makes the copy one allocation; every slice taken of it stays
 		// valid whatever the builder does next, as written bytes never change.
 		var b strings.Builder
 		b.Grow(newBytes)
-		for i, t := range m.distinct {
-			if m.tf[i] > 0 {
-				continue
-			}
-			b.WriteString(t)
-			t = b.String()[b.Len()-len(t):]
-			m.order = append(m.order, t)
-			m.terms[t] = TermStats{DF: 1, CTF: -m.tf[i]}
+		for p := first; p < len(m.order); p++ {
+			b.WriteString(m.order[p])
+			m.order[p] = b.String()[b.Len()-len(m.order[p]):]
 		}
 	}
 	clear(m.slots)
@@ -182,16 +221,12 @@ func (m *Model) mutable() {
 // some model's vocabulary already owns: model strings are never views of a
 // document, so a model derived from another shares them.
 func (m *Model) add(term string, df int, ctf int64, clone bool) {
-	st, ok := m.lookup(term)
-	if !ok {
-		if clone {
-			term = strings.Clone(term)
-		}
-		m.order = append(m.order, term)
+	p, fresh := m.intern(term)
+	if fresh && clone {
+		m.order[p] = strings.Clone(term)
 	}
-	st.DF += df
-	st.CTF += ctf
-	m.terms[term] = st
+	m.stats[p].DF += df
+	m.stats[p].CTF += ctf
 }
 
 // bump is add for one term from outside the package, cloned when new.
@@ -265,63 +300,41 @@ func (m *Model) Vocabulary() []string {
 // Range calls fn for every term in first-seen order until fn returns
 // false.
 func (m *Model) Range(fn func(term string, st TermStats) bool) {
-	for _, t := range m.order {
-		st, _ := m.lookup(t)
-		if !fn(t, st) {
+	for i, t := range m.order {
+		if !fn(t, m.stats[i]) {
 			return
 		}
 	}
 }
 
-// Snapshot returns an immutable view of the model's current state. Unlike
-// Clone it does not copy the vocabulary: the live model's overlay map is
-// frozen in place as a new base layer and the live model continues with a
-// fresh, empty overlay, so the cost is O(terms changed since the last
-// snapshot). The sampler takes one of these every SnapshotEvery documents
-// (§4.4's 50-document metric grid), which used to deep-copy the entire
-// vocabulary each time.
+// Snapshot returns an immutable view of the model's current state: a copy
+// of the stats and the index, and the first-seen order shared as a prefix
+// the live model never writes into. The sampler takes one of these
+// every SnapshotEvery documents (§4.4's 50-document metric grid).
 func (m *Model) Snapshot() *Model {
 	if m.frozen {
 		return m // already immutable
 	}
-	fr := &Model{
-		terms:    m.terms,
-		base:     m.base,
-		depth:    m.depth,
+	n := len(m.order)
+	return &Model{
+		order:    m.order[:n:n],
+		stats:    slices.Clone(m.stats),
+		index:    slices.Clone(m.index),
 		frozen:   true,
-		order:    m.order[:len(m.order):len(m.order)],
 		docs:     m.docs,
 		totalCTF: m.totalCTF,
 	}
-	if fr.depth >= maxSnapshotDepth {
-		fr = fr.flatten()
-		fr.frozen = true
-	}
-	m.base = fr
-	m.depth = fr.depth + 1
-	m.terms = make(map[string]TermStats)
-	return fr
 }
 
-// flatten materializes the chain into a single flat layer. The result is
-// live (not frozen) unless the caller marks it otherwise.
-func (m *Model) flatten() *Model {
-	c := &Model{
-		terms:    make(map[string]TermStats, len(m.order)),
-		order:    append([]string(nil), m.order...),
-		docs:     m.docs,
-		totalCTF: m.totalCTF,
-	}
-	for _, t := range c.order {
-		st, _ := m.lookup(t)
-		c.terms[t] = st
-	}
-	return c
-}
-
-// Clone returns a deep, flat, mutable copy.
+// Clone returns a deep, mutable copy.
 func (m *Model) Clone() *Model {
-	return m.flatten()
+	return &Model{
+		order:    slices.Clone(m.order),
+		stats:    slices.Clone(m.stats),
+		index:    slices.Clone(m.index),
+		docs:     m.docs,
+		totalCTF: m.totalCTF,
+	}
 }
 
 // String summarizes the model for logs.

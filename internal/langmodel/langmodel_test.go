@@ -324,6 +324,13 @@ func TestEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("different models Equal")
 	}
+	// Every round-trip test checks through Equal, so a loader that got the
+	// total wrong would pass them all if Equal did not compare it.
+	c := a.Clone()
+	c.totalCTF++
+	if a.Equal(c) || c.Equal(a) {
+		t.Error("models with different TotalCTF are Equal")
+	}
 }
 
 // sortedStats lists the model's terms with their statistics in term order.
@@ -418,35 +425,28 @@ func TestAddDocumentReusesItsScratch(t *testing.T) {
 	}
 }
 
-var (
-	sinkTerms map[string]TermStats
-	sinkOrder []string
-)
-
 // TestNormalizeBuildsAtFullSize: under an analyzer that rewrites no term,
-// Normalize allocates its output's map and order at their final size and
-// nothing else that grows with the vocabulary — no rehash on the way up.
-// What the runtime spends on a map of n entries is measured beside it and
-// subtracted, so the test does not depend on the map implementation.
+// Normalize allocates its output's order, stats and index at their final
+// size and nothing else that grows with the vocabulary — no regrowth or
+// re-index on the way up — so its allocation count does not depend on n.
 func TestNormalizeBuildsAtFullSize(t *testing.T) {
-	var extra []float64
+	var allocs []float64
 	for _, n := range []int{100, 1000, 10000} {
 		m := New()
 		for i := 0; i < n; i++ {
 			m.AddTerm(fmt.Sprintf("w%d", i), TermStats{DF: 1, CTF: 1})
 		}
-		normalize := testing.AllocsPerRun(5, func() {
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
 			m.version++ // retire the memoized view, so each run rebuilds it
 			m.Normalize(analysis.Raw())
-		})
-		storage := testing.AllocsPerRun(5, func() {
-			sinkTerms = make(map[string]TermStats, n)
-			sinkOrder = make([]string, 0, n)
-		})
-		extra = append(extra, normalize-storage)
+		}))
+		out := m.Normalize(analysis.Raw())
+		if cap(out.order) != n || cap(out.stats) != n || len(out.index) != indexSize(n) {
+			t.Errorf("n=%d: order cap %d, stats cap %d, index %d slots (want %d)", n, cap(out.order), cap(out.stats), len(out.index), indexSize(n))
+		}
 	}
-	if extra[1] != extra[0] || extra[2] != extra[0] {
-		t.Errorf("allocations beyond the output's own storage at 100 / 1000 / 10000 terms: %v, want them equal", extra)
+	if allocs[1] != allocs[0] || allocs[2] != allocs[0] {
+		t.Errorf("Normalize allocations at 100 / 1000 / 10000 terms: %v, want them equal", allocs)
 	}
 }
 

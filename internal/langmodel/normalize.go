@@ -31,16 +31,17 @@ func (m *Model) Normalize(an analysis.Analyzer) *Model {
 	m.normMu.Unlock()
 
 	out := &Model{
-		terms: make(map[string]TermStats, len(m.order)),
 		order: make([]string, 0, len(m.order)),
+		stats: make([]TermStats, 0, len(m.order)),
+		index: make([]int32, indexSize(len(m.order))),
 		docs:  m.docs,
 	}
-	for _, t := range m.order {
+	for i, t := range m.order {
 		nt, ok := an.Term(t)
 		if !ok {
 			continue
 		}
-		st, _ := m.lookup(t)
+		st := m.stats[i]
 		// nt is t, a prefix of t, or a string Porter made: nothing to clone.
 		out.add(nt, st.DF, st.CTF, false)
 		out.totalCTF += st.CTF
@@ -58,9 +59,9 @@ func (m *Model) Normalize(an analysis.Analyzer) *Model {
 func (m *Model) Restrict(other *Model) *Model {
 	out := New()
 	out.docs = m.docs
-	for _, t := range m.order {
+	for i, t := range m.order {
 		if other.Contains(t) {
-			st, _ := m.lookup(t)
+			st := m.stats[i]
 			out.bump(t, st.DF, st.CTF)
 			out.totalCTF += st.CTF
 		}
@@ -77,8 +78,8 @@ func (m *Model) Restrict(other *Model) *Model {
 func (m *Model) Prune(minDF int) *Model {
 	out := New()
 	out.docs = m.docs
-	for _, t := range m.order {
-		st, _ := m.lookup(t)
+	for i, t := range m.order {
+		st := m.stats[i]
 		if st.DF < minDF {
 			continue
 		}

@@ -19,10 +19,10 @@ func (m *Model) DumpTSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Equal reports whether two models have identical statistics (used by
-// round-trip tests).
+// Equal reports whether two models have identical statistics, corpus-level
+// counts included (used by round-trip tests).
 func (m *Model) Equal(other *Model) bool {
-	if m.docs != other.docs || m.VocabSize() != other.VocabSize() {
+	if m.docs != other.docs || m.totalCTF != other.totalCTF || m.VocabSize() != other.VocabSize() {
 		return false
 	}
 	equal := true

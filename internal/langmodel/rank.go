@@ -86,9 +86,8 @@ func (m *Model) ranks(metric RankMetric, dense bool) map[string]float64 {
 		v    float64
 	}
 	items := make([]tv, 0, len(m.order))
-	for _, t := range m.order {
-		st, _ := m.lookup(t)
-		items = append(items, tv{t, metric.value(st)})
+	for i, t := range m.order {
+		items = append(items, tv{t, metric.value(m.stats[i])})
 	}
 	sort.Slice(items, func(i, j int) bool {
 		if items[i].v != items[j].v {

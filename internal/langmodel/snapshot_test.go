@@ -55,18 +55,35 @@ func TestSnapshotMatchesClone(t *testing.T) {
 	}
 }
 
-func TestSnapshotChainFlattens(t *testing.T) {
+// TestSnapshotOwnsStatsAndIndex: however many snapshots came before, a
+// snapshot is one flat layer. Its stats and index are copies the live
+// model never writes to, its order is a prefix of the live order capped at
+// its own length, and its index is a power of two at most 3/4 full that
+// finds every term at its own position.
+func TestSnapshotOwnsStatsAndIndex(t *testing.T) {
 	live := New()
+	var snaps []*Model
 	for doc := 0; doc < 300; doc++ {
 		live.AddDocument(docTokens(doc))
 		if doc%10 == 9 {
-			live.Snapshot()
+			snaps = append(snaps, live.Snapshot())
 		}
 	}
-	// 30 snapshots with maxSnapshotDepth=8 must keep every chain bounded.
-	for n := live; n != nil; n = n.base {
-		if n.depth > maxSnapshotDepth {
-			t.Fatalf("chain depth %d exceeds bound %d", n.depth, maxSnapshotDepth)
+	for i, snap := range snaps {
+		n := len(snap.order)
+		if cap(snap.order) != n || cap(snap.stats) < n || len(snap.stats) != n {
+			t.Fatalf("snapshot %d: order %d/%d, stats %d/%d", i, n, cap(snap.order), len(snap.stats), cap(snap.stats))
+		}
+		if &snap.stats[0] == &live.stats[0] || &snap.index[0] == &live.index[0] {
+			t.Fatalf("snapshot %d shares the live model's stats or index", i)
+		}
+		if size := len(snap.index); size&(size-1) != 0 || 4*n > 3*size {
+			t.Fatalf("snapshot %d: index of %d slots for %d terms", i, size, n)
+		}
+		for p, term := range snap.order {
+			if got, _ := snap.probe(term); got != p || live.order[p] != term {
+				t.Fatalf("snapshot %d: %q at %d, index says %d, live has %q", i, term, p, got, live.order[p])
+			}
 		}
 	}
 }
@@ -182,7 +199,9 @@ func TestNormalizeCached(t *testing.T) {
 	}
 }
 
-func TestNormalizeEquivalentOnChain(t *testing.T) {
+// TestNormalizeEquivalentOnSnapshot: the view a snapshot normalizes to is
+// the live model's and a clone's, term order included.
+func TestNormalizeEquivalentOnSnapshot(t *testing.T) {
 	live := New()
 	for doc := 0; doc < 25; doc++ {
 		live.AddDocument(docTokens(doc))
@@ -191,10 +210,9 @@ func TestNormalizeEquivalentOnChain(t *testing.T) {
 		}
 	}
 	an := analysis.Database()
-	got := live.Normalize(an)
-	want := live.Clone().Normalize(an)
-	if !got.Equal(want) {
-		t.Fatal("normalize over chain differs from normalize over flat clone")
+	got := live.Snapshot().Normalize(an)
+	for _, want := range []*Model{live.Normalize(an), live.Clone().Normalize(an)} {
+		sameFold(t, got, want)
 	}
 }
 
@@ -215,5 +233,60 @@ func TestAddDocumentSinglePassDeterminism(t *testing.T) {
 	}
 	if m.TermAt(3) != "d" {
 		t.Fatal("new term not appended in order")
+	}
+}
+
+// TestSnapshotReadWhileLiveFolds: a snapshot is read from several
+// goroutines while the live model it came from keeps folding documents of
+// known and new terms. Run under -race it shows the live model writes
+// nothing a snapshot reads; in any run the snapshot's content never moves.
+func TestSnapshotReadWhileLiveFolds(t *testing.T) {
+	live := New()
+	for doc := 0; doc < 20; doc++ {
+		live.AddDocument(docTokens(doc))
+	}
+	snap := live.Snapshot()
+	want := snap.Fingerprint()
+	n := snap.VocabSize()
+	done := make(chan struct{})
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for {
+				select {
+				case <-done:
+					errs <- ""
+					return
+				default:
+				}
+				var ctf int64
+				snap.Range(func(term string, st TermStats) bool {
+					ctf += st.CTF
+					return true
+				})
+				for i := 0; i < n; i += 7 {
+					if st, ok := snap.Stats(snap.TermAt(i)); !ok || st.DF == 0 {
+						errs <- fmt.Sprintf("term %d %q lost: %+v", i, snap.TermAt(i), st)
+						return
+					}
+				}
+				if got := snap.Fingerprint(); got != want || ctf != snap.TotalCTF() {
+					errs <- fmt.Sprintf("fingerprint %x, want %x; ctf %d, want %d", got, want, ctf, snap.TotalCTF())
+					return
+				}
+			}
+		}()
+	}
+	for doc := 20; doc < 220; doc++ {
+		live.AddDocument(docTokens(doc)) // head and mid terms known, tail terms new
+	}
+	close(done)
+	for g := 0; g < 4; g++ {
+		if e := <-errs; e != "" {
+			t.Fatal(e)
+		}
+	}
+	if snap.VocabSize() != n || snap.Fingerprint() != want {
+		t.Fatal("the snapshot changed while the live model folded")
 	}
 }
