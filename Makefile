@@ -11,15 +11,15 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Tier-1 benchmark set for the regression gate (see bench-check).
-BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec|EncodeRanking|WireSample|Porter|AddDocument|ReadBinary
+BENCH_PATTERN := SamplerThroughput|SuiteBaselines|Rank100DBs|RankDBs|TokenizeASCII|SearchScored|SnapshotLoad|IncrementalRecompile|RepolintFullRepo|ScatterGather|BatchRank|HTTPRank|WireRoundTrip|WireCodec|EncodeRanking|WireSample|Porter|AddDocument|ReadBinary|IndexBuild
 # Benchmarks that must be present in every recording; benchdiff record
 # fails otherwise, so a renamed/filtered-out rank benchmark cannot
 # silently drop out of the regression gate.
-BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec,EncodeRanking,WireSample,Porter,AddDocument,SamplerThroughput,ReadBinary
+BENCH_REQUIRE := Rank100DBs,RankDBs,SnapshotLoad,IncrementalRecompile,RepolintFullRepo,ScatterGather,BatchRank,HTTPRank,WireRoundTrip,WireCodec,EncodeRanking,WireSample,Porter,AddDocument,SamplerThroughput,ReadBinary,IndexBuild
 # Where they live: the root package, the wire codec's and the HTTP ranking
 # encoder's own (their micro-benchmarks reach unexported encoders), the
-# stemmer's, and the learn step's and model loader's.
-BENCH_PKGS := . ./internal/netsearch ./internal/serving ./internal/analysis ./internal/langmodel
+# stemmer's, the learn step's and model loader's, and the index build's.
+BENCH_PKGS := . ./internal/netsearch ./internal/serving ./internal/analysis ./internal/langmodel ./internal/index
 # Repeated runs per benchmark; benchdiff keeps the median, which is what
 # makes a 25% threshold usable on noisy shared CI machines.
 BENCH_COUNT ?= 5

@@ -150,7 +150,7 @@ func (p Profile) Generate() ([]Document, error) {
 	morphRng := root.Fork(4)
 
 	docs := make([]Document, p.Docs)
-	var b strings.Builder
+	var buf []byte // each text is written here, then copied out at its size
 	for d := 0; d < p.Docs; d++ {
 		// Pick the document's topic by mixture weight.
 		topic := len(p.Topics) - 1
@@ -165,32 +165,32 @@ func (p Profile) Generate() ([]Document, error) {
 		if n < p.MinDocLen {
 			n = p.MinDocLen
 		}
-		draw := func() string {
-			var w string
+		draw := func() token {
+			var t token
 			inflectable := true
 			if docRng.Float64() < p.SharedProb {
 				rank := int(sharedZipf.Uint64())
-				w = shared.word(rank)
+				t.word = shared.word(rank)
 				// Function words (the shared head) do not inflect; "thes"
 				// and "ofing" are not English.
 				inflectable = rank >= len(shared.head)
 			} else {
 				rank := int(topicZipfs[topic].Uint64())
-				w = topicVocabs[topic].word(rank)
+				t.word = topicVocabs[topic].word(rank)
 				// Seeded head words (e.g. product names) do not inflect
 				// either.
 				inflectable = rank >= len(topicVocabs[topic].head)
 			}
 			if inflectable && p.MorphProb > 0 && morphRng.Float64() < p.MorphProb {
-				w += suffixes[morphRng.Intn(len(suffixes))]
+				t.suffix = suffixes[morphRng.Intn(len(suffixes))]
 			}
-			return w
+			return t
 		}
-		b.Reset()
+		buf = buf[:0]
 		if p.Burstiness > 1 {
 			// Two-stage (bursty) generation: pick the document's distinct
 			// word types first, then spread the token budget over them.
-			types := make([]string, 0, n)
+			types := make([]token, 0, n)
 			nTypes := int(float64(n)/p.Burstiness + 0.5)
 			if nTypes < 1 {
 				nTypes = 1
@@ -199,23 +199,17 @@ func (p Profile) Generate() ([]Document, error) {
 				types = append(types, draw())
 			}
 			for i := 0; i < n; i++ {
-				if i > 0 {
-					b.WriteByte(' ')
-				}
-				b.WriteString(types[docRng.Intn(len(types))])
+				buf = types[docRng.Intn(len(types))].appendTo(buf, i)
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if i > 0 {
-					b.WriteByte(' ')
-				}
-				b.WriteString(draw())
+				buf = draw().appendTo(buf, i)
 			}
 		}
 		docs[d] = Document{
 			ID:    d,
 			Title: fmt.Sprintf("%s document %d (%s)", p.Name, d, p.Topics[topic].Name),
-			Text:  b.String(),
+			Text:  string(buf),
 			Topic: topic,
 		}
 	}
@@ -233,6 +227,16 @@ func (p Profile) MustGenerate() []Document {
 }
 
 var suffixes = []string{"s", "ed", "ing", "er", "ation"}
+
+// token is one generated word and its inflectional suffix, if any.
+type token struct{ word, suffix string }
+
+func (t token) appendTo(buf []byte, i int) []byte {
+	if i > 0 {
+		buf = append(buf, ' ')
+	}
+	return append(append(buf, t.word...), t.suffix...)
+}
 
 // vocab maps a frequency rank to a term string. Ranks below len(head) are
 // the given head words (function words for the shared vocabulary, seed words

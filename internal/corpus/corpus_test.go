@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -446,4 +448,67 @@ func TestTRECContainsWSJTopics(t *testing.T) {
 	if shared != len(wsjTopics) {
 		t.Errorf("TREC123 shares %d of WSJ88's %d topics, want all", shared, len(wsjTopics))
 	}
+}
+
+// generatedDigest is an FNV-64a digest over every document's Title and
+// Text, each followed by a zero byte so that no two corpora collide by
+// moving bytes across a boundary.
+func generatedDigest(docs []Document) uint64 {
+	h := fnv.New64a()
+	for _, d := range docs {
+		h.Write([]byte(d.Title))
+		h.Write([]byte{0})
+		h.Write([]byte(d.Text))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
+// TestGenerateGolden pins every generated byte: a change to how documents
+// are written out (buffers, suffix handling) must not move a single one.
+// The bursty profile covers the two-stage path no built-in profile takes.
+func TestGenerateGolden(t *testing.T) {
+	bursty := tiny()
+	bursty.Burstiness = 3
+	cases := []struct {
+		name string
+		p    Profile
+		want uint64
+	}{
+		{"TREC123x0.05", Scaled(TREC123(), 0.05), 0x228d285e390a7c60},
+		{"tiny-bursty", bursty, 0x41d67cf9842fcc0e},
+	}
+	for _, c := range cases {
+		if got := generatedDigest(c.p.MustGenerate()); got != c.want {
+			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestGenerateHeapPerTextByte: the documents Generate returns hold their
+// text at its size, not at the capacity a growing builder left behind.
+func TestGenerateHeapPerTextByte(t *testing.T) {
+	p := CACM()
+	p.Docs = 2000
+	before := liveHeap()
+	docs := p.MustGenerate()
+	grown := liveHeap() - before
+	var text int
+	for _, d := range docs {
+		text += len(d.Title) + len(d.Text)
+	}
+	ratio := float64(grown) / float64(text)
+	t.Logf("%d documents, %d text bytes, %d live heap bytes: %.3f per text byte", len(docs), text, grown, ratio)
+	if ratio >= 1.15 {
+		t.Errorf("live heap is %.3f× the generated text, want < 1.15", ratio)
+	}
+	runtime.KeepAlive(docs)
 }

@@ -1,8 +1,8 @@
-// Package index implements the full-text retrieval substrate: an inverted
-// index with ranked top-N search and document fetch. It plays the role the
-// INQUERY engine played in the paper — the thing each *database* runs, with
-// its own indexing conventions, that the sampler can only reach through
-// "run a query, retrieve documents" (§3).
+// Package index implements the full-text retrieval substrate: an immutable
+// compressed-sparse-row inverted index with ranked top-N search and document
+// fetch. It plays the role the INQUERY engine played in the paper — the
+// thing each *database* runs, with its own indexing conventions, that the
+// sampler can only reach through "run a query, retrieve documents" (§3).
 //
 // Ranking uses the INQUERY belief function (0.4 + 0.6·T·I) by default, with
 // Okapi BM25 as an alternative, so the ranked-result bias that query-based
@@ -43,82 +43,107 @@ func (s Scoring) String() string {
 	return "unknown"
 }
 
-// posting records one document's term frequency for a term.
+// posting is one document's frequency for a term; no pointer for GC to scan.
 type posting struct {
 	doc int32
 	tf  int32
 }
 
-// Index is an inverted index over a set of documents. Build it with Add or
-// Build; after that it is safe for concurrent readers. It is not safe to
-// Add concurrently with reads.
+// Index is an immutable inverted index in compressed-sparse-row form: term
+// t's row r = rows[t] holds postings[offsets[r]:offsets[r+1]], documents
+// ascending, and ctf[r]. It is safe for concurrent readers.
 type Index struct {
 	analyzer analysis.Analyzer
 	scoring  Scoring
 	docs     []corpus.Document
-	postings map[string][]posting
-	ctf      map[string]int64
+	rows     map[string]int32
+	offsets  []int
+	postings []posting
+	ctf      []int64
 	docLens  []int32
 	totalLen int64
 }
 
-// New returns an empty index that analyzes documents with an and ranks
-// results with the given scoring function.
-func New(an analysis.Analyzer, scoring Scoring) *Index {
-	return &Index{
+// Build indexes docs in one pass. Document ids are positions in docs: the
+// ids Search returns and Fetch accepts.
+func Build(docs []corpus.Document, an analysis.Analyzer, scoring Scoring) *Index {
+	ix := &Index{
 		analyzer: an,
 		scoring:  scoring,
-		postings: make(map[string][]posting),
-		ctf:      make(map[string]int64),
+		docs:     slices.Clone(docs),
+		rows:     make(map[string]int32),
+		docLens:  make([]int32, len(docs)),
 	}
-}
-
-// Build indexes all documents with the given analyzer.
-func Build(docs []corpus.Document, an analysis.Analyzer, scoring Scoring) *Index {
-	ix := New(an, scoring)
-	for _, d := range docs {
-		ix.Add(d)
+	// A run of equal rows in a document's sorted term rows is one posting.
+	type run struct{ row, doc, tf int32 }
+	var runs []run
+	var tokens []string
+	var ids []int32
+	for d := range ix.docs {
+		// Tokens are mostly slices of the text (analysis.Porter); a term's
+		// first stays as its key in rows, pinning text kept for Fetch anyway.
+		tokens = an.AppendTokens(tokens[:0], ix.docs[d].Text)
+		ids = ids[:0]
+		for _, t := range tokens {
+			r, ok := ix.rows[t]
+			if !ok {
+				r = int32(len(ix.ctf))
+				ix.rows[t], ix.ctf = r, append(ix.ctf, 0)
+			}
+			ix.ctf[r]++
+			ids = append(ids, r)
+		}
+		slices.Sort(ids)
+		for i, r := range ids {
+			if i == 0 || r != ids[i-1] {
+				runs = append(runs, run{row: r, doc: int32(d)})
+			}
+			runs[len(runs)-1].tf++
+		}
+		ix.docLens[d] = int32(len(tokens))
+		ix.totalLen += int64(len(tokens))
+	}
+	// Counting sort by row; runs come in document order, as rows list them.
+	ix.offsets = make([]int, len(ix.ctf)+1)
+	for _, r := range runs {
+		ix.offsets[r.row+1]++
+	}
+	for r := range ix.ctf {
+		ix.offsets[r+1] += ix.offsets[r]
+	}
+	next := slices.Clone(ix.offsets)
+	ix.postings = make([]posting, len(runs))
+	for _, r := range runs {
+		ix.postings[next[r.row]] = posting{doc: r.doc, tf: r.tf}
+		next[r.row]++
 	}
 	return ix
 }
 
-// Add indexes one document. Internal document ids are assigned sequentially
-// in insertion order and are the ids Search returns and Fetch accepts.
-func (ix *Index) Add(doc corpus.Document) {
-	id := int32(len(ix.docs))
-	ix.docs = append(ix.docs, doc)
-	// The tokens, stems included, are mostly slices of doc.Text (see
-	// analysis.Porter), and the first document to use a term leaves its
-	// slice behind as the key of postings and ctf. No clone: the text a key
-	// pins is one ix.docs keeps for Fetch anyway.
-	tokens := ix.analyzer.Tokens(doc.Text)
-	tf := make(map[string]int32, len(tokens))
-	for _, t := range tokens {
-		tf[t]++
-		ix.ctf[t]++
+// row returns a term's postings and ctf; nil and 0 if it is not indexed.
+func (ix *Index) row(term string) ([]posting, int64) {
+	r, ok := ix.rows[term]
+	if !ok {
+		return nil, 0
 	}
-	for t, n := range tf {
-		ix.postings[t] = append(ix.postings[t], posting{doc: id, tf: n})
-	}
-	ix.docLens = append(ix.docLens, int32(len(tokens)))
-	ix.totalLen += int64(len(tokens))
+	return ix.postings[ix.offsets[r]:ix.offsets[r+1]], ix.ctf[r]
 }
 
 // NumDocs returns the number of indexed documents.
 func (ix *Index) NumDocs() int { return len(ix.docs) }
 
 // VocabSize returns the number of distinct index terms.
-func (ix *Index) VocabSize() int { return len(ix.postings) }
+func (ix *Index) VocabSize() int { return len(ix.ctf) }
 
 // TotalTerms returns the total number of term occurrences indexed.
 func (ix *Index) TotalTerms() int64 { return ix.totalLen }
 
 // DF returns the document frequency of an index term (0 if absent). The
 // term must already be in the index's own vocabulary (i.e. analyzed).
-func (ix *Index) DF(term string) int { return len(ix.postings[term]) }
+func (ix *Index) DF(term string) int { p, _ := ix.row(term); return len(p) }
 
 // CTF returns the collection term frequency of an index term.
-func (ix *Index) CTF(term string) int64 { return ix.ctf[term] }
+func (ix *Index) CTF(term string) int64 { _, ctf := ix.row(term); return ctf }
 
 // Analyzer returns the indexing pipeline, so experiments can normalize
 // learned vocabularies to this database's conventions (§4.1).
@@ -216,8 +241,8 @@ func (ix *Index) SearchScored(query string, n int) ([]Hit, error) {
 	}
 	avgdl := ix.avgDocLen()
 	for _, t := range scr.terms {
-		plist, ok := ix.postings[t]
-		if !ok {
+		plist, _ := ix.row(t)
+		if len(plist) == 0 {
 			continue
 		}
 		w := ix.termWeight(len(plist))
@@ -364,11 +389,12 @@ func (ix *Index) TotalHits(query string) (int, error) {
 		return 0, nil
 	}
 	if len(terms) == 1 {
-		return len(ix.postings[terms[0]]), nil
+		return ix.DF(terms[0]), nil
 	}
 	docs := make(map[int32]struct{})
 	for _, t := range terms {
-		for _, p := range ix.postings[t] {
+		plist, _ := ix.row(t)
+		for _, p := range plist {
 			docs[p.doc] = struct{}{}
 		}
 	}
@@ -391,14 +417,14 @@ func (ix *Index) Fetch(id int) (corpus.Document, error) {
 // positional term order feeds the sampler's query selector, so building the
 // same index twice must yield models with identical draws.
 func (ix *Index) LanguageModel() *langmodel.Model {
-	terms := make([]string, 0, len(ix.postings))
-	for t := range ix.postings {
+	terms := make([]string, 0, len(ix.rows))
+	for t := range ix.rows {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
 	m := langmodel.New()
 	for _, t := range terms {
-		m.AddTerm(t, langmodel.TermStats{DF: len(ix.postings[t]), CTF: ix.ctf[t]})
+		m.AddTerm(t, langmodel.TermStats{DF: ix.DF(t), CTF: ix.CTF(t)})
 	}
 	m.SetDocs(len(ix.docs))
 	return m

@@ -2,6 +2,8 @@ package index
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,14 +19,14 @@ func doc(id int, text string) corpus.Document {
 }
 
 func buildTest(texts ...string) *Index {
-	ix := New(analysis.Raw(), InQuery)
+	docs := make([]corpus.Document, len(texts))
 	for i, t := range texts {
-		ix.Add(doc(i, t))
+		docs[i] = doc(i, t)
 	}
-	return ix
+	return Build(docs, analysis.Raw(), InQuery)
 }
 
-func TestAddAndStats(t *testing.T) {
+func TestBuildAndStats(t *testing.T) {
 	ix := buildTest("apple apple bear", "apple cat")
 	if ix.NumDocs() != 2 {
 		t.Errorf("NumDocs = %d", ix.NumDocs())
@@ -325,15 +327,14 @@ func TestScoringString(t *testing.T) {
 	}
 }
 
-func BenchmarkIndexAdd(b *testing.B) {
+var buildSink *Index
+
+func BenchmarkIndexBuild(b *testing.B) {
 	docs := corpus.Scaled(corpus.CACM(), 0.05).MustGenerate()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := New(analysis.Database(), InQuery)
-		for _, d := range docs {
-			ix.Add(d)
-		}
+		buildSink = Build(docs, analysis.Database(), InQuery)
 	}
 }
 
@@ -419,8 +420,8 @@ func referenceSearchScored(ix *Index, query string, n int) []Hit {
 	scores := make(map[int32]float64)
 	avgdl := ix.avgDocLen()
 	for _, t := range terms {
-		plist, ok := ix.postings[t]
-		if !ok {
+		plist, _ := ix.row(t)
+		if plist == nil {
 			continue
 		}
 		df := len(plist)
@@ -512,5 +513,141 @@ func TestSearchScoredScratchReuse(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refIndex is the map-based index Build replaced: a posting list and a ctf
+// per term, grown one document at a time.
+type refIndex struct {
+	postings map[string][]posting
+	ctf      map[string]int64
+	docLens  []int32
+	totalLen int64
+}
+
+// referenceBuild indexes docs the way the map-based Add did, one document
+// at a time with a per-document tf map. It is the oracle for Build.
+func referenceBuild(docs []corpus.Document, an analysis.Analyzer) *refIndex {
+	ref := &refIndex{postings: make(map[string][]posting), ctf: make(map[string]int64)}
+	for id, d := range docs {
+		tokens := an.Tokens(d.Text)
+		tf := make(map[string]int32, len(tokens))
+		for _, t := range tokens {
+			tf[t]++
+			ref.ctf[t]++
+		}
+		for t, n := range tf {
+			ref.postings[t] = append(ref.postings[t], posting{doc: int32(id), tf: n})
+		}
+		ref.docLens = append(ref.docLens, int32(len(tokens)))
+		ref.totalLen += int64(len(tokens))
+	}
+	return ref
+}
+
+// languageModel is LanguageModel over the reference index.
+func (ref *refIndex) languageModel(nDocs int) *langmodel.Model {
+	terms := make([]string, 0, len(ref.postings))
+	for t := range ref.postings {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	m := langmodel.New()
+	for _, t := range terms {
+		m.AddTerm(t, langmodel.TermStats{DF: len(ref.postings[t]), CTF: ref.ctf[t]})
+	}
+	m.SetDocs(nDocs)
+	return m
+}
+
+// TestBuildMatchesReference: the one-pass CSR build holds exactly what the
+// map-based builder held — every term's df, ctf and posting row in order,
+// document lengths, totals and the actual model's fingerprint — over a
+// generated corpus under both analyzers and over the edge cases.
+func TestBuildMatchesReference(t *testing.T) {
+	wsj := corpus.Scaled(corpus.WSJ88(), 0.02).MustGenerate()
+	cases := []struct {
+		name string
+		docs []corpus.Document
+	}{
+		{"wsj88", wsj},
+		{"empty", nil},
+		{"edges", []corpus.Document{doc(0, "apple apple bear"), doc(1, ""), doc(2, "the of and the"), doc(3, "bear apple")}},
+	}
+	for _, c := range cases {
+		for _, an := range []struct {
+			name string
+			an   analysis.Analyzer
+		}{{"database", analysis.Database()}, {"raw", analysis.Raw()}} {
+			ix := Build(c.docs, an.an, InQuery)
+			ref := referenceBuild(c.docs, an.an)
+			name := c.name + "/" + an.name
+			if ix.NumDocs() != len(c.docs) || ix.TotalTerms() != ref.totalLen {
+				t.Errorf("%s: NumDocs %d TotalTerms %d, want %d %d", name, ix.NumDocs(), ix.TotalTerms(), len(c.docs), ref.totalLen)
+			}
+			if ix.VocabSize() != len(ref.postings) {
+				t.Errorf("%s: VocabSize %d, want %d", name, ix.VocabSize(), len(ref.postings))
+			}
+			if !slices.Equal(ix.docLens, ref.docLens) {
+				t.Errorf("%s: document lengths differ", name)
+			}
+			for term, want := range ref.postings {
+				row, ctf := ix.row(term)
+				if !slices.Equal(row, want) || ix.DF(term) != len(want) || ctf != ref.ctf[term] || ix.CTF(term) != ctf {
+					t.Fatalf("%s: term %q: df %d ctf %d row %v, want %d %d %v",
+						name, term, ix.DF(term), ix.CTF(term), row, len(want), ref.ctf[term], want)
+				}
+			}
+			if got, want := ix.LanguageModel().Fingerprint(), ref.languageModel(len(c.docs)).Fingerprint(); got != want {
+				t.Errorf("%s: model fingerprint %#x, want %#x", name, got, want)
+			}
+		}
+	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestBuildBytesPerPosting: an index costs little more than its postings'
+// 8-byte payload. The map of per-term posting slices it replaced cost
+// about 25 B a posting.
+func TestBuildBytesPerPosting(t *testing.T) {
+	p := corpus.CACM()
+	p.Docs = 2000
+	docs := p.MustGenerate()
+	before := liveHeap()
+	ix := Build(docs, analysis.Database(), InQuery)
+	grown := liveHeap() - before
+	lm := ix.LanguageModel()
+	postings := 0
+	lm.Range(func(_ string, st langmodel.TermStats) bool {
+		postings += st.DF
+		return true
+	})
+	perPosting := float64(grown) / float64(postings)
+	t.Logf("%d terms, %d postings, %d live heap bytes: %.1f B a posting", lm.VocabSize(), postings, grown, perPosting)
+	if perPosting >= 18 {
+		t.Errorf("index holds %.1f B a posting, want < 18", perPosting)
+	}
+}
+
+// TestSearchScoredAllocations: with a warm scratch pool, a ranked search
+// allocates once, for the slice it returns.
+func TestSearchScoredAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the scratch pool drops entries under -race")
+	}
+	ix := Build(corpus.Scaled(corpus.CACM(), 0.1).MustGenerate(), analysis.Database(), InQuery)
+	q := strings.Join(ix.LanguageModel().TopTerms(langmodel.ByDF, 3), " ")
+	if hits, err := ix.SearchScored(q, 10); err != nil || len(hits) != 10 {
+		t.Fatalf("SearchScored(%q) = %d hits, %v", q, len(hits), err)
+	}
+	if n := testing.AllocsPerRun(100, func() { ix.SearchScored(q, 10) }); n != 1 {
+		t.Errorf("SearchScored allocates %v times a query, want 1", n)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/faulty"
 	"repro/internal/index"
@@ -218,4 +219,37 @@ func docIDs(docs []corpus.Document) []int {
 		ids[i] = d.ID
 	}
 	return ids
+}
+
+// oneFetchEach exposes only core.Database, hiding the client's FetchAll, so
+// the sampler fetches a probe's documents one Fetch per id.
+type oneFetchEach struct{ db core.Database }
+
+func (o oneFetchEach) Search(query string, n int) ([]int, error) { return o.db.Search(query, n) }
+func (o oneFetchEach) Fetch(id int) (corpus.Document, error)     { return o.db.Fetch(id) }
+
+// TestSampleSameModelWithOrWithoutFetchAll: how a probe's documents arrive,
+// in one fetch group or one fetch each, does not move the learned model.
+func TestSampleSameModelWithOrWithoutFetchAll(t *testing.T) {
+	ix := index.Build(corpus.Scaled(corpus.WSJ88(), 0.02).MustGenerate(), analysis.Database(), index.InQuery)
+	cfg := core.Config{DocsPerQuery: 4, Selector: core.RandomLLM{}, Stop: core.StopAfterDocs(120), Seed: 7}
+	var _ core.BatchFetcher = (*Client)(nil)
+	learned := make([]uint64, 2)
+	for i, wrap := range []func(*Client) core.Database{
+		func(c *Client) core.Database { return c },
+		func(c *Client) core.Database { return oneFetchEach{c} },
+	} {
+		c, _, _ := countedPipe(t, ix, Options{})
+		res, err := core.Sample(wrap(c), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Docs < 120 {
+			t.Fatalf("sampled %d documents, want at least 120", res.Docs)
+		}
+		learned[i] = res.Learned.Fingerprint()
+	}
+	if learned[0] != learned[1] {
+		t.Errorf("learned model %#x through FetchAll, %#x one Fetch per id", learned[0], learned[1])
+	}
 }
