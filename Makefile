@@ -35,8 +35,8 @@ COVER_FLOOR ?= 88.6
 LINT_IGNORE_CEIL ?= 11
 
 .PHONY: all build test race bench bench-all bench-check bench-baseline \
-	bench-pairs experiments-check cover vet lint lint-sarif lint-ratchet \
-	chaos fuzz-smoke ci clean
+	bench-pairs experiments-check cover vet fmt-check lint lint-sarif \
+	lint-ratchet chaos fuzz-smoke ci clean
 
 all: build test
 
@@ -107,6 +107,14 @@ cover:
 vet:
 	$(GO) vet ./...
 
+# Every tracked Go file is gofmt-clean, except the lint fixtures under
+# testdata, which keep whatever layout their findings need. gofmt is the
+# toolchain's own, so the gate formats as the go in use does.
+fmt-check:
+	@out=$$(git ls-files -- '*.go' ':!*/testdata/*' | xargs "$$($(GO) env GOROOT)/bin/gofmt" -l); \
+	if [ -n "$$out" ]; then echo "FAIL: not gofmt-clean:"; echo "$$out"; exit 1; fi; \
+	echo "gofmt clean"
+
 # repolint enforces the determinism invariants (randomness via
 # internal/randx, no wall clock on golden paths, no map-order leaks,
 # fan-out through internal/parallel) plus two dataflow proofs (hotpath
@@ -160,7 +168,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serving -run xxx -fuzz '^FuzzEncodeRanking$$' -fuzztime=$(FUZZTIME)
 
 # The full local gate: everything CI runs, in the same order.
-ci: build vet lint test race chaos fuzz-smoke cover experiments-check bench-check
+ci: build vet fmt-check lint test race chaos fuzz-smoke cover experiments-check bench-check
 
 clean:
 	$(GO) clean ./...

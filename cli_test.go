@@ -18,6 +18,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/langmodel"
+	"repro/internal/selection"
 )
 
 // The CLI integration tests build the real binaries once and drive them
@@ -113,6 +114,59 @@ func TestCLIQbsampleAndLmtool(t *testing.T) {
 	stdout, _ = runCLI(t, "lmtool", "dump", path)
 	if !strings.HasPrefix(stdout, "# docs=") {
 		t.Errorf("lmtool dump output:\n%s", stdout)
+	}
+}
+
+// TestCLILmtoolSnapshot drives `lmtool snapshot` over a file written by
+// selection.EncodeSnapshot: a clean file prints its header and section
+// table and exits 0; one flipped payload byte is reported as CORRUPT with a
+// nonzero exit.
+func TestCLILmtoolSnapshot(t *testing.T) {
+	models := make([]*langmodel.Model, 2)
+	for i := range models {
+		models[i] = langmodel.New()
+		models[i].AddDocument([]string{"shared", "term", strings.Repeat("x", i+1)})
+	}
+	data, err := selection.EncodeSnapshot(&selection.Snapshot{
+		Epoch: 7, Names: []string{"a", "b"}, Compiled: selection.Compile(models),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snapshot.qbsnap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stdout, _ := runCLI(t, "lmtool", "snapshot", path)
+	for _, want := range []string{"version:     2\n", "epoch:       7\n", "databases:   2\n", "snapshot decodes cleanly"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("lmtool snapshot lacks %q:\n%s", want, stdout)
+		}
+	}
+	var sections []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "  ") {
+			sections = append(sections, strings.Fields(line)[0])
+		}
+	}
+	if got, want := strings.Join(sections, " "), "names dict docs cw poststart postdb postdf"; got != want {
+		t.Errorf("sections %q, want %q", got, want)
+	}
+
+	// The last byte of the file is the last postdf payload byte (postdf is
+	// f64s, so it has no padding after it).
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "lmtool"), "snapshot", path)
+	out, err := cmd.Output()
+	if code := cmd.ProcessState.ExitCode(); err == nil || code == 0 {
+		t.Fatalf("corrupt snapshot: exit status %d (%v), want nonzero", code, err)
+	}
+	if !strings.Contains(string(out), "postdf") || !strings.Contains(string(out), "CORRUPT") {
+		t.Errorf("corrupt snapshot output lacks a CORRUPT postdf line:\n%s", out)
 	}
 }
 

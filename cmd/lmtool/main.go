@@ -183,7 +183,6 @@ func runSnapshot(args []string) error {
 	fmt.Printf("databases:   %d\n", info.DBs)
 	fmt.Printf("terms:       %d\n", info.Terms)
 	fmt.Printf("postings:    %d\n", info.Postings)
-	fmt.Printf("avg cw:      %.2f\n", info.AvgCW)
 	fmt.Printf("sections:\n")
 	bad := 0
 	for _, s := range info.Sections {

@@ -152,9 +152,9 @@ func FederatedRetrieval(numDBs, docsEach, sampleDocs, nQueries, selectK int, see
 				dbScores = append(dbScores, scores[dbi])
 			}
 			merged, err := selection.MergeWeighted(perDB, dbScores, 10)
-		if err != nil {
-			return 0, err
-		}
+			if err != nil {
+				return 0, err
+			}
 			rel := 0
 			for _, h := range merged {
 				if relevant(h.Doc/docsEach, h.Doc%docsEach) {

@@ -10,9 +10,13 @@ package selection
 //     query is resolved to integer term ids once and scored by id;
 //   - per-term document frequencies live in a CSR postings layout
 //     (term id -> sorted (database, df) pairs) instead of per-model hash
-//     maps;
-//   - the CORI collection statistics that are query-independent (avg_cw,
-//     the per-term icf log factor) are computed at compile time.
+//     maps.
+//
+// CORI's federation statistics are derived at scoring time from counts the
+// layout already holds, and stored nowhere: a term's cf is its row's
+// posting count, so its I component (rowIDF) costs one log per query term,
+// and avg_cw comes from the exact integer sum of the cw column (avgCW).
+// The map scorer calls the same two functions.
 //
 // Scoring never allocates: callers pass in the id, score and ranking
 // buffers, which a serving layer recycles through a sync.Pool.
@@ -26,23 +30,20 @@ package selection
 // and "almost the same" would break ranking golden tests on ties.
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/langmodel"
 )
 
 // csr is a posting table in compressed-sparse-row form: row r's (database,
-// df) pairs sit in db/df[start[r]:start[r+1]], databases ascending, and
-// idf[r] is the row's CORI I component (the precomputed icf log factor).
+// df) pairs sit in db/df[start[r]:start[r+1]], databases ascending.
 type csr struct {
 	start []int32
 	db    []int32
 	df    []float64
-	idf   []float64
 }
 
-func (p *csr) rows() int { return len(p.idf) }
+func (p *csr) rows() int { return len(p.start) - 1 }
 
 // newCSR returns an empty table with room for rows rows and postings
 // postings; a row is written by appending its postings to db/df and then
@@ -52,13 +53,11 @@ func newCSR(rows, postings int) *csr {
 		start: make([]int32, 1, rows+1),
 		db:    make([]int32, 0, postings),
 		df:    make([]float64, 0, postings),
-		idf:   make([]float64, 0, rows),
 	}
 }
 
 // endRow closes the row whose postings were just appended to p.db/p.df.
-func (p *csr) endRow(idf float64) {
-	p.idf = append(p.idf, idf)
+func (p *csr) endRow() {
 	p.start = append(p.start, int32(len(p.db)))
 }
 
@@ -83,8 +82,7 @@ type Compiled struct {
 	extra   []string
 	docs    []float64 // per-database document counts
 	cw      []float64 // per-database collection sizes (total ctf)
-
-	avgCW float64 // mean collection size, the CORI cw normalizer
+	sumCW   int64     // exact sum of cw, from which avgCW derives CORI's normalizer
 
 	base      *csr    // rows by term id
 	ovr       []int32 // term id -> delta row, -1 if not overridden; nil without a delta
@@ -120,6 +118,7 @@ func Compile(models []*langmodel.Model) *Compiled {
 	for i, m := range models {
 		c.docs[i] = float64(m.Docs())
 		c.cw[i] = float64(m.TotalCTF())
+		c.sumCW += m.TotalCTF()
 		for j, v := 0, m.VocabSize(); j < v; j++ {
 			t := m.TermAt(j)
 			id, ok := c.ids[t]
@@ -134,22 +133,14 @@ func Compile(models []*langmodel.Model) *Compiled {
 		}
 	}
 
-	c.avgCW = meanCW(c.cw)
-
-	// The counts give every row its place. Per-term CORI I component: cf is
-	// the number of databases whose model contains the term — the posting
-	// count, never zero for interned terms. Query terms outside the
-	// dictionary score with idf 0, exactly as the map-based path treats a
-	// term no model contains.
+	// The counts give every row its place.
 	base := &csr{
 		start: make([]int32, len(count)+1),
 		db:    make([]int32, postings),
 		df:    make([]float64, postings),
-		idf:   make([]float64, len(count)),
 	}
 	for id, cf := range count {
 		base.start[id+1] = base.start[id] + cf
-		base.idf[id] = rowIDF(n, int(cf))
 	}
 
 	// Pass two walks the models in the same order and drops each posting at
@@ -171,33 +162,6 @@ func Compile(models []*langmodel.Model) *Compiled {
 	}
 	c.base, c.postings = base, postings
 	return c
-}
-
-// meanCW is avg_cw, mirroring CORI.Scores: sum in database order, divide,
-// floor at 1. Patch re-sums through here rather than adjusting the old mean
-// arithmetically (IEEE addition is not associative).
-func meanCW(cw []float64) float64 {
-	var avg float64
-	for _, w := range cw {
-		avg += w
-	}
-	if len(cw) > 0 {
-		avg /= float64(len(cw))
-	}
-	if avg == 0 {
-		avg = 1
-	}
-	return avg
-}
-
-// rowIDF is the CORI I component of a term held by cf of n databases. A
-// term with no postings left gets 0, which scores identically to a term
-// outside the dictionary.
-func rowIDF(n, cf int) float64 {
-	if cf == 0 {
-		return 0
-	}
-	return math.Log((float64(n)+0.5)/float64(cf)) / math.Log(float64(n)+1.0)
 }
 
 // NumDBs returns the number of compiled databases.
@@ -231,12 +195,12 @@ func (c *Compiled) ID(term string) (int32, bool) {
 	return id, ok
 }
 
-// row returns term id's posting row and idf: the delta's copy if a patch
-// overrode the row, else the base's. Scorers and the encoder call it once
-// per query term, never per posting.
+// row returns term id's posting row: the delta's copy if a patch overrode
+// the row, else the base's. Scorers call it once per query term, never per
+// posting.
 //
 //lint:hotpath
-func (c *Compiled) row(id int32) (dbs []int32, dfs []float64, idf float64) {
+func (c *Compiled) row(id int32) (dbs []int32, dfs []float64) {
 	p, r := c.base, id
 	if c.ovr != nil {
 		if d := c.ovr[id]; d >= 0 {
@@ -244,7 +208,7 @@ func (c *Compiled) row(id int32) (dbs []int32, dfs []float64, idf float64) {
 		}
 	}
 	lo, hi := p.start[r], p.start[r+1]
-	return p.db[lo:hi], p.df[lo:hi], p.idf[r]
+	return p.db[lo:hi], p.df[lo:hi]
 }
 
 // AppendIDs resolves terms to interned ids, appending one id per term to
@@ -286,9 +250,10 @@ func (c *Compiled) ScoreInto(alg Algorithm, ids []int32, scores []float64) bool 
 // scoreCORI mirrors CORI.Scores. Per query term the belief added to a
 // database without the term is exactly B (the T component is zero), so
 // only posting databases evaluate the full belief expression; every other
-// database adds the constant. Accumulation stays query-term major with one
-// addition per (term, database), so the float64 stream per database is
-// identical to the map-based loop's.
+// database adds the constant. The term's cf is its row's length, so its I
+// component is computed once per query term. Accumulation stays query-term
+// major with one addition per (term, database), so the float64 stream per
+// database is identical to the map-based loop's.
 func (c *Compiled) scoreCORI(co CORI, ids []int32, scores []float64) {
 	b, k0, k1 := co.B, co.K0, co.K1
 	if b == 0 {
@@ -307,6 +272,7 @@ func (c *Compiled) scoreCORI(co CORI, ids []int32, scores []float64) {
 	if n == 0 || len(ids) == 0 {
 		return
 	}
+	avg := avgCW(c.sumCW, n)
 	for _, id := range ids {
 		if id < 0 {
 			// Unknown term: cf = 0, idf = 0, belief = B everywhere.
@@ -315,14 +281,15 @@ func (c *Compiled) scoreCORI(co CORI, ids []int32, scores []float64) {
 			}
 			continue
 		}
-		dbs, dfs, idf := c.row(id)
+		dbs, dfs := c.row(id)
+		idf := rowIDF(n, len(dbs))
 		i := 0
 		for pos, db := range dbs {
 			for ; i < int(db); i++ {
 				scores[i] += b
 			}
 			df := dfs[pos]
-			tcomp := df / (df + k0 + k1*c.cw[db]/c.avgCW)
+			tcomp := df / (df + k0 + k1*c.cw[db]/avg)
 			scores[db] += b + (1-b)*tcomp*idf
 			i = int(db) + 1
 		}
@@ -356,7 +323,7 @@ func (c *Compiled) scoreGloss(g Gloss, ids []int32, scores []float64) {
 				dfs []float64
 			)
 			if id >= 0 {
-				dbs, dfs, _ = c.row(id)
+				dbs, dfs = c.row(id)
 			}
 			pos := 0
 			next := int32(-1)
@@ -393,7 +360,7 @@ func (c *Compiled) scoreGloss(g Gloss, ids []int32, scores []float64) {
 		if id < 0 {
 			continue
 		}
-		dbs, dfs, _ := c.row(id)
+		dbs, dfs := c.row(id)
 		for pos, i := range dbs {
 			docs := c.docs[i]
 			if docs == 0 {

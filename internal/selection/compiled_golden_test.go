@@ -40,11 +40,11 @@ func TestCompiledGoldenCACM(t *testing.T) {
 	queries := [][]string{
 		{"the"},
 		{"the", "of", "and"},
-		{"algorithm"},                         // topical content term (if present)
-		{"the", "zzz-not-in-any-vocabulary"},  // known + unknown mix
-		{"zzz-not-in-any-vocabulary"},         // fully out of vocabulary
-		{"the", "the", "of"},                  // repeated terms
-		{"computing0001", "computing0002"},    // synthetic topic terms
+		{"algorithm"},                        // topical content term (if present)
+		{"the", "zzz-not-in-any-vocabulary"}, // known + unknown mix
+		{"zzz-not-in-any-vocabulary"},        // fully out of vocabulary
+		{"the", "the", "of"},                 // repeated terms
+		{"computing0001", "computing0002"},   // synthetic topic terms
 	}
 	// Add a handful of real vocabulary terms drawn from the first model so
 	// the golden queries always include in-vocabulary content terms no
@@ -58,7 +58,7 @@ func TestCompiledGoldenCACM(t *testing.T) {
 
 	algorithms := []Algorithm{
 		CORI{},
-		Gloss{Estimator: GlossSum},                 // GlOSS(0.0)
+		Gloss{Estimator: GlossSum}, // GlOSS(0.0)
 		Gloss{Estimator: GlossSum, Threshold: 0.2}, // GlOSS(0.2)
 		Gloss{Estimator: GlossInd},
 		Gloss{Estimator: GlossInd, Threshold: 0.2},
@@ -112,7 +112,7 @@ func TestCompiledGoldenCACMStats(t *testing.T) {
 			t.Fatalf("term %q missing from dictionary", term)
 		}
 		found := false
-		dbs, dfs, _ := c.row(id)
+		dbs, dfs := c.row(id)
 		for pos, db := range dbs {
 			if db == 3 {
 				if dfs[pos] != float64(st.DF) {

@@ -8,12 +8,12 @@ package selection
 // the changed databases touch, into a small delta table laid over the base
 // table it shares by pointer with the snapshot it patches: each touched
 // row (read from the base, or from the previous delta if an earlier patch
-// already overrode it) is merged with its edits and its CORI idf
-// recomputed; the previous delta's other rows are carried forward in
-// bulk-copied runs; and the term id -> delta row index is the only array
-// of vocabulary size that is written. A single-database patch of a large
-// federation therefore costs what the changed models and the accumulated
-// delta cost, not what the federation costs.
+// already overrode it) is merged with its edits; the previous delta's
+// other rows are carried forward in bulk-copied runs; and the term id ->
+// delta row index is the only array of vocabulary size that is written. A
+// single-database patch of a large federation therefore costs what the
+// changed models and the accumulated delta cost, not what the federation
+// costs.
 //
 // The delta cannot grow for ever, and Patch decides by itself, from sizes
 // it can see, when to fold base and delta into a fresh base: when the
@@ -27,17 +27,12 @@ package selection
 // Equivalence contract (the same one Compile carries against the map
 // scorers): a patched snapshot produces bit-for-bit the float64 scores of
 // a from-scratch Compile over the new model list, for every compiled
-// algorithm family. Three facts make that hold:
-//
-//   - posting rows are keyed by database index in ascending order, and a
-//     patch preserves both the membership and the order a fresh compile
-//     would produce, so each scorer sees the identical addend stream;
-//   - avg_cw is re-summed over the per-database cw column in index order —
-//     the exact accumulation sequence Compile performs — rather than
-//     patched arithmetically (IEEE addition is not associative);
-//   - idf is recomputed from scratch (math.Log is exactly rounded for
-//     these operands' purposes — more to the point, it is deterministic)
-//     for precisely the terms whose posting count changed.
+// algorithm family. Posting rows are keyed by database index in ascending
+// order, and a patch preserves both the membership and the order a fresh
+// compile would produce, so each scorer sees the identical addend stream.
+// CORI's cf and avg_cw are derived from the rows and the exact integer
+// sum of the cw column when a query is scored, so they need no patching
+// beyond adjusting that sum by each replaced database's difference.
 //
 // What differs from a fresh compile is representation only, and none of it
 // is observable through scoring. Term ids differ: terms first introduced
@@ -173,14 +168,12 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 
 	next := c.rewrite(edits, newTerms, false)
 
-	// Per-database columns, then avg_cw re-summed in index order — the
-	// same float64 addition sequence Compile performs over the new models.
 	next.docs, next.cw = slices.Clone(c.docs), slices.Clone(c.cw)
 	for _, p := range patches {
+		next.sumCW += p.New.TotalCTF() - int64(c.cw[p.DB])
 		next.docs[p.DB] = float64(p.New.Docs())
 		next.cw[p.DB] = float64(p.New.TotalCTF())
 	}
-	next.avgCW = meanCW(next.cw)
 	return next, nil
 }
 
@@ -209,16 +202,16 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 	if c.delta != nil {
 		deltaRows, deltaPostings = c.delta.rows(), len(c.delta.db)
 	}
-	oldRow := func(id int32) ([]int32, []float64, float64) {
+	oldRow := func(id int32) ([]int32, []float64) {
 		if int(id) < oldVocab {
 			return c.row(id)
 		}
-		return nil, nil, 0 // a term this patch interns
+		return nil, nil // a term this patch interns
 	}
 	for lo, hi := 0, 0; lo < len(edits); lo = hi {
 		id := edits[lo].id
 		hi = rowEnd(edits, lo)
-		dbs, _, _ := oldRow(id)
+		dbs, _ := oldRow(id)
 		oldLen, newLen := len(dbs), len(dbs)
 		for _, e := range edits[lo:hi] {
 			switch {
@@ -247,7 +240,7 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 	fold = fold || deltaPostings*foldDeltaRatio > len(c.base.db) || empty > vocab-empty
 
 	next := &Compiled{
-		n: c.n, docs: c.docs, cw: c.cw, avgCW: c.avgCW,
+		n: c.n, docs: c.docs, cw: c.cw, sumCW: c.sumCW,
 		ids: c.ids, overlay: c.overlay, terms: c.terms, extra: c.extra,
 		postings: postings, empty: empty,
 	}
@@ -257,7 +250,7 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 		// empty and stands in for every ghost, so a term with no postings
 		// costs its ovr entry and nothing else.
 		d := newCSR(deltaRows, deltaPostings)
-		d.endRow(0)
+		d.endRow()
 		dterm := append(make([]int32, 0, deltaRows), -1)
 		next.ovr = make([]int32, vocab)
 		for i := copy(next.ovr, c.ovr); i < vocab; i++ {
@@ -277,9 +270,9 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 			if r < len(old) && old[r] == id {
 				r++ // superseded by the merged row
 			}
-			dbs, dfs, _ := oldRow(id)
-			if cf := d.merge(dbs, dfs, edits[lo:hi]); cf > 0 {
-				d.endRow(rowIDF(c.n, cf))
+			dbs, dfs := oldRow(id)
+			if d.merge(dbs, dfs, edits[lo:hi]) > 0 {
+				d.endRow()
 				dterm = append(dterm, id)
 			} else {
 				next.ovr[id] = 0
@@ -304,12 +297,11 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 		}
 		lo := 0
 		for id := 0; id < vocab; id++ {
-			dbs, dfs, idf := oldRow(int32(id))
+			dbs, dfs := oldRow(int32(id))
 			cf := len(dbs)
 			if lo < len(edits) && int(edits[lo].id) == id {
 				hi := rowEnd(edits, lo)
 				cf = b.merge(dbs, dfs, edits[lo:hi])
-				idf = rowIDF(c.n, cf)
 				lo = hi
 			} else {
 				b.db = append(b.db, dbs...)
@@ -325,7 +317,7 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 					kept = append(kept, newTerms[id-oldVocab])
 				}
 			}
-			b.endRow(idf)
+			b.endRow()
 		}
 		next.base = b
 		if renumber {
@@ -383,7 +375,6 @@ func (p *csr) appendRun(src *csr, from, to int) {
 	shift := int32(len(p.db)) - lo
 	p.db = append(p.db, src.db[lo:hi]...)
 	p.df = append(p.df, src.df[lo:hi]...)
-	p.idf = append(p.idf, src.idf[from:to]...)
 	for _, s := range src.start[from+1 : to+1] {
 		p.start = append(p.start, s+shift)
 	}

@@ -13,18 +13,18 @@ import (
 )
 
 // assertPatchEquivalent checks the Patch contract against a from-scratch
-// compile of the same model list: identical database columns, identical
-// per-term idf and posting rows (matched by term string — ids differ, since
+// compile of the same model list: identical database columns and cw sum,
+// identical posting rows (matched by term string — ids differ, since
 // patch-introduced terms take appended ids and a fold renumbers), and
 // nothing extra in the patched snapshot beyond score-inert ghost terms
-// (empty row, idf 0), of which there are never more than live terms.
+// (empty row), of which there are never more than live terms.
 func assertPatchEquivalent(t *testing.T, trial int, got, want *Compiled) {
 	t.Helper()
 	if got.NumDBs() != want.NumDBs() {
 		t.Fatalf("trial %d: %d dbs, want %d", trial, got.NumDBs(), want.NumDBs())
 	}
-	if math.Float64bits(got.avgCW) != math.Float64bits(want.avgCW) {
-		t.Fatalf("trial %d: avgCW %v != %v", trial, got.avgCW, want.avgCW)
+	if got.sumCW != want.sumCW {
+		t.Fatalf("trial %d: sumCW %d != %d", trial, got.sumCW, want.sumCW)
 	}
 	for i := range want.docs {
 		if math.Float64bits(got.docs[i]) != math.Float64bits(want.docs[i]) ||
@@ -45,11 +45,8 @@ func assertPatchEquivalent(t *testing.T, trial int, got, want *Compiled) {
 		if got.TermAt(int(gid)) != term {
 			t.Fatalf("trial %d: ID(%q) = %d but TermAt(%d) = %q", trial, term, gid, gid, got.TermAt(int(gid)))
 		}
-		gdb, gdf, gidf := got.row(gid)
-		wdb, wdf, widf := want.row(int32(wid))
-		if math.Float64bits(gidf) != math.Float64bits(widf) {
-			t.Fatalf("trial %d: term %q idf %v != %v", trial, term, gidf, widf)
-		}
+		gdb, gdf := got.row(gid)
+		wdb, wdf := want.row(int32(wid))
 		if len(gdb) != len(wdb) {
 			t.Fatalf("trial %d: term %q row has %d postings, want %d", trial, term, len(gdb), len(wdb))
 		}
@@ -69,8 +66,8 @@ func assertPatchEquivalent(t *testing.T, trial int, got, want *Compiled) {
 		// fold, but only as a ghost that scores exactly like an
 		// out-of-dictionary term.
 		ghosts++
-		if dbs, _, idf := got.row(int32(gid)); len(dbs) != 0 || idf != 0 {
-			t.Fatalf("trial %d: vanished term %q kept postings or idf", trial, got.TermAt(gid))
+		if dbs, _ := got.row(int32(gid)); len(dbs) != 0 {
+			t.Fatalf("trial %d: vanished term %q kept postings", trial, got.TermAt(gid))
 		}
 	}
 	if ghosts > want.VocabSize() {
@@ -121,7 +118,7 @@ func sparseModel(src *randx.Source, db, own int) *langmodel.Model {
 // test: across random model sets, random replacement subsets, and chained
 // patches (a patch applied to an already-patched snapshot), the patched
 // snapshot must equal a from-scratch Compile of the final model list —
-// structurally (rows, columns, idf, Float64bits for Float64bits) and
+// structurally (rows, columns, cw sum, Float64bits for Float64bits) and
 // through every compiled scorer against the map-based gold standard.
 func TestPatchMatchesFullCompile(t *testing.T) {
 	t.Run("long-chain", testPatchLongChain)
@@ -337,7 +334,7 @@ func TestPatchRejectsBadArguments(t *testing.T) {
 }
 
 // TestPatchEmptyPatchList: a no-op patch must still be a valid, equivalent
-// snapshot (it re-sums avgCW, which must land on the identical float64).
+// snapshot.
 func TestPatchEmptyPatchList(t *testing.T) {
 	models := threeDBs()
 	c := Compile(models)

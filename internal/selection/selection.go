@@ -100,14 +100,11 @@ func (c CORI) Scores(query []string, models []*langmodel.Model) []float64 {
 		return scores
 	}
 
-	var avgCW float64
+	var sumCW int64
 	for _, m := range models {
-		avgCW += float64(m.TotalCTF())
+		sumCW += m.TotalCTF()
 	}
-	avgCW /= float64(n)
-	if avgCW == 0 {
-		avgCW = 1
-	}
+	avg := avgCW(sumCW, n)
 
 	for _, t := range query {
 		cf := 0
@@ -116,13 +113,10 @@ func (c CORI) Scores(query []string, models []*langmodel.Model) []float64 {
 				cf++
 			}
 		}
-		var idf float64
-		if cf > 0 {
-			idf = math.Log((float64(n)+0.5)/float64(cf)) / math.Log(float64(n)+1.0)
-		}
+		idf := rowIDF(n, cf)
 		for i, m := range models {
 			df := float64(m.DF(t))
-			tcomp := df / (df + k0 + k1*float64(m.TotalCTF())/avgCW)
+			tcomp := df / (df + k0 + k1*float64(m.TotalCTF())/avg)
 			scores[i] += b + (1-b)*tcomp*idf
 		}
 	}
@@ -130,6 +124,26 @@ func (c CORI) Scores(query []string, models []*langmodel.Model) []float64 {
 		scores[i] /= float64(len(query))
 	}
 	return scores
+}
+
+// avgCW is CORI's avg_cw: the mean collection size of n databases whose
+// sizes sum to sumCW, floored at 1 so an empty federation divides safely.
+// The sum is an exact integer, so its value does not depend on the order
+// the databases were added in.
+func avgCW(sumCW int64, n int) float64 {
+	if n == 0 || sumCW == 0 {
+		return 1
+	}
+	return float64(sumCW) / float64(n)
+}
+
+// rowIDF is the CORI I component of a term held by cf of n databases. A
+// term no database holds gets 0: its belief is B everywhere.
+func rowIDF(n, cf int) float64 {
+	if cf == 0 {
+		return 0
+	}
+	return math.Log((float64(n)+0.5)/float64(cf)) / math.Log(float64(n)+1.0)
 }
 
 // GlossEstimator selects the GlOSS scoring estimator.

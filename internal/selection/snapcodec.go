@@ -19,8 +19,7 @@ package selection
 //	24      4     database count (uint32)
 //	28      4     term count (uint32)
 //	32      8     posting count (uint64)
-//	40      8     avg_cw (IEEE 754 float64 bits)
-//	48      8     reserved (0)
+//	40      16    reserved (0)
 //	56      4     CRC-32C of bytes [0, 56)
 //	60      4     padding (0)
 //	64      ...   section table: count × {id u32, crc u32, off u64, len u64},
@@ -35,10 +34,14 @@ package selection
 //	3 dict       u32 offsets[terms+1], then concatenated term bytes
 //	4 docs       f64[dbs]
 //	5 cw         f64[dbs]
-//	6 idf        f64[terms]
 //	7 poststart  i32[terms+1]
 //	8 postdb     i32[postings]
 //	9 postdf     f64[postings]
+//
+// Id 6 is retired and never reused: version 1 stored CORI's per-term idf
+// there and avg_cw in header bytes 40..48. Both are derived from the rows
+// and the cw column when a query is scored, so version 2 stores neither,
+// and a version 1 file is refused like any other stale snapshot.
 //
 // All integers are little-endian. The encoder emits sections in id order
 // with deterministic padding, so the byte stream is a pure function of the
@@ -53,7 +56,7 @@ import (
 )
 
 // SnapshotVersion is the current format version.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 var snapshotMagic = [8]byte{'Q', 'B', 'S', 'N', 'A', 'P', '1', 0}
 
@@ -64,7 +67,6 @@ const (
 	secDict      = 3
 	secDocs      = 4
 	secCW        = 5
-	secIDF       = 6
 	secPostStart = 7
 	secPostDB    = 8
 	secPostDF    = 9
@@ -83,8 +85,6 @@ func sectionName(id uint32) string {
 		return "docs"
 	case secCW:
 		return "cw"
-	case secIDF:
-		return "idf"
 	case secPostStart:
 		return "poststart"
 	case secPostDB:
@@ -148,7 +148,6 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 		section{secDict, encodeStringTable(terms)},
 		section{secDocs, encodeFloat64s(c.docs)},
 		section{secCW, encodeFloat64s(c.cw)},
-		section{secIDF, encodeFloat64s(c.base.idf)},
 		section{secPostStart, encodeInt32s(c.base.start)},
 		section{secPostDB, encodeInt32s(c.base.db)},
 		section{secPostDF, encodeFloat64s(c.base.df)},
@@ -163,7 +162,7 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	dst = appendU32(dst, uint32(c.n))
 	dst = appendU32(dst, uint32(len(terms)))
 	dst = appendU64(dst, uint64(len(c.base.db)))
-	dst = appendU64(dst, math.Float64bits(c.avgCW))
+	dst = appendU64(dst, 0) // reserved
 	dst = appendU64(dst, 0) // reserved
 	dst = appendU32(dst, crc32.Checksum(dst[base:base+56], castagnoli))
 	dst = appendU32(dst, 0) // pad to 64
@@ -224,7 +223,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 
 	nDBs, nTerms, nPost := int(hdr.dbs), int(hdr.terms), int(hdr.postings)
-	c := &Compiled{n: nDBs, avgCW: math.Float64frombits(hdr.avgCW)}
+	c := &Compiled{n: nDBs}
 	var snap Snapshot
 	snap.Epoch = hdr.epoch
 	snap.Compiled = c
@@ -256,11 +255,15 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if c.cw, err = sectionFloat64s(need, secCW, nDBs); err != nil {
 		return nil, err
 	}
+	for i, w := range c.cw {
+		// A collection size is a term count: CORI's avg_cw is their exact sum.
+		if w < 0 || w >= 1<<53 || w != math.Trunc(w) {
+			return nil, fmt.Errorf("selection: database %d has collection size %v", i, w)
+		}
+		c.sumCW += int64(w)
+	}
 	base := &csr{}
 	c.base, c.postings = base, nPost
-	if base.idf, err = sectionFloat64s(need, secIDF, nTerms); err != nil {
-		return nil, err
-	}
 	if base.start, err = sectionInt32s(need, secPostStart, nTerms+1); err != nil {
 		return nil, err
 	}
@@ -313,7 +316,6 @@ type SnapshotInfo struct {
 	DBs      uint32
 	Terms    uint32
 	Postings uint64
-	AvgCW    float64
 	Sections []SectionInfo
 }
 
@@ -333,7 +335,6 @@ func InspectSnapshot(data []byte) (*SnapshotInfo, error) {
 		DBs:      hdr.dbs,
 		Terms:    hdr.terms,
 		Postings: hdr.postings,
-		AvgCW:    math.Float64frombits(hdr.avgCW),
 	}
 	for _, s := range secs {
 		payload := data[s.off : s.off+s.length]
@@ -355,7 +356,6 @@ type snapHeader struct {
 	dbs      uint32
 	terms    uint32
 	postings uint64
-	avgCW    uint64
 }
 
 type snapSection struct {
@@ -388,7 +388,6 @@ func parseSnapshot(data []byte, verifyPayloads bool) (snapHeader, []snapSection,
 	hdr.dbs = binary.LittleEndian.Uint32(data[24:])
 	hdr.terms = binary.LittleEndian.Uint32(data[28:])
 	hdr.postings = binary.LittleEndian.Uint64(data[32:])
-	hdr.avgCW = binary.LittleEndian.Uint64(data[40:])
 	if count > maxSnapSections {
 		return hdr, nil, fmt.Errorf("selection: implausible section count %d", count)
 	}
@@ -407,8 +406,8 @@ func parseSnapshot(data []byte, verifyPayloads bool) (snapHeader, []snapSection,
 	// accounted for — covered by the header CRC, the table CRC, a section
 	// CRC, or a must-be-zero pad — so no flipped bit anywhere survives
 	// undetected.
-	if !allZero(data[60:snapHeaderSize]) {
-		return hdr, nil, fmt.Errorf("selection: nonzero header padding")
+	if !allZero(data[40:56]) || !allZero(data[60:snapHeaderSize]) {
+		return hdr, nil, fmt.Errorf("selection: nonzero reserved header bytes")
 	}
 	expect := uint64(snapHeaderSize + align8(tableLen))
 	if !allZero(data[snapHeaderSize+tableLen : expect]) {

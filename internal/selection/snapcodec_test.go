@@ -2,8 +2,10 @@ package selection
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -227,6 +229,69 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	}
 }
 
+// resealHeader recomputes the header checksum after a test edits the
+// header, so the edit reaches the checks behind the checksum.
+func resealHeader(data []byte) {
+	binary.LittleEndian.PutUint32(data[56:], crc32.Checksum(data[:56], castagnoli))
+}
+
+// TestSnapshotRefusesVersion1: a version 1 file stored CORI's idf and
+// avg_cw, which version 2 derives instead; with an intact checksum it is
+// still refused by its version, so a service cold-starts from its models.
+func TestSnapshotRefusesVersion1(t *testing.T) {
+	data, err := EncodeSnapshot(goldenSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	resealHeader(data)
+	for name, parse := range map[string]func([]byte) error{
+		"DecodeSnapshot":  func(b []byte) error { _, err := DecodeSnapshot(b); return err },
+		"InspectSnapshot": func(b []byte) error { _, err := InspectSnapshot(b); return err },
+	} {
+		if err := parse(data); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+			t.Errorf("%s of a version 1 header: err = %v", name, err)
+		}
+	}
+}
+
+// TestSnapshotReservedHeaderBytes: header bytes 40..56 are reserved and
+// must be zero even where the header checksum vouches for them, so that no
+// byte of a segment means something a reader ignores.
+func TestSnapshotReservedHeaderBytes(t *testing.T) {
+	orig, err := EncodeSnapshot(goldenSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(orig[40:56]) {
+		t.Fatalf("encoder wrote % x into the reserved header bytes", orig[40:56])
+	}
+	for i := 40; i < 56; i++ {
+		data := bytes.Clone(orig)
+		data[i] = 1
+		resealHeader(data)
+		if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Errorf("reserved byte %d set: DecodeSnapshot err = %v", i, err)
+		}
+	}
+}
+
+// TestSnapshotRefusesFractionalCW: avg_cw is derived from the exact sum of
+// the cw column, so a column value that is not a term count is refused.
+func TestSnapshotRefusesFractionalCW(t *testing.T) {
+	for _, w := range []float64{-1, 0.5, math.NaN(), math.Inf(1), 1 << 53} {
+		c := Compile(goldenModels())
+		c.cw = []float64{c.cw[0], w}
+		data, err := EncodeSnapshot(&Snapshot{Names: []string{"a", "b"}, Compiled: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "collection size") {
+			t.Errorf("cw %v: DecodeSnapshot err = %v", w, err)
+		}
+	}
+}
+
 func TestSnapshotTruncationAndGarbage(t *testing.T) {
 	data, err := EncodeSnapshot(goldenSnapshot())
 	if err != nil {
@@ -317,21 +382,21 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// snapshotGoldenHex is the full QBSNAP1 encoding of goldenSnapshot().
+// snapshotGoldenHex is the full QBSNAP1 version 2 encoding of
+// goldenSnapshot().
 const snapshotGoldenHex = `
-5142534e4150310001000000090000002a000000000000000200000003000000
-0400000000000000000000000000294000000000000000008d802f5900000000
-01000000abcd2e7b200100000000000015000000000000000200000065524987
-38010000000000001000000000000000030000009ca466ee4801000000000000
-1e0000000000000004000000c8816c9e68010000000000001000000000000000
-05000000489f4e4f780100000000000010000000000000000600000081f5c112
-880100000000000018000000000000000700000040f867d3a001000000000000
-100000000000000008000000754d09d6b0010000000000001000000000000000
-0900000099a9c11cc001000000000000200000000000000006a3360c00000000
-000000000500000009000000616c70686162657461000000efcdab8967452301
-1032547698badcfe00000000050000000a0000000e0000006170706c6573746f
-636b626f6e640000000000000000244000000000000014400000000000002840
-0000000000002a408d74ea8d7cb0ea3f3bfdd4d6a3ffc93f8d74ea8d7cb0ea3f
-0000000001000000030000000400000000000000000000000100000001000000
-000000000000104000000000000000400000000000001440000000000000f03f
+5142534e4150310002000000080000002a000000000000000200000003000000
+04000000000000000000000000000000000000000000000051f0cc5f00000000
+01000000abcd2e7b080100000000000015000000000000000200000065524987
+20010000000000001000000000000000030000009ca466ee3001000000000000
+1e0000000000000004000000c8816c9e50010000000000001000000000000000
+05000000489f4e4f600100000000000010000000000000000700000040f867d3
+7001000000000000100000000000000008000000754d09d68001000000000000
+10000000000000000900000099a9c11c90010000000000002000000000000000
+b0e8e87000000000000000000500000009000000616c70686162657461000000
+efcdab89674523011032547698badcfe00000000050000000a0000000e000000
+6170706c6573746f636b626f6e64000000000000000024400000000000001440
+00000000000028400000000000002a4000000000010000000300000004000000
+0000000000000000010000000100000000000000000010400000000000000040
+0000000000001440000000000000f03f
 `

@@ -6,7 +6,10 @@ package service
 // random sample/register/unregister churn.
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -225,6 +228,87 @@ func TestSnapshotStaleFingerprintRejected(t *testing.T) {
 	}
 	if regB.Counter(`service_snapshot_compiles_total{scope="full"}`).Value() != 1 {
 		t.Fatal("cold start did not compile")
+	}
+}
+
+// TestSnapshotRefusedFileColdStarts: a snapshot file in a format this
+// build refuses — here a version 1 file, whose header checksum is intact —
+// is a cache miss, not an outage. LoadSnapshot errors, the first Rank
+// compiles from the models and scores as the map scorer does, and that
+// publish replaces the file with a current-version one.
+func TestSnapshotRefusedFileColdStarts(t *testing.T) {
+	modelDir := filepath.Join(t.TempDir(), "models")
+	st, err := store.Open(modelDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := snapshotStore(t)
+	svcA, dbs := fixture(t, st)
+	svcA.SetSnapshotStore(ss)
+	for _, db := range dbs {
+		if _, err := svcA.Sample(db.Name, SampleOptions{Docs: 50, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRank, err := svcA.Rank("stock market data", "cori", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(ss.Dir(), store.SnapshotFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	binary.LittleEndian.PutUint32(data[56:], crc32.Checksum(data[:56], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(modelDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcB := New(analysis.Database(), st2)
+	regB := telemetry.NewRegistry()
+	svcB.SetMetrics(regB)
+	svcB.SetSnapshotStore(ss)
+	for _, db := range dbs {
+		if err := svcB.RegisterLocal(db.Name, db.Index); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svcB.LoadSnapshot(); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("version 1 snapshot: LoadSnapshot err = %v", err)
+	}
+	gotRank, err := svcB.Rank("stock market data", "cori", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotRank, wantRank) {
+		t.Fatalf("cold-started ranking diverges:\n%+v\n%+v", gotRank, wantRank)
+	}
+	snap := svcB.snapshot()
+	query := []string{"stock", "market", "data"}
+	scores := make([]float64, snap.compiled.NumDBs())
+	snap.compiled.ScoreInto(selection.CORI{}, snap.compiled.AppendIDs(nil, query), scores)
+	for i, want := range (selection.CORI{}).Scores(query, snap.models) {
+		if math.Float64bits(scores[i]) != math.Float64bits(want) {
+			t.Fatalf("db %d: cold-compiled score %v != map score %v", i, scores[i], want)
+		}
+	}
+	if full, incr := compileCounters(regB); full != 1 || incr != 0 {
+		t.Fatalf("cold start: full=%d incremental=%d, want one full compile", full, incr)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != selection.SnapshotVersion {
+		t.Fatalf("stored snapshot is version %d after the cold publish, want %d", v, selection.SnapshotVersion)
+	}
+	if _, _, err := ss.Load(); err != nil {
+		t.Fatalf("rewritten snapshot does not load: %v", err)
 	}
 }
 

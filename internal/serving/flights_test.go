@@ -46,3 +46,23 @@ func TestFlightsGaugeReturnsToZero(t *testing.T) {
 		})
 	}
 }
+
+// TestFlightsJoinFollowerZeroAlloc: joining a rank already in flight — the
+// peek path every coalesced request takes — allocates nothing.
+func TestFlightsJoinFollowerZeroAlloc(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	fl := serving.NewFlights("service", func() *telemetry.Registry { return reg })
+	key := serving.Key{Query: "stock market", Alg: "cori", K: 10, Epoch: 3}
+	leader, led := fl.Join(key)
+	if !led {
+		t.Fatal("first Join did not lead")
+	}
+	defer fl.Fulfill(key, leader, nil, nil)
+	if n := testing.AllocsPerRun(100, func() {
+		if f, led := fl.Join(key); led || f != leader {
+			t.Fatal("Join of a key in flight did not follow its leader")
+		}
+	}); n != 0 {
+		t.Errorf("Join of a key in flight: %v allocs a call, want 0", n)
+	}
+}
