@@ -825,8 +825,8 @@ func TestSparsePatchAllocatesLittle(t *testing.T) {
 
 // BenchmarkRepolintFullRepo prices the lint gate itself: loading,
 // type-checking, and running every analyzer (CFG construction,
-// dataflow fixpoints, call-graph reachability included) over every
-// package in the module — the wall time `make lint` adds to CI. One op
+// dataflow fixpoints and the call graph's may-block fixpoint included)
+// over every package in the module — the wall time `make lint` adds to CI. One op
 // is one cold end-to-end run; load+check dominates, so this also guards
 // the stdlib loader against accidental quadratic re-parsing.
 func BenchmarkRepolintFullRepo(b *testing.B) {

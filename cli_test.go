@@ -204,17 +204,6 @@ func TestCLIExperimentsUnknownID(t *testing.T) {
 	}
 }
 
-func TestCLIDbselect(t *testing.T) {
-	stdout, _ := runCLI(t, "dbselect",
-		"-dbs", "3", "-docs-each", "150", "-sample-docs", "40", "-alg", "gloss-sum")
-	if !strings.Contains(stdout, "gloss-sum ranking for query") {
-		t.Errorf("dbselect output:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "1.") || !strings.Contains(stdout, "db00-") {
-		t.Errorf("ranking rows missing:\n%s", stdout)
-	}
-}
-
 func TestCLIRemoteSampling(t *testing.T) {
 	// corpusgen serves a database over TCP; qbsample samples it remotely —
 	// the two halves of the paper's minimal-cooperation story as separate

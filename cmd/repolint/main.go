@@ -4,8 +4,8 @@
 // review rules that keep experiment output bit-reproducible: all
 // randomness through internal/randx, no wall-clock reads on
 // golden-output paths, no map-iteration order leaking into results,
-// all fan-out through internal/parallel; hot paths allocation-free and
-// no blocking call under a held lock.
+// all fan-out through internal/parallel; and no blocking call under a
+// held lock.
 //
 // Usage:
 //

@@ -90,20 +90,62 @@ func TestAppendTokensReusesDst(t *testing.T) {
 	}
 }
 
-// TestAppendTokensZeroAlloc is the zero-allocation contract of the serving
-// path: lower-case ASCII text tokenized into a recycled slice must not
-// touch the heap — tokens are sliced from the input, not copied.
+// TestAppendTokensZeroAlloc is the allocation contract of the serving
+// path's tokenizer and of the pipeline around it, with a recycled dst: a
+// token the input already spells is sliced from it and costs nothing, and
+// a token that had to be rewritten — case-folded, UTF-8-lowered, or
+// changed by a Porter rule — costs exactly its own string. Lower-case
+// ASCII text therefore never touches the heap. Between them the inputs
+// run every statement of AppendTokens, Analyzer.AppendTokens,
+// Stoplist.Contains and IsNumber.
 func TestAppendTokensZeroAlloc(t *testing.T) {
-	text := "apple pie with baked apple slices don't stop 80 of 1 000 docs"
-	dst := make([]string, 0, 32)
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = AppendTokens(dst[:0], text)
-	})
-	if allocs != 0 {
-		t.Errorf("AppendTokens on lower-case ASCII allocated %.1f times per run, want 0", allocs)
+	stemmed := Analyzer{Stoplist: InqueryStoplist(), Stem: true, MinLength: 3, DropNumbers: true}
+	for _, c := range []struct {
+		a      Analyzer
+		text   string
+		want   []string
+		allocs float64
+	}{
+		{Raw(), "apple pie with baked apple slices don't stop 80 of 1 000 docs",
+			[]string{"apple", "pie", "with", "baked", "apple", "slices", "don't", "stop", "80", "of", "1", "000", "docs"}, 0},
+		// Apostrophes before a token, inside it, and trailing it.
+		{Raw(), "'tis rock'n'roll'' ''", []string{"tis", "rock'n'roll"}, 0},
+		// A non-ASCII separator and a byte of invalid UTF-8 split tokens.
+		{Raw(), "a—b x\x80y", []string{"a", "b", "x", "y"}, 0},
+		// Upper case opening a token, after a committed prefix, after a
+		// pending apostrophe, and before lower case, digits and apostrophes.
+		// A one-byte token is the runtime's own static string and free.
+		{Raw(), "The U.S. iPhone don'T Rock'n'roll X'9", []string{"the", "u", "s", "iphone", "don't", "rock'n'roll", "x'9"}, 5},
+		// Non-ASCII letters: opening a token, after a committed prefix, and
+		// after a pending apostrophe, in a token already folded.
+		{Raw(), "ÉCOLE café O'É", []string{"école", "café", "o'é"}, 3},
+		// The pipeline: a stopword, a number, a short token, stems that are
+		// a prefix of their token, and one that a rule rewrote.
+		{stemmed, "the 80 ox sampling documents happy", []string{"sampl", "document", "happi"}, 1},
+		{Analyzer{Stoplist: &Stoplist{}}, "of 8a", []string{"of", "8a"}, 0},
+		{Analyzer{DropNumbers: true}, "8a 80", []string{"8a"}, 0},
+	} {
+		if raceEnabled && c.allocs > 0 {
+			continue // the fold buffer comes from a pool that -race drops
+		}
+		dst := make([]string, 0, 16)
+		allocs := testing.AllocsPerRun(100, func() {
+			dst = c.a.AppendTokens(dst[:0], c.text)
+		})
+		if !reflect.DeepEqual(dst, c.want) {
+			t.Errorf("AppendTokens(%q) = %q, want %q", c.text, dst, c.want)
+		}
+		if allocs != c.allocs {
+			t.Errorf("AppendTokens(%q): %v allocations, want %v", c.text, allocs, c.allocs)
+		}
 	}
-	if len(dst) != 13 {
-		t.Fatalf("tokenized %d tokens, want 13: %v", len(dst), dst)
+	// A token cannot be empty, so only a direct call asks IsNumber about one.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if IsNumber("") || !IsNumber("80") {
+			t.Fatal("IsNumber")
+		}
+	}); allocs != 0 {
+		t.Errorf("IsNumber: %v allocations, want 0", allocs)
 	}
 }
 

@@ -24,8 +24,6 @@ const stemStack = 64
 // filing → file) is a new string. The result never aliases the working copy.
 // A caller that keeps the stem longer than the text the word was cut from
 // falls under AppendTokens' rule and must strings.Clone it.
-//
-//lint:hotpath
 func Porter(word string) string {
 	if len(word) <= 2 {
 		return word

@@ -77,8 +77,32 @@ func TestPorterMatchesReference(t *testing.T) {
 // TestPorterAllocations pins the aliasing contract from the allocator's
 // side: a stem that is a prefix of the word costs nothing, a rewritten one
 // exactly its own string, and a word too long for the stack buffer stems
-// like any other.
+// like any other. Porter's published vectors, and the words after them,
+// run every rule and every condition of the kernel under the count.
 func TestPorterAllocations(t *testing.T) {
+	words := append([]string{
+		"ies",       // step 1a leaves one byte: steps 2 and 4 have nothing to test
+		"flying",    // a y after the first byte is a vowel
+		"toying",    // a y after a vowel is a consonant, and ends no cvc
+		"champion",  // ion after neither s nor t stays
+		"organizer", // step 2's izer
+	}, analysis.PorterWords...)
+	for _, w := range words {
+		stem := analysis.PorterRef(w)
+		want := 0.0
+		if !strings.HasPrefix(w, stem) {
+			want = 1
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if analysis.Porter(w) != stem {
+				t.Fatalf("Porter(%q) = %q, reference %q", w, analysis.Porter(w), stem)
+			}
+		})
+		if got != want {
+			t.Errorf("Porter(%q) = %q: %v allocations, want %v", w, stem, got, want)
+		}
+	}
+
 	for _, c := range []struct {
 		word, stem string
 		allocs     float64
@@ -107,6 +131,9 @@ func TestPorterAllocations(t *testing.T) {
 		if got, want := analysis.Porter(w), analysis.PorterRef(w); got != want {
 			t.Errorf("Porter(long+%q) = …%q, reference …%q", suf, got[len(got)-12:], want[len(want)-12:])
 		}
+	}
+	if analysis.RaceEnabled {
+		return // the long word's buffer comes from a pool that -race drops
 	}
 	plural := long + "s"
 	analysis.Porter(plural) // grows the pooled buffer, once

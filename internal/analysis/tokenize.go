@@ -43,7 +43,6 @@ var tokenBufPool = sync.Pool{
 // Porter's rules. A token that is a run of the input as it stands is a
 // slice of it and never comes here.
 func ownedToken(scratch []byte) string {
-	//lint:ignore allocfree a rewritten token has no bytes in the input to alias; tokens the input already spells are sliced from it, which is the zero-alloc contract
 	return string(scratch)
 }
 
@@ -60,8 +59,6 @@ func ownedToken(scratch []byte) string {
 // tokens beyond the current request — map keys in a model or index built
 // from large documents — must copy them (strings.Clone) at the retention
 // site; transient uses (scoring a query, counting) need not.
-//
-//lint:hotpath
 func AppendTokens(dst []string, text string) []string {
 	const noToken = -1
 	start := noToken // byte index where the current token began in text

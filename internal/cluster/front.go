@@ -376,7 +376,5 @@ func (f *Front) countFailover(slot int, why string) {
 // value (addresses come from the operator's topology spec, never from
 // clients, so cardinality is the cluster size).
 func shardLabel(slot int, addr string) string {
-	return labelEscaper.Replace(fmt.Sprintf("s%d/%s", slot, addr))
+	return telemetry.EscapeLabel(fmt.Sprintf("s%d/%s", slot, addr))
 }
-
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

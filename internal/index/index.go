@@ -193,9 +193,7 @@ var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // reset prepares the scratch for an index with nDocs documents.
 func (s *searchScratch) reset(nDocs int) {
 	if cap(s.scores) < nDocs {
-		//lint:ignore allocfree grow-once per pooled scratch; amortized to zero across queries once the accumulator covers the corpus
 		s.scores = make([]float64, nDocs)
-		//lint:ignore allocfree grow-once per pooled scratch; amortized to zero across queries once the accumulator covers the corpus
 		s.mark = make([]uint32, nDocs)
 		s.gen = 0
 	} else {
@@ -225,8 +223,6 @@ func (s *searchScratch) reset(nDocs int) {
 // for every n. Per-document score accumulation stays in query-term order
 // (first touch stores, later touches add, and x = 0 + x exactly), so the
 // float64 results are bit-identical to the previous map-based accumulator.
-//
-//lint:hotpath
 func (ix *Index) SearchScored(query string, n int) ([]Hit, error) {
 	if n <= 0 {
 		return nil, nil
@@ -285,7 +281,6 @@ func topN(hits []Hit, n int) []Hit {
 	if n > len(hits) {
 		n = len(hits)
 	}
-	//lint:ignore allocfree the returned top-n slice is the query's result — the one allocation SearchScored's contract permits — and n bounds it
 	heap := make([]Hit, 0, n)
 	siftDown := func(i int) {
 		for {
@@ -306,7 +301,6 @@ func topN(hits []Hit, n int) []Hit {
 	}
 	for _, h := range hits {
 		if len(heap) < n {
-			//lint:ignore allocfree heap is presized to n and only appended to while len < n; this append never grows it
 			heap = append(heap, h)
 			// Sift up.
 			for i := len(heap) - 1; i > 0; {

@@ -637,17 +637,80 @@ func TestBuildBytesPerPosting(t *testing.T) {
 }
 
 // TestSearchScoredAllocations: with a warm scratch pool, a ranked search
-// allocates once, for the slice it returns.
+// allocates once, for the slice it returns, under either scoring function,
+// and a search that finds nothing allocates nothing. A scratch grows once,
+// by its two accumulator arrays, and clears its marks at the generation
+// wrap without allocating. Between them the cases run every statement of
+// SearchScored and of what it calls.
 func TestSearchScoredAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scratch pool drops entries under -race")
 	}
-	ix := Build(corpus.Scaled(corpus.CACM(), 0.1).MustGenerate(), analysis.Database(), InQuery)
-	q := strings.Join(ix.LanguageModel().TopTerms(langmodel.ByDF, 3), " ")
-	if hits, err := ix.SearchScored(q, 10); err != nil || len(hits) != 10 {
-		t.Fatalf("SearchScored(%q) = %d hits, %v", q, len(hits), err)
+	docs := corpus.Scaled(corpus.CACM(), 0.1).MustGenerate()
+	// Every document holds alpha, so BM25 clamps its negative idf to zero
+	// and the three hits tie: ids break the tie.
+	tiny := []corpus.Document{{ID: 0, Text: "alpha beta"}, {ID: 1, Text: "alpha gamma"}, {ID: 2, Text: "alpha beta delta"}}
+	type search struct {
+		ix     *Index
+		query  string
+		n      int
+		hits   int
+		allocs float64
 	}
-	if n := testing.AllocsPerRun(100, func() { ix.SearchScored(q, 10) }); n != 1 {
-		t.Errorf("SearchScored allocates %v times a query, want 1", n)
+	var cases []search
+	for _, s := range []Scoring{InQuery, BM25} {
+		ix := Build(docs, analysis.Database(), s)
+		q := strings.Join(ix.LanguageModel().TopTerms(langmodel.ByDF, 3), " ")
+		cases = append(cases,
+			search{ix, q + " zzunknown", 10, 10, 1},
+			search{ix, q, 0, 0, 0},             // no rows asked for
+			search{ix, "the of and", 10, 0, 0}, // every token a stopword
+			search{ix, "zzunknown", 10, 0, 0},  // no posting anywhere
+			search{Build(tiny, analysis.Raw(), s), "alpha", 10, 3, 1},
+			search{Build(nil, analysis.Raw(), s), "alpha", 10, 0, 0}, // no documents at all
+		)
+	}
+	for _, c := range cases {
+		var hits []Hit
+		n := testing.AllocsPerRun(100, func() {
+			var err error
+			if hits, err = c.ix.SearchScored(c.query, c.n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(hits) != c.hits || n != c.allocs {
+			t.Errorf("%v SearchScored(%q, %d): %d hits and %v allocations a query, want %d and %v",
+				c.ix.scoring, c.query, c.n, len(hits), n, c.hits, c.allocs)
+		}
+		for i := 1; i < len(hits); i++ {
+			if betterHit(hits[i], hits[i-1]) {
+				t.Errorf("%v SearchScored(%q): hit %d ranks before hit %d", c.ix.scoring, c.query, i, i-1)
+			}
+		}
+	}
+	// A search never hands topN one document twice; only a direct call can
+	// ask its sort about two equal hits.
+	twice := []Hit{{Doc: 4, Score: 0.5}, {Doc: 4, Score: 0.5}}
+	if n := testing.AllocsPerRun(100, func() {
+		if top := topN(twice, 2); len(top) != 2 {
+			t.Fatal("topN dropped a hit")
+		}
+	}); n != 1 {
+		t.Errorf("topN: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var s searchScratch
+		s.reset(1 << 14) // past what the compiler would keep on the stack
+	}); n != 2 {
+		t.Errorf("growing a scratch: %v allocations, want 2", n)
+	}
+	s := searchScratch{scores: make([]float64, 8), mark: make([]uint32, 8)}
+	if n := testing.AllocsPerRun(100, func() {
+		s.gen, s.mark[3] = math.MaxUint32, 7
+		if s.reset(8); s.gen != 1 || s.mark[3] != 0 {
+			t.Fatal("the generation wrap left a stale mark")
+		}
+	}); n != 0 {
+		t.Errorf("generation wrap: %v allocations, want 0", n)
 	}
 }

@@ -1,6 +1,6 @@
 package lint
 
-// Fixture tests for the CFG/dataflow analyzers, plus structural unit
+// Fixture tests for the CFG/dataflow analyzer, plus structural unit
 // tests of the CFG builder and the fixpoint solver itself.
 
 import (
@@ -11,12 +11,6 @@ import (
 	"go/types"
 	"testing"
 )
-
-func TestAllocFree(t *testing.T) {
-	runCase(t, AllocFree, "allocfree/bad", "repro/internal/hot")
-	runCase(t, AllocFree, "allocfree/allowed", "repro/internal/hot")
-	runCase(t, AllocFree, "allocfree/ignored", "repro/internal/hot")
-}
 
 func TestLockHeld(t *testing.T) {
 	runCase(t, LockHeld, "lockheld/bad", "repro/internal/locks")

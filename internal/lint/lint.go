@@ -68,8 +68,8 @@ type Pass struct {
 	// failed to type-check; analyzers must tolerate nil lookups.
 	Info *types.Info
 	// Prog is the whole-run program view shared by every pass: the
-	// lightweight call graph the interprocedural analyzers (allocfree,
-	// lockheld) resolve module calls through. When repolint runs over
+	// lightweight call graph the interprocedural analyzer (lockheld)
+	// resolves module calls through. When repolint runs over
 	// ./... it spans the entire module; fixture tests see just their
 	// own package.
 	Prog *Program
@@ -172,7 +172,6 @@ func All() []*Analyzer {
 		WallClock,
 		MapOrder,
 		BareGoroutine,
-		AllocFree,
 		LockHeld,
 	}
 }

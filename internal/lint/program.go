@@ -1,14 +1,14 @@
 package lint
 
-// Program is the whole-module view the interprocedural analyzers share: a
-// lightweight call graph over every loaded package, resolved from syntax
-// and go/types alone. Static calls (package functions, methods on
+// Program is the whole-module view the interprocedural analyzer, lockheld,
+// works on: a lightweight call graph over every loaded package, resolved
+// from syntax and go/types alone. Static calls (package functions, methods on
 // concrete receivers) resolve exactly; calls through module-local
 // interfaces resolve by class-hierarchy analysis (every concrete type in
 // the loaded packages whose method set implements the interface is a
 // possible callee); calls through function values and through interfaces
 // defined outside the module fall back to documented name heuristics
-// (mayBlock) or are reported at the call site (allocfree).
+// (MayBlock).
 //
 // Run builds one Program per invocation covering every package it was
 // given, so linting ./... analyzes the real module-wide graph while
@@ -17,7 +17,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // A FuncInfo is one function or method declared in a loaded package.
@@ -25,10 +24,6 @@ type FuncInfo struct {
 	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// Hotpath records a //lint:hotpath marker on the declaration: the
-	// allocfree analyzer proves the function (and everything it calls)
-	// free of heap allocations.
-	Hotpath bool
 }
 
 // Program indexes every loaded package for interprocedural queries.
@@ -42,7 +37,6 @@ type Program struct {
 	methodsByName map[string][]*FuncInfo
 
 	blockMemo map[*types.Func]bool
-	hotReach  map[*FuncInfo]string
 }
 
 // NewProgram indexes pkgs. Packages that failed to type-check contribute
@@ -64,7 +58,7 @@ func NewProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg, Hotpath: hasHotpathMarker(fd)}
+				fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg}
 				p.funcs[obj] = fi
 				p.ordered = append(p.ordered, fi)
 				if fd.Recv != nil {
@@ -74,20 +68,6 @@ func NewProgram(pkgs []*Package) *Program {
 		}
 	}
 	return p
-}
-
-// hasHotpathMarker reports whether the declaration's doc comment carries
-// a //lint:hotpath line.
-func hasHotpathMarker(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == "//lint:hotpath" {
-			return true
-		}
-	}
-	return false
 }
 
 // FuncOf returns the FuncInfo for a function object declared in a loaded

@@ -54,8 +54,6 @@ const (
 // writes, not n. The byte cap bounds what a group of wide rankings can pin.
 // It is a rule and not a setting: its only inputs are the stream's own
 // progress.
-//
-//lint:hotpath
 func FlushDue(sent, total, held int) bool {
 	return sent < total && (sent&(sent+1) == 0 || held >= flushBytes)
 }
@@ -191,12 +189,10 @@ type streamItemFrame struct {
 // non-negative values the protocol deals in cost a byte or two, and a
 // negative one (a fetch of id -1) still round-trips, in ten.
 
-//lint:hotpath
 func appendInt(dst []byte, v int) []byte {
 	return binary.AppendUvarint(dst, uint64(v))
 }
 
-//lint:hotpath
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -204,13 +200,10 @@ func appendString(dst []byte, s string) []byte {
 
 // beginFrame appends a frame header with the length still to come;
 // endFrame, given beginFrame's result length, fills it in.
-//
-//lint:hotpath
 func beginFrame(dst []byte, kind byte) []byte {
 	return append(dst, 0, 0, 0, 0, kind)
 }
 
-//lint:hotpath
 func endFrame(dst []byte, begun int) []byte {
 	binary.LittleEndian.PutUint32(dst[begun-frameHeader:], uint32(len(dst)-begun))
 	return dst
@@ -218,8 +211,6 @@ func endFrame(dst []byte, begun int) []byte {
 
 // appendRequest appends req as one frame: the op's integers, its strings,
 // and last the trace ID every request carries.
-//
-//lint:hotpath
 func appendRequest(dst []byte, req *request) []byte {
 	dst = beginFrame(dst, byte(req.Op))
 	begun := len(dst)
@@ -250,8 +241,6 @@ func appendRequest(dst []byte, req *request) []byte {
 
 // appendFetches appends a fetch group: one fetch frame per id, each closing
 // with the trace like any request, laid end to end for a single write.
-//
-//lint:hotpath
 func appendFetches(dst []byte, ids []int, trace string) []byte {
 	req := request{Op: opFetch, Trace: trace}
 	for _, id := range ids {
@@ -265,8 +254,6 @@ func appendFetches(dst []byte, ids []int, trace string) []byte {
 // (and an item's scores, one block of raw Float64bits) go first and the
 // strings last, so the decoder can check a count against the bytes behind
 // it and hold all of a frame's strings in one.
-//
-//lint:hotpath
 func appendResponse(dst []byte, resp *response) []byte {
 	dst = beginFrame(dst, resp.kind)
 	begun := len(dst)
@@ -315,7 +302,6 @@ type cursor struct {
 	bad  bool
 }
 
-//lint:hotpath
 func (c *cursor) uvarint() uint64 {
 	v, n := binary.Uvarint(c.p)
 	if n <= 0 {
@@ -326,14 +312,11 @@ func (c *cursor) uvarint() uint64 {
 	return v
 }
 
-//lint:hotpath
 func (c *cursor) int() int { return int(c.uvarint()) }
 
 // count reads an element count and refuses one the bytes left cannot
 // hold, each element taking at least width of them: nothing is ever sized
 // from a number the peer merely claimed.
-//
-//lint:hotpath
 func (c *cursor) count(width int) int {
 	v := c.uvarint()
 	if v > uint64(len(c.p)/width) {
@@ -345,8 +328,6 @@ func (c *cursor) count(width int) int {
 
 // take returns the next n bytes as a view of the payload; n has been
 // checked by count.
-//
-//lint:hotpath
 func (c *cursor) take(n int) []byte {
 	b := c.p[:n]
 	c.p = c.p[n:]
@@ -529,8 +510,6 @@ type frameWriter struct {
 }
 
 // hold encodes a frame and keeps it for the next flush to carry.
-//
-//lint:hotpath
 func (fw *frameWriter) hold(resp *response) {
 	fw.buf = appendResponse(fw.buf, resp)
 }

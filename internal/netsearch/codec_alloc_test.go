@@ -6,10 +6,10 @@ import (
 	"repro/internal/corpus"
 )
 
-// TestCodecHotpathsZeroAlloc holds the codec's //lint:hotpath roots to
-// their promise at run time: encoding every request op and response kind,
-// the flush rule, and the cursor's readers over an encoded frame allocate
-// nothing once the buffer is warm.
+// TestCodecHotpathsZeroAlloc holds the codec's encoders and readers to
+// their promise: encoding every request op and response kind, the flush
+// rule, and the cursor's readers over an encoded frame and over a count
+// that claims too much allocate nothing once the buffer is warm.
 func TestCodecHotpathsZeroAlloc(t *testing.T) {
 	rows := []RankedDB{{Name: "db00", Score: 0.75}, {Name: "db01", Score: 0.5}}
 	buf := make([]byte, 0, 4096)
@@ -72,6 +72,14 @@ func TestCodecHotpathsZeroAlloc(t *testing.T) {
 		}
 		if c.uvarint() != 0 || !c.bad {
 			t.Fatal("cursor read past the frame without going bad")
+		}
+	})
+	// A count the bytes behind it cannot hold: five names claimed, one byte left.
+	claim := []byte{5, 1}
+	zero("cursor.count refusing a claim", func() {
+		c := cursor{p: claim}
+		if c.count(1) != 0 || !c.bad {
+			t.Fatal("cursor took a count its bytes cannot hold")
 		}
 	})
 }

@@ -198,8 +198,6 @@ func (c *Compiled) ID(term string) (int32, bool) {
 // row returns term id's posting row: the delta's copy if a patch overrode
 // the row, else the base's. Scorers call it once per query term, never per
 // posting.
-//
-//lint:hotpath
 func (c *Compiled) row(id int32) (dbs []int32, dfs []float64) {
 	p, r := c.base, id
 	if c.ovr != nil {
@@ -214,8 +212,6 @@ func (c *Compiled) row(id int32) (dbs []int32, dfs []float64) {
 // AppendIDs resolves terms to interned ids, appending one id per term to
 // dst (unknown terms append -1 — they still count toward CORI's query
 // length). The caller recycles dst; no allocations beyond dst growth.
-//
-//lint:hotpath
 func (c *Compiled) AppendIDs(dst []int32, terms []string) []int32 {
 	for _, t := range terms {
 		if id, ok := c.ids[t]; ok {
@@ -233,8 +229,6 @@ func (c *Compiled) AppendIDs(dst []int32, terms []string) []int32 {
 // which must have length NumDBs; previous contents are overwritten. It
 // returns false when alg is not one of the compiled algorithm families
 // (CORI, Gloss) — the caller should fall back to Algorithm.Scores.
-//
-//lint:hotpath
 func (c *Compiled) ScoreInto(alg Algorithm, ids []int32, scores []float64) bool {
 	switch a := alg.(type) {
 	case CORI:
@@ -376,8 +370,6 @@ func (c *Compiled) scoreGloss(g Gloss, ids []int32, scores []float64) {
 }
 
 // RankInto is the full ranking: RankTopInto with no cutoff.
-//
-//lint:hotpath
 func (c *Compiled) RankInto(alg Algorithm, ids []int32, scores []float64, out []Ranked) ([]Ranked, bool) {
 	return c.RankTopInto(alg, ids, scores, out, 0)
 }
@@ -389,8 +381,6 @@ func (c *Compiled) RankInto(alg Algorithm, ids []int32, scores []float64, out []
 // the full ranking. The result is the first k rows of Rank over the same
 // models: best first, ties by database index. ok reports whether alg is a
 // compiled algorithm family.
-//
-//lint:hotpath
 func (c *Compiled) RankTopInto(alg Algorithm, ids []int32, scores []float64, out []Ranked, k int) ([]Ranked, bool) {
 	if !c.ScoreInto(alg, ids, scores) {
 		return out, false
@@ -417,8 +407,6 @@ const fullSortShare = 4
 // answers databases 0..k-1 without ever touching the heap. Cost: O(n) to
 // scan, O(log k) per row that displaces one, O(k log k) to order the rows
 // kept; O(n log k) if the scores happen to ascend with the index.
-//
-//lint:hotpath
 func selectTop(out []Ranked, scores []float64, k int) []Ranked {
 	n := len(scores)
 	if k <= 0 || k > n {

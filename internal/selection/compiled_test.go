@@ -152,32 +152,76 @@ func TestCompiledAppendIDs(t *testing.T) {
 
 // TestCompiledRankIntoZeroAlloc pins the serving-path contract: with
 // recycled buffers, resolving + scoring + ranking performs zero heap
-// allocations for every compiled algorithm family.
+// allocations for every compiled algorithm family, and refusing an
+// algorithm that is not one allocates nothing either. The sets cover every
+// statement on the path: a patched set (a row overridden in the delta, a
+// term only the overlay knows, a row that lost its last posting), an empty
+// query, databases that hold nothing, and no databases at all.
 func TestCompiledRankIntoZeroAlloc(t *testing.T) {
 	src := randx.New(0xa110c)
 	models := randomModels(src, 50, 60)
-	c := Compile(models)
-	query := []string{"t001", "t007", "t013", "unknown-term"}
-
-	ids := make([]int32, 0, 8)
-	scores := make([]float64, c.NumDBs())
-	out := make([]Ranked, 0, c.NumDBs())
-	for _, alg := range compiledAlgorithms() {
-		allocs := testing.AllocsPerRun(100, func() {
-			ids = c.AppendIDs(ids[:0], query)
-			out, _ = c.RankInto(alg, ids, scores, out[:0])
-		})
-		if allocs != 0 {
-			t.Errorf("%s: RankInto allocated %.1f times per run, want 0", alg.Name(), allocs)
+	random := Compile(models)
+	// The last database alone holds pie; its patch takes pie away, moves
+	// t001 and brings kiwi, a term new to the set. The patch is small
+	// against the table, so it stays a delta and does not fold.
+	models = append(models, db(100, map[string][2]int64{"pie": {30, 50}, "t001": {5, 9}}))
+	patched, err := Compile(models).Patch([]ModelPatch{
+		{DB: 50, Old: models[50], New: db(100, map[string][2]int64{"t001": {6, 9}, "kiwi": {10, 12}})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range []struct {
+		name  string
+		c     *Compiled
+		query []string
+		k     int // RankTopInto's cut
+	}{
+		{"random", random, []string{"t001", "t007", "t013", "unknown-term"}, 10},
+		{"patched", patched, []string{"t001", "pie", "kiwi", "t007", "unknown-term"}, 2},
+		{"empty query", random, nil, 10},
+		{"empty databases", Compile([]*langmodel.Model{langmodel.New(), langmodel.New()}), []string{"x"}, 1},
+		{"no databases", Compile(nil), []string{"x"}, 1},
+	} {
+		ids := make([]int32, 0, 8)
+		scores := make([]float64, set.c.NumDBs())
+		out := make([]Ranked, 0, set.c.NumDBs())
+		for _, alg := range append(compiledAlgorithms(), fakeAlg{}) {
+			_, fake := alg.(fakeAlg)
+			var ok bool
+			allocs := testing.AllocsPerRun(100, func() {
+				ids = set.c.AppendIDs(ids[:0], set.query)
+				out, ok = set.c.RankInto(alg, ids, scores, out[:0])
+			})
+			if allocs != 0 || ok == fake {
+				t.Errorf("%s, %s: RankInto allocated %.1f times per run and said %v, want 0 and %v", set.name, alg.Name(), allocs, ok, !fake)
+			}
+			if fake {
+				continue
+			}
+			if want := set.c.Rank(alg, set.query); !reflect.DeepEqual(out, want) {
+				t.Errorf("%s, %s: RankInto = %v, Rank = %v", set.name, alg.Name(), out, want)
+			}
+			// The serving call: the top k, on the heap side of selectTop
+			// where k is small against the federation.
+			allocs = testing.AllocsPerRun(100, func() {
+				ids = set.c.AppendIDs(ids[:0], set.query)
+				out, _ = set.c.RankTopInto(alg, ids, scores, out, set.k)
+			})
+			if want := min(set.k, set.c.NumDBs()); allocs != 0 || len(out) != want {
+				t.Errorf("%s, %s: RankTopInto(%d) allocated %.1f times per run for %d rows, want 0 for %d", set.name, alg.Name(), set.k, allocs, len(out), want)
+			}
 		}
-		// The serving call: ten of the fifty, on the heap side of selectTop.
-		allocs = testing.AllocsPerRun(100, func() {
-			ids = c.AppendIDs(ids[:0], query)
-			out, _ = c.RankTopInto(alg, ids, scores, out, 10)
-		})
-		if allocs != 0 || len(out) != 10 {
-			t.Errorf("%s: RankTopInto(10) allocated %.1f times per run for %d rows, want 0 for 10", alg.Name(), allocs, len(out))
+	}
+	// A ranking holds each database once; only a direct call can ask the
+	// order about a row and itself.
+	row := Ranked{DB: 3, Score: 0.5}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if compareRanked(row, row) != 0 {
+			t.Fatal("a row does not tie with itself")
 		}
+	}); allocs != 0 {
+		t.Errorf("compareRanked: %.1f allocations, want 0", allocs)
 	}
 }
 

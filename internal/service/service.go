@@ -637,10 +637,8 @@ type (
 // Cardinality stays bounded because values come only from the registry's
 // (small, operator-controlled) set of database names.
 func dbLabel(name string) string {
-	return `db="` + labelEscaper.Replace(name) + `"`
+	return `db="` + telemetry.EscapeLabel(name) + `"`
 }
-
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // parseAlgorithm resolves an algorithm name to its selection.Algorithm.
 // "cori" (or "") selects CORI; "gloss-sum" and "gloss-ind" select the

@@ -65,8 +65,6 @@ const hexDigits = "0123456789abcdef"
 // that have one, \u00XX for the other controls and for < > &, U+2028 and
 // U+2029 escaped (valid JSON, but not valid JavaScript), each byte of
 // invalid UTF-8 replaced by \ufffd, everything else as it is.
-//
-//lint:hotpath
 func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
@@ -118,8 +116,6 @@ func appendString(dst []byte, s string) []byte {
 // float64 (ES6 number-to-string): shortest digits that round-trip, plain
 // notation from 1e-6 up to 1e21 and exponent notation outside, a negative
 // exponent without its padding zero (e-09 → e-9).
-//
-//lint:hotpath
 func appendScore(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, errScore
@@ -139,8 +135,6 @@ func appendScore(dst []byte, f float64) ([]byte, error) {
 // appendRanked appends a ranking, [{"name":…,"score":…},…] — the whole GET
 // /rank reply. A nil ranking is null and an empty one [], as a slice is to
 // encoding/json.
-//
-//lint:hotpath
 func appendRanked(dst []byte, ranked []RankedDB) ([]byte, error) {
 	if ranked == nil {
 		return append(dst, "null"...), nil
@@ -166,8 +160,6 @@ func appendRanked(dst []byte, ranked []RankedDB) ([]byte, error) {
 // a stream's item frame. A negative index is left out — the buffered
 // reply's items are positional — and so are an empty ranking and an empty
 // error.
-//
-//lint:hotpath
 func appendItem(dst []byte, index int, it Item) ([]byte, error) {
 	dst = append(dst, '{')
 	if index >= 0 {
@@ -196,8 +188,6 @@ func appendItem(dst []byte, index int, it Item) ([]byte, error) {
 
 // appendBatch appends the buffered POST /rank/batch reply,
 // {"results":[{…},…]}: one item per query in request order.
-//
-//lint:hotpath
 func appendBatch(dst []byte, items []Item) ([]byte, error) {
 	dst = append(dst, `{"results":`...)
 	if items == nil {
@@ -220,8 +210,6 @@ func appendBatch(dst []byte, items []Item) ([]byte, error) {
 
 // appendDone appends a stream's terminal frame, {"done":true,"results":n}:
 // results counts the item frames sent.
-//
-//lint:hotpath
 func appendDone(dst []byte, results int) []byte {
 	dst = append(dst, `{"done":true,"results":`...)
 	dst = strconv.AppendInt(dst, int64(results), 10)

@@ -83,8 +83,6 @@ func (c *Flights) Do(key Key, compute func() ([]RankedDB, error)) ([]RankedDB, e
 }
 
 // peek is the coalescing fast path: one map lookup under the lock.
-//
-//lint:hotpath
 func (c *Flights) peek(key Key) *Flight {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -92,8 +90,7 @@ func (c *Flights) peek(key Key) *Flight {
 }
 
 // Join returns the flight for key and whether the caller leads it. A
-// leader must call Fulfill exactly once; followers Wait. The split from
-// peek makes the lookup a separately provable //lint:hotpath function.
+// leader must call Fulfill exactly once; followers Wait.
 func (c *Flights) Join(key Key) (*Flight, bool) {
 	if f := c.peek(key); f != nil {
 		return f, false

@@ -7,7 +7,8 @@
 // every crash point leaves a loadable state or an error, never a guess:
 //
 //   - crash while writing the temp file: the rename never happened and the
-//     previous snapshot.qbsnap is intact; the next Save removes the temp;
+//     previous snapshot.qbsnap is intact; the next OpenSnapshots removes
+//     the temp;
 //   - torn or bit-flipped snapshot file (lost cache writes, disk rot): one
 //     of the checksums or the end-of-file rule fails and Load reports
 //     corruption.
@@ -22,7 +23,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/selection"
 )
@@ -50,11 +50,12 @@ type SnapshotStore struct {
 }
 
 // OpenSnapshots creates (if needed) and opens a snapshot store rooted at
-// dir.
+// dir, removing the temp files of any Save a crash cut short.
 func OpenSnapshots(dir string) (*SnapshotStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open snapshots %s: %w", dir, err)
 	}
+	removeTemps(dir, func(target string) bool { return target == SnapshotFile })
 	return &SnapshotStore{dir: dir}, nil
 }
 
@@ -62,8 +63,7 @@ func OpenSnapshots(dir string) (*SnapshotStore, error) {
 func (ss *SnapshotStore) Dir() string { return ss.dir }
 
 // Save replaces the snapshot file with snap, returning its size in bytes.
-// The previous snapshot stays the loadable one until the rename. Temp
-// files left by an earlier crashed Save are removed afterwards.
+// The previous snapshot stays the loadable one until the rename.
 func (ss *SnapshotStore) Save(snap *selection.Snapshot) (int64, error) {
 	data, err := selection.EncodeSnapshot(snap)
 	if err != nil {
@@ -79,22 +79,7 @@ func (ss *SnapshotStore) Save(snap *selection.Snapshot) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ss.removeTemps()
 	return int64(len(data)), nil
-}
-
-// removeTemps removes temp files a crashed Save left behind. Best effort:
-// a leftover costs disk, never correctness.
-func (ss *SnapshotStore) removeTemps() {
-	entries, err := os.ReadDir(ss.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-"+SnapshotFile+"-") {
-			os.Remove(filepath.Join(ss.dir, e.Name()))
-		}
-	}
 }
 
 // Load reads, verifies, and decodes the snapshot file, returning it with

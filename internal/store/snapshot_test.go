@@ -86,11 +86,16 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotSaveReplacesAndGCs: every Save replaces the one snapshot
-// file, and a temp file a crashed Save left behind is removed by the next.
+// file, and a temp file a crashed Save left behind is gone once the store
+// is opened again.
 func TestSnapshotSaveReplacesAndGCs(t *testing.T) {
 	ss := openSnapDir(t)
 	leftover := filepath.Join(ss.Dir(), ".tmp-"+SnapshotFile+"-123")
 	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := OpenSnapshots(ss.Dir())
+	if err != nil {
 		t.Fatal(err)
 	}
 	for epoch := uint64(1); epoch <= 3; epoch++ {

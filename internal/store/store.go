@@ -33,11 +33,13 @@ type Store struct {
 	dir string
 }
 
-// Open creates (if needed) and opens a model store rooted at dir.
+// Open creates (if needed) and opens a model store rooted at dir, removing
+// the temp files of any Put a crash cut short.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
+	removeTemps(dir, func(target string) bool { return strings.HasSuffix(target, Ext) })
 	return &Store{dir: dir}, nil
 }
 
@@ -82,7 +84,7 @@ func (s *Store) Put(name string, m *langmodel.Model) error {
 // entry survives a crash too. On failure the temp file is removed and the
 // old file is untouched.
 func writeAtomic(dir, name string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(dir, ".tmp-"+name+"-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+name+"-*")
 	if err != nil {
 		return fmt.Errorf("store: temp file for %s: %w", name, err)
 	}
@@ -106,6 +108,30 @@ func writeAtomic(dir, name string, write func(io.Writer) error) error {
 		return fmt.Errorf("store: rename %s: %w", name, err)
 	}
 	return syncDir(dir)
+}
+
+// tempPrefix starts the name of every temp file writeAtomic makes:
+// .tmp-<target>-<random>. A store's names never start with a dot
+// (validName), so no stored file can be taken for one.
+const tempPrefix = ".tmp-"
+
+// removeTemps removes the temp files in dir that a process killed between
+// writeAtomic's CreateTemp and its rename left behind, for the targets owns
+// claims: each store removes only the temps of the files it writes, so two
+// kinds of store can share a directory. A store calls it once, when it is
+// opened, before it has a write of its own in flight. Best effort: a
+// leftover costs disk, never correctness.
+func removeTemps(dir string, owns func(target string) bool) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		rest, ok := strings.CutPrefix(e.Name(), tempPrefix)
+		if i := strings.LastIndexByte(rest, '-'); ok && i >= 0 && owns(rest[:i]) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 // syncDir fsyncs a directory, making recent renames in it durable.

@@ -237,3 +237,50 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOpenRemovesOwnTemps: a directory both stores share holds a live model
+// and the temps of a Put and of a Save that a crash cut short, beside a temp
+// of a file neither store writes. Each Open removes exactly its own
+// leftovers, and the model still loads.
+func TestOpenRemovesOwnTemps(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("wsj-88", model("stock market")); err != nil {
+		t.Fatal(err)
+	}
+	modelTemp, snapTemp, otherTemp := ".tmp-wsj-88"+Ext+"-4242", ".tmp-"+SnapshotFile+"-77", ".tmp-notes.txt-1"
+	for _, name := range []string{modelTemp, snapTemp, otherTemp} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func() string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, " ")
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := files(), strings.Join([]string{otherTemp, snapTemp, "wsj-88" + Ext}, " "); got != want {
+		t.Errorf("after Open the directory holds %s, want %s", got, want)
+	}
+	if _, err := OpenSnapshots(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := files(), strings.Join([]string{otherTemp, "wsj-88" + Ext}, " "); got != want {
+		t.Errorf("after OpenSnapshots the directory holds %s, want %s", got, want)
+	}
+	if _, err := s.Get("wsj-88"); err != nil {
+		t.Errorf("the live model: %v", err)
+	}
+}

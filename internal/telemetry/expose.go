@@ -16,6 +16,14 @@ import (
 // 0.0.4), grouping samples by metric family and iterating families and
 // label sets in sorted order.
 
+// EscapeLabel escapes a label value for the text format, which reserves
+// three characters inside a quoted value: the backslash, the double quote
+// and the newline. Callers that put a name they do not control into a
+// metric name (a database, a shard address) pass it through here.
+func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // WriteJSON writes the registry's snapshot as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

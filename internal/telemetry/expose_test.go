@@ -149,3 +149,13 @@ func TestSplitName(t *testing.T) {
 		}
 	}
 }
+
+// TestEscapeLabel pins the three escapes of a label value, and that every
+// other byte, a single quote and non-ASCII text included, passes as it is.
+func TestEscapeLabel(t *testing.T) {
+	in := "a\\b \"c\"\nd 'é'"
+	want := `a\\b \"c\"\nd 'é'`
+	if got := EscapeLabel(in); got != want {
+		t.Errorf("EscapeLabel(%q) = %q, want %q", in, got, want)
+	}
+}
