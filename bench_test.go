@@ -749,40 +749,34 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 // shape: 512 dense models plus sparseTextDBs text-like ones, each over a
 // vocabulary of its own of which a sample always holds the frequent head
 // and a different part of the long tail (rank j with probability 300/j,
-// about 1100 terms in all). Every step resamples the next text database
-// round robin — cycling through pre-built draws, so a step times Patch and
-// nothing else — and patches the previous step's snapshot.
+// about 1100 terms), plus sparseFreshTerms terms no earlier sample held —
+// a re-sample of a text database keeps meeting words its model has never
+// seen. Every step resamples the next text database round robin and
+// patches the previous step's snapshot. Samples are drawn ahead in batches
+// outside the benchmark's timer, so a step times Patch and nothing else.
 type sparsePatchChain struct {
 	models []*langmodel.Model
 	snap   *selection.Compiled
-	draws  [][]*langmodel.Model // draws[i] are text database i's successive samples
+	src    *randx.Source
+	queue  []*langmodel.Model // the next steps' samples, in step order
+	drawn  int                // samples drawn so far
 	steps  int
 }
 
 const (
 	sparseDenseDBs = 512
 	sparseTextDBs  = 16
+	// sparseFreshTerms is how many terms new to the snapshot a resample
+	// brings, about what a refreshing service's patches intern.
+	sparseFreshTerms = 240
 )
 
 func newSparsePatchChain(tb testing.TB) *sparsePatchChain {
 	models, _ := rankBenchModels(sparseDenseDBs)
-	src := randx.New(0x7e87)
-	c := &sparsePatchChain{draws: make([][]*langmodel.Model, sparseTextDBs)}
-	for i := range c.draws {
-		for len(c.draws[i]) < 8 {
-			m := langmodel.New()
-			m.SetDocs(100)
-			for j := 0; j < 4000; j++ {
-				if src.Intn(j+1) >= 300 {
-					continue
-				}
-				df := 1 + src.Intn(40)
-				m.AddTerm(fmt.Sprintf("x%02d-%04d", i, j), langmodel.TermStats{DF: df, CTF: int64(df * (1 + src.Intn(4)))})
-			}
-			c.draws[i] = append(c.draws[i], m)
-		}
-		models = append(models, c.draws[i][0])
-	}
+	c := &sparsePatchChain{src: randx.New(0x7e87)}
+	c.draw(sparseTextDBs)
+	models = append(models, c.queue...)
+	c.queue = c.queue[:0]
 	c.models, c.snap = models, selection.Compile(models)
 	for c.steps < sparseTextDBs { // warm the delta: one resample of each
 		c.step(tb)
@@ -790,10 +784,42 @@ func newSparsePatchChain(tb testing.TB) *sparsePatchChain {
 	return c
 }
 
+// draw queues the samples of the next n steps.
+func (c *sparsePatchChain) draw(n int) {
+	for ; n > 0; n-- {
+		i := c.drawn % sparseTextDBs
+		m := langmodel.New()
+		m.SetDocs(100)
+		add := func(term string) {
+			df := 1 + c.src.Intn(40)
+			m.AddTerm(term, langmodel.TermStats{DF: df, CTF: int64(df * (1 + c.src.Intn(4)))})
+		}
+		for j := 0; j < 4000; j++ {
+			if c.src.Intn(j+1) < 300 {
+				add(fmt.Sprintf("x%02d-%04d", i, j))
+			}
+		}
+		for j := 0; j < sparseFreshTerms; j++ {
+			add(fmt.Sprintf("x%02d-n%d-%d", i, c.drawn, j))
+		}
+		c.queue = append(c.queue, m)
+		c.drawn++
+	}
+}
+
 func (c *sparsePatchChain) step(tb testing.TB) {
-	i := c.steps % sparseTextDBs
-	db := sparseDenseDBs + i
-	next := c.draws[i][(c.steps/sparseTextDBs+1)%len(c.draws[i])]
+	if len(c.queue) == 0 {
+		if b, ok := tb.(*testing.B); ok {
+			b.StopTimer()
+			c.draw(64)
+			b.StartTimer()
+		} else {
+			c.draw(64)
+		}
+	}
+	db := sparseDenseDBs + c.steps%sparseTextDBs
+	next := c.queue[0]
+	c.queue = c.queue[1:]
 	snap, err := c.snap.Patch([]selection.ModelPatch{{DB: db, Old: c.models[db], New: next}})
 	if err != nil {
 		tb.Fatal(err)
@@ -809,6 +835,7 @@ func (c *sparsePatchChain) step(tb testing.TB) {
 func TestSparsePatchAllocatesLittle(t *testing.T) {
 	chain := newSparsePatchChain(t)
 	const runs = 2 * sparseTextDBs
+	chain.draw(runs)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

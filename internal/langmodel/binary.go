@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 )
 
 // Binary model format. A selection service indexes thousands of databases
@@ -55,8 +56,15 @@ func (m *Model) WriteBinary(w io.Writer) (int64, error) {
 	if err := writeUvarint(uint64(m.VocabSize())); err != nil {
 		return cw.n, err
 	}
-	for _, t := range m.Vocabulary() {
-		st, _ := m.lookup(t)
+	// Sort positions, not terms, so each term's stats are at hand without
+	// a probe of the index.
+	pos := make([]int32, len(m.order))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	slices.SortFunc(pos, func(a, b int32) int { return strings.Compare(m.order[a], m.order[b]) })
+	for _, p := range pos {
+		t, st := m.order[p], m.stats[p]
 		if err := writeUvarint(uint64(len(t))); err != nil {
 			return cw.n, err
 		}

@@ -59,16 +59,13 @@ type Model struct {
 	docs     int
 	totalCTF int64
 
-	// slots, distinct and tf are AddDocument's working memory: the index of
-	// each of one document's terms into the other two, the terms in
-	// first-seen order, and their counts in the document. They are kept
-	// between documents so that folding one in allocates for the vocabulary
-	// it adds and not for the document, and emptied before AddDocument
-	// returns, so that none holds on to a token (tokens alias the
-	// document's text). Snapshots and clones do not take them along.
-	slots    map[string]int32
-	distinct []string
-	tf       []int64
+	// stamp is AddDocument's working memory: stamp[p] is the number of the
+	// last document that counted position p's df, and doc the number of the
+	// document being folded, so a term's df rises once per document however
+	// often the document repeats it. It holds counts, never a token, and
+	// snapshots and clones do not take it along.
+	stamp []uint32
+	doc   uint32
 
 	// version counts mutations, invalidating the normalize cache.
 	version uint64
@@ -153,40 +150,39 @@ func (m *Model) intern(term string) (pos int, fresh bool) {
 }
 
 // AddDocument folds one document's tokens into the model: df increases by
-// one for each distinct term, ctf by each occurrence. This is the update
-// step 4 of the sampling algorithm (§3). A token costs one hash in a
-// scratch index of the document's distinct terms; a distinct term costs
-// one probe of the model's index, which finds it or appends it. Insertion
-// order (and with it every downstream random draw) stays deterministic
-// because new terms are appended in the order the document first shows
-// them. The model keeps no token: the document's new terms are copied into
-// one string, and each is a slice of it, so callers may recycle the slice
-// and let go of the text behind it.
+// one for each term the document holds, ctf by each occurrence. This is the
+// update step 4 of the sampling algorithm (§3). A token costs one probe of
+// the model's index, which finds its term or appends it, and a check of
+// the term's stamp, which says whether this document has counted it yet.
+// Insertion order (and with it every downstream random draw) stays
+// deterministic because new terms are appended in the order the document
+// first shows them. The model keeps no token: the document's new terms are
+// copied into one string, and each is a slice of it, so callers may
+// recycle the slice and let go of the text behind it.
 func (m *Model) AddDocument(tokens []string) {
 	m.mutable()
-	if m.slots == nil {
-		m.slots = make(map[string]int32, len(tokens))
+	if m.doc++; m.doc == 0 {
+		clear(m.stamp) // the numbering wrapped: forget every document
+		m.doc = 1
 	}
-	for _, t := range tokens {
-		i, ok := m.slots[t]
-		if !ok {
-			i = int32(len(m.distinct))
-			m.slots[t] = i
-			m.distinct = append(m.distinct, t)
-			m.tf = append(m.tf, 0)
-		}
-		m.tf[i]++
+	if len(m.stamp) < len(m.order) {
+		// Terms added by AddTerm or a load have no stamp yet.
+		m.stamp = append(m.stamp, make([]uint32, len(m.order)-len(m.stamp))...)
 	}
 	// New terms are appended as the tokens themselves, then swapped for
 	// slices of one copy of their bytes.
 	first, newBytes := len(m.order), 0
-	for i, t := range m.distinct {
+	for _, t := range tokens {
 		p, fresh := m.intern(t)
 		if fresh {
 			newBytes += len(t)
+			m.stamp = append(m.stamp, 0)
 		}
-		m.stats[p].DF++
-		m.stats[p].CTF += m.tf[i]
+		if m.stamp[p] != m.doc {
+			m.stamp[p] = m.doc
+			m.stats[p].DF++
+		}
+		m.stats[p].CTF++
 	}
 	if first < len(m.order) {
 		// Grow makes the copy one allocation; every slice taken of it stays
@@ -198,10 +194,6 @@ func (m *Model) AddDocument(tokens []string) {
 			m.order[p] = b.String()[b.Len()-len(m.order[p]):]
 		}
 	}
-	clear(m.slots)
-	clear(m.distinct)
-	m.distinct = m.distinct[:0]
-	m.tf = m.tf[:0]
 	m.totalCTF += int64(len(tokens))
 	m.docs++
 	m.version++

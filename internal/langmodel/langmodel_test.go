@@ -395,33 +395,55 @@ func BenchmarkRanks(b *testing.B) {
 
 // TestAddDocumentReusesItsScratch: folding a document in allocates for the
 // vocabulary it adds, not for the document — a document of known terms is
-// free — and the working memory kept between documents holds on to none of
-// the tokens, which alias text the caller is about to drop.
+// free. Its working memory is the per-position document stamp: one count
+// per term, all of them for documents already folded, none of them a
+// token (tokens alias text the caller is about to drop, and no model term
+// may point into it). Terms added without a document get their stamp on
+// the next fold, and snapshots and clones carry no working memory.
 func TestAddDocumentReusesItsScratch(t *testing.T) {
-	tokens := analysis.Raw().Tokens("the quick brown fox jumps over the lazy dog and the quick cat")
+	text := "the quick brown fox jumps over the lazy dog and the quick cat"
+	tokens := analysis.Raw().Tokens(text)
 	m := New()
 	m.AddDocument(tokens)
 	if got := testing.AllocsPerRun(50, func() { m.AddDocument(tokens) }); got != 0 {
 		t.Errorf("a document of known terms cost %v allocations", got)
 	}
-	if len(m.slots) != 0 || len(m.distinct) != 0 || len(m.tf) != 0 {
-		t.Errorf("scratch not emptied: %d slots, %d distinct, %d counts", len(m.slots), len(m.distinct), len(m.tf))
+	m.AddTerm("zebra", TermStats{DF: 4, CTF: 5})
+	m.AddDocument([]string{"zebra", "zebra", "quick", "yak"})
+	if len(m.stamp) != m.VocabSize() {
+		t.Errorf("%d stamps for %d terms", len(m.stamp), m.VocabSize())
 	}
-	for _, s := range m.distinct[:cap(m.distinct)] {
-		if s != "" {
-			t.Fatalf("the distinct list still holds %q past its length", s)
+	for p, s := range m.stamp {
+		if s == 0 || s > m.doc {
+			t.Errorf("term %q has stamp %d past document %d", m.TermAt(p), s, m.doc)
 		}
 	}
-	want := docModel("the quick brown fox jumps over the lazy dog and the quick cat")
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	for i := 0; i < m.VocabSize(); i++ {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(m.TermAt(i)))); p >= lo && p < lo+uintptr(len(text)) {
+			t.Errorf("term %q is a view of the document", m.TermAt(i))
+		}
+	}
+	want := docModel(text)
 	fresh := New()
 	fresh.AddDocument(tokens)
-	if !fresh.Equal(want) || m.DF("quick") != 52 || m.CTF("the") != 3*52 {
-		t.Errorf("reused scratch miscounts: df(quick)=%d ctf(the)=%d", m.DF("quick"), m.CTF("the"))
+	if !fresh.Equal(want) || m.DF("quick") != 53 || m.CTF("the") != 3*52 ||
+		m.DF("zebra") != 5 || m.CTF("zebra") != 7 || m.DF("yak") != 1 {
+		t.Errorf("the stamp miscounts: df(quick)=%d ctf(the)=%d df(zebra)=%d ctf(zebra)=%d",
+			m.DF("quick"), m.CTF("the"), m.DF("zebra"), m.CTF("zebra"))
+	}
+	m.doc = math.MaxUint32 // the next fold wraps the numbering
+	m.AddDocument([]string{"yak", "yak"})
+	if m.doc != 1 || m.DF("yak") != 2 || m.CTF("yak") != 3 {
+		t.Errorf("after the numbering wrapped: document %d, df(yak)=%d ctf(yak)=%d", m.doc, m.DF("yak"), m.CTF("yak"))
 	}
 	snap, clone := m.Snapshot(), m.Clone()
-	if snap.slots != nil || snap.distinct != nil || snap.tf != nil ||
-		clone.slots != nil || clone.distinct != nil || clone.tf != nil {
-		t.Error("a snapshot or clone took the scratch along")
+	if snap.stamp != nil || snap.doc != 0 || clone.stamp != nil || clone.doc != 0 {
+		t.Error("a snapshot or clone took the working memory along")
+	}
+	clone.AddDocument([]string{"quick", "quick", "new"})
+	if clone.DF("quick") != 54 || clone.CTF("quick") != 2*52+3 || clone.DF("new") != 1 {
+		t.Errorf("a clone's first fold miscounts: df(quick)=%d ctf(quick)=%d", clone.DF("quick"), clone.CTF("quick"))
 	}
 }
 

@@ -22,11 +22,15 @@ package lint
 // without reaching exit, so a deliberate `panic` under a deferred
 // unlock is not a false positive.
 //
+// Every function literal is checked as a function of its own — a
+// goroutine body, a deferred closure, a closure a constructor returns —
+// with no lock held on entry: its locks follow the discipline inside it,
+// and the enclosing function reads it only for deferred unlocks.
+//
 // Known imprecision, by construction: the fact is path-insensitive, so
 // conditionally acquired locks ("if ok { mu.Lock() }") appear held on
-// the merged path; goroutine and closure bodies are analyzed where they
-// are declared only for deferred unlocks; calls through function values
-// are assumed non-blocking. Violations that are the design (netsearch's
+// the merged path; calls through function values are assumed
+// non-blocking. Violations that are the design (netsearch's
 // client mutex IS the wire-serialization mechanism) carry
 // //lint:ignore directives with the rationale.
 
@@ -101,38 +105,23 @@ func runLockHeld(pass *Pass) error {
 	if pass.Prog == nil {
 		return fmt.Errorf("lockheld requires program information")
 	}
+	// Every function body, declared or literal, gets its own check: the
+	// enclosing function's facts do not flow into a literal, which runs
+	// when it is called or started, not where it is written.
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkLockHeld(pass, fd)
-			// Goroutine and deferred closures get their own independent
-			// check: locks they acquire must follow the discipline inside
-			// the closure (the enclosing function's facts do not flow in,
-			// matching how the runtime actually executes them).
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-						checkLockHeldBody(pass, lit.Body)
-					}
-				case *ast.DeferStmt:
-					if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-						checkLockHeldBody(pass, lit.Body)
-					}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					checkLockHeldBody(pass, n.Body)
 				}
-				return true
-			})
-			continue
-		}
+			case *ast.FuncLit:
+				checkLockHeldBody(pass, n.Body)
+			}
+			return true
+		})
 	}
 	return nil
-}
-
-func checkLockHeld(pass *Pass, fd *ast.FuncDecl) {
-	checkLockHeldBody(pass, fd.Body)
 }
 
 func checkLockHeldBody(pass *Pass, body *ast.BlockStmt) {

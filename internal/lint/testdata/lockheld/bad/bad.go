@@ -49,3 +49,17 @@ func (s *S) SleepHeld() {
 }
 
 func helper() { time.Sleep(time.Millisecond) }
+
+// Dialer returns a closure that sleeps under the lock it takes: the
+// closure is a function of its own, checked wherever it is written.
+func Dialer() func() int {
+	var mu sync.Mutex
+	n := 0
+	return func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n++
+		time.Sleep(time.Millisecond) // want `call to Sleep \(may block\) while holding mu`
+		return n
+	}
+}

@@ -70,19 +70,17 @@ func (p *csr) endRow() {
 // chain of patches has overridden since the base was written (patch.go).
 // Term id t's row is delta row ovr[t] when that is >= 0, else base row t.
 type Compiled struct {
-	n   int
-	ids map[string]int32
-	// overlay holds terms interned after the base dictionary was built (by
-	// Patch); it is checked after ids and kept small relative to it. terms
-	// and extra are the same split in id order — extra[i] has id
-	// len(terms)+i — the iteration order the snapshot codec and the patcher
-	// need, since map order is randomized.
-	overlay map[string]int32
-	terms   []string
-	extra   []string
-	docs    []float64 // per-database document counts
-	cw      []float64 // per-database collection sizes (total ctf)
-	sumCW   int64     // exact sum of cw, from which avgCW derives CORI's normalizer
+	n int
+	// dict is the term dictionary this snapshot shares with its patch
+	// lineage (dict.go) and terms this snapshot's view of it: term id i is
+	// terms[i], and a dictionary id at or past len(terms) belongs to a
+	// later snapshot.
+	dict  *termDict
+	terms []string
+
+	docs  []float64 // per-database document counts
+	cw    []float64 // per-database collection sizes (total ctf)
+	sumCW int64     // exact sum of cw, from which avgCW derives CORI's normalizer
 
 	base      *csr    // rows by term id
 	ovr       []int32 // term id -> delta row, -1 if not overridden; nil without a delta
@@ -99,19 +97,21 @@ type Compiled struct {
 // which is deterministic for deterministic inputs.
 func Compile(models []*langmodel.Model) *Compiled {
 	n := len(models)
-	c := &Compiled{
-		n:    n,
-		ids:  make(map[string]int32),
-		docs: make([]float64, n),
-		cw:   make([]float64, n),
-	}
 	// Each model lists a term once, so the posting count is known before the
 	// first term is read and every array below is allocated once at its final
 	// size. Pass one interns the terms and counts each one's postings,
 	// remembering the id of every posting in visit order.
-	postings := 0
+	postings, largest := 0, 0
 	for _, m := range models {
 		postings += m.VocabSize()
+		largest = max(largest, m.VocabSize())
+	}
+	dict := newTermDict(largest)
+	c := &Compiled{
+		n:    n,
+		dict: dict,
+		docs: make([]float64, n),
+		cw:   make([]float64, n),
 	}
 	termOf := make([]int32, 0, postings)
 	var count []int32
@@ -120,12 +120,8 @@ func Compile(models []*langmodel.Model) *Compiled {
 		c.cw[i] = float64(m.TotalCTF())
 		c.sumCW += m.TotalCTF()
 		for j, v := 0, m.VocabSize(); j < v; j++ {
-			t := m.TermAt(j)
-			id, ok := c.ids[t]
-			if !ok {
-				id = int32(len(count))
-				c.ids[t] = id
-				c.terms = append(c.terms, t)
+			id, fresh := dict.intern(m.TermAt(j))
+			if fresh {
 				count = append(count, 0)
 			}
 			count[id]++
@@ -161,6 +157,7 @@ func Compile(models []*langmodel.Model) *Compiled {
 		})
 	}
 	c.base, c.postings = base, postings
+	c.terms = dict.view()
 	return c
 }
 
@@ -171,28 +168,20 @@ func (c *Compiled) NumDBs() int { return c.n }
 // patch chain (patch.go) this may include terms whose last posting was
 // removed; they keep an empty posting row, which every scorer treats
 // exactly like a term outside the dictionary, and the next fold drops them.
-func (c *Compiled) VocabSize() int { return len(c.terms) + len(c.extra) }
+func (c *Compiled) VocabSize() int { return len(c.terms) }
 
 // Postings returns the total number of (term, database) statistics pairs.
 func (c *Compiled) Postings() int { return c.postings }
 
 // TermAt returns the interned term with id i, 0 <= i < VocabSize().
-func (c *Compiled) TermAt(i int) string {
-	if i < len(c.terms) {
-		return c.terms[i]
-	}
-	return c.extra[i-len(c.terms)]
-}
+func (c *Compiled) TermAt(i int) string { return c.terms[i] }
 
 // ID resolves a term to its interned id; ok is false for terms no model
 // contains. Ids are private to a snapshot: a Patch that folds renumbers
 // them, so resolve a query against the snapshot it will be scored on.
 func (c *Compiled) ID(term string) (int32, bool) {
-	if id, ok := c.ids[term]; ok {
-		return id, true
-	}
-	id, ok := c.overlay[term]
-	return id, ok
+	id := c.dict.lookup(term, len(c.terms))
+	return id, id >= 0
 }
 
 // row returns term id's posting row: the delta's copy if a patch overrode
@@ -214,13 +203,7 @@ func (c *Compiled) row(id int32) (dbs []int32, dfs []float64) {
 // length). The caller recycles dst; no allocations beyond dst growth.
 func (c *Compiled) AppendIDs(dst []int32, terms []string) []int32 {
 	for _, t := range terms {
-		if id, ok := c.ids[t]; ok {
-			dst = append(dst, id)
-		} else if id, ok := c.overlay[t]; ok {
-			dst = append(dst, id)
-		} else {
-			dst = append(dst, -1)
-		}
+		dst = append(dst, c.dict.lookup(t, len(c.terms)))
 	}
 	return dst
 }

@@ -155,8 +155,9 @@ func TestCompiledAppendIDs(t *testing.T) {
 // allocations for every compiled algorithm family, and refusing an
 // algorithm that is not one allocates nothing either. The sets cover every
 // statement on the path: a patched set (a row overridden in the delta, a
-// term only the overlay knows, a row that lost its last posting), an empty
-// query, databases that hold nothing, and no databases at all.
+// term the patch appended to the dictionary, a row that lost its last
+// posting), an empty query, databases that hold nothing, and no databases
+// at all.
 func TestCompiledRankIntoZeroAlloc(t *testing.T) {
 	src := randx.New(0xa110c)
 	models := randomModels(src, 50, 60)

@@ -76,20 +76,15 @@ type rowEdit struct {
 	remove bool
 }
 
-const (
-	// overlayFlattenRatio: when the overlay dictionary outgrows this
-	// fraction of the base, lookups pay two map probes too often and the
-	// next patch flattens both into one map.
-	overlayFlattenRatio = 8
-	// foldDeltaRatio: when the delta's postings outgrow this fraction of the
-	// base's, every patch is carrying too much of the table forward and the
-	// next one folds base and delta into a fresh base.
-	foldDeltaRatio = 8
-)
+// foldDeltaRatio: when the delta's postings outgrow this fraction of the
+// base's, every patch is carrying too much of the table forward and the
+// next one folds base and delta into a fresh base.
+const foldDeltaRatio = 8
 
 // Patch returns a new Compiled reflecting the model replacements in
 // patches, leaving the receiver untouched (snapshots are immutable and may
-// still be serving queries; the two share the base table and dictionary).
+// still be serving queries; the two share the base table and the lineage's
+// dictionary, which a patch of the lineage's tip appends to, dict.go).
 // The database count and order must be unchanged — registrations and
 // unregistrations renumber databases and need a full Compile. Patches must
 // target distinct indices.
@@ -241,7 +236,7 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 
 	next := &Compiled{
 		n: c.n, docs: c.docs, cw: c.cw, sumCW: c.sumCW,
-		ids: c.ids, overlay: c.overlay, terms: c.terms, extra: c.extra,
+		dict: c.dict, terms: c.terms,
 		postings: postings, empty: empty,
 	}
 	if !fold {
@@ -290,9 +285,9 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 		// them; with none to drop, ids and dictionary stay as they are.
 		renumber := empty > 0
 		b := newCSR(vocab-empty, postings)
-		var kept []string
+		var kept *termDict
 		if renumber {
-			kept = make([]string, 0, vocab-empty)
+			kept = newTermDict(vocab - empty)
 			next.empty = 0
 		}
 		lo := 0
@@ -312,38 +307,24 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 					continue
 				}
 				if id < oldVocab {
-					kept = append(kept, c.TermAt(id))
+					kept.intern(c.TermAt(id))
 				} else {
-					kept = append(kept, newTerms[id-oldVocab])
+					kept.intern(newTerms[id-oldVocab])
 				}
 			}
 			b.endRow()
 		}
 		next.base = b
 		if renumber {
-			next.ids, next.overlay, next.terms, next.extra = indexTerms(kept), nil, kept, nil
+			next.dict, next.terms = kept, kept.view()
 			return next
 		}
 	}
 
-	// Dictionary: the base map and term list are shared; new terms go to a
-	// copied overlay (and the extra list beside it) so sibling snapshots
-	// never observe the mutation. An overgrown overlay is flattened into a
-	// single map.
-	if len(newTerms) > 0 {
-		next.extra = slices.Concat(c.extra, newTerms)
-		next.overlay = make(map[string]int32, len(c.overlay)+len(newTerms))
-		for t, id := range c.overlay {
-			next.overlay[t] = id
-		}
-		for i, t := range newTerms {
-			next.overlay[t] = int32(oldVocab + i)
-		}
-		if len(next.overlay)*overlayFlattenRatio > len(next.ids) {
-			next.terms, next.extra = slices.Concat(c.terms, next.extra), nil
-			next.ids, next.overlay = indexTerms(next.terms), nil
-		}
-	}
+	// Dictionary: new terms take the ids after c's, appended to the
+	// lineage's dictionary when c is its tip and in a fork of it otherwise,
+	// so no snapshot ever sees a term it was not built with.
+	next.dict, next.terms = c.dict.extend(c.terms, newTerms)
 	return next
 }
 
@@ -355,15 +336,6 @@ func rowEnd(edits []rowEdit, lo int) int {
 		hi++
 	}
 	return hi
-}
-
-// indexTerms builds the term -> id map of a dictionary in id order.
-func indexTerms(terms []string) map[string]int32 {
-	ids := make(map[string]int32, len(terms))
-	for i, t := range terms {
-		ids[t] = int32(i)
-	}
-	return ids
 }
 
 // appendRun bulk-copies rows [from, to) of src onto the end of p.

@@ -129,7 +129,8 @@ func TestPatchMatchesFullCompile(t *testing.T) {
 		snap := Compile(models)
 
 		// Two rounds of patching: the second patches the first's output, so
-		// overlay dictionaries and patched-row re-patching get exercised.
+		// the lineage's shared dictionary and patched-row re-patching get
+		// exercised.
 		// Replacements draw from a 60-term pool — terms t040..t059 are new
 		// to the snapshot and take appended ids.
 		for round := 0; round < 2; round++ {
@@ -173,6 +174,15 @@ func TestPatchMatchesFullCompile(t *testing.T) {
 // the postings rule folds; in between, patches ride on a warm delta. After
 // every step the snapshot must equal Compile of the current models — which
 // also bounds the ghosts, so the dictionary cannot grow with the chain.
+//
+// The chain is one lineage sharing one dictionary, so the arm also holds
+// the lineage rules. Readers rank every snapshot the chain has moved past
+// while later patches append to that dictionary (the race detector
+// watches), and each ranking must be bit-equal to Compile and to the map
+// scorers over the snapshot's own models. Every 25th step patches the
+// previous snapshot again, a sibling of the tip, which must fork the
+// dictionary whenever it interns a term and leave the tip's untouched. And
+// the snapshot of 10 steps back must miss every term added after it.
 func testPatchLongChain(t *testing.T) {
 	const nDBs = 48
 	src := randx.New(0x5ba25e)
@@ -182,7 +192,43 @@ func testPatchLongChain(t *testing.T) {
 	}
 	snap := Compile(models)
 	order := src.Perm(nDBs)
-	var ghostFolds, postingFolds, onDelta int
+
+	type held struct {
+		snap   *Compiled
+		models []*langmodel.Model
+		query  []string
+	}
+	older := make(chan held, 8)
+	var readers sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for h := range older {
+				full := Compile(h.models)
+				ids, fullIDs := h.snap.AppendIDs(nil, h.query), full.AppendIDs(nil, h.query)
+				got, fromFull := make([]float64, nDBs), make([]float64, nDBs)
+				for _, alg := range compiledAlgorithms() {
+					h.snap.ScoreInto(alg, ids, got)
+					full.ScoreInto(alg, fullIDs, fromFull)
+					want := alg.Scores(h.query, h.models)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+							math.Float64bits(got[i]) != math.Float64bits(fromFull[i]) {
+							t.Errorf("%s on an older snapshot: db %d scores %v, Compile %v, map %v (query %v)",
+								alg.Name(), i, got[i], fromFull[i], want[i], h.query)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	defer readers.Wait()
+	defer close(older)
+
+	var back []*Compiled // the last 10 snapshots, oldest first
+	var ghostFolds, postingFolds, onDelta, forks, misses int
 	for step := 0; step < 2000; step++ {
 		db := order[step%nDBs]
 		own := 1 + src.Intn(3)
@@ -201,7 +247,47 @@ func testPatchLongChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		prev, prevModels := snap, slices.Clone(models)
 		models[db], snap = repl, next
+		older <- held{prev, prevModels, []string{
+			fmt.Sprintf("s%02d", src.Intn(20)),
+			fmt.Sprintf("d%02d-%02d", db, src.Intn(90)),
+			fmt.Sprintf("d%02d-%02d", src.Intn(nDBs), src.Intn(90)),
+		}}
+
+		if step%25 == 0 {
+			// A sibling of the tip: prev patched again, at another database.
+			sdb := order[(step+1)%nDBs]
+			srepl := sparseModel(src, sdb, 30+src.Intn(30))
+			tipTerms, shared := len(snap.dict.terms), prev.dict == snap.dict
+			sib, err := prev.Patch([]ModelPatch{{DB: sdb, Old: prevModels[sdb], New: srepl}})
+			if err != nil {
+				t.Fatalf("step %d sibling: %v", step, err)
+			}
+			if shared && snap.VocabSize() > prev.VocabSize() && sib.VocabSize() > prev.VocabSize() {
+				forks++
+				if sib.dict == snap.dict || len(snap.dict.terms) != tipTerms {
+					t.Fatalf("step %d: a sibling patch appended to the tip's dictionary", step)
+				}
+			}
+			sibModels := slices.Clone(prevModels)
+			sibModels[sdb] = srepl
+			assertPatchEquivalent(t, step, sib, Compile(sibModels))
+			assertScoresMatchMaps(t, step, sib, sibModels, []string{
+				fmt.Sprintf("d%02d-%02d", sdb, src.Intn(90)), fmt.Sprintf("s%02d", src.Intn(20)), "unknown-term",
+			})
+		}
+		if back = append(back, snap); len(back) > 10 {
+			back = back[1:]
+			if old := back[0]; old.dict == snap.dict {
+				for id := old.VocabSize(); id < snap.VocabSize(); id++ {
+					misses++
+					if got, ok := old.ID(snap.TermAt(id)); ok {
+						t.Fatalf("step %d: a snapshot 10 steps old finds %q, added after it, at id %d", step, snap.TermAt(id), got)
+					}
+				}
+			}
+		}
 
 		full := Compile(models)
 		assertPatchEquivalent(t, step, snap, full)
@@ -227,6 +313,10 @@ func testPatchLongChain(t *testing.T) {
 	if ghostFolds < 3 || postingFolds < 3 || onDelta < 300 {
 		t.Fatalf("chain took %d ghost folds, %d posting folds, %d delta patches; want several of each",
 			ghostFolds, postingFolds, onDelta)
+	}
+	t.Logf("%d forked siblings, %d later terms missed by older snapshots", forks, misses)
+	if forks < 10 || misses < 1000 {
+		t.Fatalf("chain forked %d siblings and checked %d later terms against older snapshots; want more", forks, misses)
 	}
 }
 

@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 )
 
 // SnapshotVersion is the current format version.
@@ -124,9 +123,6 @@ func AppendSnapshot(dst []byte, s *Snapshot) ([]byte, error) {
 	// The format has no delta: a patched snapshot is written as its fold.
 	c := s.Compiled.folded()
 	terms := c.terms
-	if len(c.extra) > 0 {
-		terms = slices.Concat(c.terms, c.extra)
-	}
 	if len(s.Names) != c.n {
 		return nil, fmt.Errorf("selection: snapshot has %d names for %d databases", len(s.Names), c.n)
 	}
@@ -245,10 +241,17 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.terms, err = decodeStringTable(dictPayload, nTerms, "dict"); err != nil {
+	terms, err := decodeStringTable(dictPayload, nTerms, "dict")
+	if err != nil {
 		return nil, err
 	}
-	c.ids = indexTerms(c.terms)
+	c.dict = newTermDict(nTerms)
+	for i, t := range terms {
+		if id, fresh := c.dict.intern(t); !fresh {
+			return nil, fmt.Errorf("selection: dict term %d %q repeats term %d", i, t, id)
+		}
+	}
+	c.terms = c.dict.view()
 	if c.docs, err = sectionFloat64s(need, secDocs, nDBs); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,6 +290,21 @@ func TestSnapshotRefusesFractionalCW(t *testing.T) {
 		if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "collection size") {
 			t.Errorf("cw %v: DecodeSnapshot err = %v", w, err)
 		}
+	}
+}
+
+// TestSnapshotRefusesRepeatedTerm: a dictionary that lists a term twice
+// would leave one of its two rows unreachable, so decoding refuses it.
+func TestSnapshotRefusesRepeatedTerm(t *testing.T) {
+	c := Compile(goldenModels())
+	c.terms = slices.Clone(c.terms)
+	c.terms[1] = c.terms[0]
+	data, err := EncodeSnapshot(&Snapshot{Names: []string{"a", "b"}, Compiled: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "repeats term 0") {
+		t.Errorf("DecodeSnapshot err = %v", err)
 	}
 }
 
