@@ -652,56 +652,6 @@ func BenchmarkRankDBs(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad prices a warm start: loading, verifying, and
-// decoding the persisted compiled snapshot of a 100-database federation —
-// the work a restarted service does instead of recompiling every model.
-// The mmap arm is the production path (numeric sections sliced in place);
-// the heap arm is the portable fallback. Sub-millisecond per op is the
-// design target.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	models, _ := rankBenchModels(100)
-	names := make([]string, len(models))
-	fps := make([]uint64, len(models))
-	for i, m := range models {
-		names[i] = fmt.Sprintf("db%03d", i)
-		fps[i] = m.Fingerprint()
-	}
-	snap := &selection.Snapshot{
-		Epoch:        1,
-		Names:        names,
-		Fingerprints: fps,
-		Compiled:     selection.Compile(models),
-	}
-	for _, arm := range []struct {
-		name        string
-		disableMmap bool
-	}{{"path=mmap", false}, {"path=heap", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			ss, err := store.OpenSnapshots(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			ss.DisableMmap = arm.disableMmap
-			size, err := ss.Save(snap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loaded, _, err := ss.Load()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if loaded.Compiled.NumDBs() != len(models) {
-					b.Fatal("short snapshot")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIncrementalRecompile prices rebuilding the compiled snapshot
 // after one database of a federation is resampled: the incremental path
 // (Patch rewrites the changed rows) against the full recompile it replaces.
@@ -919,8 +869,8 @@ func BenchmarkScatterGather(b *testing.B) {
 		}
 	}
 	// Each shard registers its ring-assigned share of the databases and
-	// loads their models from the shared store — the warm-start path, so
-	// no sampling runs inside the benchmark.
+	// loads their models from the shared store — the restart path, so no
+	// sampling runs inside the benchmark.
 	ring := cluster.NewRing(nShards, 0, 0)
 	addrs := make([][]string, nShards)
 	for s := 0; s < nShards; s++ {

@@ -5,7 +5,7 @@
 // .github/workflows/ci.yml):
 //
 //	go test . -run xxx -bench '...' -benchmem -count=5 | benchdiff record -o BENCH_$(git rev-parse HEAD).json
-//	benchdiff compare -threshold 0.25 BENCH_baseline.json BENCH_<sha>.json
+//	benchdiff compare -threshold 0.25 BENCH_parent.json BENCH_<sha>.json
 //	benchdiff pairs ../parent-checkout
 //
 // record parses the standard benchmark output format and keeps, per

@@ -6,28 +6,19 @@
 //	lmtool top <model> [-k 20] [-by avg-tf] # §7-style summary
 //	lmtool compare <learned> <actual>       # the paper's §4.3 metrics
 //	lmtool dump <model>                     # TSV to stdout
-//	lmtool snapshot <dir|file>              # inspect a compiled snapshot
 //
 // Model files are QBLM1, the binary format qbsample -out and the model
 // store write (.qblm); dump is the text export.
-//
-// snapshot takes a snapshot store directory (it reads the directory's
-// snapshot.qbsnap) or a .qbsnap file directly, prints the header and
-// section table, and verifies every section checksum — the first tool to
-// reach for when a service refuses a warm start.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/analysis"
 	"repro/internal/langmodel"
 	"repro/internal/metrics"
-	"repro/internal/selection"
-	"repro/internal/store"
 	"repro/internal/summarize"
 )
 
@@ -47,8 +38,6 @@ func main() {
 		err = runCompare(args)
 	case "dump":
 		err = runDump(args)
-	case "snapshot":
-		err = runSnapshot(args)
 	default:
 		usage()
 	}
@@ -59,7 +48,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lmtool {info|top|compare|dump|snapshot} ...")
+	fmt.Fprintln(os.Stderr, "usage: lmtool {info|top|compare|dump} ...")
 	os.Exit(2)
 }
 
@@ -156,50 +145,6 @@ func runCompare(args []string) error {
 	fmt.Printf("spearman (ties):  %.4f\n", metrics.Spearman(learned, actual, langmodel.ByDF))
 	fmt.Printf("kendall tau-b:    %.4f\n", metrics.KendallTau(learned, actual, langmodel.ByDF))
 	fmt.Printf("rdiff:            %.5f\n", metrics.Rdiff(learned, actual, langmodel.ByDF))
-	return nil
-}
-
-func runSnapshot(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("snapshot needs a store directory or a snapshot file")
-	}
-	path := args[0]
-	if fi, err := os.Stat(path); err != nil {
-		return err
-	} else if fi.IsDir() {
-		path = filepath.Join(path, store.SnapshotFile)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	info, err := selection.InspectSnapshot(data)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("file:        %s (%d bytes)\n", path, len(data))
-	fmt.Printf("version:     %d\n", info.Version)
-	fmt.Printf("epoch:       %d\n", info.Epoch)
-	fmt.Printf("databases:   %d\n", info.DBs)
-	fmt.Printf("terms:       %d\n", info.Terms)
-	fmt.Printf("postings:    %d\n", info.Postings)
-	fmt.Printf("sections:\n")
-	bad := 0
-	for _, s := range info.Sections {
-		status := "ok"
-		if !s.OK {
-			status = "CORRUPT"
-			bad++
-		}
-		fmt.Printf("  %-10s off %8d  len %10d  crc %08x  %s\n", s.Name, s.Offset, s.Length, s.CRC, status)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d section(s) failed checksum verification", bad)
-	}
-	if _, err := selection.DecodeSnapshot(data); err != nil {
-		return fmt.Errorf("sections verify but snapshot does not decode: %w", err)
-	}
-	fmt.Printf("integrity:   all sections verified; snapshot decodes cleanly\n")
 	return nil
 }
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	selectd [-addr :8080] [-store ./models] [-snapshot-dir ./snap] [-demo n] [-timeout 10s] [-retries 3]
+//	selectd [-addr :8080] [-store ./models] [-demo n] [-timeout 10s] [-retries 3]
 //
 // Cluster mode (DESIGN.md §13): with -join, the instance additionally
 // serves its rank/register capabilities over the netsearch fabric on the
@@ -34,9 +34,9 @@
 // Batch rankings stream: POST /rank/batch?stream=1 flushes each query's
 // ranking as it completes (NDJSON, or SSE via Accept: text/event-stream).
 //
-// With -snapshot-dir, each newly compiled selection snapshot is saved to
-// one self-checking file, <dir>/snapshot.qbsnap, and adopted on restart (a
-// warm start: the first /rank serves without recompiling the federation).
+// With -store, the learned models are the only persisted state: a restart
+// re-registers each database with its stored model, and the first /rank
+// compiles the selection snapshot from them.
 //
 // With -demo n, selectd also spins up n in-process demo databases (served
 // over netsearch, as real remote databases would be), registers them, and
@@ -76,7 +76,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	storeDir := flag.String("store", "", "directory for persisted language models (empty = in-memory only)")
-	snapDir := flag.String("snapshot-dir", "", "directory for persisted compiled selection snapshots (empty = compile on first query)")
 	demo := flag.Int("demo", 0, "spin up this many demo databases and sample them")
 	demoDocs := flag.Int("demo-docs", 600, "documents per demo database")
 	sampleDocs := flag.Int("demo-sample", 150, "sampling budget per demo database")
@@ -153,16 +152,6 @@ func main() {
 	svc.SetMetrics(reg)
 	svc.SetLogger(logger)
 	svc.SetAdmission(adm)
-	var snaps *store.SnapshotStore
-	if *snapDir != "" {
-		var err error
-		snaps, err = store.OpenSnapshots(*snapDir)
-		if err != nil {
-			fail("%v", err)
-		}
-		svc.SetSnapshotStore(snaps)
-		fmt.Printf("persisting compiled snapshots under %s\n", snaps.Dir())
-	}
 	svc.SetDialOptions(netsearch.Options{
 		Timeout: *timeout,
 		Retry:   netsearch.RetryPolicy{Attempts: *retries},
@@ -188,8 +177,7 @@ func main() {
 			// A restart with -store resumes from the persisted model
 			// instead of re-sampling: query-based sampling seeds its
 			// queries off the learned model, so re-sampling would walk a
-			// different path, change the model, and (correctly) invalidate
-			// any persisted compiled snapshot.
+			// different path and change the model the restart serves.
 			if st != nil {
 				if m, err := st.Get(db.Name); err == nil {
 					fmt.Printf("  %s @ %s: model resumed from store (%d terms)\n",
@@ -203,19 +191,6 @@ func main() {
 			}
 			fmt.Printf("  %s @ %s: %d docs sampled, %d terms learned\n",
 				db.Name, ns.Addr(), status.SampledDocs, status.Terms)
-		}
-	}
-
-	// Warm start: with every database registered (and persisted models
-	// loaded), adopt the persisted compiled snapshot if it still matches
-	// the model set — the first /rank then serves without compiling. Any
-	// mismatch or corruption just means a cold start: the first query
-	// compiles from the models, and the result is re-persisted on publish.
-	if snaps != nil {
-		if err := svc.LoadSnapshot(); err != nil {
-			logger.Warn("cold start: compiled snapshot not adopted", "err", err.Error())
-		} else {
-			fmt.Printf("warm start: compiled snapshot loaded from %s\n", snaps.Dir())
 		}
 	}
 

@@ -8,11 +8,10 @@ import "encoding/binary"
 // built by sampling and the same model read back from disk (which inserts
 // in sorted order) fingerprint identically.
 //
-// The snapshot store uses it to detect that persisted models moved on
-// without the compiled snapshot (a crash between a model write and the
-// snapshot write): a mismatch forces a full recompile instead of serving
-// stale statistics. It is an integrity check against accidents, not an
-// adversary-proof digest.
+// It is a model's identity in checks that two paths learned the same
+// statistics — a model sampled over the wire and one sampled in process, a
+// model before and after a store round trip — an integrity check against
+// accidents, not an adversary-proof digest.
 func (m *Model) Fingerprint() uint64 {
 	const (
 		offset64 = 0xcbf29ce484222325

@@ -248,9 +248,8 @@ func TestPrune(t *testing.T) {
 
 // TestPersistRoundTrip: a model read back from QBLM1 is Equal to the one
 // written and fingerprints alike, even when the one written is a chained
-// snapshot. A warm start compares the fingerprints of models read from the
-// store with those the snapshot recorded, so a drift here would reject
-// every persisted snapshot.
+// snapshot. A restarted service serves the models it reads from the store,
+// so a drift here would change what it ranks.
 func TestPersistRoundTrip(t *testing.T) {
 	live := docModel("apple apple bear", "cat apple")
 	live.Snapshot()

@@ -9,8 +9,7 @@ package selection
 // hashed once when it arrives and never copied into a later snapshot's
 // map. A patch of any other snapshot (a sibling of the tip) cannot append
 // without its ids colliding with the tip's, and builds a fresh dictionary
-// through the same constructor Compile, the renumbering fold and
-// DecodeSnapshot use.
+// through the same constructor Compile and the renumbering fold use.
 //
 // Readers never lock. The hash table is published through an atomic
 // pointer and rebuilt whole when it grows; a slot is written once, its

@@ -161,7 +161,7 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 		return int(a.db) - int(b.db)
 	})
 
-	next := c.rewrite(edits, newTerms, false)
+	next := c.rewrite(edits, newTerms)
 
 	next.docs, next.cw = slices.Clone(c.docs), slices.Clone(c.cw)
 	for _, p := range patches {
@@ -172,21 +172,11 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 	return next, nil
 }
 
-// folded returns the base-only form of c — no delta, no empty rows — which
-// is what the snapshot encoder writes. It is c itself when c is already in
-// that form.
-func (c *Compiled) folded() *Compiled {
-	if c.ovr == nil && c.empty == 0 {
-		return c
-	}
-	return c.rewrite(nil, nil, true)
-}
-
 // rewrite returns c with edits (sorted by term id, then database) applied
 // to its posting rows and newTerms (ids VocabSize()...) interned, sharing
 // c's per-database columns. It writes either a new delta over c's base or,
-// when fold is set or the fold rule says so, a new base.
-func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compiled {
+// when the fold rule says so, a new base.
+func (c *Compiled) rewrite(edits []rowEdit, newTerms []string) *Compiled {
 	oldVocab := c.VocabSize()
 	vocab := oldVocab + len(newTerms)
 
@@ -232,7 +222,7 @@ func (c *Compiled) rewrite(edits []rowEdit, newTerms []string, fold bool) *Compi
 			empty--
 		}
 	}
-	fold = fold || deltaPostings*foldDeltaRatio > len(c.base.db) || empty > vocab-empty
+	fold := deltaPostings*foldDeltaRatio > len(c.base.db) || empty > vocab-empty
 
 	next := &Compiled{
 		n: c.n, docs: c.docs, cw: c.cw, sumCW: c.sumCW,

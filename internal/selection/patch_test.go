@@ -122,6 +122,7 @@ func sparseModel(src *randx.Source, db, own int) *langmodel.Model {
 // through every compiled scorer against the map-based gold standard.
 func TestPatchMatchesFullCompile(t *testing.T) {
 	t.Run("long-chain", testPatchLongChain)
+	t.Run("ghost-revival", testPatchGhostRevival)
 	src := randx.New(0xbadc0de)
 	for trial := 0; trial < 40; trial++ {
 		nDBs := 1 + src.Intn(20)
@@ -318,6 +319,35 @@ func testPatchLongChain(t *testing.T) {
 	if forks < 10 || misses < 1000 {
 		t.Fatalf("chain forked %d siblings and checked %d later terms against older snapshots; want more", forks, misses)
 	}
+}
+
+// testPatchGhostRevival is the revival arm: a sparse federation of 24 is
+// patched at db 5, then db 19, then db 5 again. The first patch strands
+// some of db 5's private terms as ghosts, and the third brings some of
+// them back, so a row that went empty gains postings again while still
+// interned. The chain ends on a delta that still carries ghosts, and must
+// equal Compile of the final models and score like the map scorers.
+func testPatchGhostRevival(t *testing.T) {
+	src := randx.New(0xde17a)
+	models := make([]*langmodel.Model, 24)
+	for i := range models {
+		models[i] = sparseModel(src, i, 40)
+	}
+	patched := Compile(models)
+	for _, db := range []int{5, 19, 5} {
+		repl := sparseModel(src, db, 10+src.Intn(30))
+		next, err := patched.Patch([]ModelPatch{{DB: db, Old: models[db], New: repl}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[db], patched = repl, next
+	}
+	fresh := Compile(models)
+	if patched.ovr == nil || patched.VocabSize() <= fresh.VocabSize() {
+		t.Fatal("fixture must end on a delta carrying ghost terms")
+	}
+	assertPatchEquivalent(t, 0, patched, fresh)
+	assertScoresMatchMaps(t, 0, patched, models, []string{"s01", "d05-03", "d19-40", "unknown-term"})
 }
 
 // TestPatchLeavesReceiverUntouched pins immutability: a snapshot still

@@ -168,26 +168,6 @@ type Service struct {
 	// gate is the admission controller for the rank endpoints (nil, the
 	// default, admits everything; see SetAdmission and DESIGN.md §14).
 	gate atomic.Pointer[admission.Gate]
-
-	// Incremental-rebuild state (snapshot.go), guarded by mu: dirty names
-	// databases whose model was replaced in place since the last rebuild
-	// collected dirt; dirtyAll records a membership change, which forces
-	// the next rebuild to compile from scratch.
-	dirty    map[string]bool
-	dirtyAll bool
-
-	// Snapshot persistence (snapshot.go), guarded by mu: snapStore is the
-	// optional on-disk home for compiled snapshots; each published snapshot
-	// is saved there.
-	snapStore *store.SnapshotStore
-
-	// persistMu serializes snapshot saves, which run outside compileMu
-	// (disk I/O must not be held under the lock that gates cold queries);
-	// persisted/persistedEpoch, guarded by persistMu, keep a late save of
-	// an older snapshot from clobbering a newer one.
-	persistMu      sync.Mutex
-	persisted      bool
-	persistedEpoch uint64
 }
 
 // New returns a service that normalizes learned models with the given
@@ -289,7 +269,7 @@ func (s *Service) Register(name, addr string) error {
 	}
 	s.entries[name] = e
 	if e.model != nil {
-		s.invalidateAll() // a persisted model joined the served set
+		s.invalidate() // a persisted model joined the served set
 	}
 	return nil
 }
@@ -323,7 +303,7 @@ func (s *Service) RegisterLocal(name string, db core.Database) error {
 	}
 	s.entries[name] = e
 	if e.model != nil {
-		s.invalidateAll()
+		s.invalidate()
 	}
 	return nil
 }
@@ -359,7 +339,7 @@ func (s *Service) Unregister(name string) error {
 	}
 	delete(s.entries, name)
 	if e.model != nil {
-		s.invalidateAll() // its model left the served set
+		s.invalidate() // its model left the served set
 	}
 	st := s.st
 	s.mu.Unlock()
@@ -528,16 +508,8 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		telemetry.TraceKey, opts.TraceID)
 	model := res.Learned.Normalize(s.analyzer) // CPU-heavy; keep outside the lock
 	s.mu.Lock()
-	hadModel := e.model != nil
 	e.model = model
-	if hadModel {
-		// A resample replaced one model in place: the next rebuild may
-		// patch just this database's rows instead of recompiling the
-		// federation.
-		s.invalidateDB(name)
-	} else {
-		s.invalidateAll() // a new model joined the served set
-	}
+	s.invalidate()
 	e.lastRun = res
 	e.stats.HasModel = true
 	e.stats.Terms = model.VocabSize()

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/netsearch"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // fixture builds a federation and a service with every database
@@ -142,29 +144,59 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// TestPersistenceAcrossRestart: the model store is the service's only
+// durable state. A fresh service over the same store re-registers every
+// database with its stored model, compiles once on its first rank, and
+// ranks bit-identically to the service that learned the models.
 func TestPersistenceAcrossRestart(t *testing.T) {
 	st, err := store.Open(filepath.Join(t.TempDir(), "models"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc, dbs := fixture(t, st)
-	if _, err := svc.Sample(dbs[0].Name, SampleOptions{Docs: 50, Seed: 3}); err != nil {
-		t.Fatal(err)
+	for _, db := range dbs {
+		if _, err := svc.Sample(db.Name, SampleOptions{Docs: 50, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// "Restart": a fresh service over the same store. Registering the same
-	// database name picks up the persisted model without re-sampling.
+	// database names picks up the persisted models without re-sampling.
 	svc2 := New(analysis.Database(), st)
-	if err := svc2.RegisterLocal(dbs[0].Name, dbs[0].Index); err != nil {
-		t.Fatal(err)
+	reg2 := telemetry.NewRegistry()
+	svc2.SetMetrics(reg2)
+	for _, db := range dbs {
+		if err := svc2.RegisterLocal(db.Name, db.Index); err != nil {
+			t.Fatal(err)
+		}
 	}
-	statuses := svc2.Databases()
-	if len(statuses) != 1 || !statuses[0].HasModel {
-		t.Fatalf("persisted model not loaded: %+v", statuses)
+	for _, status := range svc2.Databases() {
+		if !status.HasModel {
+			t.Fatalf("persisted model not loaded: %+v", status)
+		}
 	}
-	terms := experiments.TopicalTerms(dbs[0], dbs, 2)
-	if _, err := svc2.Rank(terms[0], "cori", 0); err != nil {
-		t.Errorf("rank with persisted model failed: %v", err)
+	for _, query := range []string{"stock market data", strings.Join(experiments.TopicalTerms(dbs[0], dbs, 2), " ")} {
+		for _, alg := range []string{"cori", "gloss-sum", "gloss-ind"} {
+			want, err := svc.Rank(query, alg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := svc2.Rank(query, alg, 0)
+			if err != nil {
+				t.Fatalf("rank with persisted models failed: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s %q: %d results after restart, %d before", alg, query, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Name != want[i].Name || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("%s %q: rank %d is %+v after restart, %+v before", alg, query, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if full, incr := compileCounters(reg2); full != 1 || incr != 0 {
+		t.Errorf("restarted service compiled full=%d incremental=%d, want one full compile", full, incr)
 	}
 }
 

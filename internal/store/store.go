@@ -39,7 +39,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	removeTemps(dir, func(target string) bool { return strings.HasSuffix(target, Ext) })
+	removeTemps(dir)
 	return &Store{dir: dir}, nil
 }
 
@@ -116,19 +116,18 @@ func writeAtomic(dir, name string, write func(io.Writer) error) error {
 const tempPrefix = ".tmp-"
 
 // removeTemps removes the temp files in dir that a process killed between
-// writeAtomic's CreateTemp and its rename left behind, for the targets owns
-// claims: each store removes only the temps of the files it writes, so two
-// kinds of store can share a directory. A store calls it once, when it is
-// opened, before it has a write of its own in flight. Best effort: a
-// leftover costs disk, never correctness.
-func removeTemps(dir string, owns func(target string) bool) {
+// writeAtomic's CreateTemp and its rename left behind. Only the temps of
+// model files go: a temp whose target the store does not write is someone
+// else's. Open calls it before the store has a write of its own in flight.
+// Best effort: a leftover costs disk, never correctness.
+func removeTemps(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		rest, ok := strings.CutPrefix(e.Name(), tempPrefix)
-		if i := strings.LastIndexByte(rest, '-'); ok && i >= 0 && owns(rest[:i]) {
+		if i := strings.LastIndexByte(rest, '-'); ok && i >= 0 && strings.HasSuffix(rest[:i], Ext) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}

@@ -83,7 +83,7 @@ func TestPutReplacesAtomically(t *testing.T) {
 
 // TestWriteAtomicTornWrite: a write that dies part-way through (faulty.Writer
 // delivers half a buffer, then fails) leaves the previous file readable and
-// no temp file behind — the promise Put and the snapshot Save both rest on.
+// no temp file behind — the promise Put rests on.
 func TestWriteAtomicTornWrite(t *testing.T) {
 	s := open(t)
 	old := model("old content")
@@ -238,10 +238,10 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
-// TestOpenRemovesOwnTemps: a directory both stores share holds a live model
-// and the temps of a Put and of a Save that a crash cut short, beside a temp
-// of a file neither store writes. Each Open removes exactly its own
-// leftovers, and the model still loads.
+// TestOpenRemovesOwnTemps: a store directory holds a live model and the
+// temp of a Put that a crash cut short, beside a temp of a file the store
+// does not write. Open removes exactly its own leftover, and the model
+// still loads.
 func TestOpenRemovesOwnTemps(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -251,8 +251,8 @@ func TestOpenRemovesOwnTemps(t *testing.T) {
 	if err := s.Put("wsj-88", model("stock market")); err != nil {
 		t.Fatal(err)
 	}
-	modelTemp, snapTemp, otherTemp := ".tmp-wsj-88"+Ext+"-4242", ".tmp-"+SnapshotFile+"-77", ".tmp-notes.txt-1"
-	for _, name := range []string{modelTemp, snapTemp, otherTemp} {
+	modelTemp, otherTemp := ".tmp-wsj-88"+Ext+"-4242", ".tmp-notes.txt-1"
+	for _, name := range []string{modelTemp, otherTemp} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -271,14 +271,8 @@ func TestOpenRemovesOwnTemps(t *testing.T) {
 	if _, err := Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := files(), strings.Join([]string{otherTemp, snapTemp, "wsj-88" + Ext}, " "); got != want {
-		t.Errorf("after Open the directory holds %s, want %s", got, want)
-	}
-	if _, err := OpenSnapshots(dir); err != nil {
-		t.Fatal(err)
-	}
 	if got, want := files(), strings.Join([]string{otherTemp, "wsj-88" + Ext}, " "); got != want {
-		t.Errorf("after OpenSnapshots the directory holds %s, want %s", got, want)
+		t.Errorf("after Open the directory holds %s, want %s", got, want)
 	}
 	if _, err := s.Get("wsj-88"); err != nil {
 		t.Errorf("the live model: %v", err)

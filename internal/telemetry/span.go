@@ -9,12 +9,11 @@ import (
 
 // Span measures one timed operation against the registry's clock. Start
 // one with StartSpan, finish it with End; the elapsed time lands in the
-// histogram named by the span. Spans are cheap value-carriers, not a
-// distributed-tracing system — the trace ID is for log correlation.
+// histogram named by the span. Request trace IDs travel in the request
+// context and in log lines (TraceKey), not in spans.
 type Span struct {
 	reg   *Registry
 	name  string
-	trace string
 	start time.Time
 	done  atomic.Bool
 }
@@ -24,22 +23,6 @@ type Span struct {
 // inert.
 func (r *Registry) StartSpan(name string) *Span {
 	return &Span{reg: r, name: name, start: r.now()}
-}
-
-// WithTrace attaches a trace ID for log correlation and returns the span.
-func (s *Span) WithTrace(id string) *Span {
-	if s != nil {
-		s.trace = id
-	}
-	return s
-}
-
-// Trace returns the span's trace ID ("" when unset).
-func (s *Span) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
 }
 
 // End observes the span's elapsed time (per the registry clock) into its

@@ -112,13 +112,10 @@ func TestSpanUsesInjectedClock(t *testing.T) {
 	r := NewRegistry()
 	clk := NewManualClock(time.Unix(1000, 0))
 	r.SetClock(clk.Now)
-	sp := r.StartSpan("op_seconds").WithTrace("req-000001")
+	sp := r.StartSpan("op_seconds")
 	clk.Advance(250 * time.Millisecond)
 	if d := sp.End(); d != 250*time.Millisecond {
 		t.Fatalf("span duration = %v, want 250ms", d)
-	}
-	if sp.Trace() != "req-000001" {
-		t.Fatalf("trace = %q", sp.Trace())
 	}
 	// Second End must not double-observe.
 	sp.End()
