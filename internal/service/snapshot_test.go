@@ -1,17 +1,20 @@
 package service
 
 // Tests for incremental recompilation: scope-labeled compile counters, the
-// patch set a rebuild derives from the previous snapshot, and the
-// equivalence property under random sample/register/unregister churn.
+// first compile after a restart, the patch set a rebuild derives from the
+// previous snapshot, and the equivalence property under random
+// sample/register/unregister churn.
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/randx"
 	"repro/internal/selection"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -79,6 +82,57 @@ func TestSnapshotIncrementalResample(t *testing.T) {
 	if full, incr := compileCounters(reg); full != 2 || incr != 2 {
 		t.Fatalf("after unregister rank: full=%d incremental=%d, want a full recompile", full, incr)
 	}
+}
+
+// TestSnapshotWarmStart: a service restarted over the same model store
+// compiles its first snapshot in full from the stored models, and a
+// resample after the restart patches that snapshot (scope="incremental")
+// and still scores bit-identically to the map-based scorers. Ranking
+// equivalence across the restart is TestPersistenceAcrossRestart's.
+func TestSnapshotWarmStart(t *testing.T) {
+	modelDir := filepath.Join(t.TempDir(), "models")
+	st, err := store.Open(modelDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcA, dbs := fixture(t, st)
+	for _, db := range dbs {
+		if _, err := svcA.Sample(db.Name, SampleOptions{Docs: 50, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// "Restart": a new service over a reopened store, same registrations.
+	st2, err := store.Open(modelDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcB := New(analysis.Database(), st2)
+	regB := telemetry.NewRegistry()
+	svcB.SetMetrics(regB)
+	for _, db := range dbs {
+		if err := svcB.RegisterLocal(db.Name, db.Index); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svcB.Rank("stock market data", "cori", 0); err != nil {
+		t.Fatal(err)
+	}
+	if full, incr := compileCounters(regB); full != 1 || incr != 0 {
+		t.Fatalf("first rank after restart: full=%d incremental=%d, want one full compile", full, incr)
+	}
+	requireMapScores(t, svcB.snapshot())
+
+	if _, err := svcB.Sample(dbs[0].Name, SampleOptions{Docs: 50, Seed: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svcB.Rank("stock market data", "cori", 0); err != nil {
+		t.Fatal(err)
+	}
+	if full, incr := compileCounters(regB); full != 1 || incr != 1 {
+		t.Fatalf("resample after restart: full=%d incremental=%d, want one patch", full, incr)
+	}
+	requireMapScores(t, svcB.snapshot())
 }
 
 // requireMapScores checks that snap scores bit-identically to the map-based
