@@ -37,7 +37,7 @@ LINT_IGNORE_CEIL ?= 5
 
 .PHONY: all build test race bench bench-all bench-check bench-baseline \
 	bench-pairs need-parent experiments-check cover vet fmt-check lint \
-	lint-sarif lint-ratchet chaos fuzz-smoke ci clean
+	lint-ratchet chaos fuzz-smoke ci clean
 
 all: build test
 
@@ -140,13 +140,6 @@ fmt-check:
 # codes: 0 clean, 1 findings (stdout), 2 repolint could not run (stderr).
 lint: lint-ratchet
 	$(GO) run ./cmd/repolint ./...
-
-# Same gate, plus a SARIF 2.1.0 log for code-scanning UIs; CI uploads
-# repolint.sarif as an artifact. The exit code still counts only
-# unsuppressed findings — the log additionally carries suppressed ones
-# with their //lint:ignore justifications for auditing.
-lint-sarif: lint-ratchet
-	$(GO) run ./cmd/repolint -sarif repolint.sarif ./...
 
 # The suppression ratchet: count the findings repolint was told to ignore
 # and fail past LINT_IGNORE_CEIL.

@@ -16,7 +16,6 @@
 //
 //	-C dir        module root to lint (default: ".", must contain go.mod)
 //	-json         emit diagnostics as a JSON array instead of text
-//	-sarif path   also write a SARIF 2.1.0 log to path ("-" for stdout)
 //	-list         list registered analyzers and exit
 //	-show-ignored also print suppressed findings (marked "ignored:")
 //
@@ -48,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	root := fs.String("C", ".", "module root directory (must contain go.mod)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as JSON")
-	sarifPath := fs.String("sarif", "", "also write a SARIF 2.1.0 log to this path (\"-\" for stdout)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	showIgnored := fs.Bool("show-ignored", false, "also print suppressed findings")
 	if err := fs.Parse(args); err != nil {
@@ -89,13 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	findings := lint.Unsuppressed(diags)
 
-	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, diags, analyzers, loader.Root, stdout); err != nil {
-			fmt.Fprintf(stderr, "repolint: %v\n", err)
-			return 2
-		}
-	}
-
 	shown := findings
 	if *showIgnored {
 		shown = diags
@@ -131,33 +122,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return 0
 	}
-}
-
-// writeSARIF marshals the full diagnostic set (suppressed findings ride
-// along as SARIF suppressions) and writes it to path, or to stdout when
-// path is "-". SARIF carries the whole ledger regardless of
-// -show-ignored: the artifact is for auditing, not for gating — the exit
-// code still counts only unsuppressed findings.
-func writeSARIF(path string, diags []lint.Diagnostic, analyzers []*lint.Analyzer, root string, stdout io.Writer) error {
-	doc := lint.ToSARIF(diags, analyzers, root)
-	out := stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		// Best-effort close on the error paths; the success path closes
-		// explicitly below and checks the error.
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	if f, ok := out.(*os.File); ok && path != "-" {
-		return f.Close()
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ package cluster
 // for every tier by internal/serving's contract test.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/netsearch"
 	"repro/internal/selection"
 	"repro/internal/service"
+	"repro/internal/serving"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -68,7 +70,7 @@ func TestFrontBatchMatchesSequential(t *testing.T) {
 		terms[3] + " " + terms[0],
 	}
 	for _, alg := range []string{"cori", "gloss-sum"} {
-		batch, err := f.RankBatch(queries, alg, 3, "")
+		batch, err := serving.RankBatch(context.Background(), tier{f}, queries, alg, 3)
 		if err != nil {
 			t.Fatalf("RankBatch(%s): %v", alg, err)
 		}
@@ -191,7 +193,7 @@ func TestFrontTopKIsPrefix(t *testing.T) {
 func TestFrontBatchPerItemErrors(t *testing.T) {
 	f, dbs := sampledCluster(t, 2)
 	terms := experiments.TopicalTerms(dbs[0], dbs, 2)
-	batch, err := f.RankBatch([]string{terms[0], "the and of"}, "cori", 2, "")
+	batch, err := serving.RankBatch(context.Background(), tier{f}, []string{terms[0], "the and of"}, "cori", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +208,14 @@ func TestFrontBatchPerItemErrors(t *testing.T) {
 func TestFrontBatchColdFederationAndBadAlg(t *testing.T) {
 	s0, s1 := &stubShard{}, &stubShard{}
 	f := newTestFront(t, [][]string{{serveStub(t, s0)}, {serveStub(t, s1)}}, telemetry.NewRegistry())
-	if _, err := f.RankBatch([]string{"a", "b"}, "cori", 5, ""); !errors.Is(err, service.ErrNoModels) {
+	if _, err := serving.RankBatch(context.Background(), tier{f}, []string{"a", "b"}, "cori", 5); !errors.Is(err, service.ErrNoModels) {
 		t.Errorf("cold-federation batch error = %v, want service.ErrNoModels", err)
 	}
 
 	// A real shard refuses a bogus algorithm with a marked EINVAL, which
 	// must classify back to ErrInvalid without burning failovers.
 	fr, _ := sampledCluster(t, 1)
-	if _, err := fr.RankBatch([]string{"data"}, "bogus-alg", 0, ""); !errors.Is(err, service.ErrInvalid) {
+	if _, err := serving.RankBatch(context.Background(), tier{fr}, []string{"data"}, "bogus-alg", 0); !errors.Is(err, service.ErrInvalid) {
 		t.Errorf("bad-algorithm batch error = %v, want service.ErrInvalid", err)
 	}
 	if h := fr.Health(); h[0].ConsecutiveFailures != 0 {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -138,6 +139,12 @@ func TestFrontScatterGatherFusesTopK(t *testing.T) {
 	want := []netsearch.RankedDB{{Name: "db-a", Score: 0.9}, {Name: "db-b", Score: 0.5}, {Name: "db-c", Score: 0.2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fused ranking = %+v, want %+v", got, want)
+	}
+
+	// Close is terminal: the replicas' clients are never redialed.
+	f.Close()
+	if _, err := f.Rank("apple pie", "cori", 3, ""); err == nil || !strings.Contains(err.Error(), "client is closed") {
+		t.Errorf("rank after Close = %v, want a closed-client error", err)
 	}
 }
 

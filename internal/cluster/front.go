@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -46,13 +45,13 @@ type Options struct {
 // stateless front must not depend on shard-side state to route around a
 // dead shard); it feeds the shared telemetry registry.
 type replica struct {
-	slot int
-	addr string
+	slot   int
+	addr   string
+	client *netsearch.Client // built by NewFront; dials and redials itself
 
-	mu     sync.Mutex
-	client *netsearch.Client // lazily dialed; replaced when broken
-	fails  int               // consecutive RPC failures
-	open   bool              // breaker: deprioritize until a success
+	mu    sync.Mutex
+	fails int  // consecutive RPC failures
+	open  bool // breaker: deprioritize until a success
 }
 
 // ReplicaHealth is the front tier's view of one shard replica, exposed
@@ -88,6 +87,8 @@ type Front struct {
 
 // NewFront builds a front tier over the given slot topology: slots[i] is
 // the replica address list of ring slot i, in failover-preference order.
+// It builds one client per replica and dials none: each dials on its
+// first RPC.
 func NewFront(slots [][]string, opts Options) (*Front, error) {
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("cluster: front needs at least one slot")
@@ -116,7 +117,7 @@ func NewFront(slots [][]string, opts Options) (*Front, error) {
 	for i, addrs := range slots {
 		f.reps[i] = make([]*replica, len(addrs))
 		for j, addr := range addrs {
-			f.reps[i][j] = &replica{slot: i, addr: addr}
+			f.reps[i][j] = &replica{slot: i, addr: addr, client: netsearch.NewClient(addr, f.netOpts)}
 		}
 	}
 	return f, nil
@@ -168,19 +169,14 @@ func (f *Front) Health() []ReplicaHealth {
 	return out
 }
 
-// Close releases every dialed shard connection.
+// Close releases every shard connection for good: a rank after Close
+// fails with "client is closed".
 func (f *Front) Close() error {
 	var firstErr error
 	for _, reps := range f.reps {
 		for _, r := range reps {
-			r.mu.Lock()
-			c := r.client
-			r.client = nil
-			r.mu.Unlock()
-			if c != nil {
-				if err := c.Close(); err != nil && firstErr == nil {
-					firstErr = err
-				}
+			if err := r.client.Close(); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 	}
@@ -223,15 +219,6 @@ func (f *Front) Rank(query, alg string, k int, trace string) ([]netsearch.Ranked
 		return nil, err
 	}
 	return append([]netsearch.RankedDB(nil), val...), nil
-}
-
-// RankBatch is the buffered form of RankBatchStream: every query's fused
-// ranking, in input order. Per-query problems (no index terms) ride in the
-// matching item's Error; a cold federation is a whole-batch ErrNoModels,
-// mirroring the single-query path.
-func (f *Front) RankBatch(queries []string, alg string, k int, trace string) ([]netsearch.RankedBatch, error) {
-	defer f.reg.Timer("cluster_scatter_batch_seconds")()
-	return serving.RankBatch(serving.WithTrace(context.TODO(), trace), tier{f}, queries, alg, k)
 }
 
 // callSlot runs one RPC against a slot, failing over across the slot's
@@ -282,14 +269,10 @@ func (f *Front) callSlot(slot int, op func(c *netsearch.Client) error) error {
 	return fmt.Errorf("cluster: slot %d: all %d replicas failed: %w", slot, len(ordered), lastErr)
 }
 
-// callReplica performs one RPC against one replica, dialing (or
-// redialing a broken connection) as needed and updating breaker state.
+// callReplica performs one RPC against one replica and updates its
+// breaker state.
 func (f *Front) callReplica(r *replica, op func(c *netsearch.Client) error) error {
-	c, err := f.connect(r)
-	if err != nil {
-		return err
-	}
-	if err := op(c); err != nil {
+	if err := op(r.client); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -301,41 +284,6 @@ func (f *Front) callReplica(r *replica, op func(c *netsearch.Client) error) erro
 		f.logger.Info("cluster breaker closed", "slot", r.slot, "replica", r.addr)
 	}
 	return nil
-}
-
-// connect returns the replica's client, dialing on demand and replacing
-// a client whose connection died beyond repair. Dialing is network I/O
-// and runs outside the replica lock; a concurrent dial race is settled
-// under the lock with the loser's connection closed.
-func (f *Front) connect(r *replica) (*netsearch.Client, error) {
-	r.mu.Lock()
-	c := r.client
-	var stale *netsearch.Client
-	if c != nil && c.Broken() {
-		stale, c = c, nil
-		r.client = nil
-	}
-	r.mu.Unlock()
-	if stale != nil {
-		stale.Close() // already broken; closing is best-effort teardown
-	}
-	if c != nil {
-		return c, nil
-	}
-	dialed, err := netsearch.DialWith(r.addr, f.netOpts)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.client != nil && !r.client.Broken() {
-		winner := r.client
-		r.mu.Unlock()
-		dialed.Close() // losing half of a dial race; the winner is what matters
-		return winner, nil
-	}
-	r.client = dialed
-	r.mu.Unlock()
-	return dialed, nil
 }
 
 // breakerOpen reports the replica's breaker state.

@@ -133,11 +133,7 @@ func (f *Front) onSlot(slot int, verb, name string, benign error, op func(*netse
 	// that predates the placement change.
 	defer f.epoch.Add(1)
 	for _, r := range f.reps[slot] {
-		c, err := f.connect(r)
-		if err == nil {
-			err = classify(op(c))
-		}
-		switch {
+		switch err := classify(op(r.client)); {
 		case err == nil:
 		case errors.Is(err, benign):
 			nBenign++

@@ -7,6 +7,7 @@ package cluster
 // must fail its followers and nobody later.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -55,7 +56,7 @@ func TestFrontStreamMatchesBatch(t *testing.T) {
 	before := coalesced.Value()
 	for _, alg := range []string{"cori", "gloss-sum"} {
 		got := collectStream(t, f, queries, alg, 3)
-		want, err := f.RankBatch(queries, alg, 3, "")
+		want, err := serving.RankBatch(context.Background(), tier{f}, queries, alg, 3)
 		if err != nil {
 			t.Fatalf("RankBatch(%s): %v", alg, err)
 		}
@@ -127,7 +128,7 @@ func TestFrontPositionsOwnTheirSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := f.RankBatch(queries, "cori", 3, "")
+	items, err := serving.RankBatch(context.Background(), tier{f}, queries, "cori", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,15 @@ func TestChaosServerRestartRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	client, err := DialWith(addr, Options{Retry: fastRetry(3)})
+	var dials, sleeps int // the client calls both hooks under its lock
+	client, err := DialWith(addr, Options{
+		Retry: fastRetry(3),
+		DialFunc: func(addr string) (net.Conn, error) {
+			dials++
+			return net.Dial("tcp", addr)
+		},
+		SleepFunc: func(time.Duration) { sleeps++ },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +189,17 @@ func TestChaosServerRestartRedial(t *testing.T) {
 	if _, err := client.Search("apple", 10); err == nil {
 		t.Fatal("search against a stopped server succeeded")
 	}
-	if !client.Broken() {
+	if !client.isBroken() {
 		t.Error("client not marked broken after retries were exhausted")
+	}
+	// The peer is known to be down now: the next operation opens with no
+	// live connection, dials once and does not back off.
+	dials, sleeps = 0, 0
+	if _, err := client.Search("apple", 10); err == nil {
+		t.Fatal("search against a stopped server succeeded")
+	}
+	if dials != 1 || sleeps != 0 {
+		t.Errorf("an operation against a peer known to be down made %d dials and %d backoff sleeps, want 1 and 0", dials, sleeps)
 	}
 
 	srv2 := reServe(t, ix, addr)
@@ -194,7 +211,7 @@ func TestChaosServerRestartRedial(t *testing.T) {
 	if len(after) != len(before) {
 		t.Errorf("post-restart search returned %v, want %v", after, before)
 	}
-	if client.Broken() {
+	if client.isBroken() {
 		t.Error("client still marked broken after successful redial")
 	}
 	if client.Stats().Redials == 0 {
@@ -252,7 +269,7 @@ func TestChaosTruncatedFrameDoesNotDesync(t *testing.T) {
 	if _, err := client.Search("banana", 10); !errors.Is(err, faulty.ErrInjected) {
 		t.Fatalf("truncated write surfaced as %v, want ErrInjected", err)
 	}
-	if !client.Broken() {
+	if !client.isBroken() {
 		t.Fatal("half-written frame did not mark the connection broken")
 	}
 	got, err := client.Search("apple", 10)
@@ -325,7 +342,7 @@ func TestChaosRemoteErrorsAreNotRetried(t *testing.T) {
 	if sleeps != 0 {
 		t.Errorf("application error triggered %d backoff sleeps", sleeps)
 	}
-	if client.Broken() {
+	if client.isBroken() {
 		t.Error("application error marked the connection broken")
 	}
 	if _, err := client.Search("alpha", 1); err != nil {

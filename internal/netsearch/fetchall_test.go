@@ -109,7 +109,7 @@ func TestFetchAllRemoteErrorKeepsAlignment(t *testing.T) {
 	if n := reg.Snapshot().Counters["netsearch_conns_discarded_total"]; n != 0 {
 		t.Errorf("netsearch_conns_discarded_total = %d, want 0", n)
 	}
-	if st := c.Stats(); st != (ClientStats{}) || c.Broken() {
+	if st := c.Stats(); st != (ClientStats{}) || c.isBroken() {
 		t.Errorf("a refused id cost the connection: %+v", st)
 	}
 	if n := near.writes.Load(); n != 3 {

@@ -256,8 +256,8 @@ func TestStreamHeldFramesReachTheClient(t *testing.T) {
 	if w := conn.writes.Load(); w != 3 {
 		t.Errorf("%d server writes, want 3: the held items ride with the error frame", w)
 	}
-	if st := c.Stats(); st.Faults != 0 || st.Retries != 0 || c.Broken() {
-		t.Errorf("a server-reported failure cost the connection: %+v broken=%v", st, c.Broken())
+	if st := c.Stats(); st.Faults != 0 || st.Retries != 0 || c.isBroken() {
+		t.Errorf("a server-reported failure cost the connection: %+v broken=%v", st, c.isBroken())
 	}
 }
 

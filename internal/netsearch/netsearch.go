@@ -37,12 +37,14 @@
 // the connection. Both ends of every connection are built from this
 // repository, so there is no version byte and nothing to negotiate.
 //
-// The client side is fault tolerant: every operation can carry a deadline,
-// any write or decode failure marks the connection broken (a half-written
-// frame must never be reused — the next response would be misaligned with
-// the next request), and broken connections are transparently redialed
-// with capped exponential backoff. All three operations are idempotent
-// reads, which is what makes retrying them safe.
+// The client side is fault tolerant and owns its connection: it dials on
+// its first operation, every operation can carry a deadline, any write or
+// decode failure marks the connection broken (a half-written frame must
+// never be reused — the next response would be misaligned with the next
+// request), and a fault inside an operation is redialed with capped
+// exponential backoff. An operation that opens with no live connection
+// dials once, so a peer known to be down fails fast. All three operations
+// are idempotent reads, which is what makes retrying them safe.
 package netsearch
 
 import (
@@ -398,14 +400,26 @@ type Client struct {
 	opts Options
 
 	mu     sync.Mutex
-	conn   net.Conn
+	conn   net.Conn    // nil until the first dial
 	in     frameReader // conn's read side; replaced with it
 	wbuf   []byte      // the request frame being sent; reused across operations
-	broken bool
+	broken bool        // conn saw a transport fault and was closed
 	closed bool
 	rng    *randx.Source // jitter stream; guarded by mu
 	stats  ClientStats
 	trace  string // trace ID stamped on every wire frame; guarded by mu
+}
+
+// NewClient returns a client for the netsearch server at addr without
+// touching the network: its first operation dials. A client is the one
+// owner of its peer's connection for its whole life — it redials on its
+// own, so a caller keeps one client per peer and closes it once.
+func NewClient(addr string, opts Options) *Client {
+	return &Client{
+		addr: addr,
+		opts: opts,
+		rng:  randx.New(opts.Retry.withDefaults().Seed),
+	}
 }
 
 // Dial connects to a netsearch server with default Options.
@@ -413,15 +427,10 @@ func Dial(addr string) (*Client, error) {
 	return DialWith(addr, Options{})
 }
 
-// DialWith connects to a netsearch server. The initial dial is a single
-// eager attempt so misconfiguration fails fast; once connected, transport
-// errors are retried per opts.Retry.
+// DialWith is NewClient plus one eager dial, so misconfiguration fails at
+// once; once connected, transport errors are retried per opts.Retry.
 func DialWith(addr string, opts Options) (*Client, error) {
-	c := &Client{
-		addr: addr,
-		opts: opts,
-		rng:  randx.New(opts.Retry.withDefaults().Seed),
-	}
+	c := NewClient(addr, opts)
 	conn, err := c.dial()
 	if err != nil {
 		return nil, err
@@ -463,26 +472,17 @@ func (c *Client) attach(conn net.Conn) {
 }
 
 // Close terminates the connection. A closed client stays closed: it will
-// not redial.
+// not redial, and closing it again does nothing.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn == nil {
-		return nil
+	if c.closed || c.conn == nil || c.broken {
+		c.closed = true
+		return nil // already closed, never connected, or a fault closed it
 	}
+	c.closed = true
 	//lint:ignore lockheld c.mu owns the connection: Close is terminal, nothing can be waiting on the lock for progress, and closing outside it would race a concurrent exchange's reads
 	return c.conn.Close()
-}
-
-// Broken reports whether the last operation exhausted its retries and left
-// the client without a usable connection. The next operation redials; a
-// registry that caches clients (service.connect) can also check this and
-// replace the client outright.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.broken
 }
 
 // Stats returns a snapshot of the client's fault counters.
@@ -581,15 +581,22 @@ func (c *Client) retryLoop(req request, exchange func(request) (response, error)
 		if c.broken || c.conn == nil {
 			conn, err := c.dial()
 			if err != nil {
+				if attempt == 0 {
+					// The operation opened with no live connection: the
+					// client never connected, or an earlier operation
+					// discarded it. One dial settles it; backing off against
+					// a peer already known to be down only stalls the caller.
+					c.opts.Metrics.Counter("netsearch_op_failures_total").Inc()
+					return response{}, err
+				}
 				lastErr = err
 				continue
 			}
 			if c.conn != nil {
-				c.conn.Close()
+				c.stats.Redials++
+				c.opts.Metrics.Counter("netsearch_redials_total").Inc()
 			}
 			c.attach(conn)
-			c.stats.Redials++
-			c.opts.Metrics.Counter("netsearch_redials_total").Inc()
 		}
 		if c.opts.Timeout > 0 {
 			// One deadline bounds the whole exchange, a stream included. It

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/serving"
+	"repro/internal/telemetry"
 )
 
 // Batch rank: the high-QPS serving entry point (DESIGN.md §10, §14). A batch
@@ -29,9 +30,9 @@ import (
 // (ErrInvalid), a federation with no learned models (ErrNoModels) — are
 // returned as an error; per-query problems land in the item's Error.
 //
-// RankBatch scores exactly like Rank (both funnel into rankSnapshot), so
-// batched and sequential rankings are bit-identical, and coalesces through
-// the same in-flight map.
+// RankBatch scores exactly like Rank (both run rankEach), so batched and
+// sequential rankings are bit-identical, and coalesces through the same
+// in-flight map.
 func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchItem, error) {
 	return serving.RankBatch(context.TODO(), tier{s}, queries, algName, k)
 }
@@ -49,7 +50,29 @@ func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchIte
 func (s *Service) RankBatchStream(queries []string, algName string, k int, emit func(i int, item BatchItem) error) error {
 	reg := s.Metrics()
 	defer reg.Timer("service_rank_batch_seconds")()
+	err := s.rankEach(reg, queries, algName, k, nil, func(i int, ranked []RankedDB, err error) error {
+		item := BatchItem{Ranked: ranked}
+		if err != nil {
+			item.Error = err.Error()
+		}
+		return emit(i, item)
+	})
+	if err != nil {
+		return err
+	}
+	reg.Counter("service_batch_ranks_total").Inc()
+	reg.Counter("service_batch_queries_total").Add(int64(len(queries)))
+	return nil
+}
 
+// rankEach is the one rank core under Rank and RankBatchStream. It refuses
+// a whole request — an empty batch or an unknown algorithm (ErrInvalid), a
+// federation with no learned models (ErrNoModels) — before its first emit,
+// counting it in service_select_errors_total. Then it emits, in input
+// order, each query's ranking (a fresh copy) or that query's own typed
+// error, and returns the first error emit returns. misses, when non-nil,
+// counts the rankings this call computed rather than shared.
+func (s *Service) rankEach(reg *telemetry.Registry, queries []string, algName string, k int, misses *telemetry.Counter, emit func(i int, ranked []RankedDB, err error) error) error {
 	if len(queries) == 0 {
 		reg.Counter("service_select_errors_total").Inc()
 		return fmt.Errorf("service: empty batch: %w", ErrInvalid)
@@ -78,8 +101,7 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 	}
 	for i, q := range queries {
 		if !scr.analyze(s.analyzer, q) {
-			err := emit(i, BatchItem{Error: fmt.Sprintf("service: query has no index terms: %v", ErrInvalid)})
-			if err != nil {
+			if err := emit(i, nil, fmt.Errorf("service: query has no index terms: %w", ErrInvalid)); err != nil {
 				return err
 			}
 			continue
@@ -91,6 +113,7 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 		} else {
 			key := serving.Key{Query: termKey, Alg: algName, K: k, Epoch: snap.epoch}
 			val, err = s.flights.Do(key, func() ([]RankedDB, error) {
+				misses.Inc()
 				return s.rankSnapshot(snap, alg, scr, k), nil
 			})
 			if err != nil {
@@ -98,7 +121,7 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 				// Deliver the error to this position — it asked for exactly
 				// that computation — but keep it out of `seen`, so a later
 				// duplicate retries fresh instead of inheriting the failure.
-				if err := emit(i, BatchItem{Error: err.Error()}); err != nil {
+				if err := emit(i, nil, err); err != nil {
 					return err
 				}
 				continue
@@ -107,11 +130,9 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 				seen[termKey] = val
 			}
 		}
-		if err := emit(i, BatchItem{Ranked: append([]RankedDB(nil), val...)}); err != nil {
+		if err := emit(i, append([]RankedDB(nil), val...), nil); err != nil {
 			return err
 		}
 	}
-	reg.Counter("service_batch_ranks_total").Inc()
-	reg.Counter("service_batch_queries_total").Add(int64(len(queries)))
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/netsearch"
-	"repro/internal/summarize"
 )
 
 // httpFixture starts the federation behind netsearch servers and the
@@ -122,11 +121,21 @@ func TestHTTPSampleRankSummaryFlow(t *testing.T) {
 		t.Errorf("ranking = %+v, want %s first", ranked, dbs[1].Name)
 	}
 
-	// Summarize.
-	var rows []summarize.Row
+	// Summarize: the rows carry the API's snake_case keys, like every
+	// other reply.
+	var rows []map[string]any
 	resp = getJSON(t, fmt.Sprintf("%s/databases/%s/summary?metric=avg-tf&k=5", ts.URL, dbs[0].Name), &rows)
 	if resp.StatusCode != http.StatusOK || len(rows) == 0 {
-		t.Errorf("summary: status %d rows %d", resp.StatusCode, len(rows))
+		t.Fatalf("summary: status %d rows %d", resp.StatusCode, len(rows))
+	}
+	for i, row := range rows {
+		term, _ := row["term"].(string)
+		df, _ := row["df"].(float64)
+		ctf, _ := row["ctf"].(float64)
+		avgTF, _ := row["avg_tf"].(float64)
+		if len(row) != 4 || term == "" || df < 1 || ctf < df || avgTF <= 0 {
+			t.Errorf("summary row %d = %v, want keys term, df, ctf and avg_tf", i, row)
+		}
 	}
 }
 

@@ -121,7 +121,6 @@ func (o SampleOptions) withDefaults() SampleOptions {
 // entry is one registered database.
 type entry struct {
 	name string
-	addr string
 
 	// run serializes sampling runs on this entry: a 1-buffered channel
 	// semaphore (acquire by send, release by receive). Without it, two
@@ -133,7 +132,7 @@ type entry struct {
 	// mutex, never while holding it.
 	run chan struct{}
 
-	db      core.Database // non-nil once connected (or local)
+	db      core.Database // set at registration: the local database or the remote's client
 	model   *langmodel.Model
 	lastRun *core.Result // raw result, kept so Extend can resume
 	stats   DBStatus
@@ -200,9 +199,10 @@ func (s *Service) SetAdmission(cfg admission.Config) {
 
 // SetMetrics installs a telemetry registry. Every sampling run, selection
 // query and HTTP request from now on is counted there, and the HTTP
-// handler additionally serves /metrics and /debug/vars. Connections
-// dialed from now on inherit the registry (unless SetDialOptions already
-// set one explicitly). nil reverts to no instrumentation.
+// handler additionally serves /metrics and /debug/vars. The clients of
+// databases registered from now on inherit the registry (unless
+// SetDialOptions already set one explicitly). nil reverts to no
+// instrumentation.
 func (s *Service) SetMetrics(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,8 +213,9 @@ func (s *Service) SetMetrics(reg *telemetry.Registry) {
 }
 
 // SetLogger installs a structured logger for request and sampling-run
-// log lines (key=value via slog; see telemetry.NewLogger). nil reverts
-// to discarding.
+// log lines (key=value via slog; see telemetry.NewLogger), inherited by
+// the clients of databases registered from now on. nil reverts to
+// discarding.
 func (s *Service) SetLogger(lg *slog.Logger) {
 	if lg == nil {
 		lg = telemetry.NopLogger()
@@ -242,25 +243,48 @@ func (s *Service) log() *slog.Logger {
 }
 
 // SetDialOptions configures the fault tolerance (per-operation deadline,
-// retry/backoff policy) applied to connections dialed to remote databases
-// from now on; already-established connections keep their options.
+// retry/backoff policy) of the clients of remote databases registered from
+// now on; databases already registered keep their options.
 func (s *Service) SetDialOptions(opts netsearch.Options) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dialOpts = opts
 }
 
-// Register adds a remote database reachable at a netsearch address. The
-// connection is established lazily on first sampling. If a persisted model
-// exists for the name it is loaded immediately.
+// Register adds a remote database reachable at a netsearch address. Its
+// client is built here and dials on first sampling; the entry owns it
+// until Unregister or Close. If a persisted model exists for the name it
+// is loaded immediately.
 func (s *Service) Register(name, addr string) error {
+	s.mu.RLock()
+	opts := s.dialOpts
+	s.mu.RUnlock()
+	return s.register(name, addr, netsearch.NewClient(addr, opts))
+}
+
+// RegisterLocal adds an in-process database (used by tests, examples, and
+// embedded deployments).
+func (s *Service) RegisterLocal(name string, db core.Database) error {
+	if db == nil {
+		return errors.New("service: nil database")
+	}
+	return s.register(name, "", db)
+}
+
+// register publishes a new entry for db under name.
+func (s *Service) register(name, addr string, db core.Database) error {
 	if err := serving.ValidateName(name); err != nil {
 		return err
+	}
+	e := &entry{
+		name:  name,
+		run:   make(chan struct{}, 1),
+		db:    db,
+		stats: DBStatus{Name: name, Addr: addr},
 	}
 	// Load any persisted model before taking the registry lock: the store
 	// read is disk I/O, which must never run under mu (a duplicate
 	// registration wastes one read — fine for an administrative call).
-	e := newEntry(name, addr)
 	s.loadPersisted(e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,40 +294,6 @@ func (s *Service) Register(name, addr string) error {
 	s.entries[name] = e
 	if e.model != nil {
 		s.invalidate() // a persisted model joined the served set
-	}
-	return nil
-}
-
-// newEntry builds an unpublished entry with its run guard ready.
-func newEntry(name, addr string) *entry {
-	return &entry{
-		name:  name,
-		addr:  addr,
-		run:   make(chan struct{}, 1),
-		stats: DBStatus{Name: name, Addr: addr},
-	}
-}
-
-// RegisterLocal adds an in-process database (used by tests, examples, and
-// embedded deployments).
-func (s *Service) RegisterLocal(name string, db core.Database) error {
-	if err := serving.ValidateName(name); err != nil {
-		return err
-	}
-	if db == nil {
-		return errors.New("service: nil database")
-	}
-	e := newEntry(name, "")
-	e.db = db
-	s.loadPersisted(e) // before the lock: store reads are disk I/O
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.entries[name]; dup {
-		return fmt.Errorf("service: database %q %w", name, ErrExists)
-	}
-	s.entries[name] = e
-	if e.model != nil {
-		s.invalidate()
 	}
 	return nil
 }
@@ -325,11 +315,12 @@ func (s *Service) loadPersisted(e *entry) {
 	e.stats.SampledDocs = m.Docs()
 }
 
-// Unregister removes a database and its persisted model. The store
-// delete (disk I/O) happens after the registry lock is released; the
-// entry is already unpublished by then, so a concurrent Register of the
-// same name at worst re-reads a model this call is about to delete —
-// the same outcome as running the two calls in the other order.
+// Unregister removes a database and its persisted model, and closes a
+// remote database's connection. The close and the store delete (network
+// and disk I/O) happen after the registry lock is released; the entry is
+// already unpublished by then, so a concurrent Register of the same name
+// at worst re-reads a model this call is about to delete — the same
+// outcome as running the two calls in the other order.
 func (s *Service) Unregister(name string) error {
 	s.mu.Lock()
 	e, ok := s.entries[name]
@@ -343,6 +334,9 @@ func (s *Service) Unregister(name string) error {
 	}
 	st := s.st
 	s.mu.Unlock()
+	if c, ok := e.db.(*netsearch.Client); ok {
+		c.Close()
+	}
 	if st != nil {
 		return st.Delete(name)
 	}
@@ -362,43 +356,9 @@ func (s *Service) Databases() []DBStatus {
 	return out
 }
 
-// connect returns the entry's database, dialing remote ones on demand. A
-// cached client that exhausted its retries is discarded and replaced — a
-// dead connection must not poison the entry forever. Caller holds the
-// entry's run guard, not mu: dialing is network I/O, and the guard
-// already makes this entry's connection state single-writer, so mu is
-// taken only for the short reads and writes of e.db.
-func (s *Service) connect(e *entry) (core.Database, error) {
-	s.mu.Lock()
-	db, addr, opts := e.db, e.addr, s.dialOpts
-	var stale *netsearch.Client
-	if c, ok := db.(*netsearch.Client); ok && c.Broken() {
-		stale, db = c, nil
-		e.db = nil
-	}
-	s.mu.Unlock()
-	if stale != nil {
-		stale.Close() // best effort; the connection is already broken
-	}
-	if db != nil {
-		return db, nil
-	}
-	if addr == "" {
-		return nil, fmt.Errorf("service: database %q has no address", e.name)
-	}
-	client, err := netsearch.DialWith(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	e.db = client
-	s.mu.Unlock()
-	return client, nil
-}
-
-// recordFailure updates an entry's health counters after a failed connect
-// or sampling run, tripping the circuit breaker once the consecutive
-// failure count reaches the threshold. Caller holds mu.
+// recordFailure updates an entry's health counters after a failed sampling
+// run, tripping the circuit breaker once the consecutive failure count
+// reaches the threshold. Caller holds mu.
 func (s *Service) recordFailure(e *entry, err error) {
 	e.stats.LastError = err.Error()
 	e.stats.ConsecutiveFailures++
@@ -456,19 +416,10 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 	lg.Info("sample start", "db", name, "docs", opts.Docs,
 		"extend", opts.Extend, telemetry.TraceKey, opts.TraceID)
 
-	db, err := s.connect(e)
-	if err != nil {
-		s.mu.Lock()
-		s.recordFailure(e, err)
-		st := e.stats
-		s.mu.Unlock()
-		reg.Counter("service_sample_errors_total").Inc()
-		reg.Counter("service_sample_errors_total{" + dbLabel(name) + "}").Inc()
-		return st, fmt.Errorf("service: connect %q: %w", name, err)
-	}
 	// Propagate the trace ID onto the wire: runs on this entry are
 	// serialized by the run guard, so the client's trace is ours for the
 	// run.
+	db := e.db
 	if c, ok := db.(*netsearch.Client); ok {
 		c.SetTrace(opts.TraceID)
 		defer c.SetTrace("")
@@ -483,6 +434,7 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		InitialTerm:  opts.InitialTerm,
 	}
 	var res *core.Result
+	var err error
 	if opts.Extend && prev != nil {
 		cfg.Stop = core.StopAfterDocs(prev.Docs + opts.Docs)
 		res, err = core.Resume(db, cfg, prev)
@@ -659,53 +611,34 @@ var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 // "gloss-ind", the latter two optionally suffixed "@l" for a GlOSS
 // threshold. Query text is analyzed with the service's pipeline.
 //
-// Rank is the service's Select operation: its latency is observed into
-// service_select_seconds and its outcomes into service_selects_total /
-// service_select_errors_total. Scoring runs against the compiled snapshot
-// (snapshot.go) — no service lock is held while scoring — and a rank
-// identical to one already in flight waits for that one's answer
-// (service_rank_coalesced_total{scope="flight"}).
+// Rank is the service's Select operation, a batch of one through the core
+// RankBatchStream runs, so both refuse a request the same way and in the
+// same order: a federation with no models is ErrNoModels whatever the
+// query, and a query with no index terms is ErrInvalid. Its latency is
+// observed into service_select_seconds and its outcomes into
+// service_selects_total / service_select_errors_total. Scoring runs
+// against the compiled snapshot (snapshot.go) — no service lock is held
+// while scoring — and a rank identical to one already in flight waits for
+// that one's answer (service_rank_coalesced_total{scope="flight"}).
 func (s *Service) Rank(query string, algName string, k int) ([]RankedDB, error) {
 	reg := s.Metrics()
 	defer reg.Timer("service_select_seconds")()
-	out, err := s.rank(reg, query, algName, k)
-	if err != nil {
-		reg.Counter("service_select_errors_total").Inc()
-	} else {
+	// One per computed single rank ("a leader that computed"), kept only
+	// because benchmark/bench/layers.go:364-396 reads it to tell a computed
+	// replay from a repeated one (ROADMAP item 10(f)).
+	misses := reg.Counter("service_select_cache_misses_total")
+	var out []RankedDB
+	err := s.rankEach(reg, []string{query}, algName, k, misses, func(_ int, ranked []RankedDB, err error) error {
+		if err != nil {
+			reg.Counter("service_select_errors_total").Inc()
+		}
+		out = ranked
+		return err
+	})
+	if err == nil {
 		reg.Counter("service_selects_total").Inc()
 	}
 	return out, err
-}
-
-func (s *Service) rank(reg *telemetry.Registry, query string, algName string, k int) ([]RankedDB, error) {
-	alg, err := parseAlgorithm(algName)
-	if err != nil {
-		return nil, err
-	}
-
-	scr := rankScratchPool.Get().(*rankScratch)
-	defer rankScratchPool.Put(scr)
-
-	if !scr.analyze(s.analyzer, query) {
-		return nil, fmt.Errorf("service: query has no index terms: %w", ErrInvalid)
-	}
-	snap := s.snapshot()
-	if snap.compiled.NumDBs() == 0 {
-		return nil, ErrNoModels
-	}
-	key := serving.Key{Query: string(scr.key), Alg: alg.Name(), K: k, Epoch: snap.epoch}
-	out, err := s.flights.Do(key, func() ([]RankedDB, error) {
-		// One per computed single rank ("a leader that computed"), kept
-		// only because benchmark/bench/layers.go:364-396 reads it to tell a
-		// computed replay from a repeated one (ROADMAP item 10(f)).
-		reg.Counter("service_select_cache_misses_total").Inc()
-		return s.rankSnapshot(snap, alg, scr, k), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Hand back a copy: the slice is shared with the flight's followers.
-	return append([]RankedDB(nil), out...), nil
 }
 
 // analyze tokenizes query into scr.terms and builds its flight key in
@@ -783,12 +716,13 @@ func (s *Service) Summary(name string, metricName string, k int) ([]summarize.Ro
 	return summarize.Top(m, metric, k, analysis.InqueryStoplist()), nil
 }
 
-// Close releases remote connections. The clients are detached from the
-// registry under the lock, then closed outside it (Close writes a FIN to
-// the peer — network I/O that must not run under mu); name order makes
-// any close-error deterministic.
+// Close releases remote connections for good: a remote database sampled
+// after Close fails with "client is closed". The clients are collected
+// under the lock and closed outside it (Close writes a FIN to the peer —
+// network I/O that must not run under mu); name order makes any
+// close-error deterministic.
 func (s *Service) Close() error {
-	s.mu.Lock()
+	s.mu.RLock()
 	names := make([]string, 0, len(s.entries))
 	for name := range s.entries {
 		names = append(names, name)
@@ -796,13 +730,11 @@ func (s *Service) Close() error {
 	sort.Strings(names)
 	clients := make([]*netsearch.Client, 0, len(names))
 	for _, name := range names {
-		e := s.entries[name]
-		if c, ok := e.db.(*netsearch.Client); ok {
+		if c, ok := s.entries[name].db.(*netsearch.Client); ok {
 			clients = append(clients, c)
-			e.db = nil
 		}
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	var firstErr error
 	for _, c := range clients {
 		if err := c.Close(); err != nil && firstErr == nil {

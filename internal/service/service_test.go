@@ -4,9 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -241,6 +245,19 @@ func TestSampleRemoteDatabase(t *testing.T) {
 
 	svc := New(analysis.Database(), nil)
 	defer svc.Close()
+	var mu sync.Mutex
+	var conns []*trackedConn
+	svc.SetDialOptions(netsearch.Options{DialFunc: func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		tc := &trackedConn{Conn: conn}
+		mu.Lock()
+		conns = append(conns, tc)
+		mu.Unlock()
+		return tc, nil
+	}})
 	if err := svc.Register("remote-db", srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +268,32 @@ func TestSampleRemoteDatabase(t *testing.T) {
 	if st.SampledDocs == 0 || !st.HasModel {
 		t.Errorf("remote sampling produced %+v", st)
 	}
+
+	// Unregister closes every connection the database's client dialed.
+	if err := svc.Unregister("remote-db"); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(conns) == 0 {
+		t.Fatal("sampling a remote database dialed no connection")
+	}
+	for i, c := range conns {
+		if !c.closed.Load() {
+			t.Errorf("connection %d of %d is still open after Unregister", i+1, len(conns))
+		}
+	}
+}
+
+// trackedConn records whether its owner closed it.
+type trackedConn struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (c *trackedConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
 }
 
 func TestSampleConnectFailureRecorded(t *testing.T) {
@@ -264,6 +307,48 @@ func TestSampleConnectFailureRecorded(t *testing.T) {
 	statuses := svc.Databases()
 	if statuses[0].LastError == "" {
 		t.Error("connection failure not recorded in status")
+	}
+}
+
+func TestSampleRemoteRegisteredWhileDown(t *testing.T) {
+	// The client built at registration dials on each sample until the peer
+	// answers: no re-registration is needed once it comes up.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	svc := New(analysis.Database(), nil)
+	defer svc.Close()
+	if err := svc.Register("late", addr); err != nil {
+		t.Fatal(err)
+	}
+	opts := SampleOptions{Docs: 4, InitialTerm: "apple"}
+	if _, err := svc.Sample("late", opts); err == nil {
+		t.Fatal("sampling a database whose server is down succeeded")
+	}
+	var srv *netsearch.Server
+	for i := 0; i < 100 && srv == nil; i++ {
+		if srv, err = netsearch.Serve(appleIndex(), addr); err != nil {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if srv == nil {
+		t.Fatalf("could not bind %s: %v", addr, err)
+	}
+	defer srv.Close()
+	st, err := svc.Sample("late", opts)
+	if err != nil {
+		t.Fatalf("sample once the server is up: %v", err)
+	}
+	if !st.HasModel || st.ConsecutiveFailures != 0 {
+		t.Errorf("status after the server came up = %+v", st)
+	}
+	// Close is terminal: the database's client is never redialed.
+	svc.Close()
+	if _, err := svc.Sample("late", opts); err == nil || !strings.Contains(err.Error(), "client is closed") {
+		t.Errorf("sample after Close = %v, want a closed-client error", err)
 	}
 }
 

@@ -342,6 +342,10 @@ var contract = []struct {
 	{name: "no models is 503, a failing upstream 502", run: func(t *testing.T, fx *fixture) {
 		body := batchBody{Queries: []string{"apple", "pie"}}
 		wantStatus(t, do(fx.cold, http.MethodGet, "/rank?q=apple", nil), http.StatusServiceUnavailable, "cold rank")
+		// Whatever the query, a cold federation is the service's state; a
+		// missing query is the caller's mistake whatever the state.
+		wantStatus(t, do(fx.cold, http.MethodGet, "/rank?q="+strings.ReplaceAll(stopwords, " ", "+"), nil), http.StatusServiceUnavailable, "cold rank of stopwords")
+		wantStatus(t, do(fx.cold, http.MethodGet, "/rank", nil), http.StatusBadRequest, "cold rank without q")
 		wantStatus(t, do(fx.cold, http.MethodPost, "/rank/batch", body), http.StatusServiceUnavailable, "cold batch")
 		rr := do(fx.cold, http.MethodPost, "/rank/batch?stream=1", body)
 		if !fx.coldStreamsPerItem {

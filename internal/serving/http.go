@@ -265,18 +265,25 @@ func (s *surface) handleRank(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
+	q := r.URL.Query()
+	query := q.Get("q")
+	if query == "" {
+		// Asked nothing: the caller's mistake on every tier, whatever state
+		// the federation is in.
+		WriteFailure(w, fmt.Errorf("missing query q: %w", ErrInvalid))
+		return
+	}
 	ticket, ok := s.admit(w)
 	if !ok {
 		return
 	}
 	defer ticket.Release()
-	q := r.URL.Query()
 	k, err := ParseK(q.Get("k"))
 	if err != nil {
 		WriteFailure(w, err)
 		return
 	}
-	ranked, err := s.tier.Rank(r.Context(), q.Get("q"), q.Get("alg"), k)
+	ranked, err := s.tier.Rank(r.Context(), query, q.Get("alg"), k)
 	if err != nil {
 		WriteFailure(w, err)
 		return

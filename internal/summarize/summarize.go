@@ -14,14 +14,15 @@ import (
 	"repro/internal/langmodel"
 )
 
-// Row is one term in a database summary.
+// Row is one term in a database summary, as GET
+// /databases/{name}/summary serves it.
 type Row struct {
 	// Term is the displayed term.
-	Term string
+	Term string `json:"term"`
 	// DF, CTF and AvgTF are its learned statistics.
-	DF    int
-	CTF   int64
-	AvgTF float64
+	DF    int     `json:"df"`
+	CTF   int64   `json:"ctf"`
+	AvgTF float64 `json:"avg_tf"`
 }
 
 // Top returns the k highest-ranked non-stopword terms of the model under

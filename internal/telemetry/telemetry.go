@@ -37,7 +37,6 @@
 package telemetry
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -267,15 +266,4 @@ func (s Snapshot) CounterSum(substr string) int64 {
 		}
 	}
 	return total
-}
-
-// names returns the sorted metric names of one kind — the iteration order
-// for every exposition writer.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
