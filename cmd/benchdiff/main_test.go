@@ -76,7 +76,9 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	cur := &Summary{Benchmarks: map[string]Result{
 		"Fast":   {NsPerOp: 110, Runs: 5}, // +10%: within threshold
 		"Slowed": {NsPerOp: 140, Runs: 5}, // +40%: regression
-		"Added":  {NsPerOp: 50, Runs: 5},
+		"AddedC": {NsPerOp: 50, Runs: 5},
+		"AddedB": {NsPerOp: 50, Runs: 5},
+		"AddedA": {NsPerOp: 50, Runs: 5},
 	}}
 	report, regressions := compare(base, cur, 0.25)
 	if regressions != 1 {
@@ -89,6 +91,10 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 	if strings.Index(report, "Fast") > strings.Index(report, "Removed") {
 		t.Errorf("report rows not sorted:\n%s", report)
+	}
+	a, b, c := strings.Index(report, "AddedA"), strings.Index(report, "AddedB"), strings.Index(report, "AddedC")
+	if a < 0 || a > b || b > c {
+		t.Errorf("new rows not sorted:\n%s", report)
 	}
 }
 

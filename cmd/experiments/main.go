@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -261,14 +262,14 @@ func main() {
 	}
 
 	if *timing {
-		printTiming(reg)
+		printTiming(out, reg)
 	}
 	fmt.Fprintf(out, "done in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 // printTiming renders the per-experiment wall-time histogram family as a
 // table: one row per experiment id (and env build), runs, total and p95.
-func printTiming(reg *telemetry.Registry) {
+func printTiming(w io.Writer, reg *telemetry.Registry) {
 	snap := reg.Snapshot()
 	names := make([]string, 0, len(snap.Histograms))
 	for name := range snap.Histograms {
@@ -280,10 +281,10 @@ func printTiming(reg *telemetry.Registry) {
 	if len(names) == 0 {
 		return
 	}
-	fmt.Printf("%-44s %6s %10s %10s\n", "timer", "runs", "total", "p95")
+	fmt.Fprintf(w, "%-44s %6s %10s %10s\n", "timer", "runs", "total", "p95")
 	for _, name := range names {
 		h := snap.Histograms[name]
-		fmt.Printf("%-44s %6d %10s %10s\n", name, h.Count,
+		fmt.Fprintf(w, "%-44s %6d %10s %10s\n", name, h.Count,
 			time.Duration(h.Sum*float64(time.Second)).Round(time.Millisecond),
 			time.Duration(h.P95*float64(time.Second)).Round(time.Millisecond))
 	}

@@ -1,11 +1,7 @@
-// Command repolint runs this repository's determinism and concurrency
-// invariant checks (internal/lint) over one or more packages and exits
-// non-zero on unsuppressed findings. It is the machine form of the
-// review rules that keep experiment output bit-reproducible: all
-// randomness through internal/randx, no wall-clock reads on
-// golden-output paths, no map-iteration order leaking into results,
-// all fan-out through internal/parallel; and no blocking call under a
-// held lock.
+// Command repolint runs this repository's concurrency invariant checks
+// (internal/lint) over one or more packages and exits non-zero on
+// unsuppressed findings: all fan-out through internal/parallel, and no
+// blocking call under a held lock.
 //
 // Usage:
 //

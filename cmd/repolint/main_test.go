@@ -33,15 +33,12 @@ const cleanSrc = `package tmpmod
 func Answer() int { return 42 }
 `
 
-// dirtySrc trips maporder: map-iteration order feeds an ordered slice.
+// dirtySrc trips baregoroutine: a raw go statement outside
+// internal/parallel.
 const dirtySrc = `package tmpmod
 
-func Keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
+func Spawn(f func()) {
+	go f()
 }
 `
 
@@ -76,7 +73,7 @@ func TestExitOneOnFindings(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stdout=%q stderr=%q)", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "maporder") {
+	if !strings.Contains(stdout, "baregoroutine") {
 		t.Errorf("finding missing from stdout: %q", stdout)
 	}
 	if !strings.Contains(stdout, "1 finding(s)") {
@@ -114,13 +111,9 @@ func TestExitTwoOnMissingModule(t *testing.T) {
 func TestShowIgnoredCarriesJustification(t *testing.T) {
 	const suppressed = `package tmpmod
 
-func Keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		//lint:ignore maporder callers sort the result themselves
-		out = append(out, k)
-	}
-	return out
+func Serve(accept func()) {
+	//lint:ignore baregoroutine the accept loop lives as long as the server
+	go accept()
 }
 `
 	dir := writeModule(t, map[string]string{"dirty.go": suppressed})
@@ -132,7 +125,7 @@ func Keys(m map[string]int) []string {
 	if len(lines) != 1 || !strings.HasPrefix(lines[0], "ignored: ") {
 		t.Fatalf("stdout = %q, want one ignored: line", stdout)
 	}
-	if !strings.Contains(lines[0], "maporder") || !strings.Contains(lines[0], "[callers sort the result themselves]") {
+	if !strings.Contains(lines[0], "baregoroutine") || !strings.Contains(lines[0], "[the accept loop lives as long as the server]") {
 		t.Errorf("ignored line = %q, want the analyzer and the //lint:ignore reason", lines[0])
 	}
 }

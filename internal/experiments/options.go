@@ -28,8 +28,7 @@ func WithWorkers(n int) Option {
 // WithMetrics routes a package-level experiment's wall time into reg
 // under experiments_run_seconds{exp="…"} (nil, the default, records
 // nothing). Timing goes through the registry's injectable clock — this
-// package is under the repolint wallclock rule and never reads real time
-// itself.
+// package's output is golden and it never reads real time itself.
 func WithMetrics(reg *telemetry.Registry) Option {
 	return func(o *options) { o.metrics = reg }
 }

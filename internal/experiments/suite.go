@@ -75,9 +75,9 @@ type Suite struct {
 	Parallel int
 	// Metrics, when non-nil, receives per-experiment wall time
 	// (experiments_run_seconds{exp="…"}) and per-corpus env build time
-	// (experiments_env_build_seconds{env="…"}). This package is under the
-	// repolint wallclock rule, so all timing goes through the registry's
-	// injectable clock — experiment *results* never depend on it.
+	// (experiments_env_build_seconds{env="…"}). All timing goes through
+	// the registry's injectable clock — experiment *results* never depend
+	// on it.
 	Metrics *telemetry.Registry
 
 	mu         sync.Mutex

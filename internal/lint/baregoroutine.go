@@ -1,6 +1,9 @@
 package lint
 
-import "go/ast"
+import (
+	"go/ast"
+	"strings"
+)
 
 // parallelPath is the one package allowed to spawn raw goroutines: the
 // bounded, order-preserving worker pool every experiment and service
@@ -35,4 +38,9 @@ func runBareGoroutine(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// pkgWithin reports whether pkg is root or a package under it.
+func pkgWithin(pkg, root string) bool {
+	return pkg == root || strings.HasPrefix(pkg, root+"/")
 }

@@ -1,14 +1,13 @@
 // Package lint is a small, dependency-free static-analysis framework
-// that enforces this repository's determinism and concurrency
-// invariants. It exists because the properties that make the paper's
-// experiments reproducible — every random draw seeded through
-// internal/randx, no wall-clock reads on golden-output paths, no map
-// iteration order leaking into results, all fan-out through the
-// internal/parallel pool — are invisible to the compiler and too easy
-// to erode one innocuous diff at a time. PR 1 fixed exactly such a bug
-// (map-order nondeterminism in internal/index silently perturbing
-// selector draws); this package turns that class of review comment
-// into a machine check.
+// that enforces the two concurrency invariants this repository's tests
+// cannot: all fan-out goes through the internal/parallel pool
+// (baregoroutine), and nothing blocks while a mutex is held (lockheld).
+// A raw goroutine whose completion order happens to match its input
+// order passes every golden and the race detector; a blocking call
+// under a lock stalls only under contention the tests never build. The
+// determinism invariants the analyzers once guarded as well (seeded
+// randomness, no wall clock, no map order in output) are held by the
+// byte-identical goldens and tests instead (DESIGN.md §7).
 //
 // The framework is built only on the standard library's go/ast,
 // go/parser, go/token and go/types packages, matching the module's
@@ -60,8 +59,8 @@ type Pass struct {
 	// Go files, in stable (sorted filename) order.
 	Files []*ast.File
 	// Pkg is the type-checked package. Its Path is the import path
-	// analyzers use for location-scoped rules (e.g. "math/rand is
-	// allowed only under internal/randx").
+	// analyzers use for location-scoped rules (e.g. "raw go statements are
+	// allowed only under internal/parallel").
 	Pkg *types.Package
 	// Info holds type information for the package's syntax. It is
 	// always non-nil, but entries may be missing for code that
@@ -164,14 +163,8 @@ func Unsuppressed(diags []Diagnostic) []Diagnostic {
 }
 
 // All returns the analyzer set enforced by cmd/repolint, in stable
-// order: the four per-statement determinism checks, then the two
-// interprocedural proofs.
+// order: the syntactic fan-out check, then the interprocedural lock
+// proof.
 func All() []*Analyzer {
-	return []*Analyzer{
-		DirectRand,
-		WallClock,
-		MapOrder,
-		BareGoroutine,
-		LockHeld,
-	}
+	return []*Analyzer{BareGoroutine, LockHeld}
 }

@@ -12,23 +12,6 @@ import (
 // form, or a justified suppression. The want expectations live inline
 // in the fixtures, so a disabled or broken analyzer fails its case.
 
-func TestDirectRand(t *testing.T) {
-	runCase(t, DirectRand, "directrand/bad", "repro/internal/sampler")
-	runCase(t, DirectRand, "directrand/allowed", "repro/internal/randx")
-	runCase(t, DirectRand, "directrand/ignored", "repro/internal/legacy")
-}
-
-func TestWallClock(t *testing.T) {
-	runCase(t, WallClock, "wallclock/bad", "repro/internal/metrics")
-	runCase(t, WallClock, "wallclock/allowed", "repro/cmd/bench")
-}
-
-func TestMapOrder(t *testing.T) {
-	runCase(t, MapOrder, "maporder/bad", "repro/internal/orders")
-	runCase(t, MapOrder, "maporder/sorted", "repro/internal/orders")
-	runCase(t, MapOrder, "maporder/ignored", "repro/internal/orders")
-}
-
 func TestBareGoroutine(t *testing.T) {
 	runCase(t, BareGoroutine, "baregoroutine/bad", "repro/internal/svc")
 	runCase(t, BareGoroutine, "baregoroutine/allowed", "repro/internal/parallel")

@@ -1,7 +1,7 @@
 package lint
 
 // Tests for the //go:build-aware loader against the testdata/loadmod
-// mini-module: a never-satisfied tag, a real LE/portable per-arch pair,
+// mini-module: a never-satisfied tag, an LE/portable per-arch pair,
 // and the stale-directive rule's interaction with excluded files.
 
 import (

@@ -179,7 +179,6 @@ func (s *Server) Close() error {
 	s.closed = true
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
-		//lint:ignore maporder shutdown close order over live peers is not observable output
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func TestMapOrdered(t *testing.T) {
+func TestMapKeepsInputOrder(t *testing.T) {
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i

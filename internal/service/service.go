@@ -316,11 +316,13 @@ func (s *Service) loadPersisted(e *entry) {
 }
 
 // Unregister removes a database and its persisted model, and closes a
-// remote database's connection. The close and the store delete (network
-// and disk I/O) happen after the registry lock is released; the entry is
-// already unpublished by then, so a concurrent Register of the same name
-// at worst re-reads a model this call is about to delete — the same
-// outcome as running the two calls in the other order.
+// remote database's connection. Everything after the unpublish happens
+// with the registry lock released: the close, so a remote run in flight
+// fails fast; a wait for the entry's run guard, so a run that committed
+// before the unpublish has finished its store write (one that had not
+// finds its entry gone and writes nothing); and the store delete. A new
+// registration of the name made meanwhile keeps the stored model it
+// loaded, so the live service and a restarted one agree.
 func (s *Service) Unregister(name string) error {
 	s.mu.Lock()
 	e, ok := s.entries[name]
@@ -332,15 +334,19 @@ func (s *Service) Unregister(name string) error {
 	if e.model != nil {
 		s.invalidate() // its model left the served set
 	}
-	st := s.st
 	s.mu.Unlock()
 	if c, ok := e.db.(*netsearch.Client); ok {
 		c.Close()
 	}
-	if st != nil {
-		return st.Delete(name)
+	e.run <- struct{}{}
+	<-e.run
+	s.mu.RLock()
+	_, back := s.entries[name]
+	s.mu.RUnlock()
+	if s.st == nil || back {
+		return nil
 	}
-	return nil
+	return s.st.Delete(name)
 }
 
 // Databases returns the status of every registered database, sorted by
@@ -452,14 +458,16 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		lg.Warn("sample failed", "db", name, telemetry.TraceKey, opts.TraceID, "err", err.Error())
 		return st, fmt.Errorf("service: sample %q: %w", name, err)
 	}
-	reg.Counter("service_samples_total").Inc()
-	reg.Counter("service_samples_total{" + dbLabel(name) + "}").Inc()
-	reg.Counter("service_sampled_docs_total").Add(int64(res.Docs))
-	reg.Counter("service_probe_queries_total").Add(int64(res.Queries))
-	lg.Info("sample done", "db", name, "docs", res.Docs, "queries", res.Queries,
-		telemetry.TraceKey, opts.TraceID)
 	model := res.Learned.Normalize(s.analyzer) // CPU-heavy; keep outside the lock
 	s.mu.Lock()
+	if s.entries[name] != e {
+		// Unregistered, and perhaps registered again, while the run was in
+		// flight: its model belongs to no served entry, so it is neither
+		// installed nor stored.
+		s.mu.Unlock()
+		reg.Counter("service_sample_errors_total").Inc()
+		return DBStatus{}, fmt.Errorf("service: %q unregistered during its sample: %w", name, ErrUnknownDatabase)
+	}
 	e.model = model
 	s.invalidate()
 	e.lastRun = res
@@ -472,11 +480,18 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 	e.stats.CircuitOpen = false
 	st = e.stats
 	s.mu.Unlock()
+	reg.Counter("service_samples_total").Inc()
+	reg.Counter("service_samples_total{" + dbLabel(name) + "}").Inc()
+	reg.Counter("service_sampled_docs_total").Add(int64(res.Docs))
+	reg.Counter("service_probe_queries_total").Add(int64(res.Queries))
+	lg.Info("sample done", "db", name, "docs", res.Docs, "queries", res.Queries,
+		telemetry.TraceKey, opts.TraceID)
 	if s.st != nil {
 		// Persist after releasing the registry lock: Put fsyncs, and an
 		// fsync under mu would stall every reader behind disk. The run
 		// guard serializes runs on this entry, so the write always matches
-		// the model just installed.
+		// the model just installed, and Unregister waits for the guard
+		// before its Delete, so the Put never lands after it.
 		if err := s.st.Put(name, model); err != nil {
 			s.mu.Lock()
 			e.stats.LastError = err.Error()

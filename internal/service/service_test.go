@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
+	"repro/internal/faulty"
 	"repro/internal/index"
 	"repro/internal/netsearch"
 	"repro/internal/store"
@@ -39,16 +41,37 @@ func fixture(t *testing.T, st *store.Store) (*Service, []*experiments.Federation
 	return svc, dbs
 }
 
+// TestRegisterAndList registers names in reverse order, so no rotation of
+// the registry's map order is sorted: Databases and GET /databases must
+// sort by name themselves.
 func TestRegisterAndList(t *testing.T) {
-	svc, dbs := fixture(t, nil)
-	statuses := svc.Databases()
-	if len(statuses) != len(dbs) {
-		t.Fatalf("got %d databases, want %d", len(statuses), len(dbs))
-	}
-	for _, st := range statuses {
-		if st.HasModel {
-			t.Errorf("%s has a model before sampling", st.Name)
+	svc := New(analysis.Database(), nil)
+	names := []string{"db-e", "db-d", "db-c", "db-b", "db-a"}
+	for _, name := range names {
+		if err := svc.RegisterLocal(name, appleIndex()); err != nil {
+			t.Fatal(err)
 		}
+	}
+	want := "db-a db-b db-c db-d db-e"
+	listed := func(statuses []DBStatus) string {
+		got := make([]string, len(statuses))
+		for i, st := range statuses {
+			if st.HasModel {
+				t.Errorf("%s has a model before sampling", st.Name)
+			}
+			got[i] = st.Name
+		}
+		return strings.Join(got, " ")
+	}
+	if got := listed(svc.Databases()); got != want {
+		t.Errorf("Databases() lists %q, want %q", got, want)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	var statuses []DBStatus
+	getJSON(t, ts.URL+"/databases", &statuses)
+	if got := listed(statuses); got != want {
+		t.Errorf("GET /databases lists %q, want %q", got, want)
 	}
 }
 
@@ -225,6 +248,114 @@ func TestUnregister(t *testing.T) {
 	}
 	if err := svc.Unregister("ghost"); !errors.Is(err, ErrUnknownDatabase) {
 		t.Errorf("got %v, want ErrUnknownDatabase", err)
+	}
+}
+
+// parkedSample registers a local database over appleIndex in svc and
+// starts a Sample of it that parks on the database's second call. It
+// returns once the run is parked, with the release channel and the
+// channel the run's error arrives on.
+func parkedSample(t *testing.T, svc *Service, name string) (release chan struct{}, done chan error) {
+	t.Helper()
+	db := faulty.WrapDB(appleIndex(), 1, 0)
+	parked, release := make(chan struct{}), make(chan struct{})
+	db.SetHook(func(_ string, call int) {
+		if call == 2 {
+			close(parked)
+			<-release
+		}
+	})
+	if err := svc.RegisterLocal(name, db); err != nil {
+		t.Fatal(err)
+	}
+	done = make(chan error, 1)
+	go func() {
+		_, err := svc.Sample(name, SampleOptions{Docs: 4, Seed: 3})
+		done <- err
+	}()
+	<-parked
+	return release, done
+}
+
+// unregisterParked calls Unregister in the background, which waits for the
+// parked run, and returns once the name is no longer listed.
+func unregisterParked(t *testing.T, svc *Service, name string) chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- svc.Unregister(name) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if len(svc.Databases()) == 0 {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Unregister never unpublished the entry")
+		}
+	}
+}
+
+// TestSampleLosingToUnregisterCommitsNothing: a run that finishes after its
+// database was unregistered installs no model, stores none, and reports
+// ErrUnknownDatabase; a later registration of the name starts without one.
+func TestSampleLosingToUnregisterCommitsNothing(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "models"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(analysis.Database(), st)
+	reg := telemetry.NewRegistry()
+	svc.SetMetrics(reg)
+	release, sampled := parkedSample(t, svc, "apples")
+	unregistered := unregisterParked(t, svc, "apples")
+	close(release)
+	if err := <-sampled; !errors.Is(err, ErrUnknownDatabase) {
+		t.Fatalf("run that lost to Unregister returned %v, want ErrUnknownDatabase", err)
+	}
+	if err := <-unregistered; err != nil {
+		t.Fatalf("Unregister: %v", err)
+	}
+	if got := reg.Snapshot().Counters["service_sample_errors_total"]; got != 1 {
+		t.Errorf("service_sample_errors_total = %d, want 1", got)
+	}
+	if m, err := st.Get("apples"); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("store holds a %d-doc model for an unregistered name (err %v)", m.Docs(), err)
+	}
+	if err := svc.RegisterLocal("apples", appleIndex()); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Databases()[0]; got.HasModel {
+		t.Errorf("fresh registration reports %+v, want no model", got)
+	}
+}
+
+// TestSampleLosingToReregisterCommitsNothing: the name is registered again
+// while the old entry's run is parked; the old run's model is neither
+// served nor stored under the new entry.
+func TestSampleLosingToReregisterCommitsNothing(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "models"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(analysis.Database(), st)
+	release, sampled := parkedSample(t, svc, "apples")
+	unregistered := unregisterParked(t, svc, "apples")
+	if err := svc.RegisterLocal("apples", appleIndex()); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-sampled; !errors.Is(err, ErrUnknownDatabase) {
+		t.Fatalf("old entry's run returned %v, want ErrUnknownDatabase", err)
+	}
+	if err := <-unregistered; err != nil {
+		t.Fatalf("Unregister: %v", err)
+	}
+	if got := svc.Databases()[0]; got.HasModel {
+		t.Errorf("new entry reports %+v, want no model", got)
+	}
+	if _, err := svc.Rank("apple cider", "cori", 0); !errors.Is(err, ErrNoModels) {
+		t.Errorf("Rank = %v, want ErrNoModels: the old run's model is served", err)
+	}
+	if _, err := st.Get("apples"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("store holds the old run's model under the new entry (err %v)", err)
 	}
 }
 

@@ -14,9 +14,9 @@
 // branch.
 //
 // Determinism contract: the wall clock enters only through the registry's
-// injectable clock (SetClock), so packages under the repolint `wallclock`
-// rule may record spans and latencies without ever calling time.Now
-// themselves, and tests that pin the clock get byte-identical snapshots.
+// injectable clock (SetClock), so golden-output packages may record spans
+// and latencies without ever calling time.Now themselves, and tests that
+// pin the clock get byte-identical snapshots.
 // Snapshot and the exposition writers iterate metrics in sorted name
 // order, which makes /metrics output golden-testable.
 //

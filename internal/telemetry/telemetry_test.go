@@ -62,7 +62,6 @@ func TestCountersAreConcurrencySafe(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//lint:ignore baregoroutine bounded test fan-out joined via wg below
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
