@@ -5,10 +5,13 @@ package lint
 // (or deferred-released) on every path that reaches a return, and no
 // blocking operation — file or network I/O, sleeps, channel operations,
 // any module function that transitively performs one — may run while a
-// mutex is held. The second rule is what keeps compileMu and the service
-// registry lock cheap: PR 5's RCU design promises that writers never
-// stall readers behind I/O, and one `store.Put` slipped under a lock
-// breaks that promise for every concurrent query.
+// mutex is held. The second rule is what keeps the service's two locks
+// cheap. Its read path takes one, the compile lock, on the first rank
+// after a model change, and every rank then waiting stalls behind
+// whatever runs under it. Its write path holds the registry lock while it
+// publishes a new served set, and Register, Sample, Unregister and
+// Databases stall behind whatever runs there. One `store.Put` slipped
+// under either breaks that for every caller behind it.
 //
 // The analysis is a forward dataflow over the CFG. The fact is the set
 // of held locks (identified by the access path of the mutex expression:

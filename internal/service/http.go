@@ -30,18 +30,18 @@ import (
 
 // Handler returns the HTTP handler for the service.
 func (s *Service) Handler() http.Handler {
-	return serving.NewHandler(tier{s}, "service", map[string]string{"status": "ok"}, func(mux *http.ServeMux) {
+	return serving.NewHandler(tier{&s.reader}, "service", map[string]string{"status": "ok"}, func(mux *http.ServeMux) {
 		mux.HandleFunc("/databases", s.handleDatabases)
 		mux.HandleFunc("/databases/", s.handleDatabase)
 	})
 }
 
-// tier adapts the service's pinned method signatures to the serving seam.
-// Metrics is promoted from *Service as is.
-type tier struct{ *Service }
+// tier adapts the read path's pinned method signatures to the serving
+// seam. Metrics is promoted from *reader as is.
+type tier struct{ *reader }
 
 func (t tier) Rank(_ context.Context, query, alg string, k int) ([]RankedDB, error) {
-	return t.Service.Rank(query, alg, k)
+	return t.reader.Rank(query, alg, k)
 }
 
 func (t tier) RankStream(_ context.Context, queries []string, alg string, k int, emit func(int, BatchItem) error) error {

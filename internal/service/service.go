@@ -15,10 +15,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/admission"
 	"repro/internal/analysis"
@@ -26,7 +23,6 @@ import (
 	"repro/internal/langmodel"
 	"repro/internal/netsearch"
 	"repro/internal/parallel"
-	"repro/internal/selection"
 	"repro/internal/serving"
 	"repro/internal/store"
 	"repro/internal/summarize"
@@ -139,34 +135,25 @@ type entry struct {
 }
 
 // Service is a database selection service. Create it with New; all methods
-// are safe for concurrent use.
+// are safe for concurrent use. Service itself is the write path: the
+// registry, sampling and the store. It publishes the served model set that
+// its embedded read path (reader, snapshot.go) ranks against; the read
+// path takes no lock of the registry's.
 type Service struct {
-	analyzer analysis.Analyzer
-	st       *store.Store // optional persistence
-
-	// metrics and logger are no-op capable: a nil registry discards
-	// every observation and logger defaults to a discarding slog.
-	metrics *telemetry.Registry
-	logger  *slog.Logger
+	reader
+	st *store.Store // optional persistence
 
 	mu       sync.RWMutex
 	entries  map[string]*entry
 	dialOpts netsearch.Options
 
-	// Query-serving state (snapshot.go): gen counts model-set generations
-	// (bumped under mu whenever served models change), snap is the
-	// RCU-published compiled snapshot, compileMu single-flights rebuilds,
-	// and flights single-flights identical in-flight rank work across every
-	// serving path — GET /rank, POST /rank/batch (buffered or streamed) and
-	// the cluster shard RPCs.
-	gen       atomic.Uint64
-	snap      atomic.Pointer[snapshotSet]
-	compileMu sync.Mutex
-	flights   *serving.Flights
-
-	// gate is the admission controller for the rank endpoints (nil, the
-	// default, admits everything; see SetAdmission and DESIGN.md §14).
-	gate atomic.Pointer[admission.Gate]
+	// persist orders every store access with the registry change it
+	// belongs to: a registration's load and publication, a run's commit
+	// and store write, an unregistration and its store delete. A
+	// 1-buffered channel semaphore, like entry.run, because it is held
+	// across disk I/O. It is acquired after an entry's run guard and
+	// before mu.
+	persist chan struct{}
 }
 
 // New returns a service that normalizes learned models with the given
@@ -174,13 +161,23 @@ type Service struct {
 // stored models are loaded for databases as they are registered.
 func New(an analysis.Analyzer, st *store.Store) *Service {
 	s := &Service{
-		analyzer: an,
-		st:       st,
-		logger:   telemetry.NopLogger(),
-		entries:  make(map[string]*entry),
+		st:      st,
+		entries: make(map[string]*entry),
+		persist: make(chan struct{}, 1),
 	}
+	s.analyzer = an
+	s.logger.Store(telemetry.NopLogger())
+	s.served.Store(new(servedSet))
 	s.flights = serving.NewFlights("service", s.Metrics)
 	return s
+}
+
+// publish makes m the model the read path serves under name (nil: none)
+// by publishing a new served set built from the current one. Callers hold
+// mu for writing, which orders publications like the registry changes
+// they reflect.
+func (s *Service) publish(name string, m *langmodel.Model) {
+	s.served.Store(s.served.Load().with(name, m))
 }
 
 // The result cache this sized is gone and the call does nothing. Its only
@@ -204,9 +201,9 @@ func (s *Service) SetAdmission(cfg admission.Config) {
 // SetDialOptions already set one explicitly). nil reverts to no
 // instrumentation.
 func (s *Service) SetMetrics(reg *telemetry.Registry) {
+	s.metrics.Store(reg)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.metrics = reg
 	if s.dialOpts.Metrics == nil || reg == nil {
 		s.dialOpts.Metrics = reg
 	}
@@ -220,26 +217,12 @@ func (s *Service) SetLogger(lg *slog.Logger) {
 	if lg == nil {
 		lg = telemetry.NopLogger()
 	}
+	s.logger.Store(lg)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logger = lg
 	if s.dialOpts.Logger == nil {
 		s.dialOpts.Logger = lg
 	}
-}
-
-// Metrics returns the installed registry (nil when uninstrumented).
-func (s *Service) Metrics() *telemetry.Registry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.metrics
-}
-
-// log returns the current logger.
-func (s *Service) log() *slog.Logger {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.logger
 }
 
 // SetDialOptions configures the fault tolerance (per-operation deadline,
@@ -282,10 +265,22 @@ func (s *Service) register(name, addr string, db core.Database) error {
 		db:    db,
 		stats: DBStatus{Name: name, Addr: addr},
 	}
-	// Load any persisted model before taking the registry lock: the store
-	// read is disk I/O, which must never run under mu (a duplicate
-	// registration wastes one read — fine for an administrative call).
-	s.loadPersisted(e)
+	// Load any persisted model under the store guard, so no store write or
+	// delete of the name lands between the load and the publication, but
+	// before taking the registry lock: the store read is disk I/O, which
+	// must never run under mu (a duplicate registration wastes one read —
+	// fine for an administrative call). A model that cannot be read is
+	// sampled anew.
+	s.persist <- struct{}{}
+	defer func() { <-s.persist }()
+	if s.st != nil {
+		if m, err := s.st.Get(name); err == nil {
+			e.model = m
+			e.stats.HasModel = true
+			e.stats.Terms = m.VocabSize()
+			e.stats.SampledDocs = m.Docs()
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.entries[name]; dup {
@@ -293,37 +288,21 @@ func (s *Service) register(name, addr string, db core.Database) error {
 	}
 	s.entries[name] = e
 	if e.model != nil {
-		s.invalidate() // a persisted model joined the served set
+		s.publish(name, e.model)
 	}
 	return nil
 }
 
-// loadPersisted fills e.model from the store when available. e must be
-// unpublished (not yet in s.entries) so no lock is needed; s.st is
-// immutable after New.
-func (s *Service) loadPersisted(e *entry) {
-	if s.st == nil {
-		return
-	}
-	m, err := s.st.Get(e.name)
-	if err != nil {
-		return // not found or unreadable: sample anew
-	}
-	e.model = m
-	e.stats.HasModel = true
-	e.stats.Terms = m.VocabSize()
-	e.stats.SampledDocs = m.Docs()
-}
-
 // Unregister removes a database and its persisted model, and closes a
-// remote database's connection. Everything after the unpublish happens
-// with the registry lock released: the close, so a remote run in flight
-// fails fast; a wait for the entry's run guard, so a run that committed
-// before the unpublish has finished its store write (one that had not
-// finds its entry gone and writes nothing); and the store delete. A new
-// registration of the name made meanwhile keeps the stored model it
-// loaded, so the live service and a restarted one agree.
+// remote database's connection so a remote run in flight fails fast. It
+// holds the store guard from the unpublish through the store delete: a run
+// that committed before it has finished its store write, one that had not
+// finds its entry gone and writes nothing, and a registration of the name
+// loads from the store before the unpublish or after the delete, so the
+// live service and a restarted one agree.
 func (s *Service) Unregister(name string) error {
+	s.persist <- struct{}{}
+	defer func() { <-s.persist }()
 	s.mu.Lock()
 	e, ok := s.entries[name]
 	if !ok {
@@ -332,18 +311,13 @@ func (s *Service) Unregister(name string) error {
 	}
 	delete(s.entries, name)
 	if e.model != nil {
-		s.invalidate() // its model left the served set
+		s.publish(name, nil)
 	}
 	s.mu.Unlock()
 	if c, ok := e.db.(*netsearch.Client); ok {
 		c.Close()
 	}
-	e.run <- struct{}{}
-	<-e.run
-	s.mu.RLock()
-	_, back := s.entries[name]
-	s.mu.RUnlock()
-	if s.st == nil || back {
+	if s.st == nil {
 		return nil
 	}
 	return s.st.Delete(name)
@@ -370,8 +344,8 @@ func (s *Service) recordFailure(e *entry, err error) {
 	e.stats.ConsecutiveFailures++
 	if e.stats.ConsecutiveFailures >= DefaultTripThreshold {
 		if !e.stats.CircuitOpen {
-			s.metrics.Counter("service_breaker_trips_total").Inc()
-			s.logger.Warn("circuit breaker tripped",
+			s.Metrics().Counter("service_breaker_trips_total").Inc()
+			s.log().Warn("circuit breaker tripped",
 				"db", e.name, "consecutive_failures", e.stats.ConsecutiveFailures)
 		}
 		e.stats.CircuitOpen = true
@@ -459,6 +433,8 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		return st, fmt.Errorf("service: sample %q: %w", name, err)
 	}
 	model := res.Learned.Normalize(s.analyzer) // CPU-heavy; keep outside the lock
+	s.persist <- struct{}{}
+	defer func() { <-s.persist }()
 	s.mu.Lock()
 	if s.entries[name] != e {
 		// Unregistered, and perhaps registered again, while the run was in
@@ -469,7 +445,7 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		return DBStatus{}, fmt.Errorf("service: %q unregistered during its sample: %w", name, ErrUnknownDatabase)
 	}
 	e.model = model
-	s.invalidate()
+	s.publish(name, model)
 	e.lastRun = res
 	e.stats.HasModel = true
 	e.stats.Terms = model.VocabSize()
@@ -488,10 +464,10 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		telemetry.TraceKey, opts.TraceID)
 	if s.st != nil {
 		// Persist after releasing the registry lock: Put fsyncs, and an
-		// fsync under mu would stall every reader behind disk. The run
-		// guard serializes runs on this entry, so the write always matches
-		// the model just installed, and Unregister waits for the guard
-		// before its Delete, so the Put never lands after it.
+		// fsync under mu would stall every writer behind disk. The store
+		// guard, held since before the commit, keeps every other store
+		// access of the name out until the write matches the model just
+		// installed.
 		if err := s.st.Put(name, model); err != nil {
 			s.mu.Lock()
 			e.stats.LastError = err.Error()
@@ -516,60 +492,33 @@ func (s *Service) SampleAll(opts SampleOptions, parallelism int) (map[string]DBS
 	if parallelism < 1 {
 		parallelism = 4
 	}
-	s.mu.RLock()
-	names := make([]string, 0, len(s.entries))
-	tripped := make(map[string]bool)
-	for name, e := range s.entries {
-		names = append(names, name)
-		if e.stats.CircuitOpen {
-			tripped[name] = true
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
-
+	dbs := s.Databases()
 	type outcome struct {
 		st  DBStatus
 		err error
 	}
 	// The pool caps concurrency; collecting outcomes by input order keeps
 	// the maps deterministic regardless of completion order.
-	results, _ := parallel.Map(parallelism, names, func(_ int, name string) (outcome, error) {
-		if tripped[name] {
-			s.mu.RLock()
-			var st DBStatus
-			if e, ok := s.entries[name]; ok {
-				st = e.stats
-			}
-			s.mu.RUnlock()
-			return outcome{st, fmt.Errorf("service: %q skipped: %w", name, ErrCircuitOpen)}, nil
+	results, _ := parallel.Map(parallelism, dbs, func(_ int, db DBStatus) (outcome, error) {
+		if db.CircuitOpen {
+			return outcome{db, fmt.Errorf("service: %q skipped: %w", db.Name, ErrCircuitOpen)}, nil
 		}
-		st, err := s.Sample(name, opts)
+		st, err := s.Sample(db.Name, opts)
 		return outcome{st, err}, nil
 	})
-	statuses := make(map[string]DBStatus, len(names))
+	statuses := make(map[string]DBStatus, len(dbs))
 	var errs map[string]error
-	for i, name := range names {
-		statuses[name] = results[i].st
+	for i, db := range dbs {
+		statuses[db.Name] = results[i].st
 		if results[i].err != nil {
 			if errs == nil {
 				errs = make(map[string]error)
 			}
-			errs[name] = results[i].err
+			errs[db.Name] = results[i].err
 		}
 	}
 	return statuses, errs
 }
-
-// RankedDB is one row of a selection ranking and BatchItem one query's
-// outcome inside a batch ranking: the serving core's types, under the
-// names this package has always exported. Batch items fail independently:
-// a query that tokenizes to nothing reports its error in its item while
-// its neighbors still rank.
-type (
-	RankedDB  = serving.RankedDB
-	BatchItem = serving.Item
-)
 
 // dbLabel renders a registered database name as a Prometheus label set
 // fragment, escaping the three characters the text format reserves.
@@ -577,125 +526,6 @@ type (
 // (small, operator-controlled) set of database names.
 func dbLabel(name string) string {
 	return `db="` + telemetry.EscapeLabel(name) + `"`
-}
-
-// parseAlgorithm resolves an algorithm name to its selection.Algorithm.
-// "cori" (or "") selects CORI; "gloss-sum" and "gloss-ind" select the
-// GlOSS estimators, optionally with an "@l" threshold suffix (e.g.
-// "gloss-sum@0.2" for GlOSS(0.2)) in [0, 1].
-func parseAlgorithm(algName string) (selection.Algorithm, error) {
-	base, thr, hasThr := strings.Cut(algName, "@")
-	var threshold float64
-	if hasThr {
-		v, err := strconv.ParseFloat(thr, 64)
-		if err != nil || v < 0 || v > 1 {
-			return nil, fmt.Errorf("service: bad algorithm threshold %q (want a number in [0,1]): %w", thr, ErrInvalid)
-		}
-		threshold = v
-	}
-	switch base {
-	case "", "cori":
-		if hasThr {
-			return nil, fmt.Errorf("service: algorithm %q does not take a threshold: %w", base, ErrInvalid)
-		}
-		return selection.CORI{}, nil
-	case "gloss-sum":
-		return selection.Gloss{Estimator: selection.GlossSum, Threshold: threshold}, nil
-	case "gloss-ind":
-		return selection.Gloss{Estimator: selection.GlossInd, Threshold: threshold}, nil
-	}
-	return nil, fmt.Errorf("service: unknown algorithm %q: %w", algName, ErrInvalid)
-}
-
-// rankScratch is the per-query working memory of the serving path — token
-// list, interned term ids, dense scores, ranking — recycled through a pool
-// so a Rank allocates only its flight, the result it computes and the copy
-// it hands back.
-type rankScratch struct {
-	terms  []string
-	ids    []int32
-	scores []float64
-	ranked []selection.Ranked
-	key    []byte
-}
-
-var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
-
-// Rank scores every database with a learned model against the query and
-// returns them best first. algName is "cori" (default), "gloss-sum" or
-// "gloss-ind", the latter two optionally suffixed "@l" for a GlOSS
-// threshold. Query text is analyzed with the service's pipeline.
-//
-// Rank is the service's Select operation, a batch of one through the core
-// RankBatchStream runs, so both refuse a request the same way and in the
-// same order: a federation with no models is ErrNoModels whatever the
-// query, and a query with no index terms is ErrInvalid. Its latency is
-// observed into service_select_seconds and its outcomes into
-// service_selects_total / service_select_errors_total. Scoring runs
-// against the compiled snapshot (snapshot.go) — no service lock is held
-// while scoring — and a rank identical to one already in flight waits for
-// that one's answer (service_rank_coalesced_total{scope="flight"}).
-func (s *Service) Rank(query string, algName string, k int) ([]RankedDB, error) {
-	reg := s.Metrics()
-	defer reg.Timer("service_select_seconds")()
-	// One per computed single rank ("a leader that computed"), kept only
-	// because benchmark/bench/layers.go:364-396 reads it to tell a computed
-	// replay from a repeated one (ROADMAP item 10(f)).
-	misses := reg.Counter("service_select_cache_misses_total")
-	var out []RankedDB
-	err := s.rankEach(reg, []string{query}, algName, k, misses, func(_ int, ranked []RankedDB, err error) error {
-		if err != nil {
-			reg.Counter("service_select_errors_total").Inc()
-		}
-		out = ranked
-		return err
-	})
-	if err == nil {
-		reg.Counter("service_selects_total").Inc()
-	}
-	return out, err
-}
-
-// analyze tokenizes query into scr.terms and builds its flight key in
-// scr.key: the analyzed terms joined with 0x1f (a byte the tokenizer never
-// emits), so equal term sequences collide and raw query spelling does not.
-// It reports whether the query has any index terms. The terms are slices
-// of query (stems too, where stemming only stripped a suffix) and are only
-// looked up before the scratch is reused; what outlives the request is the
-// key, which is a copy.
-func (scr *rankScratch) analyze(an analysis.Analyzer, query string) bool {
-	scr.terms = an.AppendTokens(scr.terms[:0], query)
-	scr.key = scr.key[:0]
-	for i, t := range scr.terms {
-		if i > 0 {
-			scr.key = append(scr.key, 0x1f)
-		}
-		scr.key = append(scr.key, t...)
-	}
-	return len(scr.terms) > 0
-}
-
-// rankSnapshot scores and ranks against a compiled snapshot using the
-// pooled scratch buffers; only the returned result is freshly allocated.
-func (s *Service) rankSnapshot(snap *snapshotSet, alg selection.Algorithm, scr *rankScratch, k int) []RankedDB {
-	c := snap.compiled
-	scr.ids = c.AppendIDs(scr.ids[:0], scr.terms)
-	if cap(scr.scores) < c.NumDBs() {
-		scr.scores = make([]float64, c.NumDBs())
-	}
-	scr.scores = scr.scores[:c.NumDBs()]
-	ranked, ok := c.RankTopInto(alg, scr.ids, scr.scores, scr.ranked, k)
-	scr.ranked = ranked
-	if !ok {
-		// parseAlgorithm only yields CORI/Gloss, which ScoreInto always
-		// accepts; reaching here means a new family was added to one side.
-		panic("service: algorithm " + alg.Name() + " is not compiled")
-	}
-	out := make([]RankedDB, len(ranked))
-	for i, r := range ranked {
-		out[i] = RankedDB{Name: snap.names[r.DB], Score: r.Score}
-	}
-	return out
 }
 
 // Summary returns the top-k terms of a database's learned model under the

@@ -82,21 +82,11 @@ func (c *Flights) Do(key Key, compute func() ([]RankedDB, error)) ([]RankedDB, e
 	return val, err
 }
 
-// peek is the coalescing fast path: one map lookup under the lock.
-func (c *Flights) peek(key Key) *Flight {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flights[key]
-}
-
 // Join returns the flight for key and whether the caller leads it. A
 // leader must call Fulfill exactly once; followers Wait.
 func (c *Flights) Join(key Key) (*Flight, bool) {
-	if f := c.peek(key); f != nil {
-		return f, false
-	}
 	c.mu.Lock()
-	if f := c.flights[key]; f != nil { // led by another caller since peek
+	if f := c.flights[key]; f != nil {
 		c.mu.Unlock()
 		return f, false
 	}
