@@ -306,3 +306,46 @@ func TestCLISelectdHTTP(t *testing.T) {
 		t.Errorf("/metrics does not count one admitted rank:\n%s", body)
 	}
 }
+
+// TestCLISelectdFrontFlags: a front tier owns no models, so -shards with a
+// flag that only a model owner can honour exits 1 at startup, before it
+// listens; and -pprof wraps the front's handler as it wraps the service's.
+func TestCLISelectdFrontFlags(t *testing.T) {
+	bin := filepath.Join(buildCLIs(t), "selectd")
+	for _, flag := range [][]string{
+		{"-store", t.TempDir()},
+		{"-demo", "1"},
+		{"-join", "127.0.0.1:0"},
+	} {
+		// The unusable address makes a binary that ignored the flag exit 1
+		// too, but with a listen error that does not name -shards.
+		cmd := exec.Command(bin, append([]string{"-shards", "127.0.0.1:1", "-addr", "no-port"}, flag...)...)
+		out, err := cmd.CombinedOutput()
+		if cmd.ProcessState.ExitCode() != 1 || !strings.Contains(string(out), "-shards") {
+			t.Errorf("selectd -shards %s: exit status %d (%v), want 1 naming -shards\n%s", flag[0], cmd.ProcessState.ExitCode(), err, out)
+		}
+	}
+
+	addr := "127.0.0.1:18732"
+	cmd := exec.Command(bin, "-shards", "127.0.0.1:1", "-pprof", "-addr", addr)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	var status int
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if resp, err := http.Get("http://" + addr + "/debug/pprof/"); err == nil {
+			status = resp.StatusCode
+			resp.Body.Close()
+			break
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+	if status != http.StatusOK {
+		t.Fatalf("front with -pprof: GET /debug/pprof/ status %d, want 200", status)
+	}
+}

@@ -13,7 +13,8 @@
 // -shards, the instance instead runs as a stateless front tier over the
 // given topology — slots comma-separated, replicas within a slot
 // |-separated — scattering every /rank to all slots and fusing the
-// partial rankings:
+// partial rankings. A front owns no models, so -shards refuses -store,
+// -demo and -join:
 //
 //	selectd -join 127.0.0.1:9001 ...   # shard (full selectd + fabric)
 //	selectd -shards 'h1:9001|h2:9001,h1:9002|h2:9002'   # front tier
@@ -27,9 +28,11 @@
 //
 //	selectd -max-inflight 64
 //
-// Coalescing (DESIGN.md §10): identical rank work in flight is computed
-// once and shared across its callers, in every mode; no completed ranking
-// is kept, so every answer is of the current models.
+// Coalescing (DESIGN.md §10): the service computes identical rank work in
+// flight once and shares it across its callers, single-process or as a
+// shard; a front forwards every rank to its shards, which coalesce it
+// there. No completed ranking is kept, so every answer is of the current
+// models.
 //
 // Batch rankings stream: POST /rank/batch?stream=1 flushes each query's
 // ranking as it completes (NDJSON, or SSE via Accept: text/event-stream).
@@ -95,6 +98,9 @@ func main() {
 	if *shards != "" && *join != "" {
 		fail("-shards and -join are mutually exclusive: a front tier owns no models to serve as a shard")
 	}
+	if *shards != "" && (*storeDir != "" || *demo > 0) {
+		fail("-shards runs a stateless front tier: -store and -demo belong on its shards")
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -105,6 +111,28 @@ func main() {
 	adm := admission.Config{MaxInFlight: *maxInflight}
 	if *maxInflight > 0 {
 		fmt.Printf("admission control on: max-inflight=%d\n", *maxInflight)
+	}
+
+	// listen serves handler on -addr, in every mode, with pprof mounted
+	// beside it when -pprof asks. ListenAndServe ends only in an error, so
+	// listen exits 1 and never returns.
+	listen := func(handler http.Handler, what string) {
+		if *pprofOn {
+			// pprof is opt-in: mounting it on the service mux would expose
+			// profiling endpoints on every deployment. We wrap instead of
+			// importing for DefaultServeMux side effects.
+			mux := http.NewServeMux()
+			mux.HandleFunc("/debug/pprof/", pprof.Index)
+			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+			mux.Handle("/", handler)
+			handler = mux
+			fmt.Printf("pprof enabled at http://%s/debug/pprof/\n", *addr)
+		}
+		fmt.Printf("%s listening on http://%s\n", what, *addr)
+		fail("%v", http.ListenAndServe(*addr, handler))
 	}
 
 	// Front-tier mode: no service, no store — just ring geometry, shard
@@ -130,10 +158,7 @@ func main() {
 			fail("%v", err)
 		}
 		defer front.Close()
-		fmt.Printf("front tier over %d slots listening on http://%s\n", len(slots), *addr)
-		if err := http.ListenAndServe(*addr, front.Handler()); err != nil {
-			fail("%v", err)
-		}
+		listen(front.Handler(), fmt.Sprintf("front tier over %d slots", len(slots)))
 		return
 	}
 
@@ -206,24 +231,5 @@ func main() {
 		fmt.Printf("serving as cluster shard on %s (netsearch fabric)\n", shardSrv.Addr())
 	}
 
-	handler := svc.Handler()
-	if *pprofOn {
-		// pprof is opt-in: mounting it on the service mux would expose
-		// profiling endpoints on every deployment. We wrap instead of
-		// importing for DefaultServeMux side effects.
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", handler)
-		handler = mux
-		fmt.Printf("pprof enabled at http://%s/debug/pprof/\n", *addr)
-	}
-
-	fmt.Printf("selection service listening on http://%s\n", *addr)
-	if err := http.ListenAndServe(*addr, handler); err != nil {
-		fail("%v", err)
-	}
+	listen(svc.Handler(), "selection service")
 }

@@ -25,17 +25,20 @@ import (
 
 // sampledCluster builds a front over nShards real shards, registers a
 // small federation by ring placement, and samples every database — the
-// full wire stack with learned models.
+// full wire stack with learned models. The front and its shards share
+// one registry, so a test reads either tier's instruments from f.reg.
 func sampledCluster(t *testing.T, nShards int) (*Front, []*experiments.FederationDB) {
 	t.Helper()
 	dbs, err := experiments.Federation(4, 150, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := telemetry.NewRegistry()
 	shards := make([]*service.Service, nShards)
 	var addrs [][]string
 	for i := range shards {
 		shards[i] = service.New(analysis.Database(), nil)
+		shards[i].SetMetrics(reg)
 		srv, err := ServeShard(shards[i], "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +46,7 @@ func sampledCluster(t *testing.T, nShards int) (*Front, []*experiments.Federatio
 		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, []string{srv.Addr()})
 	}
-	f := newTestFront(t, addrs, telemetry.NewRegistry())
+	f := newTestFront(t, addrs, reg)
 	sample := service.SampleOptions{Docs: 40, Seed: 7}
 	for _, db := range dbs {
 		svc := shards[f.Ring().Owner(db.Name)]

@@ -13,16 +13,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/faulty"
@@ -293,4 +296,109 @@ func postBatch(url string, req batchRankRequest) string {
 		}
 	}
 	return ""
+}
+
+// TestChaosFrontIdenticalConcurrentRanks: the front keeps no flights, so
+// 16 identical GET /rank requests released at once each scatter. Every
+// answer must be the bits a lone rank gets, and afterwards every in-flight
+// gauge, the front's admission gauge and each shard's flight gauge, must
+// read 0.
+func TestChaosFrontIdenticalConcurrentRanks(t *testing.T) {
+	const nSlots, nDBs, callers = 2, 8, 16
+	models, words := loadgen.SyntheticModels(nDBs, 0x5eed)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardRegs := make([]*telemetry.Registry, nSlots)
+	addrs := make([][]string, nSlots)
+	for s := range addrs {
+		shardRegs[s] = telemetry.NewRegistry()
+		svc := service.New(analysis.Database(), st)
+		svc.SetMetrics(shardRegs[s])
+		t.Cleanup(func() { svc.Close() })
+		srv, err := ServeShard(svc, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[s] = []string{srv.Addr()}
+		// A rank scatters to every slot whatever the ring says, so the
+		// databases are dealt round-robin: both shards hold models.
+		for i := s; i < nDBs; i += nSlots {
+			name := fmt.Sprintf("db-%02d", i)
+			if err := st.Put(name, models[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Register(name, "chaos.invalid:0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	frontReg := telemetry.NewRegistry()
+	front, err := NewFront(addrs, Options{Metrics: frontReg, Admission: admission.Config{MaxInFlight: 2 * callers}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { front.Close() })
+	web := httptest.NewServer(front.Handler())
+	t.Cleanup(web.Close)
+
+	query := words[0] + " " + words[1] + " " + words[2]
+	lone, err := front.Rank(query, "cori", 5, "")
+	if err != nil || len(lone) == 0 {
+		t.Fatalf("lone rank: %+v, %v", lone, err)
+	}
+	url := web.URL + "/rank?alg=cori&k=5&q=" + strings.ReplaceAll(query, " ", "+")
+	start := make(chan struct{})
+	got := make([][]netsearch.RankedDB, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Errorf("caller %d: %v", c, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("caller %d: status %d", c, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&got[c]); err != nil {
+				t.Errorf("caller %d: decode: %v", c, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for c, ranked := range got {
+		if len(ranked) != len(lone) {
+			t.Fatalf("caller %d: %d rows, a lone rank %d", c, len(ranked), len(lone))
+		}
+		for j := range lone {
+			if ranked[j].Name != lone[j].Name || math.Float64bits(ranked[j].Score) != math.Float64bits(lone[j].Score) {
+				t.Fatalf("caller %d row %d = %+v, a lone rank %+v", c, j, ranked[j], lone[j])
+			}
+		}
+	}
+
+	for tierName, reg := range map[string]*telemetry.Registry{"front": frontReg, "shard 0": shardRegs[0], "shard 1": shardRegs[1]} {
+		snap := reg.Snapshot()
+		gauges := 0
+		for name, v := range snap.Gauges {
+			if strings.HasSuffix(name, "_inflight") {
+				gauges++
+				if v != 0 {
+					t.Errorf("%s: %s = %d after every rank answered, want 0", tierName, name, v)
+				}
+			}
+		}
+		if gauges == 0 {
+			t.Errorf("%s: no in-flight gauge registered", tierName)
+		}
+	}
 }

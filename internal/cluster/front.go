@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/admission"
 	"repro/internal/netsearch"
@@ -80,9 +79,7 @@ type Front struct {
 	netOpts netsearch.Options
 	reg     *telemetry.Registry
 	logger  *slog.Logger
-	gate    *admission.Gate  // nil unless Options.Admission enables it
-	flights *serving.Flights // single ranks in flight
-	epoch   atomic.Uint64    // topology epoch: bumped per register/unregister
+	gate    *admission.Gate // nil unless Options.Admission enables it
 }
 
 // NewFront builds a front tier over the given slot topology: slots[i] is
@@ -110,7 +107,6 @@ func NewFront(slots [][]string, opts Options) (*Front, error) {
 		logger:  logger,
 		gate:    admission.New(opts.Admission, opts.Metrics, "cluster"),
 	}
-	f.flights = serving.NewFlights("cluster", tier{f}.Metrics)
 	if f.netOpts.Metrics == nil {
 		f.netOpts.Metrics = opts.Metrics
 	}
@@ -189,36 +185,30 @@ func (f *Front) Close() error {
 // originating request. A query no shard can use fails with ErrInvalid, a
 // federation without models with ErrNoModels.
 //
-// Concurrent identical scatters share one flight
-// (cluster_rank_coalesced_total{scope="flight"}); nothing outlives it, so
-// every rank sees the shards' current models. The key carries the
-// front-local topology epoch, bumped on every register/unregister routed
-// through this front, so a rank that starts after a placement change never
-// joins a scatter from before it. The front has no analyzer, so spelling
-// variants of a query fly apart here and coalesce shard-side on the term
-// key instead.
+// The front keeps no flights of its own: concurrent identical ranks each
+// scatter, and coalesce on a shard, on its analyzed-term key, only where
+// they overlap there. One front's scatters to a replica share its one
+// client, which runs one exchange at a time, so theirs reach the shard one
+// after another.
 func (f *Front) Rank(query, alg string, k int, trace string) ([]netsearch.RankedDB, error) {
-	key := serving.Key{Query: query, Alg: alg, K: k, Epoch: f.epoch.Load()}
-	val, err := f.flights.Do(key, func() (ranked []netsearch.RankedDB, err error) {
-		defer f.reg.Timer("cluster_scatter_seconds")()
-		err = f.scatter([]string{query}, alg, k, trace, func(_ int, it serving.Item) error {
-			switch {
-			case it.Cold:
-				return fmt.Errorf("cluster: %w", serving.ErrNoModels)
-			case it.Error != "":
-				// Per-query refusals are deterministic across shards (every
-				// one analyzes the same way): the client's mistake.
-				return fmt.Errorf("cluster: %s: %w", it.Error, serving.ErrInvalid)
-			}
-			ranked = it.Ranked
-			return nil
-		})
-		return ranked, err
+	defer f.reg.Timer("cluster_scatter_seconds")()
+	var ranked []netsearch.RankedDB
+	err := f.scatter([]string{query}, alg, k, trace, func(_ int, it serving.Item) error {
+		switch {
+		case it.Cold:
+			return fmt.Errorf("cluster: %w", serving.ErrNoModels)
+		case it.Error != "":
+			// Per-query refusals are deterministic across shards (every
+			// one analyzes the same way): the client's mistake.
+			return fmt.Errorf("cluster: %s: %w", it.Error, serving.ErrInvalid)
+		}
+		ranked = it.Ranked
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return append([]netsearch.RankedDB(nil), val...), nil
+	return ranked, nil
 }
 
 // callSlot runs one RPC against a slot, failing over across the slot's

@@ -128,10 +128,6 @@ func (f *Front) unregisterOnSlot(slot int, name string) error {
 // not a failure; such answers are counted. The client's own mistake
 // (ErrInvalid) stops the operation without costing the replica health.
 func (f *Front) onSlot(slot int, verb, name string, benign error, op func(*netsearch.Client) error) (nBenign int, err error) {
-	// Any attempt — even a failed one, which may have changed some
-	// replicas — moves the topology epoch, so no later rank joins a scatter
-	// that predates the placement change.
-	defer f.epoch.Add(1)
 	for _, r := range f.reps[slot] {
 		switch err := classify(op(r.client)); {
 		case err == nil:

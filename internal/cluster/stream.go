@@ -10,11 +10,9 @@ package cluster
 // will not need next, and time-to-first-result is one query's scatter
 // latency instead of the batch's.
 //
-// Duplicate queries within the batch collapse before the scatter: each
-// unique query travels (and fuses) once, and every original position gets
-// a ranking of its own — the fused slice itself for the last position that
-// asks for it, a copy for the earlier ones
-// (cluster_rank_coalesced_total{scope="batch"}).
+// A query repeated in the batch travels once per position: each shard's
+// service ranks it once (its rankEach coalesces repeats on the analyzed
+// terms), and every position fuses a ranking of its own.
 //
 // The cold-federation rule. A query for which no slot holds a model fuses
 // to nothing; scatter marks that item Cold. What a cold item means to the
@@ -35,26 +33,6 @@ import (
 	"repro/internal/serving"
 )
 
-// dedupQueries returns the unique queries in first-appearance order, per
-// original position the index of its unique query, and per unique query
-// the number of positions that use it (indexed like uniq).
-func dedupQueries(queries []string) (uniq []string, pos, uses []int) {
-	ints := make([]int, 2*len(queries)) // both tables in one allocation
-	pos, uses = ints[:len(queries)], ints[len(queries):]
-	idx := make(map[string]int, len(queries))
-	for i, q := range queries {
-		u, ok := idx[q]
-		if !ok {
-			u = len(uniq)
-			uniq = append(uniq, q)
-			idx[q] = u
-		}
-		pos[i] = u
-		uses[u]++
-	}
-	return uniq, pos, uses
-}
-
 // slotItem is one frame of a slot's rank stream on its way to the fuser.
 type slotItem struct {
 	index int
@@ -72,25 +50,25 @@ type slotStream struct {
 	err   error
 }
 
-// wait blocks until the slot's item for query u arrives. Shards emit in
-// input order, so the only indexes that can precede u are ones already
+// wait blocks until the slot's item for query i arrives. Shards emit in
+// input order, so the only indexes that can precede i are ones already
 // fused: a transport retry replaying the stream, whose first delivery
 // stands (replicas serve identical models, so the replay is bit-identical
 // anyway). Items delivered before a stream failed are still served —
 // failure only poisons what it actually prevented.
-func (ss *slotStream) wait(u int) (netsearch.RankedBatch, error) {
+func (ss *slotStream) wait(i int) (netsearch.RankedBatch, error) {
 	for si := range ss.items {
 		switch {
-		case si.index == u:
+		case si.index == i:
 			return si.item, nil
-		case si.index > u:
-			return netsearch.RankedBatch{}, fmt.Errorf("cluster: stream item %d arrived before item %d", si.index, u)
+		case si.index > i:
+			return netsearch.RankedBatch{}, fmt.Errorf("cluster: stream item %d arrived before item %d", si.index, i)
 		}
 	}
 	if ss.err != nil {
 		return netsearch.RankedBatch{}, ss.err
 	}
-	return netsearch.RankedBatch{}, fmt.Errorf("cluster: slot stream ended before item %d", u)
+	return netsearch.RankedBatch{}, fmt.Errorf("cluster: slot stream ended before item %d", i)
 }
 
 // RankBatchStream ranks a batch through the scatter-fuse core: emit
@@ -113,10 +91,6 @@ func (f *Front) RankBatchStream(queries []string, alg string, k int, trace strin
 // slot as one exchange, so failover retries it as a unit and never splits
 // it across replicas with divergent model states.
 func (f *Front) scatter(queries []string, alg string, k int, trace string, emit func(i int, item serving.Item) error) error {
-	uniq, pos, uses := dedupQueries(queries)
-	if dups := len(queries) - len(uniq); dups > 0 {
-		f.reg.Counter(`cluster_rank_coalesced_total{scope="batch"}`).Add(int64(dups))
-	}
 	// quit, closed however this returns, aborts every still-running RPC as
 	// its next frames arrive; the readers are then joined — no goroutine may
 	// outlive the request that spawned it.
@@ -124,13 +98,13 @@ func (f *Front) scatter(queries []string, alg string, k int, trace string, emit 
 	streams := make([]*slotStream, len(f.reps))
 	readers := parallel.NewGroup(len(f.reps))
 	for slot := range f.reps {
-		ss := &slotStream{items: make(chan slotItem, len(uniq))}
+		ss := &slotStream{items: make(chan slotItem, len(queries))}
 		streams[slot] = ss
 		readers.Go(func() error {
 			// The scatter outcome travels to the fuser through the stream,
 			// not the group: wait() hands it to exactly the items it hurt.
 			ss.err = f.callSlot(slot, func(c *netsearch.Client) error {
-				return c.RankDBsStream(uniq, alg, k, trace, func(i int, item netsearch.RankedBatch) error {
+				return c.RankDBsStream(queries, alg, k, trace, func(i int, item netsearch.RankedBatch) error {
 					select {
 					case ss.items <- slotItem{i, item}:
 						return nil
@@ -149,7 +123,7 @@ func (f *Front) scatter(queries []string, alg string, k int, trace string, emit 
 		readers.Wait()
 	}()
 
-	// Fusion scratch, recycled across unique queries.
+	// Fusion scratch, recycled across queries.
 	lists := make([][]selection.DocScore, len(streams))
 	weights := make([]float64, len(streams))
 	for i := range weights {
@@ -157,57 +131,44 @@ func (f *Front) scatter(queries []string, alg string, k int, trace string, emit 
 	}
 	var fused []selection.MergedHit
 	partials := make([]netsearch.RankedBatch, len(streams))
-	items := make([]serving.Item, len(uniq))
-	done := make([]bool, len(uniq))
 	for i := range queries {
-		u := pos[i]
-		if !done[u] {
-			total := 0
-			for slot, ss := range streams {
-				it, err := ss.wait(u)
-				if err != nil {
-					f.reg.Counter("cluster_scatter_errors_total").Inc()
-					return err
-				}
-				partials[slot] = it
-				if it.Error != "" {
-					// Deterministic per-query refusal: every slot tokenizes
-					// the same way, so any slot's report stands for all.
-					items[u].Error = it.Error
-				}
-				list := lists[slot][:0]
-				for j, r := range it.Ranked {
-					list = append(list, selection.DocScore{Doc: j, Score: r.Score})
-				}
-				lists[slot] = list
-				total += len(it.Ranked)
+		var item serving.Item
+		total := 0
+		for slot, ss := range streams {
+			it, err := ss.wait(i)
+			if err != nil {
+				f.reg.Counter("cluster_scatter_errors_total").Inc()
+				return err
 			}
-			switch {
-			case items[u].Error != "":
-			case total == 0:
-				items[u] = serving.Item{Cold: true, Error: fmt.Sprintf("cluster: %v", serving.ErrNoModels)}
-			default:
-				var err error
-				fused, err = selection.MergeWeightedInto(fused[:0], lists, weights, k)
-				if err != nil {
-					// Unreachable by construction (lists and weights are
-					// parallel); surfaced rather than swallowed all the same.
-					return fmt.Errorf("cluster: fuse: %w", err)
-				}
-				ranked := make([]netsearch.RankedDB, len(fused))
-				for j, h := range fused {
-					ranked[j] = netsearch.RankedDB{Name: partials[h.DB].Ranked[h.Doc].Name, Score: h.Score}
-				}
-				items[u].Ranked = ranked
+			partials[slot] = it
+			if it.Error != "" {
+				// Deterministic per-query refusal: every slot tokenizes
+				// the same way, so any slot's report stands for all.
+				item.Error = it.Error
 			}
-			done[u] = true
+			list := lists[slot][:0]
+			for j, r := range it.Ranked {
+				list = append(list, selection.DocScore{Doc: j, Score: r.Score})
+			}
+			lists[slot] = list
+			total += len(it.Ranked)
 		}
-		// Each position owns its slice: duplicates must not alias. The last
-		// position to use a ranking takes the fused slice itself, so a batch
-		// without repeats copies nothing.
-		item := items[u]
-		if uses[u]--; uses[u] > 0 {
-			item.Ranked = append([]netsearch.RankedDB(nil), item.Ranked...)
+		switch {
+		case item.Error != "":
+		case total == 0:
+			item = serving.Item{Cold: true, Error: fmt.Sprintf("cluster: %v", serving.ErrNoModels)}
+		default:
+			var err error
+			fused, err = selection.MergeWeightedInto(fused[:0], lists, weights, k)
+			if err != nil {
+				// Unreachable by construction (lists and weights are
+				// parallel); surfaced rather than swallowed all the same.
+				return fmt.Errorf("cluster: fuse: %w", err)
+			}
+			item.Ranked = make([]netsearch.RankedDB, len(fused))
+			for j, h := range fused {
+				item.Ranked[j] = netsearch.RankedDB{Name: partials[h.DB].Ranked[h.Doc].Name, Score: h.Score}
+			}
 		}
 		if err := emit(i, item); err != nil {
 			return err

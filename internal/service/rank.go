@@ -247,8 +247,8 @@ func (r *reader) rankEach(reg *telemetry.Registry, queries []string, algName str
 		if ok {
 			reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Inc()
 		} else {
-			key := serving.Key{Query: termKey, Alg: algName, K: k, Epoch: snap.epoch}
-			val, err = r.flights.Do(key, func() ([]RankedDB, error) {
+			key := flightKey{Query: termKey, Alg: algName, K: k, Epoch: snap.epoch}
+			val, err = r.flights.do(key, func() ([]RankedDB, error) {
 				misses.Inc()
 				return r.rankSnapshot(snap, alg, scr, k), nil
 			})

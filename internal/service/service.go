@@ -168,7 +168,7 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 	s.analyzer = an
 	s.logger.Store(telemetry.NopLogger())
 	s.served.Store(new(servedSet))
-	s.flights = serving.NewFlights("service", s.Metrics)
+	s.flights = newFlights(s.Metrics)
 	return s
 }
 

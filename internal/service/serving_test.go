@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/langmodel"
 	"repro/internal/selection"
-	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -43,8 +42,8 @@ func TestRankAfterResampleNeverJoinsOldFlight(t *testing.T) {
 	coalesced := reg.Counter(`service_rank_coalesced_total{scope="flight"}`)
 
 	// Lead the old epoch's flight and leave it unfulfilled.
-	oldKey := flightKey(svc, "system data", "cori", 0)
-	old, leader := svc.flights.Join(oldKey)
+	oldKey := keyNow(svc, "system data", "cori", 0)
+	old, leader := svc.flights.join(oldKey)
 	if !leader {
 		t.Fatal("test could not lead the old epoch's flight")
 	}
@@ -82,8 +81,8 @@ func TestRankAfterResampleNeverJoinsOldFlight(t *testing.T) {
 	if coalesced.Value() != 0 {
 		t.Fatalf("%d ranks joined a flight across an epoch change", coalesced.Value())
 	}
-	svc.flights.Fulfill(oldKey, old, nil, nil)
-	if got := svc.flights.Inflight(); got != 0 {
+	svc.flights.fulfill(oldKey, old, nil, nil)
+	if got := svc.flights.inflight(); got != 0 {
 		t.Fatalf("inflight = %d, want 0", got)
 	}
 }
@@ -110,14 +109,14 @@ func TestRankAllocations(t *testing.T) {
 }
 
 func TestCoalescerSingleFlight(t *testing.T) {
-	co := serving.NewFlights("service", func() *telemetry.Registry { return nil })
-	key := serving.Key{Query: "q"}
-	f, leader := co.Join(key)
+	co := newFlights(func() *telemetry.Registry { return nil })
+	key := flightKey{Query: "q"}
+	f, leader := co.join(key)
 	if !leader {
 		t.Fatal("first join not leader")
 	}
-	if co.Inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", co.Inflight())
+	if co.inflight() != 1 {
+		t.Fatalf("inflight = %d, want 1", co.inflight())
 	}
 	const waiters = 8
 	var wg, joined sync.WaitGroup
@@ -127,40 +126,40 @@ func TestCoalescerSingleFlight(t *testing.T) {
 		joined.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			wf, wl := co.Join(key)
+			wf, wl := co.join(key)
 			joined.Done()
 			if wl {
 				t.Errorf("waiter %d became leader", i)
-				co.Fulfill(key, wf, nil, nil)
+				co.fulfill(key, wf, nil, nil)
 				return
 			}
-			results[i], _ = wf.Wait()
+			results[i], _ = wf.wait()
 		}(i)
 	}
 	// Followers must join before the leader fulfills: fulfill retires the
 	// flight, so a straggler would (correctly) lead a fresh one.
 	joined.Wait()
 	want := []RankedDB{{Name: "db1", Score: 1}}
-	co.Fulfill(key, f, want, nil)
+	co.fulfill(key, f, want, nil)
 	wg.Wait()
 	for i, r := range results {
 		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("waiter %d got %+v", i, r)
 		}
 	}
-	if co.Inflight() != 0 {
-		t.Fatalf("inflight = %d after fulfill, want 0", co.Inflight())
+	if co.inflight() != 0 {
+		t.Fatalf("inflight = %d after fulfill, want 0", co.inflight())
 	}
 
 	// Errors reach current followers only: the flight is gone from the map
 	// at fulfill, so the next identical request starts fresh.
-	key2 := serving.Key{Query: "err"}
-	f2, leader := co.Join(key2)
+	key2 := flightKey{Query: "err"}
+	f2, leader := co.join(key2)
 	if !leader {
 		t.Fatal("error-case join not leader")
 	}
-	co.Fulfill(key2, f2, nil, errors.New("boom"))
-	if _, leader := co.Join(key2); !leader {
+	co.fulfill(key2, f2, nil, errors.New("boom"))
+	if _, leader := co.join(key2); !leader {
 		t.Fatal("failed flight stayed joinable")
 	}
 }

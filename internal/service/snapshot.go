@@ -31,7 +31,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/langmodel"
 	"repro/internal/selection"
-	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -94,7 +93,7 @@ type reader struct {
 	// identical in-flight rank work across every serving path — GET /rank,
 	// POST /rank/batch (buffered or streamed) and the cluster shard RPCs.
 	compileMu sync.Mutex
-	flights   *serving.Flights
+	flights   *flights
 }
 
 // Metrics returns the installed registry (nil when uninstrumented).

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -189,8 +188,8 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// server is deterministically blocked mid-stream — one frame out, the
 	// rest pending — while the client disconnects.
 	queries := []string{"system data", "market stock", "language model"}
-	key := flightKey(svc, "market stock", "cori", 2)
-	f, leader := svc.flights.Join(key)
+	key := keyNow(svc, "market stock", "cori", 2)
+	f, leader := svc.flights.join(key)
 	if !leader {
 		t.Fatal("test could not lead the blocking flight")
 	}
@@ -217,7 +216,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// Give the disconnect a moment to propagate to the server's context,
 	// then unblock the stream: its next emit must see the dead client.
 	time.Sleep(50 * time.Millisecond)
-	svc.flights.Fulfill(key, f, []RankedDB{{Name: "x"}}, nil)
+	svc.flights.fulfill(key, f, []RankedDB{{Name: "x"}}, nil)
 
 	aborts := reg.Counter("service_stream_aborts_total")
 	deadline := time.Now().Add(5 * time.Second)
@@ -227,7 +226,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := svc.flights.Inflight(); got != 0 {
+	if got := svc.flights.inflight(); got != 0 {
 		t.Errorf("coalescer holds %d flights after disconnect, want 0", got)
 	}
 	if got := reg.Gauge("service_rank_flights_inflight").Value(); got != 0 {
@@ -244,8 +243,8 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 // and then fans out the leader's exact value.
 func TestBatchJoinsForeignFlight(t *testing.T) {
 	svc, reg := sampledFixture(t)
-	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.flights.Join(key)
+	key := keyNow(svc, "system data", "cori", 2)
+	f, leader := svc.flights.join(key)
 	if !leader {
 		t.Fatal("test could not lead the flight")
 	}
@@ -270,7 +269,7 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	want := []RankedDB{{Name: "sentinel", Score: 42}}
-	svc.flights.Fulfill(key, f, want, nil)
+	svc.flights.fulfill(key, f, want, nil)
 
 	r := <-done
 	if r.err != nil {
@@ -292,8 +291,8 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 // computes fresh and succeeds.
 func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 	svc, reg := sampledFixture(t)
-	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.flights.Join(key)
+	key := keyNow(svc, "system data", "cori", 2)
+	f, leader := svc.flights.join(key)
 	if !leader {
 		t.Fatal("test could not lead the flight")
 	}
@@ -313,7 +312,7 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	svc.flights.Fulfill(key, f, nil, errors.New("leader exploded"))
+	svc.flights.fulfill(key, f, nil, errors.New("leader exploded"))
 	items := <-done
 	if items == nil || items[0].Error != "leader exploded" {
 		t.Fatalf("concurrent follower item = %+v, want the flight's error", items)
@@ -333,12 +332,12 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 	svc, _ := sampledFixture(t)
 	flights := svc.flights
-	key := flightKey(svc, "system data", "cori", 2)
+	key := keyNow(svc, "system data", "cori", 2)
 	computing, release := make(chan struct{}), make(chan struct{})
 	propagated := make(chan bool, 1)
 	go func() {
 		defer func() { propagated <- recover() != nil }()
-		flights.Do(key, func() ([]RankedDB, error) {
+		flights.do(key, func() ([]RankedDB, error) {
 			close(computing)
 			<-release
 			// nil snapshot makes rankSnapshot panic inside the leader.
@@ -346,7 +345,7 @@ func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 		})
 	}()
 	<-computing
-	f, leader := flights.Join(key)
+	f, leader := flights.join(key)
 	if leader {
 		t.Fatal("test led a flight that already has a leader")
 	}
@@ -354,19 +353,19 @@ func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 	if !<-propagated {
 		t.Error("leader panic did not propagate")
 	}
-	if _, err := f.Wait(); err == nil || !strings.Contains(err.Error(), "panicked") {
+	if _, err := f.wait(); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("flight error = %v, want a rank-panicked error", err)
 	}
-	if flights.Inflight() != 0 {
-		t.Fatalf("inflight = %d after panic, want 0", flights.Inflight())
+	if flights.inflight() != 0 {
+		t.Fatalf("inflight = %d after panic, want 0", flights.inflight())
 	}
 }
 
-// flightKey builds the coalescer key the serving path would use for this
+// keyNow builds the coalescer key the serving path would use for this
 // query right now (current epoch, canonical algorithm spelling).
-func flightKey(svc *Service, query, alg string, k int) serving.Key {
+func keyNow(svc *Service, query, alg string, k int) flightKey {
 	terms := svc.analyzer.Tokens(query)
-	return serving.Key{
+	return flightKey{
 		Query: strings.Join(terms, "\x1f"),
 		Alg:   alg,
 		K:     k,
@@ -439,7 +438,7 @@ func TestChaosStreamCoalesceEpochSwap(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := svc.flights.Inflight(); got != 0 {
+	if got := svc.flights.inflight(); got != 0 {
 		t.Fatalf("coalescer holds %d flights after the dust settled, want 0", got)
 	}
 	if dups := reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Value(); dups != 3*rounds*2 {

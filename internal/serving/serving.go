@@ -1,14 +1,14 @@
 // Package serving is the one serving core of the selection service: the
 // question "rank the databases for this query" (paper §1) asked through one
-// seam, answered over one HTTP surface, computed once per identical rank in
-// flight.
+// seam and answered over one HTTP surface.
 //
 // The seam is Ranker. internal/service implements it over a compiled
 // snapshot of learned language models, internal/cluster over a scatter to
 // shard services; everything above it — admission, the JSON and streaming
 // endpoints, status mapping, request telemetry — is written here once and
-// parameterised by the tier it serves (NewHandler). Below it, both tiers
-// single-flight their rankings through the same Flights.
+// parameterised by the tier it serves (NewHandler). Identical ranks in
+// flight are computed once by the service, the one tier that analyzes a
+// query into the terms it coalesces on; a front passes them through.
 package serving
 
 import (
@@ -51,8 +51,7 @@ var (
 
 // Ranker is the seam between a serving tier and everything that serves it.
 type Ranker interface {
-	// Rank answers one query, sharing the computation with any identical
-	// rank already in flight on the tier.
+	// Rank answers one query.
 	Rank(ctx context.Context, query, alg string, k int) ([]RankedDB, error)
 	// RankStream ranks a batch that shares one algorithm and one k,
 	// calling emit once per query, in input order, the moment that query's

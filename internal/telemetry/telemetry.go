@@ -256,8 +256,8 @@ func (r *Registry) Snapshot() Snapshot {
 
 // CounterSum sums every counter whose full name (label syntax included)
 // contains substr — the tool for totalling one metric across label values
-// or prefixed tiers, e.g. CounterSum(`rank_coalesced_total{scope="flight"}`)
-// over a snapshot that may carry the service_ or cluster_ spelling.
+// or prefixed tiers, e.g. CounterSum("service_rank_coalesced_total") over
+// both its scope="batch" and scope="flight" series.
 func (s Snapshot) CounterSum(substr string) int64 {
 	var total int64
 	for name, v := range s.Counters { // summation is order-independent
