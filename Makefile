@@ -163,8 +163,9 @@ chaos:
 # tokenization, stemming (the Porter kernel against the implementation it
 # replaced), the learn step (AddDocument against the fold it replaced), the
 # QBLM1 model reader and the netsearch frame decoders — over the scorer's top-k
-# selection against sort-then-slice, and over the HTTP ranking encoder
-# against encoding/json. Each target gets FUZZTIME; failures reproduce with
+# selection against sort-then-slice, over the HTTP ranking encoder against
+# encoding/json, and over the rank surface's query scanner against
+# url.ParseQuery. Each target gets FUZZTIME; failures reproduce with
 # `go test -fuzz` on the package.
 fuzz-smoke:
 	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzTokenize$$' -fuzztime=$(FUZZTIME)
@@ -174,6 +175,7 @@ fuzz-smoke:
 	$(GO) test ./internal/selection -run xxx -fuzz '^FuzzRankTop$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsearch -run xxx -fuzz '^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serving -run xxx -fuzz '^FuzzEncodeRanking$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/serving -run xxx -fuzz '^FuzzQueryParam$$' -fuzztime=$(FUZZTIME)
 
 # The full local gate: everything CI runs, in the same order. PARENT is
 # bench-check's: make ci PARENT=<checkout of the parent commit>.

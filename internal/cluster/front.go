@@ -191,7 +191,7 @@ func (f *Front) Close() error {
 // client, which runs one exchange at a time, so theirs reach the shard one
 // after another.
 func (f *Front) Rank(query, alg string, k int, trace string) ([]netsearch.RankedDB, error) {
-	defer f.reg.Timer("cluster_scatter_seconds")()
+	defer f.reg.Since("cluster_scatter_seconds", f.reg.Now())
 	var ranked []netsearch.RankedDB
 	err := f.scatter([]string{query}, alg, k, trace, func(_ int, it serving.Item) error {
 		switch {

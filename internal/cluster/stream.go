@@ -78,7 +78,7 @@ func (ss *slotStream) wait(i int) (netsearch.RankedBatch, error) {
 // or health penalty) and is returned as-is. Whole-batch refusals surface
 // before the first emit; a cold item's Error carries ErrNoModels' text.
 func (f *Front) RankBatchStream(queries []string, alg string, k int, trace string, emit func(i int, item netsearch.RankedBatch) error) error {
-	defer f.reg.Timer("cluster_scatter_stream_seconds")()
+	defer f.reg.Since("cluster_scatter_stream_seconds", f.reg.Now())
 	return f.scatter(queries, alg, k, trace, emit)
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
@@ -34,8 +32,8 @@ func WithMetrics(reg *telemetry.Registry) Option {
 }
 
 // timeExp mirrors Suite.timeExp for the package-level experiments.
-func (o options) timeExp(exp string) func() time.Duration {
-	return o.metrics.Timer(`experiments_run_seconds{exp="` + exp + `"}`)
+func (o options) timeExp(exp string) func() {
+	return startTimer(o.metrics, `experiments_run_seconds{exp="`+exp+`"}`)
 }
 
 // applyOptions resolves the option list.

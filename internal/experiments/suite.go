@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/corpus"
@@ -118,8 +117,15 @@ func (s *Suite) workers() int { return parallel.Workers(s.Parallel) }
 // cmd/experiments prints with -timing. A nil Metrics registry makes it
 // free. exp values come from the fixed experiment id set (table1, fig1,
 // …, ext-fed), so cardinality is bounded.
-func (s *Suite) timeExp(exp string) func() time.Duration {
-	return s.Metrics.Timer(`experiments_run_seconds{exp="` + exp + `"}`)
+func (s *Suite) timeExp(exp string) func() {
+	return startTimer(s.Metrics, `experiments_run_seconds{exp="`+exp+`"}`)
+}
+
+// startTimer returns a stop function observing the time from now to its
+// call into the histogram name.
+func startTimer(reg *telemetry.Registry, name string) func() {
+	start := reg.Now()
+	return func() { reg.Since(name, start) }
 }
 
 // envEntry returns (creating if needed) the cache slot for a corpus. Only
@@ -144,7 +150,7 @@ func (s *Suite) envEntry(name string) *entry[*Env] {
 // first use. Safe for concurrent use.
 func (s *Suite) Env(name string) (*Env, error) {
 	return s.envEntry(name).get(func() (*Env, error) {
-		defer s.Metrics.Timer(`experiments_env_build_seconds{env="` + name + `"}`)()
+		defer s.Metrics.Since(`experiments_env_build_seconds{env="`+name+`"}`, s.Metrics.Now())
 		p, err := corpus.ByName(name)
 		if err != nil {
 			return nil, err

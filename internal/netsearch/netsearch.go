@@ -49,6 +49,7 @@ package netsearch
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -257,8 +258,8 @@ func (s *Server) handle(conn net.Conn) {
 				reg.Counter("netsearch_server_errors_total").Inc()
 			}
 			if lg != nil {
-				lg.Debug("netsearch request",
-					"op", req.Op.String(), telemetry.TraceKey, req.Trace, "err", errMsg)
+				lg.LogAttrs(context.Background(), slog.LevelDebug, "netsearch request",
+					slog.String("op", req.Op.String()), slog.String(telemetry.TraceKey, req.Trace), slog.String("err", errMsg))
 			}
 		}
 		if werr != nil {
@@ -529,8 +530,7 @@ func (e emitError) Unwrap() error { return e.err }
 func (c *Client) run(req request, exchange func(request) (response, error)) (response, error) {
 	// Per-op latency covers the whole operation as the caller sees it:
 	// lock wait, retries, backoff sleeps and redials included.
-	sp := c.opts.Metrics.StartSpan(opSeconds[req.Op])
-	defer sp.End()
+	defer c.opts.Metrics.Since(opSeconds[req.Op], c.opts.Metrics.Now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -571,9 +571,9 @@ func (c *Client) retryLoop(req request, exchange func(request) (response, error)
 			c.stats.Retries++
 			c.opts.Metrics.Counter("netsearch_retries_total").Inc()
 			if c.opts.Logger != nil {
-				c.opts.Logger.Debug("netsearch retry",
-					"op", req.Op.String(), "attempt", attempt+1, "addr", c.addr,
-					telemetry.TraceKey, c.trace, "err", fmt.Sprint(lastErr))
+				c.opts.Logger.LogAttrs(context.Background(), slog.LevelDebug, "netsearch retry",
+					slog.String("op", req.Op.String()), slog.Int("attempt", attempt+1), slog.String("addr", c.addr),
+					slog.String(telemetry.TraceKey, c.trace), slog.Any("err", lastErr))
 			}
 			c.sleep(policy.Delay(attempt-1, c.rng))
 		}

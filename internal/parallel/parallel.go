@@ -48,9 +48,9 @@ func instrument[T, R any](fn func(i int, item T) (R, error)) func(i int, item T)
 	fails := reg.Counter("parallel_task_errors_total")
 	return func(i int, item T) (R, error) {
 		busy.Add(1)
-		sp := reg.StartSpan("parallel_task_seconds")
+		start := reg.Now()
 		out, err := fn(i, item)
-		sp.End()
+		reg.Since("parallel_task_seconds", start)
 		busy.Add(-1)
 		tasks.Inc()
 		if err != nil {

@@ -117,8 +117,9 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 		room += p.Old.VocabSize() + p.New.VocabSize()
 	}
 	edits := make([]rowEdit, 0, room)
+	ends := make([]int, len(patches)) // where each patch's block of edits ends
 	oldVocab := c.VocabSize()
-	for _, p := range patches {
+	for i, p := range patches {
 		db := int32(p.DB)
 		p.New.Range(func(t string, st langmodel.TermStats) bool {
 			id, known := c.ID(t)
@@ -153,13 +154,9 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 		if patchErr != nil {
 			return nil, patchErr
 		}
+		ends[i] = len(edits)
 	}
-	slices.SortFunc(edits, func(a, b rowEdit) int {
-		if a.id != b.id {
-			return int(a.id) - int(b.id)
-		}
-		return int(a.db) - int(b.db)
-	})
+	edits = sortEdits(edits, patches, ends, oldVocab+len(newTerms))
 
 	next := c.rewrite(edits, newTerms)
 
@@ -170,6 +167,57 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 		next.cw[p.DB] = float64(p.New.TotalCTF())
 	}
 	return next, nil
+}
+
+// editDigitBits is the width of one radix digit of sortEdits: 2 048
+// counters, so two passes order a vocabulary of up to 4 M terms.
+const editDigitBits = 11
+
+// sortEdits returns edits in (id, db) order, in time linear in their
+// number and the digits of vocab, the bound on their ids. ends[i] is where
+// patches[i]'s block of edits ends. Laying the blocks out in db order sorts
+// the edits by db, and a stable radix sort by id, least significant digit
+// first, keeps that order among the edits of one id. No two edits tie: a
+// patch edits each id at most once, and patches target distinct databases.
+func sortEdits(edits []rowEdit, patches []ModelPatch, ends []int, vocab int) []rowEdit {
+	tmp := make([]rowEdit, len(edits))
+	byDB := func(a, b int) int { return patches[a].DB - patches[b].DB }
+	order := make([]int, len(patches))
+	for i := range order {
+		order[i] = i
+	}
+	if !slices.IsSortedFunc(order, byDB) {
+		slices.SortFunc(order, byDB)
+		n := 0
+		for _, i := range order {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			n += copy(tmp[n:], edits[start:ends[i]])
+		}
+		edits, tmp = tmp, edits
+	}
+	const mask = 1<<editDigitBits - 1
+	var count [1 << editDigitBits]int
+	for shift := 0; shift == 0 || (vocab-1)>>shift > 0; shift += editDigitBits {
+		clear(count[:])
+		for _, e := range edits {
+			count[int(e.id)>>shift&mask]++
+		}
+		sum := 0
+		for d, n := range count {
+			count[d] = sum
+			sum += n
+		}
+		for _, e := range edits {
+			d := int(e.id) >> shift & mask
+			tmp[count[d]] = e
+			count[d]++
+		}
+		edits, tmp = tmp, edits
+	}
+	return edits
 }
 
 // rewrite returns c with edits (sorted by term id, then database) applied

@@ -23,19 +23,22 @@ type flightKey struct {
 	Epoch      uint64
 }
 
-// flight is one in-flight rank computation. The leader closes ready after
-// setting val/err; followers block on ready and read them afterwards. An
-// error reaches the followers waiting — they asked for that very computation
-// — and no later caller: the flight has left the map by then.
+// flight is one in-flight rank computation, one allocation. The leader
+// marks ready done after setting val/err; followers wait on ready and read
+// them afterwards. An error reaches the followers waiting — they asked for
+// that very computation — and no later caller: the flight has left the map
+// by then. followers counts the callers that joined (under the map's lock),
+// so the leader learns whether anyone else holds its answer.
 type flight struct {
-	ready chan struct{}
-	val   []RankedDB
-	err   error
+	ready     sync.WaitGroup
+	followers int
+	val       []RankedDB
+	err       error
 }
 
 // wait blocks until the flight's leader fulfills it.
 func (f *flight) wait() ([]RankedDB, error) {
-	<-f.ready
+	f.ready.Wait()
 	return f.val, f.err
 }
 
@@ -55,14 +58,17 @@ func newFlights(metrics func() *telemetry.Registry) *flights {
 }
 
 // do returns the ranking for key: from an identical rank already in flight,
-// or by running compute as the flight's leader. The slice is shared with
-// every caller of the flight: copy before handing it out. If compute panics
-// the flight is fulfilled with an error first: no follower may wait forever.
-func (c *flights) do(key flightKey, compute func() ([]RankedDB, error)) ([]RankedDB, error) {
+// or by running compute as the flight's leader. shared reports whether any
+// other caller holds the same slice: always for a follower, and for a
+// leader whose flight was joined. A shared slice must be copied before it
+// is handed out. If compute panics the flight is fulfilled with an error
+// first: no follower may wait forever.
+func (c *flights) do(key flightKey, compute func() ([]RankedDB, error)) (val []RankedDB, shared bool, err error) {
 	f, leader := c.join(key)
 	if !leader {
 		c.metrics().Counter(flightsCoalesced).Inc()
-		return f.wait()
+		val, err = f.wait()
+		return val, true, err
 	}
 	fulfilled := false
 	defer func() {
@@ -74,10 +80,10 @@ func (c *flights) do(key flightKey, compute func() ([]RankedDB, error)) ([]Ranke
 			}
 		}
 	}()
-	val, err := compute()
-	c.fulfill(key, f, val, err)
+	val, err = compute()
+	shared = c.fulfill(key, f, val, err)
 	fulfilled = true
-	return val, err
+	return val, shared, err
 }
 
 // join returns the flight for key and whether the caller leads it. A
@@ -85,10 +91,12 @@ func (c *flights) do(key flightKey, compute func() ([]RankedDB, error)) ([]Ranke
 func (c *flights) join(key flightKey) (*flight, bool) {
 	c.mu.Lock()
 	if f := c.flights[key]; f != nil {
+		f.followers++
 		c.mu.Unlock()
 		return f, false
 	}
-	f := &flight{ready: make(chan struct{})}
+	f := new(flight)
+	f.ready.Add(1)
 	c.flights[key] = f
 	c.mu.Unlock()
 	c.metrics().Gauge(flightsInflight).Add(1)
@@ -96,14 +104,18 @@ func (c *flights) join(key flightKey) (*flight, bool) {
 }
 
 // fulfill publishes the leader's result, retires the flight and wakes its
-// followers; the next identical request starts a fresh computation.
-func (c *flights) fulfill(key flightKey, f *flight, val []RankedDB, err error) {
+// followers; the next identical request starts a fresh computation. It
+// reports whether the flight had followers: once the flight has left the
+// map no one else can join, so the count read here is final.
+func (c *flights) fulfill(key flightKey, f *flight, val []RankedDB, err error) (joined bool) {
 	f.val, f.err = val, err
 	c.mu.Lock()
 	delete(c.flights, key)
+	joined = f.followers > 0
 	c.mu.Unlock()
 	c.metrics().Gauge(flightsInflight).Add(-1)
-	close(f.ready)
+	f.ready.Done()
+	return joined
 }
 
 // inflight reports the number of live flights: zero at rest, or a leaked

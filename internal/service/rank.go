@@ -41,6 +41,17 @@ type (
 	BatchItem = serving.Item
 )
 
+// The algorithms parseAlgorithm resolves, each boxed in its interface once
+// (a struct value in an Algorithm is an allocation per conversion). Only a
+// GlOSS threshold other than 0 is converted per request.
+var (
+	algCORI  selection.Algorithm = selection.CORI{}
+	algGloss                     = [...]selection.Algorithm{
+		selection.GlossSum: selection.Gloss{Estimator: selection.GlossSum},
+		selection.GlossInd: selection.Gloss{Estimator: selection.GlossInd},
+	}
+)
+
 // parseAlgorithm resolves an algorithm name to its selection.Algorithm.
 // "cori" (or "") selects CORI; "gloss-sum" and "gloss-ind" select the
 // GlOSS estimators, optionally with an "@l" threshold suffix (e.g.
@@ -60,28 +71,59 @@ func parseAlgorithm(algName string) (selection.Algorithm, error) {
 		if hasThr {
 			return nil, fmt.Errorf("service: algorithm %q does not take a threshold: %w", base, ErrInvalid)
 		}
-		return selection.CORI{}, nil
-	case "gloss-sum":
-		return selection.Gloss{Estimator: selection.GlossSum, Threshold: threshold}, nil
-	case "gloss-ind":
-		return selection.Gloss{Estimator: selection.GlossInd, Threshold: threshold}, nil
+		return algCORI, nil
+	case "gloss-sum", "gloss-ind":
+		est := selection.GlossSum
+		if base == "gloss-ind" {
+			est = selection.GlossInd
+		}
+		if threshold == 0 {
+			return algGloss[est], nil
+		}
+		return selection.Gloss{Estimator: est, Threshold: threshold}, nil
 	}
 	return nil, fmt.Errorf("service: unknown algorithm %q: %w", algName, ErrInvalid)
 }
 
-// rankScratch is the per-query working memory of the serving path — token
-// list, interned term ids, dense scores, ranking — recycled through a pool
-// so a Rank allocates only its flight, the result it computes and the copy
-// it hands back.
+// rankScratch is the per-request working memory of the serving path — the
+// request's analyzed terms and its plan, interned term ids, dense scores,
+// ranking — recycled through a pool so a rank allocates only its term keys,
+// its flights, the rankings it computes and the copies it hands out.
 type rankScratch struct {
-	terms  []string
+	terms  []string         // every position's analyzed terms, back to back
+	pos    []position       // one per query, in input order
+	keys   []termKey        // the request's distinct term keys, by first use
+	index  map[string]int32 // term key → its place in keys; batches only
+	key    []byte           // the term key being built
 	ids    []int32
 	scores []float64
 	ranked []selection.Ranked
-	key    []byte
+}
+
+// position is one query of a request: its terms, terms[lo:hi], and its
+// term key, keys[key] (-1 when the query has no index terms).
+type position struct{ lo, hi, key int32 }
+
+// termKey is one distinct analyzed query of a request: the text its flight
+// is keyed on, the last position that asks for it and, once ranked, the
+// ranking and whether a caller outside this request holds it too.
+type termKey struct {
+	text         string
+	last         int
+	ranked       []RankedDB
+	done, shared bool
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// release drops the scratch's references to the request's queries and
+// rankings and returns it to the pool.
+func (scr *rankScratch) release() {
+	clear(scr.terms)
+	clear(scr.keys)
+	clear(scr.index)
+	rankScratchPool.Put(scr)
+}
 
 // Rank scores every database with a learned model against the query and
 // returns them best first. algName is "cori" (default), "gloss-sum" or
@@ -99,7 +141,7 @@ var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 // that one's answer (service_rank_coalesced_total{scope="flight"}).
 func (r *reader) Rank(query string, algName string, k int) ([]RankedDB, error) {
 	reg := r.Metrics()
-	defer reg.Timer("service_select_seconds")()
+	defer reg.Since("service_select_seconds", reg.Now())
 	// One per computed single rank ("a leader that computed"), kept only
 	// because benchmark/bench/layers.go:364-396 reads it to tell a computed
 	// replay from a repeated one (ROADMAP item 10(f)).
@@ -118,30 +160,61 @@ func (r *reader) Rank(query string, algName string, k int) ([]RankedDB, error) {
 	return out, err
 }
 
-// analyze tokenizes query into scr.terms and builds its flight key in
-// scr.key: the analyzed terms joined with 0x1f (a byte the tokenizer never
-// emits), so equal term sequences collide and raw query spelling does not.
-// It reports whether the query has any index terms. The terms are slices
-// of query (stems too, where stemming only stripped a suffix) and are only
-// looked up before the scratch is reused; what outlives the request is the
-// key, which is a copy.
-func (scr *rankScratch) analyze(an analysis.Analyzer, query string) bool {
-	scr.terms = an.AppendTokens(scr.terms[:0], query)
-	scr.key = scr.key[:0]
-	for i, t := range scr.terms {
-		if i > 0 {
-			scr.key = append(scr.key, 0x1f)
-		}
-		scr.key = append(scr.key, t...)
+// plan analyzes every query of the request before the first is ranked, so
+// that the last position asking for each term key is known when its
+// ranking is computed: that position may hand out the ranking itself, and
+// every earlier one gets a copy. A term key is the analyzed terms joined
+// with 0x1f (a byte the tokenizer never emits), so equal term sequences
+// collide and raw query spelling does not; each distinct one is a single
+// string, shared by its positions and its flight key. The terms are slices
+// of the queries or strings of their own (AppendTokens), so they stay
+// valid for the whole request.
+func (scr *rankScratch) plan(an analysis.Analyzer, queries []string) {
+	scr.terms, scr.pos, scr.keys = scr.terms[:0], scr.pos[:0], scr.keys[:0]
+	if len(queries) > 1 && scr.index == nil {
+		scr.index = make(map[string]int32)
 	}
-	return len(scr.terms) > 0
+	for i, q := range queries {
+		lo := len(scr.terms)
+		scr.terms = an.AppendTokens(scr.terms, q)
+		p := position{lo: int32(lo), hi: int32(len(scr.terms)), key: -1}
+		if p.hi > p.lo {
+			scr.key = scr.key[:0]
+			for j, t := range scr.terms[lo:] {
+				if j > 0 {
+					scr.key = append(scr.key, 0x1f)
+				}
+				scr.key = append(scr.key, t...)
+			}
+			p.key = scr.intern(i, len(queries) > 1)
+		}
+		scr.pos = append(scr.pos, p)
+	}
 }
 
-// rankSnapshot scores and ranks against a compiled snapshot using the
+// intern returns the place in keys of the term key in scr.key, adding it
+// on first use, and records position i as its last user. Only a batch
+// indexes its keys: a single query's one key is its own.
+func (scr *rankScratch) intern(i int, batch bool) int32 {
+	if batch {
+		if j, ok := scr.index[string(scr.key)]; ok {
+			scr.keys[j].last = i
+			return j
+		}
+	}
+	j := int32(len(scr.keys))
+	scr.keys = append(scr.keys, termKey{text: string(scr.key), last: i})
+	if batch {
+		scr.index[scr.keys[j].text] = j
+	}
+	return j
+}
+
+// rankSnapshot scores terms and ranks against a compiled snapshot using the
 // pooled scratch buffers; only the returned result is freshly allocated.
-func (r *reader) rankSnapshot(snap *snapshotSet, alg selection.Algorithm, scr *rankScratch, k int) []RankedDB {
+func (r *reader) rankSnapshot(snap *snapshotSet, alg selection.Algorithm, scr *rankScratch, terms []string, k int) []RankedDB {
 	c := snap.compiled
-	scr.ids = c.AppendIDs(scr.ids[:0], scr.terms)
+	scr.ids = c.AppendIDs(scr.ids[:0], terms)
 	if cap(scr.scores) < c.NumDBs() {
 		scr.scores = make([]float64, c.NumDBs())
 	}
@@ -181,11 +254,11 @@ func (r *reader) RankBatch(queries []string, algName string, k int) ([]BatchItem
 // batch failures are detected and returned before the first emit, so the
 // HTTP layer can still answer them with a plain status code.
 //
-// The emitted Ranked slice is the caller's to keep: it is a fresh copy,
-// never shared with the coalescer or other emits.
+// The emitted Ranked slice is the caller's to keep: never shared with the
+// coalescer, another caller or another emit.
 func (r *reader) RankBatchStream(queries []string, algName string, k int, emit func(i int, item BatchItem) error) error {
 	reg := r.Metrics()
-	defer reg.Timer("service_rank_batch_seconds")()
+	defer reg.Since("service_rank_batch_seconds", reg.Now())
 	err := r.rankEach(reg, queries, algName, k, nil, func(i int, ranked []RankedDB, err error) error {
 		item := BatchItem{Ranked: ranked}
 		if err != nil {
@@ -205,7 +278,7 @@ func (r *reader) RankBatchStream(queries []string, algName string, k int, emit f
 // a whole request — an empty batch or an unknown algorithm (ErrInvalid), a
 // federation with no learned models (ErrNoModels) — before its first emit,
 // counting it in service_select_errors_total. Then it emits, in input
-// order, each query's ranking (a fresh copy) or that query's own typed
+// order, each query's ranking (the caller's own) or that query's own typed
 // error, and returns the first error emit returns. misses, when non-nil,
 // counts the rankings this call computed rather than shared.
 func (r *reader) rankEach(reg *telemetry.Registry, queries []string, algName string, k int, misses *telemetry.Counter, emit func(i int, ranked []RankedDB, err error) error) error {
@@ -226,47 +299,47 @@ func (r *reader) rankEach(reg *telemetry.Registry, queries []string, algName str
 	algName = alg.Name()
 
 	scr := rankScratchPool.Get().(*rankScratch)
-	defer rankScratchPool.Put(scr)
-
-	// seen holds this batch's completed rankings by term key, so a query
-	// repeated within the batch ranks once — the slices are shared across
-	// positions internally and copied per emit.
-	var seen map[string][]RankedDB
-	if len(queries) > 1 {
-		seen = make(map[string][]RankedDB, len(queries))
-	}
-	for i, q := range queries {
-		if !scr.analyze(r.analyzer, q) {
+	defer scr.release()
+	scr.plan(r.analyzer, queries)
+	for i, p := range scr.pos {
+		if p.key < 0 {
 			if err := emit(i, nil, fmt.Errorf("service: query has no index terms: %w", ErrInvalid)); err != nil {
 				return err
 			}
 			continue
 		}
-		termKey := string(scr.key)
-		val, ok := seen[termKey]
-		if ok {
+		// A term key repeated within the batch ranks once, at its first
+		// position; the later ones reuse that ranking.
+		tk := &scr.keys[p.key]
+		if tk.done {
 			reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Inc()
 		} else {
-			key := flightKey{Query: termKey, Alg: algName, K: k, Epoch: snap.epoch}
-			val, err = r.flights.do(key, func() ([]RankedDB, error) {
+			key := flightKey{Query: tk.text, Alg: algName, K: k, Epoch: snap.epoch}
+			terms := scr.terms[p.lo:p.hi]
+			ranked, shared, err := r.flights.do(key, func() ([]RankedDB, error) {
 				misses.Inc()
-				return r.rankSnapshot(snap, alg, scr, k), nil
+				return r.rankSnapshot(snap, alg, scr, terms, k), nil
 			})
 			if err != nil {
 				// The flight this item joined failed (its leader panicked).
 				// Deliver the error to this position — it asked for exactly
-				// that computation — but keep it out of `seen`, so a later
+				// that computation — but leave the key unranked, so a later
 				// duplicate retries fresh instead of inheriting the failure.
 				if err := emit(i, nil, err); err != nil {
 					return err
 				}
 				continue
 			}
-			if seen != nil {
-				seen[termKey] = val
-			}
+			tk.ranked, tk.shared, tk.done = ranked, shared, true
 		}
-		if err := emit(i, append([]RankedDB(nil), val...), nil); err != nil {
+		// The key's last position takes the ranking itself unless a flight
+		// follower holds it too; every other position gets a copy, made
+		// before the caller of the last could change a row.
+		ranked := tk.ranked
+		if tk.shared || i != tk.last {
+			ranked = append([]RankedDB(nil), ranked...)
+		}
+		if err := emit(i, ranked, nil); err != nil {
 			return err
 		}
 	}

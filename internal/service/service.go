@@ -363,7 +363,7 @@ func (s *Service) recordFailure(e *entry, err error) {
 func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 	opts = opts.withDefaults()
 	reg, lg := s.Metrics(), s.log()
-	defer reg.Timer("service_sample_seconds")()
+	defer reg.Since("service_sample_seconds", reg.Now())
 
 	s.mu.RLock()
 	e, ok := s.entries[name]

@@ -88,8 +88,7 @@ func TestRankAfterResampleNeverJoinsOldFlight(t *testing.T) {
 }
 
 // TestRankAllocations pins what one Service.Rank on a warm snapshot
-// allocates. With the result LRU the parent allocated 8 times on a query it
-// had not seen (one more: the LRU's entry) and 4 on a repeated one.
+// allocates: its term key, its flight and the ranking it hands out.
 func TestRankAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the scratch pool drops entries under -race")
@@ -103,7 +102,7 @@ func TestRankAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := 7.0; got != want {
+	if want := 3.0; got != want {
 		t.Fatalf("Rank allocates %.0f times per call, want %.0f", got, want)
 	}
 }

@@ -124,9 +124,9 @@ func (r *reader) snapshot() *snapshotSet {
 	}
 
 	reg := r.Metrics()
-	stop := reg.Timer("service_snapshot_compile_seconds")
+	start := reg.Now()
 	compiled, scope := r.compile(served)
-	stop()
+	reg.Since("service_snapshot_compile_seconds", start)
 	reg.Counter("service_snapshot_compiles_total").Inc()
 	reg.Counter(`service_snapshot_compiles_total{scope="` + scope + `"}`).Inc()
 	reg.Gauge("service_snapshot_epoch").Set(int64(served.epoch))

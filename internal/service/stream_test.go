@@ -341,7 +341,7 @@ func TestRankBatchLeaderPanicRecovery(t *testing.T) {
 			close(computing)
 			<-release
 			// nil snapshot makes rankSnapshot panic inside the leader.
-			return svc.rankSnapshot(nil, nil, nil, 2), nil
+			return svc.rankSnapshot(nil, nil, nil, nil, 2), nil
 		})
 	}()
 	<-computing

@@ -7,7 +7,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 
 	"repro/internal/admission"
 	"repro/internal/telemetry"
@@ -111,6 +113,15 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// exchange is the middleware's state for one request, in one allocation:
+// the writer that records the status, the X-Trace-Id header's value
+// slice, and the context that carries the trace ID to the handlers.
+type exchange struct {
+	w        statusWriter
+	traceHdr [1]string
+	ctx      traceCtx
+}
+
 // responseClass names the http_responses_total series by status class.
 // Constant strings: the middleware runs on every request and must not
 // format one.
@@ -135,29 +146,37 @@ func (s *surface) instrument(next http.Handler) http.Handler {
 		if trace == "" {
 			trace = traces.Next()
 		}
-		w.Header().Set("X-Trace-Id", trace)
-		r = r.WithContext(WithTrace(r.Context(), trace))
+		x := &exchange{
+			w:        statusWriter{ResponseWriter: w, status: http.StatusOK},
+			traceHdr: [1]string{trace},
+			ctx:      traceCtx{Context: r.Context(), id: trace},
+		}
+		// The key is already canonical, and no one writes into a header's
+		// value slice, so the header can hold the exchange's own (Set
+		// would allocate one).
+		w.Header()["X-Trace-Id"] = x.traceHdr[:]
+		r = r.WithContext(&x.ctx)
 
-		sp := reg.StartSpan("http_request_seconds")
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		d := sp.End()
+		start := reg.Now()
+		next.ServeHTTP(&x.w, r)
+		d := reg.Since("http_request_seconds", start)
 
-		class := sw.status / 100
+		status := x.w.status
+		class := status / 100
 		if class < 1 || class > 5 {
 			class = 0
 		}
 		reg.Counter("http_requests_total").Inc()
 		reg.Counter(responseClass[class]).Inc()
 		switch {
-		case sw.status >= 500:
+		case status >= 500:
 			reg.Counter("http_5xx_total").Inc()
-		case sw.status >= 400:
+		case status >= 400:
 			reg.Counter("http_4xx_total").Inc()
 		}
-		lg.Info("http request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"elapsed", d, telemetry.TraceKey, trace)
+		lg.LogAttrs(r.Context(), slog.LevelInfo, "http request",
+			slog.String("method", r.Method), slog.String("path", r.URL.Path), slog.Int("status", status),
+			slog.Duration("elapsed", d), slog.String(telemetry.TraceKey, trace))
 	})
 }
 
@@ -165,9 +184,15 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is the Content-Type value of every JSON reply, one
+// slice for all of them: no one writes into a header's value slice (Set
+// replaces it, Add appends past its capacity), so sharing it is safe and
+// a reply does not allocate its own.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON answers with v as a JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
@@ -184,7 +209,7 @@ func reply(w http.ResponseWriter, buf *encBuf, err error) {
 		return
 	}
 	buf.b = append(buf.b, '\n')
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.b) // a client that left mid-reply is the server's to notice, as it was under json.Encoder
 }
@@ -249,6 +274,29 @@ func ParseK(raw string) (int, error) {
 	return k, nil
 }
 
+// queryParam returns the first value of key in the raw query string, as
+// url.ParseQuery(raw).Get(key) would, in one pass and without building
+// the map: pairs are split on '&', a pair holding ';' or a bad escape is
+// skipped, and only the value returned is unescaped (an unescape allocates
+// only when the text has an escape to undo).
+func queryParam(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // admit passes the request through the tier's gate. A shed request has
 // been answered — 429 with Retry-After: 1, one overload contract on every
 // tier — and ok is false; otherwise the caller owes ticket.Release.
@@ -265,8 +313,7 @@ func (s *surface) handleRank(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	q := r.URL.Query()
-	query := q.Get("q")
+	query := queryParam(r.URL.RawQuery, "q")
 	if query == "" {
 		// Asked nothing: the caller's mistake on every tier, whatever state
 		// the federation is in.
@@ -278,12 +325,12 @@ func (s *surface) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer ticket.Release()
-	k, err := ParseK(q.Get("k"))
+	k, err := ParseK(queryParam(r.URL.RawQuery, "k"))
 	if err != nil {
 		WriteFailure(w, err)
 		return
 	}
-	ranked, err := s.tier.Rank(r.Context(), query, q.Get("alg"), k)
+	ranked, err := s.tier.Rank(r.Context(), query, queryParam(r.URL.RawQuery, "alg"), k)
 	if err != nil {
 		WriteFailure(w, err)
 		return
@@ -321,7 +368,7 @@ func (s *surface) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer ticket.Release()
-	if stream := r.URL.Query().Get("stream"); stream == "1" || stream == "true" {
+	if stream := queryParam(r.URL.RawQuery, "stream"); stream == "1" || stream == "true" {
 		s.streamRankBatch(w, r, req)
 		return
 	}

@@ -87,20 +87,32 @@ func RankBatch(ctx context.Context, r Ranker, queries []string, alg string, k in
 	return items, nil
 }
 
-// traceKey is the context key the HTTP middleware stores the request's
-// trace ID under.
+// traceKey is the context key under which a traceCtx answers with itself.
 type traceKey struct{}
 
-// WithTrace returns ctx carrying a request trace ID.
-func WithTrace(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceKey{}, id)
+// traceCtx is a request context carrying the trace ID the HTTP middleware
+// assigned. It lives inside the middleware's per-request exchange, so
+// attaching the ID costs neither a context.WithValue node nor a boxed
+// string.
+type traceCtx struct {
+	context.Context
+	id string
+}
+
+func (c *traceCtx) Value(key any) any {
+	if key == (traceKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
 }
 
 // TraceFromContext returns the trace ID the HTTP middleware assigned to
 // this request ("" outside a traced request).
 func TraceFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(traceKey{}).(string)
-	return id
+	if c, ok := ctx.Value(traceKey{}).(*traceCtx); ok {
+		return c.id
+	}
+	return ""
 }
 
 // ValidateName rejects database names that the HTTP API could never

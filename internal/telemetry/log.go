@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"io"
 	"log/slog"
 )
@@ -11,7 +12,9 @@ import (
 // HTTP layer mints a trace ID per request (TraceIDs), hands it down
 // through SampleOptions, and the netsearch/STARTS wire layers carry it on
 // every frame, so one grep strings together an entire sampling run across
-// processes.
+// processes. Per-request log sites call LogAttrs with typed attributes
+// (slog.String, slog.Int, …): on a disabled level that costs one Enabled
+// check and no allocation.
 
 // TraceKey is the canonical log attribute for request trace IDs.
 const TraceKey = "trace"
@@ -34,7 +37,16 @@ func NewLogger(w io.Writer, level slog.Level, includeTime bool) *slog.Logger {
 
 // NopLogger returns a logger that discards everything — the default for
 // instrumented packages when no logger is injected, so call sites never
-// nil-check.
+// nil-check. It is disabled at every level, so a log call on it formats
+// nothing.
 func NopLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return slog.New(discardHandler{})
 }
+
+// discardHandler is a slog.Handler enabled at no level.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }

@@ -1,55 +1,32 @@
 package telemetry
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Span measures one timed operation against the registry's clock. Start
-// one with StartSpan, finish it with End; the elapsed time lands in the
-// histogram named by the span. Request trace IDs travel in the request
-// context and in log lines (TraceKey), not in spans.
-type Span struct {
-	reg   *Registry
-	name  string
-	start time.Time
-	done  atomic.Bool
-}
+// Now returns the registry clock's current instant (the zero time on a
+// nil registry): the start of a timed operation, which Since closes.
+func (r *Registry) Now() time.Time { return r.now() }
 
-// StartSpan begins a span whose duration will be observed into the
-// histogram named name when End is called. On a nil registry the span is
-// inert.
-func (r *Registry) StartSpan(name string) *Span {
-	return &Span{reg: r, name: name, start: r.now()}
-}
-
-// End observes the span's elapsed time (per the registry clock) into its
-// histogram and returns the duration. Multiple Ends are idempotent: only
-// the first observes.
-func (s *Span) End() time.Duration {
-	if s == nil || s.reg == nil {
+// Since observes the time elapsed since start (per the registry clock)
+// into the histogram named name and returns it; 0 on a nil registry. With
+// Now it is the one timing form, allocation-free as a deferred call:
+//
+//	defer reg.Since("service_select_seconds", reg.Now())
+func (r *Registry) Since(name string, start time.Time) time.Duration {
+	if r == nil {
 		return 0
 	}
-	d := s.reg.now().Sub(s.start)
-	if s.done.CompareAndSwap(false, true) {
-		s.reg.Histogram(s.name).Observe(d.Seconds())
-	}
+	d := r.now().Sub(start)
+	r.Histogram(name).Observe(d.Seconds())
 	return d
 }
 
-// Timer returns a stop function observing the elapsed time into the named
-// histogram — the one-line defer idiom:
-//
-//	defer reg.Timer("service_select_seconds")()
-func (r *Registry) Timer(name string) func() time.Duration {
-	sp := r.StartSpan(name)
-	return sp.End
-}
-
 // ManualClock is a settable test clock: plug Now into Registry.SetClock
-// and advance it explicitly to make every span duration deterministic.
+// and advance it explicitly to make every timed duration deterministic.
 type ManualClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -88,7 +65,14 @@ func NewTraceIDs(prefix string) *TraceIDs {
 	return &TraceIDs{prefix: prefix}
 }
 
-// Next returns the next ID.
+// Next returns the next ID: the prefix, a dash and the sequence number
+// zero-padded to six digits, built in one allocation.
 func (t *TraceIDs) Next() string {
-	return fmt.Sprintf("%s-%06d", t.prefix, t.n.Add(1))
+	var buf [32]byte
+	b := append(append(buf[:0], t.prefix...), '-')
+	n := t.n.Add(1)
+	for p := uint64(100000); p > n; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, n, 10))
 }

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"strings"
 	"sync"
@@ -40,9 +42,9 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("b").Set(3)
 	r.Histogram("c").Observe(0.5)
 	r.SetClock(nil)
-	sp := r.StartSpan("d")
-	sp.End()
-	r.Timer("e")()
+	if d := r.Since("d", r.Now()); d != 0 {
+		t.Fatalf("nil registry timed %v, want 0", d)
+	}
 	snap := r.Snapshot()
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
@@ -111,13 +113,11 @@ func TestSpanUsesInjectedClock(t *testing.T) {
 	r := NewRegistry()
 	clk := NewManualClock(time.Unix(1000, 0))
 	r.SetClock(clk.Now)
-	sp := r.StartSpan("op_seconds")
+	start := r.Now()
 	clk.Advance(250 * time.Millisecond)
-	if d := sp.End(); d != 250*time.Millisecond {
+	if d := r.Since("op_seconds", start); d != 250*time.Millisecond {
 		t.Fatalf("span duration = %v, want 250ms", d)
 	}
-	// Second End must not double-observe.
-	sp.End()
 	snap := r.Histogram("op_seconds").Snapshot()
 	if snap.Count != 1 {
 		t.Fatalf("observations = %d, want 1", snap.Count)
@@ -169,6 +169,48 @@ func TestTraceIDsAreSequential(t *testing.T) {
 	}
 	if b := ids.Next(); b != "req-000002" {
 		t.Fatalf("second id = %q", b)
+	}
+}
+
+// TestTraceIDsFormat holds Next to the "%s-%06d" spelling at the padding's
+// edges: six digits zero-padded, wider numbers in full.
+func TestTraceIDsFormat(t *testing.T) {
+	for _, c := range []struct {
+		prefix string
+		n      uint64
+	}{{"req", 1}, {"req", 9}, {"req", 99999}, {"req", 999999}, {"req", 1000000}, {"a-much-longer-prefix-than-the-stack-buffer", 42}} {
+		ids := NewTraceIDs(c.prefix)
+		ids.n.Store(c.n - 1)
+		if got, want := ids.Next(), fmt.Sprintf("%s-%06d", c.prefix, c.n); got != want {
+			t.Errorf("Next after %d = %q, want %q", c.n-1, got, want)
+		}
+	}
+	ids := NewTraceIDs("req")
+	if n := testing.AllocsPerRun(100, func() { _ = ids.Next() }); n != 1 {
+		t.Errorf("Next allocates %v times, want 1 (the string)", n)
+	}
+}
+
+// TestNopLoggerIsSilent: the default logger is disabled at every level,
+// so a per-request LogAttrs call on it formats and allocates nothing.
+func TestNopLoggerIsSilent(t *testing.T) {
+	lg := NopLogger()
+	ctx := context.Background()
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError, slog.LevelError + 100} {
+		if lg.Enabled(ctx, level) {
+			t.Errorf("NopLogger enabled at %v", level)
+		}
+	}
+	if lg.With("k", "v").WithGroup("g").Enabled(ctx, slog.LevelError) {
+		t.Error("a NopLogger derived by With/WithGroup is enabled")
+	}
+	trace, d := "req-000001", 3*time.Millisecond
+	if n := testing.AllocsPerRun(100, func() {
+		lg.LogAttrs(ctx, slog.LevelInfo, "http request",
+			slog.String("method", "GET"), slog.Int("status", 200),
+			slog.Duration("elapsed", d), slog.String(TraceKey, trace))
+	}); n != 0 {
+		t.Errorf("LogAttrs on NopLogger allocates %v times, want 0", n)
 	}
 }
 
