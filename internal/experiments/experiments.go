@@ -109,7 +109,7 @@ func (s *Suite) Baseline(name string) (*BaselineRun, error) {
 	}
 	s.mu.Unlock()
 	return e.get(func() (*BaselineRun, error) {
-		defer s.timeExp("baseline")()
+		defer s.timeExp("baseline", s.Metrics.Now())
 		env, err := s.Env(name)
 		if err != nil {
 			return nil, err
@@ -157,7 +157,7 @@ func Corpora() []string { return []string{"CACM", "WSJ88", "TREC123"} }
 // Table1 generates the test-corpus summary (Table 1). Corpus builds and
 // the stats passes are independent per corpus, so they fan out.
 func (s *Suite) Table1() ([]corpus.Stats, error) {
-	defer s.timeExp("table1")()
+	defer s.timeExp("table1", s.Metrics.Now())
 	return parallel.Map(s.workers(), Corpora(), func(_ int, name string) (corpus.Stats, error) {
 		env, err := s.Env(name)
 		if err != nil {
@@ -216,7 +216,7 @@ func (c *ctfThresholdStop) Done(st *core.State) bool {
 // Table2 measures the cost of reaching an 80% ctf ratio for each
 // documents-per-query setting (Table 2; the paper tests N = 1,2,4,6,8,10).
 func (s *Suite) Table2(name string, ns []int) ([]Table2Row, error) {
-	defer s.timeExp("table2")()
+	defer s.timeExp("table2", s.Metrics.Now())
 	env, err := s.Env(name)
 	if err != nil {
 		return nil, err
@@ -287,7 +287,7 @@ func (s *Suite) Strategies(name string) ([]StrategyRun, error) {
 	}
 	s.mu.Unlock()
 	return e.get(func() ([]StrategyRun, error) {
-		defer s.timeExp("strategies")()
+		defer s.timeExp("strategies", s.Metrics.Now())
 		env, err := s.Env(name)
 		if err != nil {
 			return nil, err
@@ -363,7 +363,7 @@ type Table4Result struct {
 // Table4 samples the Support database at 25 documents per query (as the
 // paper's earliest experiment did, §7) and summarizes it by avg-tf.
 func (s *Suite) Table4(topK int) (*Table4Result, error) {
-	defer s.timeExp("table4")()
+	defer s.timeExp("table4", s.Metrics.Now())
 	env, err := s.Env("Support")
 	if err != nil {
 		return nil, err

@@ -95,7 +95,7 @@ type AgreementResult struct {
 // nQueries 2-term topical queries.
 func SelectionAgreement(numDBs, docsEach int, sampleSizes []int, nQueries int, seed uint64, opts ...Option) ([]AgreementResult, error) {
 	o := applyOptions(opts)
-	defer o.timeExp("ext-agree")()
+	defer o.timeExp("ext-agree", o.metrics.Now())
 	dbs, err := Federation(numDBs, docsEach, seed, opts...)
 	if err != nil {
 		return nil, err
@@ -257,7 +257,7 @@ type AdversarialResult struct {
 // immune — the liar's lie never shows up in documents it actually returns.
 func Adversarial(numDBs, docsEach, sampleDocs int, seed uint64, opts ...Option) (*AdversarialResult, error) {
 	o := applyOptions(opts)
-	defer o.timeExp("ext-adv")()
+	defer o.timeExp("ext-adv", o.metrics.Now())
 	dbs, err := Federation(numDBs, docsEach, seed, opts...)
 	if err != nil {
 		return nil, err
@@ -360,7 +360,7 @@ type SizeRow struct {
 // SizeEstimation runs both size estimators against every corpus with the
 // given per-pass document budget.
 func (s *Suite) SizeEstimation(sampleDocs int) ([]SizeRow, error) {
-	defer s.timeExp("ext-size")()
+	defer s.timeExp("ext-size", s.Metrics.Now())
 	if err := s.prepareCorpora(); err != nil {
 		return nil, err
 	}
@@ -431,7 +431,7 @@ type StoppingRow struct {
 // StoppingRule evaluates StopWhenConverged(threshold, 2 spans) against the
 // paper's fixed budgets on every corpus.
 func (s *Suite) StoppingRule(threshold float64) ([]StoppingRow, error) {
-	defer s.timeExp("ext-stop")()
+	defer s.timeExp("ext-stop", s.Metrics.Now())
 	if err := s.prepareCorpora(); err != nil {
 		return nil, err
 	}

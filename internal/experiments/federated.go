@@ -44,7 +44,7 @@ type FedResult struct {
 // the same documents and measures end-to-end P@10 for the four systems.
 func FederatedRetrieval(numDBs, docsEach, sampleDocs, nQueries, selectK int, seed uint64, opts ...Option) (*FedResult, error) {
 	o := applyOptions(opts)
-	defer o.timeExp("ext-fed")()
+	defer o.timeExp("ext-fed", o.metrics.Now())
 	dbs, err := Federation(numDBs, docsEach, seed, opts...)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
@@ -32,8 +34,8 @@ func WithMetrics(reg *telemetry.Registry) Option {
 }
 
 // timeExp mirrors Suite.timeExp for the package-level experiments.
-func (o options) timeExp(exp string) func() {
-	return startTimer(o.metrics, `experiments_run_seconds{exp="`+exp+`"}`)
+func (o options) timeExp(exp string, start time.Time) {
+	o.metrics.Since(`experiments_run_seconds{exp="`+exp+`"}`, start)
 }
 
 // applyOptions resolves the option list.

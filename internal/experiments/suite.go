@@ -16,6 +16,7 @@ package experiments
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/corpus"
@@ -112,20 +113,14 @@ func (s *Suite) WithSharedEnvs(seed uint64) *Suite {
 // workers resolves the suite's concurrency cap.
 func (s *Suite) workers() int { return parallel.Workers(s.Parallel) }
 
-// timeExp returns a stop function observing one experiment's wall time
-// under experiments_run_seconds{exp="…"} — the per-experiment cost view
-// cmd/experiments prints with -timing. A nil Metrics registry makes it
-// free. exp values come from the fixed experiment id set (table1, fig1,
-// …, ext-fed), so cardinality is bounded.
-func (s *Suite) timeExp(exp string) func() {
-	return startTimer(s.Metrics, `experiments_run_seconds{exp="`+exp+`"}`)
-}
-
-// startTimer returns a stop function observing the time from now to its
-// call into the histogram name.
-func startTimer(reg *telemetry.Registry, name string) func() {
-	start := reg.Now()
-	return func() { reg.Since(name, start) }
+// timeExp observes one experiment's wall time, from start to now, under
+// experiments_run_seconds{exp="…"} — the per-experiment cost view
+// cmd/experiments prints with -timing; callers defer it with
+// s.Metrics.Now() as start. A nil Metrics registry makes it free. exp
+// values come from the fixed experiment id set (table1, fig1, …, ext-fed),
+// so cardinality is bounded.
+func (s *Suite) timeExp(exp string, start time.Time) {
+	s.Metrics.Since(`experiments_run_seconds{exp="`+exp+`"}`, start)
 }
 
 // envEntry returns (creating if needed) the cache slot for a corpus. Only

@@ -27,7 +27,7 @@ type VarianceRow struct {
 // SeedVariance reruns the baseline on one corpus with nSeeds different
 // seeds and reports mean and standard deviation of the final metrics.
 func (s *Suite) SeedVariance(name string, nSeeds int) (VarianceRow, error) {
-	defer s.timeExp("ext-var")()
+	defer s.timeExp("ext-var", s.Metrics.Now())
 	if nSeeds < 2 {
 		nSeeds = 2
 	}

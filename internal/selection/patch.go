@@ -89,24 +89,24 @@ const foldDeltaRatio = 8
 // unregistrations renumber databases and need a full Compile. Patches must
 // target distinct indices.
 func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
-	seen := make(map[int]bool, len(patches))
-	for _, p := range patches {
+	patches = slices.Clone(patches)
+	slices.SortFunc(patches, func(a, b ModelPatch) int { return a.DB - b.DB })
+	for i, p := range patches {
 		if p.DB < 0 || p.DB >= c.n {
 			return nil, fmt.Errorf("selection: patch index %d out of range [0,%d)", p.DB, c.n)
 		}
 		if p.Old == nil || p.New == nil {
 			return nil, fmt.Errorf("selection: patch for db %d has a nil model", p.DB)
 		}
-		if seen[p.DB] {
+		if i > 0 && patches[i-1].DB == p.DB {
 			return nil, fmt.Errorf("selection: duplicate patch for db %d", p.DB)
 		}
-		seen[p.DB] = true
 	}
 
 	// Collect posting edits by term id. Terms new to the snapshot take
 	// provisional ids past the dictionary in deterministic first-encounter
-	// order (patch order, then each New model's insertion order — mirroring
-	// Compile's interning discipline).
+	// order (database order, then each New model's insertion order —
+	// mirroring Compile's interning discipline).
 	var (
 		newTerms []string
 		newIDs   map[string]int32
@@ -117,9 +117,8 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 		room += p.Old.VocabSize() + p.New.VocabSize()
 	}
 	edits := make([]rowEdit, 0, room)
-	ends := make([]int, len(patches)) // where each patch's block of edits ends
 	oldVocab := c.VocabSize()
-	for i, p := range patches {
+	for _, p := range patches {
 		db := int32(p.DB)
 		p.New.Range(func(t string, st langmodel.TermStats) bool {
 			id, known := c.ID(t)
@@ -154,9 +153,8 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 		if patchErr != nil {
 			return nil, patchErr
 		}
-		ends[i] = len(edits)
 	}
-	edits = sortEdits(edits, patches, ends, oldVocab+len(newTerms))
+	edits = sortEdits(edits, oldVocab+len(newTerms))
 
 	next := c.rewrite(edits, newTerms)
 
@@ -173,31 +171,14 @@ func (c *Compiled) Patch(patches []ModelPatch) (*Compiled, error) {
 // counters, so two passes order a vocabulary of up to 4 M terms.
 const editDigitBits = 11
 
-// sortEdits returns edits in (id, db) order, in time linear in their
-// number and the digits of vocab, the bound on their ids. ends[i] is where
-// patches[i]'s block of edits ends. Laying the blocks out in db order sorts
-// the edits by db, and a stable radix sort by id, least significant digit
-// first, keeps that order among the edits of one id. No two edits tie: a
-// patch edits each id at most once, and patches target distinct databases.
-func sortEdits(edits []rowEdit, patches []ModelPatch, ends []int, vocab int) []rowEdit {
+// sortEdits returns edits, emitted patch by patch in database order, in
+// (id, db) order, in time linear in their number and the digits of vocab,
+// the bound on their ids: a stable radix sort by id, least significant
+// digit first, keeps the database order among the edits of one id. No two
+// edits tie: a patch edits each id at most once, and patches target
+// distinct databases.
+func sortEdits(edits []rowEdit, vocab int) []rowEdit {
 	tmp := make([]rowEdit, len(edits))
-	byDB := func(a, b int) int { return patches[a].DB - patches[b].DB }
-	order := make([]int, len(patches))
-	for i := range order {
-		order[i] = i
-	}
-	if !slices.IsSortedFunc(order, byDB) {
-		slices.SortFunc(order, byDB)
-		n := 0
-		for _, i := range order {
-			start := 0
-			if i > 0 {
-				start = ends[i-1]
-			}
-			n += copy(tmp[n:], edits[start:ends[i]])
-		}
-		edits, tmp = tmp, edits
-	}
 	const mask = 1<<editDigitBits - 1
 	var count [1 << editDigitBits]int
 	for shift := 0; shift == 0 || (vocab-1)>>shift > 0; shift += editDigitBits {

@@ -466,26 +466,22 @@ func TestPatchEmptyPatchList(t *testing.T) {
 }
 
 // TestSortEditsMatchesComparisonSort holds Patch's radix ordering of its
-// posting edits to the (id, db) comparison sort it replaced, over patch
-// lists in and out of database order and vocabularies of one, two and
-// three radix digits.
+// posting edits, emitted patch by patch in database order, to the (id, db)
+// comparison sort it replaced, over vocabularies of one, two and three
+// radix digits.
 func TestSortEditsMatchesComparisonSort(t *testing.T) {
 	src := randx.New(0x50e7)
 	for _, vocab := range []int{1, 7, 1 << editDigitBits, 5000, 1 << 23} {
 		for trial := 0; trial < 20; trial++ {
-			nPatches := 1 + src.Intn(6)
-			dbs := src.Perm(40)[:nPatches]
-			patches := make([]ModelPatch, nPatches)
-			ends := make([]int, nPatches)
+			dbs := src.Perm(40)[:1+src.Intn(6)]
+			slices.Sort(dbs)
 			var edits []rowEdit
-			for i, db := range dbs {
-				patches[i].DB = db
+			for _, db := range dbs {
 				// A patch edits each id at most once, in any order.
 				for _, id := range src.Perm(min(vocab, 3000))[:src.Intn(min(vocab, 3000)+1)] {
 					id = id * (vocab / min(vocab, 3000)) // spread over the whole vocabulary
 					edits = append(edits, rowEdit{id: int32(id), db: int32(db), df: float64(len(edits)), remove: id%3 == 0})
 				}
-				ends[i] = len(edits)
 			}
 			want := slices.Clone(edits)
 			slices.SortFunc(want, func(a, b rowEdit) int {
@@ -494,7 +490,7 @@ func TestSortEditsMatchesComparisonSort(t *testing.T) {
 				}
 				return int(a.db) - int(b.db)
 			})
-			if got := sortEdits(edits, patches, ends, vocab); !slices.Equal(got, want) {
+			if got := sortEdits(edits, vocab); !slices.Equal(got, want) {
 				t.Fatalf("vocab %d, patches on dbs %v: radix order differs from the comparison sort", vocab, dbs)
 			}
 		}

@@ -41,16 +41,9 @@ type (
 	BatchItem = serving.Item
 )
 
-// The algorithms parseAlgorithm resolves, each boxed in its interface once
-// (a struct value in an Algorithm is an allocation per conversion). Only a
-// GlOSS threshold other than 0 is converted per request.
-var (
-	algCORI  selection.Algorithm = selection.CORI{}
-	algGloss                     = [...]selection.Algorithm{
-		selection.GlossSum: selection.Gloss{Estimator: selection.GlossSum},
-		selection.GlossInd: selection.Gloss{Estimator: selection.GlossInd},
-	}
-)
+// algCORI is CORI boxed in its interface once: a struct value in an
+// Algorithm is an allocation per conversion, and CORI is the serving default.
+var algCORI selection.Algorithm = selection.CORI{}
 
 // parseAlgorithm resolves an algorithm name to its selection.Algorithm.
 // "cori" (or "") selects CORI; "gloss-sum" and "gloss-ind" select the
@@ -72,15 +65,10 @@ func parseAlgorithm(algName string) (selection.Algorithm, error) {
 			return nil, fmt.Errorf("service: algorithm %q does not take a threshold: %w", base, ErrInvalid)
 		}
 		return algCORI, nil
-	case "gloss-sum", "gloss-ind":
-		est := selection.GlossSum
-		if base == "gloss-ind" {
-			est = selection.GlossInd
-		}
-		if threshold == 0 {
-			return algGloss[est], nil
-		}
-		return selection.Gloss{Estimator: est, Threshold: threshold}, nil
+	case "gloss-sum":
+		return selection.Gloss{Estimator: selection.GlossSum, Threshold: threshold}, nil
+	case "gloss-ind":
+		return selection.Gloss{Estimator: selection.GlossInd, Threshold: threshold}, nil
 	}
 	return nil, fmt.Errorf("service: unknown algorithm %q: %w", algName, ErrInvalid)
 }
